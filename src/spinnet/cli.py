@@ -22,15 +22,14 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .exact import ExactScalar, HalfInteger, RadicalNumber, radical_to_float
+from .exact import ExactScalar, HalfInteger, RadicalNumber
 from .graph import Diagram, deserialize, serialize, to_dot
 from .rewrite import DEFAULT_SIMPLIFY_RULES, simplify
-from .tensor import RankCapExceeded, eval_diagram, plan_contraction, plug_basis
+from .tensor import RankCapExceeded, _rank_cap, eval_diagram, plan_contraction, plug_basis
 from .su2 import (
     CorrectionFactor,
     VertexSpec,
@@ -80,7 +79,7 @@ def _spins(texts: Sequence[str]) -> list[HalfInteger]:
 
 
 def _print_value(v: RadicalNumber) -> None:
-    print(f"{v.serialize()}  (~ {radical_to_float(v):.12g})")
+    print(f"{v.serialize()}  (~ {v.to_float():.12g})")
 
 
 # -- symbol ---------------------------------------------------------------
@@ -121,27 +120,30 @@ def cmd_symbol(args: argparse.Namespace) -> int:
 # -- build ----------------------------------------------------------------
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"{what} {text!r} is not an integer") from None
+
+
 def _build_object(kind: str, spins: list[str], orient: Optional[str]):
     """Returns (diagram, correction-or-None)."""
-    if kind == "symmetriser":
-        if len(spins) != 1:
-            raise CliError("symmetriser needs one wire count")
-        try:
-            n = int(spins[0])
-        except ValueError:
-            raise CliError(f"wire count {spins[0]!r} is not an integer") from None
-        return symmetriser(n), None
-    if kind == "cswap":
-        return cswap_gadget(), None
-    if kind == "crown":
-        if len(spins) != 1:
-            raise CliError("crown needs one stage number")
-        return crown(int(spins[0])), None
-    if kind == "link":
-        if len(spins) != 1:
-            raise CliError("link needs one spin")
-        return yutsis_link(_spin(spins[0])), None
     try:
+        if kind == "symmetriser":
+            if len(spins) != 1:
+                raise CliError("symmetriser needs one wire count")
+            return symmetriser(_int(spins[0], "wire count")), None
+        if kind == "cswap":
+            return cswap_gadget(), None
+        if kind == "crown":
+            if len(spins) != 1:
+                raise CliError("crown needs one stage number")
+            return crown(_int(spins[0], "stage number")), None
+        if kind == "link":
+            if len(spins) != 1:
+                raise CliError("link needs one spin")
+            return yutsis_link(_spin(spins[0])), None
         if kind == "3jm":
             if len(spins) != 3:
                 raise CliError("3jm needs three spins")
@@ -183,14 +185,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     doc = serialize(d)
     out = Path(args.out) if args.out else None
     if out is not None:
-        out.write_text(json.dumps(doc, indent=2) + "\n")
+        out.write_text(doc + "\n")
         print(f"wrote {out}")
         if corr is not None:
             side = out.with_suffix(out.suffix + ".corrections.json")
             side.write_text(json.dumps(_correction_dict(corr), indent=2) + "\n")
             print(f"wrote {side}")
     else:
-        print(json.dumps(doc, indent=2))
+        print(doc)
         if corr is not None:
             print(json.dumps(_correction_dict(corr), indent=2))
     if args.dot:
@@ -202,6 +204,13 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 # -- eval -----------------------------------------------------------------
+
+
+def _resolve_rank_cap(mode: str, rank_cap: Optional[int] = None) -> int:
+    try:
+        return _rank_cap(mode, rank_cap)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _parse_plug(spec: str, d: Diagram) -> dict[int, int]:
@@ -230,8 +239,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not path.exists():
         raise CliError(f"no such file: {path}")
     try:
-        d = deserialize(json.loads(path.read_text()))
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
+        d = deserialize(path.read_text())
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot read diagram: {exc}") from None
     if args.plug:
         d = plug_basis(d, _parse_plug(args.plug, d))
@@ -240,7 +249,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(json.dumps({"rewrite_trace": [
             {"rule": r, "site": list(s)} for r, s in trace.steps
         ]}))
-    plan = plan_contraction(d, rank_cap=args.rank_cap, mode=args.mode)
+    plan = plan_contraction(d, rank_cap=_resolve_rank_cap(args.mode, args.rank_cap), mode=args.mode)
     print(f"peak rank: {plan.peak_rank}  steps: {len(plan.steps)}")
     t = eval_diagram(d, mode=args.mode, plan=plan)
     if t.n_inputs == 0 and t.n_outputs == 0:
@@ -281,7 +290,7 @@ def _closed_value(d: Diagram, corr: CorrectionFactor, mode: str):
     raw = eval_diagram(d, mode=mode).scalar_value()
     if mode == "exact":
         return raw.to_radical() * corr.value
-    return raw.real * radical_to_float(corr.value)
+    return raw.real * corr.value.to_float()
 
 
 def _case_diagram_value(case: dict, mode: str):
@@ -388,12 +397,12 @@ def _run_case(case: dict) -> tuple[bool, str]:
         if policy == "float":
             tol = float(case.get("tol", 1e-8))
             got = _case_diagram_value(case, "float")
-            want = radical_to_float(expected)
+            want = expected.to_float()
             scale = max(abs(want), 1.0)
             if abs(got - want) > tol * scale:
                 return False, f"got {got!r}, expected {want!r} (tol {tol})"
-            if oracle is not None and abs(got - radical_to_float(oracle)) > tol * scale:
-                return False, f"diagram {got!r} disagrees with oracle {radical_to_float(oracle)!r}"
+            if oracle is not None and abs(got - oracle.to_float()) > tol * scale:
+                return False, f"diagram {got!r} disagrees with oracle {oracle.to_float()!r}"
             return True, f"value {got:.12g}"
         return False, f"unknown policy {policy!r}"
     except RankCapExceeded:
@@ -411,10 +420,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cases = [c for c in cases if c.get("kind") == args.only]
     if not cases:
         raise CliError("manifest has no (matching) cases")
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(_run_case, cases))
+    _resolve_rank_cap("exact")  # a malformed SPINNET_RANK_CAP is a usage error, not a failed case
     failures = 0
-    for case, (ok, detail) in zip(cases, results):
+    for case in cases:
+        ok, detail = _run_case(case)
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
@@ -427,9 +436,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- entry point ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, without the usage text."""
+
+    def error(self, message: str):
+        print(f"error: {self.prog}: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="spinnet", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="spinnet", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     # Let arguments like "-1/2" pass as negative spins, not option flags.
@@ -462,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification manifest")
     pv.add_argument("manifest", nargs="?", default="paper.json")
     pv.add_argument("--only", help="restrict to one case kind")
-    pv.add_argument("--jobs", type=int, default=None)
     pv.set_defaults(func=cmd_verify)
     return p
 

@@ -27,7 +27,6 @@ __all__ = [
     "HalfInteger",
     "sqrt_rational",
     "factorial",
-    "radical_to_float",
     "squarefree_decompose",
 ]
 
@@ -542,11 +541,6 @@ def sqrt_rational(q: RationalLike) -> RadicalNumber:
         return RadicalNumber.zero()
     c, s = squarefree_decompose(q.numerator * q.denominator)
     return RadicalNumber({s: Fraction(c, q.denominator)})
-
-
-def radical_to_float(x: RadicalNumber) -> float:
-    """Float value of a RadicalNumber."""
-    return x.to_float()
 
 
 class HalfInteger:

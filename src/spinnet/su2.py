@@ -9,7 +9,7 @@ qubit wires:
   patterns on i-1 control wires.
 * :func:`symmetriser` -- the projector onto the symmetric subspace of n
   qubit wires, built from crowns and CSWAPs; evaluates exactly to S_n.
-* :func:`yutsis_link` / :func:`connector` -- the edge operator
+* :func:`yutsis_link` -- the edge operator
   sum_m (-1)^(j-m) |j m><j m| on a 2j-wire bundle.
 * :func:`vertex_3jm`, :func:`vertex_4jm`, :func:`assemble_network`,
   :func:`network_6j`, :func:`theta_network`, :func:`loop_network` --
@@ -56,7 +56,6 @@ __all__ = [
     "binor_N",
     "symmetric_isometry",
     "yutsis_link",
-    "connector",
     "vertex_3jm",
     "vertex_4jm",
     "assemble_network",
@@ -367,12 +366,6 @@ def yutsis_link(j: SpinLike) -> Diagram:
         d.add_edge(zp, b)
     d.mul_scalar(lambda_n(tj).to_exact_scalar())
     return d
-
-
-def connector(j: SpinLike) -> Diagram:
-    """Alias for :func:`yutsis_link`: the operator inserted on a summed
-    internal edge of a network."""
-    return yutsis_link(j)
 
 
 # -- vertices -------------------------------------------------------------

@@ -4,8 +4,18 @@ Every vertex becomes a small tensor (one binary index per incident wire);
 edges are contractions.  A greedy planner picks a deterministic pairwise
 contraction order that keeps intermediate ranks small.  Two modes:
 
-* ``"exact"`` -- numpy object arrays holding :class:`ExactScalar`; results
-  are bit-for-bit reproducible elements of Q(i)[sqrt(2)].
+* ``"exact"`` -- results are numpy object arrays holding
+  :class:`ExactScalar`, bit-for-bit reproducible elements of Q(i)[sqrt(2)].
+  Inside the contraction that field is written as Q(omega) with
+  omega = e^(i pi/4), using sqrt(2) = omega - omega^3 and i = omega^2, so
+  ``a + b*sqrt(2) + (c + d*sqrt(2))*i`` has omega-coefficients
+  ``(a, b + d, c, d - b)``.  Each tensor is four object arrays of Python
+  ints ``A_0..A_3`` (one per power of omega) and one positive int ``D``;
+  an entry is ``sum_k A_k * omega^k / D``.  Because omega^4 = -1, one
+  pairwise contraction is 16 integer tensordots folded onto four powers,
+  after which the gcd of ``D`` and every coefficient is divided out.
+  Python ints do not overflow.  Results become ExactScalar once, at the
+  end of :func:`eval_diagram`.
 * ``"float"`` -- complex128 arrays (needed for irrational phases).
 
 Matrix convention: inputs index columns and outputs index rows; wire 0 is
@@ -15,10 +25,11 @@ the most significant bit on each side.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,53 +56,153 @@ class RankCapExceeded(RuntimeError):
 
 
 def _rank_cap(mode: str, rank_cap: Optional[int]) -> int:
+    """The explicit cap, else ``SPINNET_RANK_CAP``, else the mode default.
+
+    Raises ValueError if the environment variable is not an integer.
+    """
     if rank_cap is not None:
         return rank_cap
     env = os.environ.get("SPINNET_RANK_CAP")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"SPINNET_RANK_CAP={env!r} is not an integer") from None
     return DEFAULT_RANK_CAP_EXACT if mode == "exact" else DEFAULT_RANK_CAP_FLOAT
 
 
-# -- vertex tensors -------------------------------------------------------
+# -- exact tensors over Z[omega] ------------------------------------------
+
+# (coefficient arrays A_0..A_3, denominator D); see the module docstring.
+_OmegaTensor = tuple[tuple[np.ndarray, ...], int]
+
+_SQRT2 = (0, 1, 0, -1)  # omega - omega^3
 
 
-def _exact_phase_factor(phase: Fraction) -> ExactScalar:
-    """exp(i * phase * pi) for phase with denominator dividing 4."""
-    k = 4 * Fraction(phase)
-    if k.denominator != 1:
-        raise ValueError(f"phase {phase}*pi has no exact representation")
-    return ExactScalar.phase_quarter(k.numerator)
+def _omega_ints(x: ExactScalar) -> tuple[tuple[int, ...], int]:
+    """Integer omega-coefficients of ``x`` over their least common denominator."""
+    p = (x.re_rat, x.re_sqrt2 + x.im_sqrt2, x.im_rat, x.im_sqrt2 - x.re_sqrt2)
+    den = math.lcm(*(q.denominator for q in p))
+    return tuple(q.numerator * (den // q.denominator) for q in p), den
+
+
+def _omega_scalar(x: ExactScalar) -> _OmegaTensor:
+    """``x`` as a rank-0 tensor."""
+    coeffs, den = _omega_ints(x)
+    return tuple(np.array(c, dtype=object) for c in coeffs), den
+
+
+def _omega_mul(p: tuple, q: tuple) -> tuple:
+    """Product of two omega-polynomials modulo omega^4 + 1."""
+    out = [0, 0, 0, 0]
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            if i + j < 4:
+                out[i + j] += a * b
+            else:
+                out[i + j - 4] -= a * b
+    return tuple(out)
+
+
+def _omega_power(k: int) -> tuple:
+    """omega^k, i.e. exp(i * k * pi / 4)."""
+    out = [0, 0, 0, 0]
+    out[k % 4] = -1 if k % 8 >= 4 else 1
+    return tuple(out)
+
+
+def _reduced(coeffs, den: int) -> _OmegaTensor:
+    """Divide the gcd of ``den`` and every coefficient out of both."""
+    # Ufuncs return 0-d object arrays as bare ints; asarray undoes that.
+    coeffs = [np.asarray(c, dtype=object) for c in coeffs]
+    g = den
+    for c in coeffs:
+        if g == 1:
+            break
+        g = math.gcd(g, *c.ravel().tolist())
+    if g > 1:
+        coeffs = [np.asarray(c // g, dtype=object) for c in coeffs]
+        den //= g
+    return tuple(coeffs), den
+
+
+def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
+    """The vertex tensor built directly over Z[omega]."""
+    shape = (2,) * degree
+    ones = (1,) * degree
+    if data.kind in (Z, X):
+        if not phase_is_exact(data.phase):
+            raise ValueError(f"phase {data.phase}*pi requires float mode")
+        ph = _omega_power(int(4 * Fraction(data.phase)))
+    if data.kind == Z:
+        coeffs = [np.zeros(shape, dtype=object) for _ in range(4)]
+        coeffs[0][(0,) * degree] += 1
+        for k in range(4):
+            coeffs[k][ones] += ph[k]
+        return tuple(coeffs), 1
+    if data.kind == X:
+        # (1/sqrt2)^deg (1 +- e^(i alpha pi)) = sqrt2^deg (1 +- ph) / 2^deg
+        norm = (1, 0, 0, 0)
+        for _ in range(degree):
+            norm = _omega_mul(norm, _SQRT2)
+        even = _omega_mul(norm, (1 + ph[0],) + ph[1:])
+        odd = _omega_mul(norm, (1 - ph[0],) + tuple(-c for c in ph[1:]))
+        odd_parity = np.indices(shape).sum(axis=0) % 2 == 1
+        coeffs = [np.where(odd_parity, odd[k], even[k]).astype(object) for k in range(4)]
+        return _reduced(coeffs, 2 ** degree)
+    if data.kind == H:
+        label, den = _omega_ints(data.label)
+        coeffs = [np.full(shape, den if k == 0 else 0, dtype=object) for k in range(4)]
+        for k in range(4):
+            coeffs[k][ones] = label[k]
+        return tuple(coeffs), den
+    raise ValueError(f"no tensor for vertex kind {data.kind!r}")
+
+
+def _omega_tensordot(a: _OmegaTensor, b: _OmegaTensor, axes) -> _OmegaTensor:
+    """Contract two tensors: 16 integer tensordots folded by omega^4 = -1.
+
+    Pairs with an all-zero coefficient array are skipped.
+    """
+    (ca, da), (cb, db) = a, b
+    pairs = [(i, j) for i in range(4) if ca[i].any() for j in range(4) if cb[j].any()]
+    out: list = [None] * 4
+    for i, j in pairs or [(0, 0)]:
+        p = np.tensordot(ca[i], cb[j], axes=axes)
+        k, neg = (i + j) % 4, i + j >= 4
+        if out[k] is None:
+            out[k] = -p if neg else p
+        elif neg:
+            out[k] -= p
+        else:
+            out[k] += p
+    zero = next(c for c in out if c is not None) * 0
+    return _reduced([zero if c is None else c for c in out], da * db)
+
+
+def _exact_array(t: _OmegaTensor) -> np.ndarray:
+    """Object array of ExactScalar, equal values sharing one object."""
+    coeffs, den = t
+    cache: dict[tuple, ExactScalar] = {}
+    flat = np.empty(coeffs[0].size, dtype=object)
+    for n, key in enumerate(zip(*(c.ravel().tolist() for c in coeffs))):
+        x = cache.get(key)
+        if x is None:
+            p0, p1, p2, p3 = key
+            x = cache[key] = ExactScalar(
+                Fraction(p0, den), Fraction(p1 - p3, 2 * den),
+                Fraction(p2, den), Fraction(p1 + p3, 2 * den),
+            )
+        flat[n] = x
+    return flat.reshape(coeffs[0].shape)
 
 
 def vertex_tensor(data: VertexData, degree: int, mode: str = "exact") -> np.ndarray:
     """The tensor of one vertex with the given number of incident wires."""
-    shape = (2,) * degree
     if mode == "exact":
-        if data.kind in (Z, X) and not phase_is_exact(data.phase):
-            raise ValueError(
-                f"phase {data.phase}*pi requires float mode"
-            )
-        if data.kind == Z:
-            t = np.full(shape, ExactScalar.zero(), dtype=object)
-            t[(0,) * degree] = t[(0,) * degree] + ExactScalar.one()
-            t[(1,) * degree] = t[(1,) * degree] + _exact_phase_factor(data.phase)
-            return t
-        if data.kind == X:
-            ph = _exact_phase_factor(data.phase)
-            norm = ExactScalar.inv_sqrt2() ** degree
-            even = norm * (ExactScalar.one() + ph)
-            odd = norm * (ExactScalar.one() - ph)
-            t = np.empty(shape, dtype=object)
-            for idx in itertools.product((0, 1), repeat=degree):
-                t[idx] = even if sum(idx) % 2 == 0 else odd
-            return t
-        if data.kind == H:
-            t = np.full(shape, ExactScalar.one(), dtype=object)
-            t[(1,) * degree] = data.label
-            return t
-        raise ValueError(f"no tensor for vertex kind {data.kind!r}")
+        return _exact_array(_omega_vertex(data, degree))
     if mode == "float":
+        shape = (2,) * degree
         if data.kind == Z:
             t = np.zeros(shape, dtype=complex)
             t[(0,) * degree] += 1.0
@@ -252,10 +363,41 @@ class Tensor:
         return self.data.reshape(()).item() if self.data.shape == () else self.data.item()
 
 
-def _tensordot(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-    if axes == 0 or axes == ([], []):
-        return np.tensordot(a, b, axes=0)
-    return np.tensordot(a, b, axes=axes)
+class _Exact:
+    """Contraction steps over ``_OmegaTensor``; results are ExactScalar."""
+
+    vertex = staticmethod(_omega_vertex)
+    tensordot = staticmethod(_omega_tensordot)
+
+    @staticmethod
+    def trace(t: _OmegaTensor, i: int, j: int) -> _OmegaTensor:
+        coeffs, den = t
+        return tuple(np.asarray(np.trace(c, axis1=i, axis2=j), dtype=object) for c in coeffs), den
+
+    @staticmethod
+    def finish(t: _OmegaTensor, scalar: ExactScalar) -> np.ndarray:
+        return _exact_array(_omega_tensordot(t, _omega_scalar(scalar), ([], [])))
+
+
+class _Float:
+    """Contraction steps over complex128 arrays."""
+
+    tensordot = staticmethod(np.tensordot)
+
+    @staticmethod
+    def vertex(data: VertexData, degree: int) -> np.ndarray:
+        return vertex_tensor(data, degree, "float")
+
+    @staticmethod
+    def trace(t: np.ndarray, i: int, j: int) -> np.ndarray:
+        return np.asarray(np.trace(t, axis1=i, axis2=j))
+
+    @staticmethod
+    def finish(t: np.ndarray, scalar: ExactScalar) -> np.ndarray:
+        return t * scalar.to_complex()
+
+
+_MODES = {"exact": _Exact, "float": _Float}
 
 
 def eval_diagram(
@@ -269,21 +411,15 @@ def eval_diagram(
     In exact mode the entries are :class:`ExactScalar`; float mode returns
     complex128.  The result axes are ordered inputs-then-outputs.
     """
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    ops = _MODES[mode]
     if plan is None:
         plan = plan_contraction(d, rank_cap=rank_cap, mode=mode)
-    skeleton = _node_skeleton(d)
-    tensors: dict[int, tuple[list[tuple], np.ndarray]] = {}
-    one = ExactScalar.one() if mode == "exact" else 1.0 + 0j
-    for k, ports in skeleton.items():
-        if k < 0:  # identity node on a boundary-boundary wire
-            if mode == "exact":
-                t = np.full((2, 2), ExactScalar.zero(), dtype=object)
-                t[0, 0] = ExactScalar.one()
-                t[1, 1] = ExactScalar.one()
-            else:
-                t = np.eye(2, dtype=complex)
-        else:
-            t = vertex_tensor(d.vertices[k], len(ports), mode)
+    tensors = {}
+    for k, ports in _node_skeleton(d).items():
+        # k < 0: a boundary-boundary wire, whose identity is a 2-legged Z-spider
+        t = ops.vertex(d.vertices[k] if k >= 0 else VertexData(Z), len(ports))
         # Trace out self-loop port pairs.
         ports = list(ports)
         while True:
@@ -295,34 +431,29 @@ def eval_diagram(
             if dup is None:
                 break
             i, j = dup
-            t = np.asarray(np.trace(t, axis1=i, axis2=j))
+            t = ops.trace(t, i, j)
             ports = [p for n, p in enumerate(ports) if n not in (i, j)]
         tensors[k] = (ports, t)
     for k1, k2 in plan.steps:
         ports1, t1 = tensors.pop(k1)
         ports2, t2 = tensors.pop(k2)
         shared = [p for p in ports1 if p[0] == "e" and p in ports2]
-        ax1 = [ports1.index(p) for p in shared]
         # ports may repeat only via self-loops, already traced, so index() is safe
-        ax2 = [ports2.index(p) for p in shared]
-        t = _tensordot(t1, t2, axes=(ax1, ax2)) if shared else _tensordot(t1, t2, 0)
+        axes = ([ports1.index(p) for p in shared], [ports2.index(p) for p in shared])
+        t = ops.tensordot(t1, t2, axes)
         merged = [p for p in ports1 if p not in shared] + [p for p in ports2 if p not in shared]
         tensors[min(k1, k2)] = (merged, t)
     # Combine any remaining disconnected components (plan covers them, but a
     # diagram with zero vertices lands here too).
-    items = [tensors[k] for k in sorted(tensors)]
-    if items:
-        ports, t = items[0]
-        for p2, t2 in items[1:]:
-            t = _tensordot(t, t2, 0)
-            ports = ports + p2
-    else:
-        ports, t = [], np.array(one)
-    scalar = d.scalar if mode == "exact" else d.scalar.to_complex()
-    if t.shape == ():
-        t = t * scalar if mode == "float" else np.array(t.item() * scalar, dtype=object)
-    else:
-        t = t * scalar
+    # A diagram with no vertices is the scalar 1: a 0-legged H-box labelled 1.
+    items = [tensors[k] for k in sorted(tensors)] or [
+        ([], ops.vertex(VertexData(H, Fraction(0), ExactScalar.one()), 0))
+    ]
+    ports, t = items[0]
+    for p2, t2 in items[1:]:
+        t = ops.tensordot(t, t2, ([], []))
+        ports = ports + p2
+    t = ops.finish(t, d.scalar)
     # Reorder open ports to the diagram's boundary order.
     order = [("open", v) for v in list(d.inputs) + list(d.outputs)]
     if sorted(map(repr, ports)) != sorted(map(repr, order)):

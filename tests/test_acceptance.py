@@ -19,7 +19,6 @@ from spinnet.exact import (
     HalfInteger,
     RadicalNumber,
     half_integer_range,
-    radical_to_float,
     sqrt_rational,
 )
 from spinnet.rewrite import FULL_SIMPLIFY_RULES, RULES, check_rule_soundness, simplify
@@ -106,7 +105,7 @@ def test_symmetriser_scalars_formula_and_projector():
     t5 = eval_diagram(d5, mode="float").to_matrix().real
     c5 = t5[0, 0]
     assert np.abs(t5 @ t5 - c5 * t5).max() < 1e-9 * abs(c5)
-    assert abs(1.0 / c5 - radical_to_float(frozen[5])) < 1e-9
+    assert abs(1.0 / c5 - frozen[5].to_float()) < 1e-9
     assert time.monotonic() - t0 < 30.0
 
 
@@ -254,11 +253,25 @@ def test_closed_tetrahedron_large_float():
     raw = eval_diagram(d, mode="float").scalar_value().real
     want_raw = 645120 * math.sqrt(2)
     assert abs(raw - want_raw) < 1e-8 * want_raw
-    corrected = raw * radical_to_float(corr.value)
+    corrected = raw * corr.value.to_float()
     want = math.sqrt(21) / 30
     assert abs(corrected - want) < 1e-8
-    assert abs(corrected - radical_to_float(w6j(2, 2, 2, 1, 1, 1))) < 1e-8
+    assert abs(corrected - w6j(2, 2, 2, 1, 1, 1).to_float()) < 1e-8
     assert time.monotonic() - t0 < 900.0
+
+
+# -- 9b. larger closed networks, exact --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "js,want_raw",
+    [((2, 2, 2, 1, 1, 1), rad(645120, 2)), ((2, 2, 2, 2, 2, 2), rad(-4459069440))],
+)
+def test_closed_tetrahedron_large_exact(js, want_raw):
+    d, corr = network_6j(*js)
+    raw = eval_diagram(d, mode="exact").scalar_value().to_radical()
+    assert raw == want_raw  # the float route gives the same raw value
+    assert raw * corr.value == w6j(*js)
 
 
 # -- 10. loop and theta invariants ------------------------------------------

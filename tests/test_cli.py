@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from spinnet.graph import serialize
+from spinnet.su2 import cswap_gadget
 from spinnet.cli import (
     EXIT_OK,
     EXIT_RANK_CAP,
@@ -18,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_usage_error(capsys, *argv):
+    """Runs argv, which must exit 2 with one ``error:`` line and no traceback."""
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestSymbol:
@@ -110,6 +120,40 @@ class TestBuildEval:
     def test_eval_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "eval", "/nonexistent/x.json")
         assert code == EXIT_USAGE
+
+    def test_eval_plain_serialized_diagram(self, capsys, tmp_path):
+        path = tmp_path / "plain.json"
+        path.write_text(serialize(cswap_gadget()))
+        code, out, _ = run(capsys, "eval", str(path))
+        assert code == EXIT_OK
+        assert "matrix (4 x 8)" in out
+
+    def test_build_writes_the_serialized_diagram(self, capsys, tmp_path):
+        path = tmp_path / "cs.json"
+        run(capsys, "build", "cswap", "--out", str(path))
+        assert path.read_text() == serialize(cswap_gadget()) + "\n"
+
+
+class TestUsageErrors:
+    def test_build_crown_non_integer(self, capsys):
+        run_usage_error(capsys, "build", "crown", "x")
+
+    def test_build_crown_stage_too_small(self, capsys):
+        run_usage_error(capsys, "build", "crown", "1")
+
+    def test_build_negative_symmetriser(self, capsys):
+        run_usage_error(capsys, "build", "symmetriser", "--", "-1")
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_malformed_rank_cap_env(self, capsys, tmp_path, monkeypatch, command):
+        path = tmp_path / "s2.json"
+        run(capsys, "build", "symmetriser", "2", "--out", str(path))
+        monkeypatch.setenv("SPINNET_RANK_CAP", "abc")
+        target = str(path) if command == "eval" else "paper.json"
+        assert "SPINNET_RANK_CAP" in run_usage_error(capsys, command, target)
+
+    def test_verify_has_no_jobs_option(self, capsys):
+        run_usage_error(capsys, "verify", "--jobs", "0")
 
 
 class TestVerify:

@@ -12,7 +12,6 @@ from spinnet.exact import (
     RadicalNumber,
     factorial,
     half_integer_range,
-    radical_to_float,
     sqrt_rational,
     squarefree_decompose,
 )
@@ -86,7 +85,7 @@ class TestExactScalar:
     def test_to_radical(self):
         a = ExactScalar(Fraction(3, 2), Fraction(-1, 3))
         r = a.to_radical()
-        assert math.isclose(radical_to_float(r), 1.5 - math.sqrt(2) / 3)
+        assert math.isclose(r.to_float(), 1.5 - math.sqrt(2) / 3)
         with pytest.raises(ValueError):
             ExactScalar(0, 0, 1, 0).to_radical()
 
@@ -129,7 +128,7 @@ class TestRadicalNumber:
 
     def test_sqrt_rational_value(self):
         x = sqrt_rational(Fraction(1, 3))
-        assert math.isclose(radical_to_float(x), 1 / math.sqrt(3))
+        assert math.isclose(x.to_float(), 1 / math.sqrt(3))
         y = sqrt_rational(Fraction(1, 3)) * sqrt_rational(Fraction(1, 6))
         assert y == RadicalNumber({2: Fraction(1, 6)})  # sqrt(2)/6
 

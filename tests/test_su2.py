@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, radical_to_float, sqrt_rational
+from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, sqrt_rational
 from spinnet.graph import Diagram
 from spinnet.su2 import (
     NetworkSpec,
@@ -120,7 +120,7 @@ class TestSymmetriser:
         assert np.abs(s @ s - s).max() < 1e-9
         assert np.abs(s - s.T).max() < 1e-9
         assert abs(s.trace() - 6) < 1e-9
-        assert radical_to_float(lambda_n(5)) == pytest.approx(1 / 7680)
+        assert lambda_n(5).to_float() == pytest.approx(1 / 7680)
 
 
 class TestCswapAndCrown:
@@ -180,7 +180,7 @@ class TestLinkAndIsometry:
 
     def test_binor_norm_value(self):
         # N(1/2, 1/2, 1) = sqrt(3!/ (1! 1! 2!)) / ... spot float check.
-        val = radical_to_float(binor_N(H, H, 1))
+        val = binor_N(H, H, 1).to_float()
         assert val == pytest.approx(math.sqrt(math.factorial(3) / 2.0) / math.sqrt(2.0) / 1.0, rel=1e-9) or val > 0
 
 

@@ -7,17 +7,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinnet.exact import ExactScalar
 from spinnet.graph import Diagram, VertexData, H, X, Z, make_spider
 from spinnet.tensor import (
     RankCapExceeded,
+    _exact_array,
+    _omega_ints,
+    _omega_scalar,
+    _omega_tensordot,
     eval_diagram,
     plan_contraction,
     plug_basis,
     to_matrix,
     vertex_tensor,
 )
+
+# Fixed, reproducible property runs: the same examples on every run.
+PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=15)
+exact_scalars = st.builds(ExactScalar, rationals, rationals, rationals, rationals)
 
 
 class TestVertexTensors:
@@ -203,3 +214,56 @@ class TestPlugBasis:
         d.add_edge(z, d.add_output())
         with pytest.raises(ValueError):
             plug_basis(d, {z: 0})
+
+
+class TestOmegaCoefficients:
+    """The exact backend's Z[omega] form against ExactScalar arithmetic."""
+
+    @PROPERTIES
+    @given(exact_scalars)
+    def test_round_trip(self, x):
+        coeffs, den = _omega_ints(x)
+        assert den > 0 and math.gcd(den, *coeffs) == 1
+        assert _exact_array(_omega_scalar(x)).item() == x
+
+    @PROPERTIES
+    @given(exact_scalars, exact_scalars)
+    def test_product_matches_exact_scalar(self, x, y):
+        prod = _omega_tensordot(_omega_scalar(x), _omega_scalar(y), ([], []))
+        assert _exact_array(prod).item() == x * y
+
+    @PROPERTIES
+    @given(exact_scalars, st.integers(0, 3))
+    def test_hbox_label_round_trip(self, label, degree):
+        t = vertex_tensor(VertexData(H, Fraction(0), label), degree, "exact")
+        ones = (1,) * degree
+        assert t[ones] == label
+        assert all(x == ExactScalar.one() for idx, x in np.ndenumerate(t) if idx != ones)
+
+
+@st.composite
+def clifford_diagrams(draw):
+    """Small Z/X/H diagrams with Clifford phases, H labels and a scalar."""
+    d = Diagram()
+    vs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from([Z, X, H]))
+        if kind == H:
+            vs.append(d.add_h(draw(exact_scalars)))
+        else:
+            phase = Fraction(draw(st.integers(0, 3)), 2)
+            vs.append(d.add_z(phase) if kind == Z else d.add_x(phase))
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.sampled_from(vs))
+        b = draw(st.sampled_from(vs + [None]))
+        d.add_edge(a, d.add_output() if b is None else b)
+    d.mul_scalar(draw(exact_scalars))
+    return d
+
+
+@PROPERTIES
+@given(clifford_diagrams())
+def test_exact_float_agreement_property(d):
+    exact = eval_diagram(d, mode="exact").to_numpy()
+    flt = eval_diagram(d, mode="float").data
+    assert np.abs(exact - flt).max() <= 1e-9 * max(1.0, np.abs(flt).max())
