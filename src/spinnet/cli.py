@@ -70,7 +70,7 @@ class CliError(Exception):
 def _spin(text: str) -> HalfInteger:
     try:
         return HalfInteger(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise CliError(f"invalid spin {text!r}: {exc}") from None
 
 
@@ -250,7 +250,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             {"rule": r, "site": list(s)} for r, s in trace.steps
         ]}))
     plan = plan_contraction(d, rank_cap=_resolve_rank_cap(args.mode, args.rank_cap), mode=args.mode)
-    print(f"peak rank: {plan.peak_rank}  steps: {len(plan.steps)}")
+    print(f"peak rank: {plan.peak_rank}  steps: {len(plan.steps)}  cost: {plan.cost}")
     t = eval_diagram(d, mode=args.mode, plan=plan)
     if t.n_inputs == 0 and t.n_outputs == 0:
         v = t.scalar_value()
@@ -279,10 +279,78 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _load_manifest(name: str) -> dict:
     p = Path(name)
     if p.exists():
-        return json.loads(p.read_text())
-    if name == "paper.json":
-        return json.loads(resources.files("spinnet.data").joinpath("paper.json").read_text())
-    raise CliError(f"no such manifest: {name}")
+        text = p.read_text()
+    elif name == "paper.json":
+        text = resources.files("spinnet.data").joinpath("paper.json").read_text()
+    else:
+        raise CliError(f"no such manifest: {name}")
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise CliError(f"cannot read manifest {name}: {exc}") from None
+
+
+# Spins per case kind, per invariant and per matrix builder.
+_SPIN_COUNTS = {"6j": 6, "3jm": 3, "4jm": 4, "loop": 1, "theta": 3}
+_MATRIX_BUILDERS = ("3jm", "4jm", "symmetriser", "cswap")
+
+
+def _spin_list(value, count: int) -> list[HalfInteger]:
+    if not isinstance(value, list) or len(value) != count:
+        raise CliError(f"expected a list of {count} spins, got {value!r}")
+    return _spins(value)
+
+
+def _radical(text) -> RadicalNumber:
+    if not isinstance(text, str):
+        raise CliError(f"expected value {text!r} is not a string")
+    return RadicalNumber.deserialize(text)
+
+
+def _parse_case(case) -> dict:
+    """A copy of ``case`` with its spins, ms, j, n, tol and expected value(s)
+    parsed, after checking its kind, policy, invariant or matrix builder.
+
+    Raises CliError naming the case on malformed input, so that a bad
+    manifest is a usage error and never a failed case.
+    """
+    if not isinstance(case, dict):
+        raise CliError(f"manifest case {case!r} is not an object")
+    out = dict(case)
+    kind = case.get("kind")
+    try:
+        if kind == "matrix":
+            builder = case.get("builder")
+            if builder not in _MATRIX_BUILDERS:
+                raise CliError(f"unknown matrix builder {builder!r}")
+            out["expected"] = [[_radical(x) for x in row] for row in case["expected"]]
+            if builder in ("3jm", "4jm"):
+                out["spins"] = _spin_list(case["spins"], _SPIN_COUNTS[builder])
+            if builder == "4jm":
+                out["j"] = _spin(case["j"])
+            if builder == "symmetriser":
+                out["n"] = _int(str(case["n"]), "wire count")
+            return out
+        if kind not in ("6j", "3jm", "4jm", "invariant"):
+            raise CliError(f"unknown case kind {kind!r}")
+        policy = case.get("policy", "exact")
+        if policy not in ("exact", "float"):
+            raise CliError(f"unknown policy {policy!r}")
+        out["expected"] = _radical(case["expected"])
+        out["tol"] = float(case.get("tol", 1e-8))
+        if kind == "invariant" and case["which"] not in ("loop", "theta"):
+            raise CliError(f"unknown invariant {case['which']!r}")
+        count = _SPIN_COUNTS[case["which"] if kind == "invariant" else kind]
+        out["spins"] = _spin_list(case["spins"], count)
+        if kind in ("3jm", "4jm"):
+            out["ms"] = _spin_list(case["ms"], count)
+        if kind == "4jm":
+            out["j"] = _spin(case["j"])
+        return out
+    except KeyError as exc:
+        raise CliError(f"case {case.get('id', '?')!r}: missing field {exc}") from None
+    except (CliError, ValueError, TypeError) as exc:
+        raise CliError(f"case {case.get('id', '?')!r}: {exc}") from None
 
 
 def _closed_value(d: Diagram, corr: CorrectionFactor, mode: str):
@@ -294,78 +362,59 @@ def _closed_value(d: Diagram, corr: CorrectionFactor, mode: str):
 
 
 def _case_diagram_value(case: dict, mode: str):
-    kind = case["kind"]
+    kind, spins = case["kind"], case["spins"]
     if kind == "6j":
-        d, corr = network_6j(*_spins(case["spins"]))
-        return _closed_value(d, corr, mode)
-    if kind == "3jm":
+        d, corr = network_6j(*spins)
+    elif kind == "3jm":
         orient = case.get("orientation", "iio")
-        d, corr = vertex_3jm(VertexSpec(tuple(_spins(case["spins"])), orient))
-        d = plug_vertex_arguments(d, corr, _spins(case["spins"]), _spins(case["ms"]), orient)
-        return _closed_value(d, corr, mode)
-    if kind == "4jm":
+        d, corr = vertex_3jm(VertexSpec(tuple(spins), orient))
+        d = plug_vertex_arguments(d, corr, spins, case["ms"], orient)
+    elif kind == "4jm":
         orient = case.get("orientation", "iioo")
-        spins = _spins(case["spins"])
-        d, corr = vertex_4jm(spins, _spin(case["j"]), orient)
-        d = plug_vertex_arguments(d, corr, spins, _spins(case["ms"]), orient)
-        return _closed_value(d, corr, mode)
-    if kind == "invariant":
-        which = case["which"]
-        if which == "loop":
-            d, corr = loop_network(_spin(case["spins"][0]))
-        elif which == "theta":
-            d, corr = theta_network(*_spins(case["spins"]))
-        else:
-            raise CliError(f"unknown invariant {which!r}")
-        return _closed_value(d, corr, mode)
-    raise CliError(f"unknown case kind {kind!r}")
+        d, corr = vertex_4jm(spins, case["j"], orient)
+        d = plug_vertex_arguments(d, corr, spins, case["ms"], orient)
+    elif case["which"] == "loop":
+        d, corr = loop_network(spins[0])
+    else:
+        d, corr = theta_network(*spins)
+    return _closed_value(d, corr, mode)
 
 
-def _case_oracle_value(case: dict) -> Optional[RadicalNumber]:
-    kind = case["kind"]
+def _case_oracle_value(case: dict) -> RadicalNumber:
+    kind, spins = case["kind"], case["spins"]
     if kind == "6j":
-        return w6j(*_spins(case["spins"]))
+        return w6j(*spins)
     if kind == "3jm":
-        return w3jm(*_spins(case["spins"]), *_spins(case["ms"]))
+        return w3jm(*spins, *case["ms"])
     if kind == "4jm":
-        return w4jm(*_spins(case["spins"]), *_spins(case["ms"]), _spin(case["j"]))
-    if kind == "invariant":
-        if case["which"] == "loop":
-            return invariant_loop(_spin(case["spins"][0]))
-        return invariant_theta(*_spins(case["spins"]))
-    return None
+        return w4jm(*spins, *case["ms"], case["j"])
+    if case["which"] == "loop":
+        return invariant_loop(spins[0])
+    return invariant_theta(*spins)
 
 
 def _matrix_case(case: dict) -> tuple[bool, str]:
     builder = case["builder"]
-    if builder == "3jm":
-        orient = case.get("orientation", "iio")
-        spins = _spins(case["spins"])
-        d, corr = vertex_3jm(VertexSpec(tuple(spins), orient))
+    if builder in ("3jm", "4jm"):
+        spins = case["spins"]
+        if builder == "3jm":
+            orient = case.get("orientation", "iio")
+            d, corr = vertex_3jm(VertexSpec(tuple(spins), orient))
+            oracle = yutsis_matrix_3(spins, orient)
+        else:
+            orient = case.get("orientation", "iioo")
+            d, corr = vertex_4jm(spins, case["j"], orient)
+            oracle = yutsis_matrix_4(spins, case["j"], orient)
         got = corrected_spin_matrix(
             d, corr,
             [j for j, o in zip(spins, orient) if o == "i"],
             [j for j, o in zip(spins, orient) if o == "o"],
         )
-        oracle = yutsis_matrix_3(spins, orient)
-    elif builder == "4jm":
-        orient = case.get("orientation", "iioo")
-        spins = _spins(case["spins"])
-        d, corr = vertex_4jm(spins, _spin(case["j"]), orient)
-        got = corrected_spin_matrix(
-            d, corr,
-            [j for j, o in zip(spins, orient) if o == "i"],
-            [j for j, o in zip(spins, orient) if o == "o"],
-        )
-        oracle = yutsis_matrix_4(spins, _spin(case["j"]), orient)
     elif builder == "symmetriser":
-        m = exact_matrix(symmetriser(int(case["n"])))
-        got, oracle = m, None
-    elif builder == "cswap":
-        got, oracle = exact_matrix(cswap_gadget()), None
+        got, oracle = exact_matrix(symmetriser(case["n"])), None
     else:
-        return False, f"unknown matrix builder {builder!r}"
-    expected = [[RadicalNumber.deserialize(x) for x in row] for row in case["expected"]]
+        got, oracle = exact_matrix(cswap_gadget()), None
+    expected = case["expected"]
     if len(got) != len(expected) or any(len(a) != len(b) for a, b in zip(got, expected)):
         return False, f"shape mismatch: got {len(got)}x{len(got[0])}"
     for r, (ra, rb) in enumerate(zip(got, expected)):
@@ -381,43 +430,40 @@ def _matrix_case(case: dict) -> tuple[bool, str]:
 
 
 def _run_case(case: dict) -> tuple[bool, str]:
+    """Checks one case parsed by :func:`_parse_case`."""
     try:
         if case["kind"] == "matrix":
             return _matrix_case(case)
-        policy = case.get("policy", "exact")
-        expected = RadicalNumber.deserialize(case["expected"])
-        oracle = _case_oracle_value(case)
-        if policy == "exact":
+        expected, oracle = case["expected"], _case_oracle_value(case)
+        if case.get("policy", "exact") == "exact":
             got = _case_diagram_value(case, "exact")
             if got != expected:
                 return False, f"got {got.serialize()}, expected {expected.serialize()}"
-            if oracle is not None and got != oracle:
+            if got != oracle:
                 return False, f"diagram {got.serialize()} disagrees with oracle {oracle.serialize()}"
             return True, f"value {got.serialize()}"
-        if policy == "float":
-            tol = float(case.get("tol", 1e-8))
-            got = _case_diagram_value(case, "float")
-            want = expected.to_float()
-            scale = max(abs(want), 1.0)
-            if abs(got - want) > tol * scale:
-                return False, f"got {got!r}, expected {want!r} (tol {tol})"
-            if oracle is not None and abs(got - oracle.to_float()) > tol * scale:
-                return False, f"diagram {got!r} disagrees with oracle {oracle.to_float()!r}"
-            return True, f"value {got:.12g}"
-        return False, f"unknown policy {policy!r}"
-    except RankCapExceeded:
-        raise
-    except CliError as exc:
-        return False, str(exc)
+        tol = case["tol"]
+        got = _case_diagram_value(case, "float")
+        want = expected.to_float()
+        scale = max(abs(want), 1.0)
+        if abs(got - want) > tol * scale:
+            return False, f"got {got!r}, expected {want!r} (tol {tol})"
+        if abs(got - oracle.to_float()) > tol * scale:
+            return False, f"diagram {got!r} disagrees with oracle {oracle.to_float()!r}"
+        return True, f"value {got:.12g}"
     except (ValueError, KeyError, NotImplementedError) as exc:
         return False, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     manifest = _load_manifest(args.manifest)
-    cases = manifest.get("cases", [])
+    cases = manifest.get("cases", []) if isinstance(manifest, dict) else None
+    if not isinstance(cases, list):
+        raise CliError("manifest has no list of cases")
+    # Every case is parsed before any runs: bad input exits 2, not 1.
+    cases = [_parse_case(c) for c in cases]
     if args.only:
-        cases = [c for c in cases if c.get("kind") == args.only]
+        cases = [c for c in cases if c["kind"] == args.only]
     if not cases:
         raise CliError("manifest has no (matching) cases")
     _resolve_rank_cap("exact")  # a malformed SPINNET_RANK_CAP is a usage error, not a failed case

@@ -185,9 +185,12 @@ class Diagram:
 
     def validate(self) -> None:
         """Raise ValueError on malformed structure."""
+        degree = dict.fromkeys(self.vertices, 0)
         for a, b in self.edges:
             if a not in self.vertices or b not in self.vertices:
                 raise ValueError(f"edge ({a}, {b}) references unknown vertex")
+            degree[a] += 1
+            degree[b] += 1
         seen = set()
         for v in self.inputs + self.outputs:
             if v not in self.vertices or self.vertices[v].kind != B:
@@ -201,7 +204,7 @@ class Diagram:
             if data.kind == B:
                 if v not in seen:
                     raise ValueError(f"boundary vertex {v} not listed in inputs/outputs")
-                if self.degree(v) != 1:
+                if degree[v] != 1:
                     raise ValueError(f"boundary vertex {v} must have degree 1")
             if data.kind == H and not isinstance(data.label, ExactScalar):
                 raise ValueError(f"H-box {v} lacks an ExactScalar label")

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from spinnet.graph import serialize
+from spinnet.graph import deserialize, serialize
+from spinnet.tensor import plan_contraction
 from spinnet.su2 import cswap_gadget
 from spinnet.cli import (
     EXIT_OK,
@@ -113,6 +114,14 @@ class TestBuildEval:
         assert code == EXIT_RANK_CAP
         assert "rank" in err
 
+    def test_eval_prints_plan_cost(self, capsys, tmp_path):
+        path = tmp_path / "s2.json"
+        run(capsys, "build", "symmetriser", "2", "--out", str(path))
+        plan = plan_contraction(deserialize(path.read_text()))
+        code, out, _ = run(capsys, "eval", str(path))
+        assert code == EXIT_OK
+        assert f"peak rank: {plan.peak_rank}  steps: {len(plan.steps)}  cost: {plan.cost}\n" in out
+
     def test_build_invalid_triad_exit_2(self, capsys):
         code, _, err = run(capsys, "build", "3jm", "1/2", "1/2", "1/2")
         assert code == EXIT_USAGE
@@ -186,6 +195,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(p))
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("spins", ["x"], "invalid spin 'x'"),
+        ("expected", "three", "malformed RadicalNumber literal: 'three'"),
+        ("kind", "7j", "unknown case kind '7j'"),
+    ])
+    def test_malformed_case_exits_2_before_any_case_runs(self, capsys, tmp_path, field, value, message):
+        good = {"id": "good-loop", "kind": "invariant", "which": "loop",
+                "spins": ["1/2"], "policy": "exact", "expected": "2"}
+        bad = dict(good, id="bad-case", **{field: value})
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"version": 1, "cases": [good, bad]}))
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: case 'bad-case': ") and err.count("\n") == 1, err
+        assert message in err
+        assert out == ""
+
+    def test_unparsable_manifest_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "broken.json"
+        p.write_text("{not json")
+        assert "cannot read manifest" in run_usage_error(capsys, "verify", str(p))
 
     def test_only_filter_no_match_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "paper.json", "--only", "nope")

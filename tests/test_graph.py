@@ -124,6 +124,17 @@ def test_validate_rejects_dangling_edge():
         d.validate()
 
 
+@pytest.mark.parametrize("extra_edges", [0, 1])
+def test_validate_rejects_boundary_degree(extra_edges):
+    d = Diagram()
+    z, b = d.add_z(), d.add_output()
+    for _ in range(extra_edges):
+        d.add_edge(z, b)
+        d.add_edge(b, b)  # a self-loop adds two to the degree
+    with pytest.raises(ValueError, match=f"boundary vertex {b} must have degree 1"):
+        d.validate()
+
+
 def test_to_dot_mentions_all_vertices():
     d = make_hbox(None, 1, 1)
     dot = to_dot(d)

@@ -9,10 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnet.exact import ExactScalar
+from spinnet import cli, tensor
+from spinnet.exact import ExactScalar, HalfInteger
 from spinnet.graph import Diagram, VertexData, H, X, Z, make_spider
+from spinnet.rewrite import DEFAULT_SIMPLIFY_RULES, simplify
+from spinnet.su2 import network_6j
 from spinnet.tensor import (
+    ContractionPlan,
     RankCapExceeded,
+    _node_skeleton,
     _exact_array,
     _omega_ints,
     _omega_scalar,
@@ -267,3 +272,137 @@ def test_exact_float_agreement_property(d):
     exact = eval_diagram(d, mode="exact").to_numpy()
     flt = eval_diagram(d, mode="float").data
     assert np.abs(exact - flt).max() <= 1e-9 * max(1.0, np.abs(flt).max())
+
+
+# -- planner against the O(V*E) reference ---------------------------------
+
+
+def reference_plan(d: Diagram, cap: int) -> ContractionPlan:
+    """The planner as it was before the heap: rescans every node per step.
+
+    Kept only to pin ``plan_contraction`` to the same plans and errors.
+    """
+    nodes = {k: list(ports) for k, ports in _node_skeleton(d).items()}
+    for k, ports in nodes.items():
+        seen: dict[tuple, int] = {}
+        for p in list(ports):
+            if p[0] == "e":
+                seen[p] = seen.get(p, 0) + 1
+        for p, cnt in seen.items():
+            if cnt == 2:
+                nodes[k] = [q for q in nodes[k] if q != p]
+    plan = ContractionPlan()
+    plan.peak_rank = max((len(p) for p in nodes.values()), default=0)
+    if plan.peak_rank > cap:
+        raise RankCapExceeded(
+            f"initial vertex rank {plan.peak_rank} exceeds cap {cap}"
+        )
+    while len(nodes) > 1:
+        best = None
+        keys = sorted(nodes)
+        candidates = []
+        edge_owner: dict[tuple, int] = {}
+        for k in keys:
+            for p in nodes[k]:
+                if p[0] == "e":
+                    if p in edge_owner and edge_owner[p] != k:
+                        candidates.append((edge_owner[p], k))
+                    else:
+                        edge_owner[p] = k
+        if not candidates:
+            candidates = [(keys[0], k) for k in keys[1:]]
+        for k1, k2 in candidates:
+            p1, p2 = nodes[k1], nodes[k2]
+            shared = sum(1 for p in set(p1) & set(p2) if p[0] == "e")
+            merged_rank = len(p1) + len(p2) - 2 * shared
+            step_cost = 2 ** (len(p1) + len(p2) - shared)
+            key = (merged_rank, step_cost, min(k1, k2), max(k1, k2))
+            if best is None or key < best[0]:
+                best = (key, k1, k2)
+        _, k1, k2 = best
+        p1, p2 = nodes.pop(k1), nodes.pop(k2)
+        shared = {p for p in set(p1) & set(p2) if p[0] == "e"}
+        merged = [p for p in p1 if p not in shared] + [p for p in p2 if p not in shared]
+        if len(merged) > cap:
+            raise RankCapExceeded(
+                f"contraction needs intermediate rank {len(merged)} > cap {cap}; "
+                "raise the cap (SPINNET_RANK_CAP) or simplify the diagram first"
+            )
+        nodes[min(k1, k2)] = merged
+        plan.steps.append((min(k1, k2), max(k1, k2)))
+        plan.peak_rank = max(plan.peak_rank, len(merged))
+        plan.cost += 2 ** (len(p1) + len(p2) - len(shared))
+    return plan
+
+
+def plan_outcome(planner, d: Diagram, cap: int):
+    """(steps, peak_rank, cost) of a plan, or the RankCapExceeded message."""
+    try:
+        plan = planner(d, cap)
+    except RankCapExceeded as exc:
+        return str(exc)
+    return plan.steps, plan.peak_rank, plan.cost
+
+
+def assert_same_plan(d: Diagram, cap: int):
+    got = plan_outcome(lambda d, cap: plan_contraction(d, rank_cap=cap), d, cap)
+    assert got == plan_outcome(reference_plan, d, cap)
+    return got
+
+
+@pytest.fixture(scope="module")
+def paper_diagrams():
+    """Every diagram ``spinnet verify paper.json`` plans, with its rank cap."""
+    seen = []
+    real = tensor.plan_contraction
+
+    def record(d, rank_cap=None, mode="exact"):
+        seen.append((d.copy(), tensor._rank_cap(mode, rank_cap)))
+        return real(d, rank_cap=rank_cap, mode=mode)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "plan_contraction", record)
+        assert cli.main(["verify", "paper.json"]) == cli.EXIT_OK
+    assert seen
+    return seen
+
+
+class TestPlannerMatchesReference:
+    @pytest.mark.parametrize("simplified", [False, True])
+    def test_paper_manifest(self, paper_diagrams, simplified):
+        for d, cap in paper_diagrams:
+            if simplified:
+                d, _ = simplify(d, rules=DEFAULT_SIMPLIFY_RULES)
+            assert_same_plan(d, cap)
+
+    @pytest.mark.parametrize("simplified", [False, True])
+    def test_largest_6j(self, simplified):
+        d, _ = network_6j(*[HalfInteger(2)] * 6)
+        assert len(d.vertices) == 570
+        if simplified:
+            d, _ = simplify(d, rules=DEFAULT_SIMPLIFY_RULES)
+        peak = assert_same_plan(d, 28)[1]
+        # Too small a cap fails at the same step with the same message.
+        assert "intermediate rank" in assert_same_plan(d, peak - 1)
+        assert "initial vertex rank" in assert_same_plan(d, 1)
+
+
+@st.composite
+def multigraphs(draw):
+    """Random planner inputs: self-loops, multi-edges, boundary-to-boundary
+    wires, disconnected components and possibly no vertices at all."""
+    d = Diagram()
+    vs = [d.add_z() for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.integers(0, 24)) if vs else 0):
+        d.add_edge(draw(st.sampled_from(vs)), draw(st.sampled_from(vs)))
+    for _ in range(draw(st.integers(0, 4)) if vs else 0):
+        d.add_edge(draw(st.sampled_from(vs)), d.add_output())
+    for _ in range(draw(st.integers(0, 2))):
+        d.add_edge(d.add_input(), d.add_output())
+    return d
+
+
+@PROPERTIES
+@given(multigraphs(), st.integers(0, 28))
+def test_planner_matches_reference_property(d, cap):
+    assert_same_plan(d, cap)
