@@ -78,6 +78,24 @@ def _spins(texts: Sequence[str]) -> list[HalfInteger]:
     return [_spin(t) for t in texts]
 
 
+def _check_triads(kind: str, spins: Sequence[HalfInteger], j: Optional[HalfInteger] = None) -> None:
+    """Raises CliError unless every spin triad of a 3jm, 4jm (channel spin
+    ``j``), 6j or theta satisfies the triangle rule."""
+    if kind in ("3jm", "theta"):
+        triads = [tuple(spins)]
+    elif kind == "4jm":
+        j1, j2, j3, j4 = spins
+        triads = [(j1, j2, j), (j, j3, j4)]
+    elif kind == "6j":
+        j1, j2, j3, j4, j5, j6 = spins
+        triads = [(j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j3, j4, j5)]
+    else:
+        triads = []
+    for t in triads:
+        if not triangle_ok(*t):
+            raise CliError(f"triad ({', '.join(map(str, t))}) violates the triangle rule")
+
+
 def _print_value(v: RadicalNumber) -> None:
     print(f"{v.serialize()}  (~ {v.to_float():.12g})")
 
@@ -92,8 +110,7 @@ def cmd_symbol(args: argparse.Namespace) -> int:
         if len(vals) != 6:
             raise CliError("3jm needs j1 j2 j3 m1 m2 m3")
         j1, j2, j3, m1, m2, m3 = vals
-        if not triangle_ok(j1, j2, j3):
-            raise CliError(f"({j1},{j2},{j3}) violates the triangle rule")
+        _check_triads(kind, vals[:3])
         for j, m in ((j1, m1), (j2, m2), (j3, m3)):
             if abs(m.twice) > j.twice or (j.twice + m.twice) % 2:
                 raise CliError(f"m={m} is not a magnetic index for j={j}")
@@ -101,19 +118,13 @@ def cmd_symbol(args: argparse.Namespace) -> int:
     elif kind == "4jm":
         if len(vals) != 9:
             raise CliError("4jm needs j1 j2 j3 j4 m1 m2 m3 m4 j")
-        j1, j2, j3, j4, m1, m2, m3, m4, j = vals
-        if not triangle_ok(j1, j2, j) or not triangle_ok(j, j3, j4):
-            raise CliError(f"channel spin {j} violates the triangle rules")
-        _print_value(w4jm(j1, j2, j3, j4, m1, m2, m3, m4, j))
+        _check_triads(kind, vals[:4], vals[8])
+        _print_value(w4jm(*vals))
     else:  # 6j
         if len(vals) != 6:
             raise CliError("6j needs j1 j2 j3 j4 j5 j6")
-        j1, j2, j3, j4, j5, j6 = vals
-        triads = [(j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j3, j4, j5)]
-        for t in triads:
-            if not triangle_ok(*t):
-                raise CliError(f"triad {tuple(str(x) for x in t)} violates the triangle rule")
-        _print_value(w6j(j1, j2, j3, j4, j5, j6))
+        _check_triads(kind, vals)
+        _print_value(w6j(*vals))
     return EXIT_OK
 
 
@@ -245,10 +256,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.plug:
         d = plug_basis(d, _parse_plug(args.plug, d))
     if args.simplify:
+        before = len(d.vertices)
         d, trace = simplify(d, rules=DEFAULT_SIMPLIFY_RULES)
-        print(json.dumps({"rewrite_trace": [
-            {"rule": r, "site": list(s)} for r, s in trace.steps
-        ]}))
+        print(json.dumps({
+            "rewrite_trace": [{"rule": r, "site": list(s)} for r, s in trace.steps],
+            "vertices_before": before,
+            "vertices_after": len(d.vertices),
+        }))
     plan = plan_contraction(d, rank_cap=_resolve_rank_cap(args.mode, args.rank_cap), mode=args.mode)
     print(f"peak rank: {plan.peak_rank}  steps: {len(plan.steps)}  cost: {plan.cost}")
     t = eval_diagram(d, mode=args.mode, plan=plan)
@@ -328,6 +342,8 @@ def _parse_case(case) -> dict:
                 out["spins"] = _spin_list(case["spins"], _SPIN_COUNTS[builder])
             if builder == "4jm":
                 out["j"] = _spin(case["j"])
+            if builder in ("3jm", "4jm"):
+                _check_triads(builder, out["spins"], out.get("j"))
             if builder == "symmetriser":
                 out["n"] = _int(str(case["n"]), "wire count")
             return out
@@ -340,12 +356,14 @@ def _parse_case(case) -> dict:
         out["tol"] = float(case.get("tol", 1e-8))
         if kind == "invariant" and case["which"] not in ("loop", "theta"):
             raise CliError(f"unknown invariant {case['which']!r}")
-        count = _SPIN_COUNTS[case["which"] if kind == "invariant" else kind]
+        shape = case["which"] if kind == "invariant" else kind
+        count = _SPIN_COUNTS[shape]
         out["spins"] = _spin_list(case["spins"], count)
         if kind in ("3jm", "4jm"):
             out["ms"] = _spin_list(case["ms"], count)
         if kind == "4jm":
             out["j"] = _spin(case["j"])
+        _check_triads(shape, out["spins"], out.get("j"))
         return out
     except KeyError as exc:
         raise CliError(f"case {case.get('id', '?')!r}: missing field {exc}") from None

@@ -14,6 +14,10 @@ Semantics (unnormalised linear-map convention):
 * H-box with label c: every entry 1 except the all-ones entry, which is c.
   The default label -1 on a 2-legged box gives sqrt(2) times the Hadamard
   gate.
+
+Vertex records (:class:`VertexData`) are immutable, so :meth:`Diagram.copy`
+and composition share them between diagrams; a rewrite replaces a record
+instead of editing it.
 """
 
 from __future__ import annotations
@@ -59,16 +63,14 @@ def phase_is_exact(phase: Phase) -> bool:
     return isinstance(phase, (Fraction, int)) and (4 * Fraction(phase)).denominator == 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexData:
-    """One diagram vertex: kind 'Z', 'X', 'H' or 'B' (boundary)."""
+    """One diagram vertex: kind 'Z', 'X', 'H' or 'B' (boundary).  Immutable,
+    so diagrams may share records."""
 
     kind: str
     phase: Phase = Fraction(0)
     label: Optional[ExactScalar] = None
-
-    def copy(self) -> "VertexData":
-        return VertexData(self.kind, self.phase, self.label)
 
 
 class Diagram:
@@ -136,34 +138,7 @@ class Diagram:
                 d += 1
         return d
 
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors with multiplicity, self excluded once per loop end."""
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
-    def incident_edges(self, v: int) -> list[int]:
-        """Indices into ``edges`` (self-loops appear once)."""
-        return [i for i, (a, b) in enumerate(self.edges) if a == v or b == v]
-
-    def edge_count(self, u: int, v: int) -> int:
-        return sum(1 for a, b in self.edges if {a, b} == {u, v} or (u == v and a == b == u))
-
-    def boundary_vertices(self) -> list[int]:
-        return [v for v, d in self.vertices.items() if d.kind == B]
-
     # -- mutation helpers (used by rewriting) -----------------------------
-
-    def remove_edge(self, u: int, v: int) -> None:
-        for i, (a, b) in enumerate(self.edges):
-            if (a, b) == (u, v) or (a, b) == (v, u):
-                del self.edges[i]
-                return
-        raise KeyError(f"no edge ({u}, {v})")
 
     def remove_vertex(self, v: int) -> None:
         self.edges = [(a, b) for a, b in self.edges if a != v and b != v]
@@ -175,7 +150,7 @@ class Diagram:
 
     def copy(self) -> "Diagram":
         d = Diagram()
-        d.vertices = {v: data.copy() for v, data in self.vertices.items()}
+        d.vertices = dict(self.vertices)
         d.edges = list(self.edges)
         d.inputs = list(self.inputs)
         d.outputs = list(self.outputs)
@@ -264,7 +239,7 @@ def _merge_into(dst: Diagram, src: Diagram) -> dict[int, int]:
     """Copy src's structure into dst; returns old->new id map. Scalar included."""
     vmap: dict[int, int] = {}
     for v, data in src.vertices.items():
-        vmap[v] = dst._add_vertex(data.copy())
+        vmap[v] = dst._add_vertex(data)
     for a, b in src.edges:
         dst.add_edge(vmap[a], vmap[b])
     dst.scalar = dst.scalar * src.scalar

@@ -26,11 +26,18 @@ Shipped rules (names are stable API):
   label offset (x2, label (1+a)/2).
 * ``zh-relations``  -- expand an arity-2 H(-1) box into its Euler chain
   Z(pi/2) X(pi/2) Z(pi/2).
+
+Matching is O(V+E) per call: a matcher makes one pass over the edge list
+(:func:`_incidence`) and reads degrees, self-loops and pair multiplicities
+from it, and an applier locates the edges it rewires the same way.  Every
+applier returns a new diagram (:meth:`Diagram.copy` shares the immutable
+vertex records) and leaves its input untouched.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -56,6 +63,9 @@ __all__ = [
 
 _PI = Fraction(1)
 _HALF = Fraction(1, 2)
+_ONE = ExactScalar.one()
+_MINUS_ONE = ExactScalar(-1)
+_SPIDERS = (Z, X)
 
 
 @dataclass
@@ -113,15 +123,29 @@ def derived_scalar_table() -> dict[str, str]:
 # -- small helpers --------------------------------------------------------
 
 
-def _other_edges(d: Diagram, v: int, excluded: set[int]) -> list[tuple[int, int]]:
-    """(edge index, other endpoint) for v's edges not touching ``excluded``."""
-    out = []
+def _incidence(d: Diagram) -> dict[int, list[tuple[int, int]]]:
+    """v -> [(edge index, other end), ...] in edge order, from one pass over
+    the edges.  A self-loop appears twice, so ``len`` is the degree."""
+    inc: dict[int, list[tuple[int, int]]] = {v: [] for v in d.vertices}
     for i, (a, b) in enumerate(d.edges):
-        if a == v and b not in excluded:
-            out.append((i, b))
-        elif b == v and a not in excluded:
-            out.append((i, a))
-    return out
+        inc[a].append((i, b))
+        inc[b].append((i, a))
+    return inc
+
+
+def _self_looped(d: Diagram) -> set[int]:
+    """Vertices that carry at least one self-loop."""
+    return {a for a, b in d.edges if a == b}
+
+
+def _pi_multiple(phase) -> Optional[int]:
+    """0 or 1 for an exact phase that is an even or odd multiple of pi,
+    None for any other phase."""
+    if isinstance(phase, Fraction):
+        return phase.numerator % 2 if phase.denominator == 1 else None
+    if isinstance(phase, int):
+        return phase % 2
+    return None
 
 
 def _spider_chain(d: Diagram, phases_kinds: list[tuple[str, Fraction]]) -> tuple[int, int]:
@@ -153,14 +177,14 @@ def _pattern_spider(kind: str, phase: Fraction, legs: int) -> Diagram:
 
 
 def _m_fuse(d: Diagram) -> list[tuple]:
-    out = []
-    for i, (a, b) in enumerate(d.edges):
-        if a == b:
-            continue
-        ka, kb = d.vertices[a].kind, d.vertices[b].kind
-        if ka == kb and ka in (Z, X):
-            out.append((min(a, b), max(a, b)))
-    return sorted(set(out))
+    verts = d.vertices
+    out = set()
+    for a, b in d.edges:
+        if a != b:
+            ka = verts[a].kind
+            if ka == verts[b].kind and ka in _SPIDERS:
+                out.add((a, b) if a < b else (b, a))
+    return sorted(out)
 
 
 def _a_fuse(d: Diagram, site: tuple) -> Diagram:
@@ -197,7 +221,7 @@ def _s_fuse(d: Diagram, rng: random.Random) -> None:
 
 def _m_remove_wire(d: Diagram) -> list[tuple]:
     return sorted(
-        (i, a) for i, (a, b) in enumerate(d.edges) if a == b and d.vertices[a].kind in (Z, X)
+        (i, a) for i, (a, b) in enumerate(d.edges) if a == b and d.vertices[a].kind in _SPIDERS
     )
 
 
@@ -220,24 +244,25 @@ def _s_remove_wire(d: Diagram, rng: random.Random) -> None:
 
 
 def _m_identity(d: Diagram) -> list[tuple]:
+    inc = _incidence(d)
     out = []
     for v, data in d.vertices.items():
-        if data.kind in (Z, X) and Fraction(data.phase) % 2 == 0 and isinstance(data.phase, (int, Fraction)):
-            inc = [i for i, (a, b) in enumerate(d.edges) if v in (a, b)]
-            if len(inc) == 2 and all(d.edges[i][0] != d.edges[i][1] for i in inc):
-                out.append((v,))
+        legs = inc[v]
+        # At degree 2 a self-loop is both legs, so checking one leg suffices.
+        if (
+            len(legs) == 2
+            and data.kind in _SPIDERS
+            and legs[0][1] != v
+            and _pi_multiple(data.phase) == 0
+        ):
+            out.append((v,))
     return sorted(out)
 
 
 def _a_identity(d: Diagram, site: tuple) -> Diagram:
     (v,) = site
+    ends = [w for _i, w in _incidence(d)[v]]
     out = d.copy()
-    ends = []
-    for a, b in out.edges:
-        if a == v:
-            ends.append(b)
-        elif b == v:
-            ends.append(a)
     out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
     del out.vertices[v]
     out.add_edge(ends[0], ends[1])
@@ -253,31 +278,37 @@ def _s_identity(d: Diagram, rng: random.Random) -> None:
 # -- rule: hh-cancel ------------------------------------------------------
 
 
-def _is_plain_hadamard_box(d: Diagram, v: int) -> bool:
-    data = d.vertices[v]
-    return data.kind == H and data.label == ExactScalar(-1) and d.degree(v) == 2
+def _plain_hadamard_boxes(d: Diagram) -> set[int]:
+    """The arity-2 H-boxes labelled -1."""
+    inc = _incidence(d)
+    return {
+        v for v, data in d.vertices.items()
+        if data.kind == H and data.label == _MINUS_ONE and len(inc[v]) == 2
+    }
 
 
 def _m_hh_cancel(d: Diagram) -> list[tuple]:
+    plain = _plain_hadamard_boxes(d)
     out = set()
     for a, b in d.edges:
-        if a != b and _is_plain_hadamard_box(d, a) and _is_plain_hadamard_box(d, b):
-            out.add((min(a, b), max(a, b)))
+        if a != b and a in plain and b in plain:
+            out.add((a, b) if a < b else (b, a))
     return sorted(out)
 
 
 def _a_hh_cancel(d: Diagram, site: tuple) -> Diagram:
     u, v = site
+    inc = _incidence(d)
     out = d.copy()
-    links = sum(1 for a, b in out.edges if {a, b} == {u, v})
+    links = sum(1 for _i, w in inc[u] if w == v)
     if links == 2:
         # Closed pair: trace(H.H) = 4.
         out.remove_vertex(u)
         out.remove_vertex(v)
         out.mul_scalar(_derive_scalar(("hh-cancel", "closed"), _hh_lhs(2), Diagram()))
         return out
-    (eu, nu) = _other_edges(out, u, {v})[0]
-    (ev, nv) = _other_edges(out, v, {u})[0]
+    nu = next(w for _i, w in inc[u] if w != v)
+    nv = next(w for _i, w in inc[v] if w != u)
     out.remove_vertex(u)
     out.remove_vertex(v)
     out.add_edge(nu, nv)
@@ -311,13 +342,15 @@ def _s_hh_cancel(d: Diagram, rng: random.Random) -> None:
 
 
 def _m_hopf(d: Diagram) -> list[tuple]:
-    out = set()
-    for a, b in d.edges:
-        if a == b:
+    inc = _incidence(d)
+    out = []
+    for z, data in d.vertices.items():
+        if data.kind != Z:
             continue
-        ka, kb = d.vertices[a].kind, d.vertices[b].kind
-        if {ka, kb} == {Z, X} and sum(1 for x, y in d.edges if {x, y} == {a, b}) == 2:
-            out.add((min(a, b), max(a, b)))
+        links = Counter(w for _i, w in inc[z])
+        for x, n in links.items():
+            if n == 2 and d.vertices[x].kind == X:
+                out.append((z, x) if z < x else (x, z))
     return sorted(out)
 
 
@@ -367,22 +400,18 @@ def _s_hopf(d: Diagram, rng: random.Random) -> None:
 
 
 def _m_copy(d: Diagram) -> list[tuple]:
+    inc, looped = _incidence(d), _self_looped(d)
     out = []
     for v, data in d.vertices.items():
-        if data.kind not in (Z, X) or d.degree(v) != 1:
+        if data.kind not in _SPIDERS or len(inc[v]) != 1 or _pi_multiple(data.phase) is None:
             continue
-        ph = Fraction(data.phase) % 2 if isinstance(data.phase, (int, Fraction)) else None
-        if ph not in (Fraction(0), Fraction(1)):
-            continue
-        (i, w) = _other_edges(d, v, set())[0]
+        (_i, w) = inc[v][0]
         wd = d.vertices[w]
         if (
-            w != v
-            and wd.kind in (Z, X)
+            wd.kind in _SPIDERS
             and wd.kind != data.kind
-            and isinstance(wd.phase, (int, Fraction))
-            and Fraction(wd.phase) % 2 == 0
-            and not any(a == b == w for a, b in d.edges)
+            and _pi_multiple(wd.phase) == 0
+            and w not in looped
         ):
             out.append((v, w))
     return sorted(out)
@@ -408,10 +437,10 @@ def _copy_rhs(kind: str, ph: Fraction, legs: int) -> Diagram:
 
 def _a_copy(d: Diagram, site: tuple) -> Diagram:
     v, w = site
+    others = [(i, n) for i, n in _incidence(d)[w] if n != v]
     out = d.copy()
     kind = out.vertices[v].kind
     ph = Fraction(out.vertices[v].phase) % 2
-    others = _other_edges(out, w, {v})
     legs = len(others)
     out.edges = [(a, b) for a, b in out.edges if v not in (a, b) and w not in (a, b)]
     for _i, n in others:
@@ -439,24 +468,24 @@ def _s_copy(d: Diagram, rng: random.Random) -> None:
 
 
 def _m_pi_copy(d: Diagram) -> list[tuple]:
+    inc, looped = _incidence(d), _self_looped(d)
     out = []
     for v, data in d.vertices.items():
-        if data.kind not in (Z, X) or d.degree(v) != 2:
+        if data.kind not in _SPIDERS or len(inc[v]) != 2 or _pi_multiple(data.phase) != 1:
             continue
-        if not isinstance(data.phase, (int, Fraction)) or Fraction(data.phase) % 2 != 1:
-            continue
-        for _i, w in _other_edges(d, v, set()):
+        (_i, w1), (_j, w2) = inc[v]
+        if w1 == w2:
+            continue  # a self-loop, or a double edge to one neighbour
+        for w in (w1, w2):
             wd = d.vertices[w]
             if (
-                w != v
-                and wd.kind in (Z, X)
+                wd.kind in _SPIDERS
                 and wd.kind != data.kind
                 and isinstance(wd.phase, (int, Fraction))
-                and sum(1 for a, b in d.edges if {a, b} == {v, w}) == 1
-                and not any(a == b == w for a, b in d.edges)
+                and w not in looped
             ):
                 out.append((v, w))
-    return sorted(set(out))
+    return sorted(out)
 
 
 def _pi_copy_sides(kind: str, ph: Fraction, legs: int) -> tuple[Diagram, Diagram]:
@@ -479,11 +508,12 @@ def _pi_copy_sides(kind: str, ph: Fraction, legs: int) -> tuple[Diagram, Diagram
 
 def _a_pi_copy(d: Diagram, site: tuple) -> Diagram:
     v, w = site
+    inc = _incidence(d)
+    n_outer = next(n for _i, n in inc[v] if n != w)
+    others = [(i, n) for i, n in inc[w] if n != v]
     out = d.copy()
     kind = out.vertices[v].kind  # colour of the pi spider
     ph = Fraction(out.vertices[w].phase) % 2
-    (ei, n_outer) = _other_edges(out, v, {w})[0]
-    others = _other_edges(out, w, {v})
     legs = len(others)
     out.edges = [(a, b) for a, b in out.edges if v not in (a, b) and w not in (a, b)]
     sp2 = out.add_x(-ph) if kind == Z else out.add_z(-ph)
@@ -514,26 +544,17 @@ def _s_pi_copy(d: Diagram, rng: random.Random) -> None:
 
 
 def _m_bialgebra(d: Diagram) -> list[tuple]:
-    out = set()
-    for a, b in d.edges:
-        if a == b:
+    # Self-loops on the pair are left to remove-wire.
+    inc, looped = _incidence(d), _self_looped(d)
+    out = []
+    for z, data in d.vertices.items():
+        if data.kind != Z or _pi_multiple(data.phase) != 0 or z in looped:
             continue
-        da, db = d.vertices[a], d.vertices[b]
-        if {da.kind, db.kind} != {Z, X}:
-            continue
-        if not (
-            isinstance(da.phase, (int, Fraction))
-            and isinstance(db.phase, (int, Fraction))
-            and Fraction(da.phase) % 2 == 0
-            and Fraction(db.phase) % 2 == 0
-        ):
-            continue
-        if sum(1 for x, y in d.edges if {x, y} == {a, b}) != 1:
-            continue
-        if any(x == y and x in (a, b) for x, y in d.edges):
-            continue  # self-loops on the pair are handled by remove-wire first
-        z, x = (a, b) if da.kind == Z else (b, a)
-        out.add((z, x))
+        links = Counter(w for _i, w in inc[z])
+        for x, n in links.items():
+            xd = d.vertices[x]
+            if n == 1 and xd.kind == X and _pi_multiple(xd.phase) == 0 and x not in looped:
+                out.append((z, x))
     return sorted(out)
 
 
@@ -559,9 +580,10 @@ def _bialgebra_sides(m: int, n: int) -> tuple[Diagram, Diagram]:
 
 def _a_bialgebra(d: Diagram, site: tuple) -> Diagram:
     z, x = site
+    inc = _incidence(d)
+    z_others = [(i, n) for i, n in inc[z] if n != x]
+    x_others = [(i, n) for i, n in inc[x] if n != z]
     out = d.copy()
-    z_others = _other_edges(out, z, {x})
-    x_others = _other_edges(out, x, {z})
     m, n = len(z_others), len(x_others)
     out.edges = [(a, b) for a, b in out.edges if z not in (a, b) and x not in (a, b)]
     new_x = []
@@ -597,11 +619,8 @@ def _s_bialgebra(d: Diagram, rng: random.Random) -> None:
 
 
 def _m_color_change(d: Diagram) -> list[tuple]:
-    out = []
-    for v, data in d.vertices.items():
-        if data.kind == X and all(a != b for a, b in d.edges if v in (a, b)):
-            out.append((v,))
-    return sorted(out)
+    looped = _self_looped(d)
+    return sorted((v,) for v, data in d.vertices.items() if data.kind == X and v not in looped)
 
 
 def _color_change_sides(ph, legs: int) -> tuple[Diagram, Diagram]:
@@ -617,9 +636,9 @@ def _color_change_sides(ph, legs: int) -> tuple[Diagram, Diagram]:
 
 def _a_color_change(d: Diagram, site: tuple) -> Diagram:
     (v,) = site
+    inc = _incidence(d)[v]
     out = d.copy()
     ph = out.vertices[v].phase
-    inc = _other_edges(out, v, set())
     out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
     z = out.add_z(ph)
     for _i, nb in inc:
@@ -646,17 +665,13 @@ def _m_absorb(d: Diagram) -> list[tuple]:
     # X basis states: X(pi) = sqrt(2)|1> selects the box's all-ones slice
     # (label kept); X(0) = sqrt(2)|0> selects the all-ones-free slice
     # (label becomes 1).
+    inc = _incidence(d)
     out = []
     for v, data in d.vertices.items():
-        if data.kind != X or d.degree(v) != 1:
+        if data.kind != X or len(inc[v]) != 1 or _pi_multiple(data.phase) is None:
             continue
-        if not isinstance(data.phase, (int, Fraction)) or Fraction(data.phase) % 2 not in (
-            Fraction(0),
-            Fraction(1),
-        ):
-            continue
-        (_i, w) = _other_edges(d, v, set())[0]
-        if w != v and d.vertices[w].kind == H:
+        (_i, w) = inc[v][0]
+        if d.vertices[w].kind == H:
             out.append((v, w))
     return sorted(out)
 
@@ -677,12 +692,12 @@ def _absorb_sides(ph: Fraction, label: ExactScalar, legs: int) -> tuple[Diagram,
 
 def _a_absorb(d: Diagram, site: tuple) -> Diagram:
     v, w = site
+    inc = _incidence(d)
     out = d.copy()
     ph = Fraction(out.vertices[v].phase) % 2
     label = out.vertices[w].label
-    legs = out.degree(w) - 1
-    ei = next(i for i, (a, b) in enumerate(out.edges) if {a, b} == {v, w})
-    del out.edges[ei]
+    legs = len(inc[w]) - 1
+    del out.edges[inc[v][0][0]]
     del out.vertices[v]
     if ph == 0:
         out.vertices[w] = VertexData(H, Fraction(0), ExactScalar.one())
@@ -705,19 +720,16 @@ def _s_absorb(d: Diagram, rng: random.Random) -> None:
 def _m_explode(d: Diagram) -> list[tuple]:
     # Two shapes: a Z(0) state halves an H-box label offset; a label-1
     # H-box is the all-ones tensor and splits into per-leg Z(0) states.
+    inc, looped = _incidence(d), _self_looped(d)
     out = []
     for v, data in d.vertices.items():
-        if data.kind == H and data.label == ExactScalar.one() and all(
-            a != b for a, b in d.edges if v in (a, b)
-        ):
+        if data.kind == H and data.label == _ONE and v not in looped:
             out.append((-1, v))
             continue
-        if data.kind != Z or d.degree(v) != 1:
+        if data.kind != Z or len(inc[v]) != 1 or _pi_multiple(data.phase) != 0:
             continue
-        if not isinstance(data.phase, (int, Fraction)) or Fraction(data.phase) % 2 != 0:
-            continue
-        (_i, w) = _other_edges(d, v, set())[0]
-        if w != v and d.vertices[w].kind == H:
+        (_i, w) = inc[v][0]
+        if d.vertices[w].kind == H:
             out.append((v, w))
     return sorted(out)
 
@@ -750,9 +762,10 @@ def _split_sides(legs: int) -> tuple[Diagram, Diagram]:
 
 def _a_explode(d: Diagram, site: tuple) -> Diagram:
     v, w = site
+    inc = _incidence(d)
     if v == -1:
         out = d.copy()
-        legs = [nb for _i, nb in _other_edges(out, w, set())]
+        legs = [nb for _i, nb in inc[w]]
         out.edges = [(a, b) for a, b in out.edges if w not in (a, b)]
         del out.vertices[w]
         for nb in legs:
@@ -762,9 +775,8 @@ def _a_explode(d: Diagram, site: tuple) -> Diagram:
         return out
     out = d.copy()
     label = out.vertices[w].label
-    legs = out.degree(w) - 1
-    ei = next(i for i, (a, b) in enumerate(out.edges) if {a, b} == {v, w})
-    del out.edges[ei]
+    legs = len(inc[w]) - 1
+    del out.edges[inc[v][0][0]]
     del out.vertices[v]
     new_label = (ExactScalar.one() + label) * ExactScalar(Fraction(1, 2))
     out.vertices[w] = VertexData(H, Fraction(0), new_label)
@@ -790,7 +802,7 @@ def _s_explode(d: Diagram, rng: random.Random) -> None:
 
 
 def _m_zh(d: Diagram) -> list[tuple]:
-    return sorted((v,) for v in d.vertices if _is_plain_hadamard_box(d, v))
+    return sorted((v,) for v in _plain_hadamard_boxes(d))
 
 
 def _zh_sides() -> tuple[Diagram, Diagram]:
@@ -807,13 +819,8 @@ def _zh_sides() -> tuple[Diagram, Diagram]:
 
 def _a_zh(d: Diagram, site: tuple) -> Diagram:
     (v,) = site
+    ends = [w for _i, w in _incidence(d)[v]]
     out = d.copy()
-    ends = []
-    for a, b in out.edges:
-        if a == v:
-            ends.append(b)
-        elif b == v:
-            ends.append(a)
     if len(ends) != 2 or v in ends:
         raise ValueError("zh-relations needs an arity-2 H-box on distinct wires")
     out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]

@@ -107,6 +107,16 @@ class TestBuildEval:
         assert "rewrite_trace" in out
         assert "matrix (4 x 4)" in out
 
+    def test_eval_simplify_reports_vertex_counts(self, capsys, tmp_path):
+        path = tmp_path / "s3.json"
+        run(capsys, "build", "symmetriser", "3", "--out", str(path))
+        code, out, _ = run(capsys, "eval", str(path), "--simplify")
+        assert code == EXIT_OK
+        report = json.loads(next(line for line in out.splitlines() if "rewrite_trace" in line))
+        assert report["vertices_before"] == len(deserialize(path.read_text()).vertices)
+        assert report["vertices_after"] < report["vertices_before"]
+        assert len(report["rewrite_trace"]) > 0
+
     def test_eval_rank_cap_exit_3(self, capsys, tmp_path):
         out_file = tmp_path / "s3.json"
         run(capsys, "build", "symmetriser", "3", "--out", str(out_file))
@@ -211,6 +221,23 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err.startswith("error: case 'bad-case': ") and err.count("\n") == 1, err
         assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("case", [
+        {"kind": "6j", "spins": ["1", "1", "5", "1", "1", "1"], "expected": "0"},
+        {"kind": "4jm", "spins": ["1", "1", "1/2", "1/2"], "j": "3",
+         "ms": ["1", "0", "-1/2", "-1/2"], "expected": "0"},
+        {"kind": "matrix", "builder": "3jm", "spins": ["1", "1", "3"], "expected": [["0"]]},
+    ], ids=["6j", "4jm", "matrix-3jm"])
+    def test_inadmissible_triad_exits_2_before_any_case_runs(self, capsys, tmp_path, case):
+        good = {"id": "good-loop", "kind": "invariant", "which": "loop",
+                "spins": ["1/2"], "policy": "exact", "expected": "2"}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"version": 1, "cases": [good, dict(case, id="bad-triad")]}))
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: case 'bad-triad': triad (") and err.count("\n") == 1, err
+        assert "violates the triangle rule" in err
         assert out == ""
 
     def test_unparsable_manifest_exits_2(self, capsys, tmp_path):

@@ -1,12 +1,14 @@
 """Rewrite engine: per-rule soundness, derived scalars, simplification."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinnet.exact import ExactScalar
-from spinnet.graph import Diagram
+from spinnet.exact import ExactScalar, HalfInteger
+from spinnet.graph import H, X, Z, Diagram, VertexData, make_spider, serialize
 from spinnet.rewrite import (
     DEFAULT_SIMPLIFY_RULES,
     FULL_SIMPLIFY_RULES,
@@ -17,7 +19,7 @@ from spinnet.rewrite import (
     find_matches,
     simplify,
 )
-from spinnet.su2 import cswap_gadget, symmetriser
+from spinnet.su2 import cswap_gadget, network_6j, symmetriser
 from spinnet.tensor import eval_diagram, plug_basis, to_matrix
 
 
@@ -130,3 +132,372 @@ class TestCswapDerivations:
         want = np.where(swap == 1, ExactScalar.one(), ExactScalar.zero())
         assert bool(np.all(to_matrix(sd) == want))
         assert bool(np.all(before == want))
+
+
+# -- reference matchers ---------------------------------------------------
+#
+# The matchers as they were before the incidence pass: each scans the whole
+# edge list per vertex or per edge.  ``find_matches`` must return exactly
+# what these return, for every rule.
+
+
+def _ref_other_edges(d: Diagram, v: int, excluded: set[int]) -> list[tuple[int, int]]:
+    """(edge index, other endpoint) for v's edges not touching ``excluded``."""
+    out = []
+    for i, (a, b) in enumerate(d.edges):
+        if a == v and b not in excluded:
+            out.append((i, b))
+        elif b == v and a not in excluded:
+            out.append((i, a))
+    return out
+
+
+def _ref_fuse(d: Diagram) -> list[tuple]:
+    out = []
+    for i, (a, b) in enumerate(d.edges):
+        if a == b:
+            continue
+        ka, kb = d.vertices[a].kind, d.vertices[b].kind
+        if ka == kb and ka in (Z, X):
+            out.append((min(a, b), max(a, b)))
+    return sorted(set(out))
+
+
+def _ref_remove_wire(d: Diagram) -> list[tuple]:
+    return sorted(
+        (i, a) for i, (a, b) in enumerate(d.edges) if a == b and d.vertices[a].kind in (Z, X)
+    )
+
+
+def _ref_identity(d: Diagram) -> list[tuple]:
+    out = []
+    for v, data in d.vertices.items():
+        if data.kind in (Z, X) and Fraction(data.phase) % 2 == 0 and isinstance(data.phase, (int, Fraction)):
+            inc = [i for i, (a, b) in enumerate(d.edges) if v in (a, b)]
+            if len(inc) == 2 and all(d.edges[i][0] != d.edges[i][1] for i in inc):
+                out.append((v,))
+    return sorted(out)
+
+
+def _ref_is_plain_hadamard_box(d: Diagram, v: int) -> bool:
+    data = d.vertices[v]
+    return data.kind == H and data.label == ExactScalar(-1) and d.degree(v) == 2
+
+
+def _ref_hh_cancel(d: Diagram) -> list[tuple]:
+    out = set()
+    for a, b in d.edges:
+        if a != b and _ref_is_plain_hadamard_box(d, a) and _ref_is_plain_hadamard_box(d, b):
+            out.add((min(a, b), max(a, b)))
+    return sorted(out)
+
+
+def _ref_hopf(d: Diagram) -> list[tuple]:
+    out = set()
+    for a, b in d.edges:
+        if a == b:
+            continue
+        ka, kb = d.vertices[a].kind, d.vertices[b].kind
+        if {ka, kb} == {Z, X} and sum(1 for x, y in d.edges if {x, y} == {a, b}) == 2:
+            out.add((min(a, b), max(a, b)))
+    return sorted(out)
+
+
+def _ref_copy(d: Diagram) -> list[tuple]:
+    out = []
+    for v, data in d.vertices.items():
+        if data.kind not in (Z, X) or d.degree(v) != 1:
+            continue
+        ph = Fraction(data.phase) % 2 if isinstance(data.phase, (int, Fraction)) else None
+        if ph not in (Fraction(0), Fraction(1)):
+            continue
+        (i, w) = _ref_other_edges(d, v, set())[0]
+        wd = d.vertices[w]
+        if (
+            w != v
+            and wd.kind in (Z, X)
+            and wd.kind != data.kind
+            and isinstance(wd.phase, (int, Fraction))
+            and Fraction(wd.phase) % 2 == 0
+            and not any(a == b == w for a, b in d.edges)
+        ):
+            out.append((v, w))
+    return sorted(out)
+
+
+def _ref_pi_copy(d: Diagram) -> list[tuple]:
+    out = []
+    for v, data in d.vertices.items():
+        if data.kind not in (Z, X) or d.degree(v) != 2:
+            continue
+        if not isinstance(data.phase, (int, Fraction)) or Fraction(data.phase) % 2 != 1:
+            continue
+        for _i, w in _ref_other_edges(d, v, set()):
+            wd = d.vertices[w]
+            if (
+                w != v
+                and wd.kind in (Z, X)
+                and wd.kind != data.kind
+                and isinstance(wd.phase, (int, Fraction))
+                and sum(1 for a, b in d.edges if {a, b} == {v, w}) == 1
+                and not any(a == b == w for a, b in d.edges)
+            ):
+                out.append((v, w))
+    return sorted(set(out))
+
+
+def _ref_bialgebra(d: Diagram) -> list[tuple]:
+    out = set()
+    for a, b in d.edges:
+        if a == b:
+            continue
+        da, db = d.vertices[a], d.vertices[b]
+        if {da.kind, db.kind} != {Z, X}:
+            continue
+        if not (
+            isinstance(da.phase, (int, Fraction))
+            and isinstance(db.phase, (int, Fraction))
+            and Fraction(da.phase) % 2 == 0
+            and Fraction(db.phase) % 2 == 0
+        ):
+            continue
+        if sum(1 for x, y in d.edges if {x, y} == {a, b}) != 1:
+            continue
+        if any(x == y and x in (a, b) for x, y in d.edges):
+            continue  # self-loops on the pair are handled by remove-wire first
+        z, x = (a, b) if da.kind == Z else (b, a)
+        out.add((z, x))
+    return sorted(out)
+
+
+def _ref_color_change(d: Diagram) -> list[tuple]:
+    out = []
+    for v, data in d.vertices.items():
+        if data.kind == X and all(a != b for a, b in d.edges if v in (a, b)):
+            out.append((v,))
+    return sorted(out)
+
+
+def _ref_absorb(d: Diagram) -> list[tuple]:
+    # X basis states: X(pi) = sqrt(2)|1> selects the box's all-ones slice
+    # (label kept); X(0) = sqrt(2)|0> selects the all-ones-free slice
+    # (label becomes 1).
+    out = []
+    for v, data in d.vertices.items():
+        if data.kind != X or d.degree(v) != 1:
+            continue
+        if not isinstance(data.phase, (int, Fraction)) or Fraction(data.phase) % 2 not in (
+            Fraction(0),
+            Fraction(1),
+        ):
+            continue
+        (_i, w) = _ref_other_edges(d, v, set())[0]
+        if w != v and d.vertices[w].kind == H:
+            out.append((v, w))
+    return sorted(out)
+
+
+def _ref_explode(d: Diagram) -> list[tuple]:
+    # Two shapes: a Z(0) state halves an H-box label offset; a label-1
+    # H-box is the all-ones tensor and splits into per-leg Z(0) states.
+    out = []
+    for v, data in d.vertices.items():
+        if data.kind == H and data.label == ExactScalar.one() and all(
+            a != b for a, b in d.edges if v in (a, b)
+        ):
+            out.append((-1, v))
+            continue
+        if data.kind != Z or d.degree(v) != 1:
+            continue
+        if not isinstance(data.phase, (int, Fraction)) or Fraction(data.phase) % 2 != 0:
+            continue
+        (_i, w) = _ref_other_edges(d, v, set())[0]
+        if w != v and d.vertices[w].kind == H:
+            out.append((v, w))
+    return sorted(out)
+
+
+def _ref_zh(d: Diagram) -> list[tuple]:
+    return sorted((v,) for v in d.vertices if _ref_is_plain_hadamard_box(d, v))
+
+
+REFERENCE_MATCHERS = {
+    "fuse": _ref_fuse,
+    "remove-wire": _ref_remove_wire,
+    "identity": _ref_identity,
+    "hh-cancel": _ref_hh_cancel,
+    "hopf": _ref_hopf,
+    "copy": _ref_copy,
+    "pi-copy": _ref_pi_copy,
+    "bialgebra": _ref_bialgebra,
+    "color-change": _ref_color_change,
+    "absorb": _ref_absorb,
+    "explode": _ref_explode,
+    "zh-relations": _ref_zh,
+}
+
+
+def reference_simplify(d, rules=DEFAULT_SIMPLIFY_RULES, max_steps=10000):
+    """``simplify``'s first-match loop driven by the reference matchers."""
+    steps = []
+    for _ in range(max_steps):
+        for r in rules:
+            matches = REFERENCE_MATCHERS[r](d)
+            if matches:
+                d = RULES[r].applier(d, matches[0])
+                steps.append((r, matches[0]))
+                break
+        else:
+            return d, steps
+    raise RuntimeError("reference simplify did not reach a fixpoint")
+
+
+def assert_matchers_agree(d):
+    assert set(REFERENCE_MATCHERS) == set(RULES)
+    for rule, ref in REFERENCE_MATCHERS.items():
+        assert find_matches(d, rule) == ref(d), rule
+
+
+def assert_simplify_agrees(d, rules=DEFAULT_SIMPLIFY_RULES):
+    before = serialize(d)
+    got, trace = simplify(d, rules=rules)
+    want, steps = reference_simplify(d, rules)
+    assert trace.steps == steps
+    assert serialize(got) == serialize(want)
+    assert serialize(d) == before  # the input is left as it was
+
+
+class TestMatchersMatchReference:
+    def test_paper_manifest(self, paper_diagrams):
+        for d, _cap in paper_diagrams:
+            assert_matchers_agree(d)
+            assert_simplify_agrees(d)
+            assert_matchers_agree(simplify(d)[0])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_symmetrisers(self, n):
+        d = symmetriser(n)
+        assert_matchers_agree(d)
+        assert_simplify_agrees(d)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_plugged_cswap(self, bit):
+        g = cswap_gadget()
+        d = plug_basis(g, {g.inputs[0]: bit})
+        assert_matchers_agree(d)
+        assert_simplify_agrees(d)
+        assert_simplify_agrees(d, rules=FULL_SIMPLIFY_RULES)
+        # Every intermediate diagram of the full rule set, where the rules
+        # beyond the default set find their sites.
+        for rule, site in simplify(d, rules=FULL_SIMPLIFY_RULES)[1].steps:
+            assert_matchers_agree(d)
+            d = RULES[rule].applier(d, site)
+
+    @pytest.mark.parametrize("twice", [(2, 2, 2, 2, 2, 2), (1, 1, 2, 3, 3, 2)])
+    def test_six_j(self, twice):
+        d, _ = network_6j(*[HalfInteger(t) for t in twice])
+        assert_matchers_agree(d)
+        assert_simplify_agrees(d)
+        assert_matchers_agree(simplify(d)[0])
+
+
+def _pair(kind_a, phase_a, kind_b, phase_b, links=1, loop_on_b=False, legs=1, state=False):
+    """Spider a -- spider b (``links`` parallel edges), one input on a unless
+    a is a ``state``, and ``legs`` outputs on b; optionally a self-loop on b."""
+    d = Diagram()
+    a = d.add_z(phase_a) if kind_a == Z else d.add_x(phase_a)
+    b = d.add_z(phase_b) if kind_b == Z else d.add_x(phase_b)
+    if not state:
+        d.add_edge(d.add_input(), a)
+    for _ in range(links):
+        d.add_edge(a, b)
+    if loop_on_b:
+        d.add_edge(b, b)
+    for _ in range(legs):
+        d.add_edge(b, d.add_output())
+    return d
+
+
+@pytest.mark.parametrize("d", [
+    _pair(Z, Fraction(1), X, 1.0),  # pi-copy onto a float phase
+    _pair(Z, Fraction(1), X, Fraction(1, 2), loop_on_b=True),  # pi-copy onto a looped spider
+    _pair(Z, Fraction(1), X, Fraction(0), links=2),  # pi-copy across a double edge
+    _pair(X, 0.0, Z, Fraction(0), legs=2),  # float 0 is not phase-free
+    _pair(Z, Fraction(0), X, Fraction(0), links=3),  # hopf needs exactly two links
+    _pair(Z, Fraction(0), X, Fraction(0), links=2, loop_on_b=True),
+    _pair(Z, Fraction(2), X, Fraction(-2), legs=3),  # unnormalised even phases
+    _pair(Z, Fraction(1), X, Fraction(0), loop_on_b=True, state=True),  # copy onto a looped spider
+    _pair(Z, Fraction(1), X, 0.0, legs=2, state=True),  # copy onto a float phase
+], ids=["pi-copy-float", "pi-copy-loop", "pi-copy-double", "float-zero", "triple-link",
+        "hopf-loop", "unnormalised", "copy-loop", "copy-float"])
+def test_matcher_guards_match_reference(d):
+    assert_matchers_agree(d)
+    assert_simplify_agrees(d)
+
+
+_PHASES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), 1.0]
+_LABELS = [ExactScalar(-1), ExactScalar(1), ExactScalar(2)]
+
+
+@st.composite
+def zxh_diagrams(draw):
+    """Random small diagrams with self-loops, multi-edges, boundary-to-boundary
+    wires, H-boxes labelled -1, 1 and 2 and Z/X phases 0, 1/2, 1, 3/2 and the
+    float 1.0.  One to three rule instances are planted by the rules' own
+    seeders, so that every rule has sites to find; up to two spiders then get
+    the float phase, and random edges join or break the instances."""
+    d = Diagram()
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from((Z, X, H)))
+        if kind == H:
+            d.add_h(draw(st.sampled_from(_LABELS)))
+        else:
+            phase = draw(st.sampled_from(_PHASES))
+            d.add_z(phase) if kind == Z else d.add_x(phase)
+    rng = draw(st.randoms(use_true_random=False))
+    for rule in draw(st.lists(st.sampled_from(sorted(RULES)), min_size=1, max_size=3)):
+        RULES[rule].seeder(d, rng)
+    spiders = [v for v, data in d.vertices.items() if data.kind in (Z, X)]
+    for v in draw(st.lists(st.sampled_from(spiders), max_size=2, unique=True)) if spiders else ():
+        d.vertices[v] = VertexData(d.vertices[v].kind, 1.0)
+    vs = [v for v, data in d.vertices.items() if data.kind != "B"]
+    # About one edge per two vertices, so that leaves and arity-2 vertices
+    # stay common.
+    for _ in range(draw(st.integers(0, len(vs) // 2 + 1)) if vs else 0):
+        d.add_edge(draw(st.sampled_from(vs)), draw(st.sampled_from(vs)))
+    for _ in range(draw(st.integers(0, 3)) if vs else 0):
+        end = d.add_output() if draw(st.booleans()) else d.add_input()
+        d.add_edge(draw(st.sampled_from(vs)), end)
+    for _ in range(draw(st.integers(0, 2))):
+        d.add_edge(d.add_input(), d.add_output())
+    return d
+
+
+PROPERTIES = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+@PROPERTIES
+@given(zxh_diagrams())
+def test_matchers_match_reference_property(d):
+    assert_matchers_agree(d)
+    assert_simplify_agrees(d)
+
+
+def test_vertex_records_are_frozen():
+    d = Diagram()
+    v = d.add_z(Fraction(1, 2))
+    with pytest.raises(FrozenInstanceError):
+        d.vertices[v].phase = Fraction(1)
+    assert d.vertices[v].phase == Fraction(1, 2)
+
+
+def test_editing_a_copy_leaves_the_original():
+    d = make_spider(Z, Fraction(1, 2), 1, 2)
+    text = serialize(d)
+    c = d.copy()
+    (s,) = [v for v, data in c.vertices.items() if data.kind == Z]
+    c.vertices[s] = VertexData(X, Fraction(1))
+    c.edges.append((s, s))
+    del c.edges[0]
+    c.add_z()
+    assert serialize(d) == text

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnet import cli, tensor
 from spinnet.exact import ExactScalar, HalfInteger
 from spinnet.graph import Diagram, VertexData, H, X, Z, make_spider
 from spinnet.rewrite import DEFAULT_SIMPLIFY_RULES, simplify
@@ -348,23 +347,6 @@ def assert_same_plan(d: Diagram, cap: int):
     got = plan_outcome(lambda d, cap: plan_contraction(d, rank_cap=cap), d, cap)
     assert got == plan_outcome(reference_plan, d, cap)
     return got
-
-
-@pytest.fixture(scope="module")
-def paper_diagrams():
-    """Every diagram ``spinnet verify paper.json`` plans, with its rank cap."""
-    seen = []
-    real = tensor.plan_contraction
-
-    def record(d, rank_cap=None, mode="exact"):
-        seen.append((d.copy(), tensor._rank_cap(mode, rank_cap)))
-        return real(d, rank_cap=rank_cap, mode=mode)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "plan_contraction", record)
-        assert cli.main(["verify", "paper.json"]) == cli.EXIT_OK
-    assert seen
-    return seen
 
 
 class TestPlannerMatchesReference:
