@@ -138,14 +138,6 @@ class Diagram:
                 d += 1
         return d
 
-    # -- mutation helpers (used by rewriting) -----------------------------
-
-    def remove_vertex(self, v: int) -> None:
-        self.edges = [(a, b) for a, b in self.edges if a != v and b != v]
-        del self.vertices[v]
-        self.inputs = [w for w in self.inputs if w != v]
-        self.outputs = [w for w in self.outputs if w != v]
-
     # -- copying / validation ---------------------------------------------
 
     def copy(self) -> "Diagram":

@@ -27,25 +27,39 @@ Shipped rules (names are stable API):
 * ``zh-relations``  -- expand an arity-2 H(-1) box into its Euler chain
   Z(pi/2) X(pi/2) Z(pi/2).
 
-Matching is O(V+E) per call: a matcher makes one pass over the edge list
-(:func:`_incidence`) and reads degrees, self-loops and pair multiplicities
-from it, and an applier locates the edges it rewires the same way.  Every
-applier returns a new diagram (:meth:`Diagram.copy` shares the immutable
-vertex records) and leaves its input untouched.
+Rules rewrite a private mutable working form (:class:`_Work`) in place: the
+vertex dict, the edges in a dict keyed by a monotone edge id, and per-vertex
+incidence.  Removing an edge deletes its key, rewiring one assigns to its
+key and a new edge takes the next id, so the dict keeps the order of the
+diagram's edge list.  Each rule has a local matcher, which returns the sites
+anchored at one vertex (every site has exactly one anchor, and depends only
+on its anchor, the anchor's edges and the anchor's neighbours), and an
+in-place applier, which edits the working form through a few primitives
+that record the vertices they touch.
+
+:func:`find_matches` is the sorted union of the local sites and
+:func:`apply_rule` copies, applies in place and exports.  :func:`simplify`
+builds the working form once and keeps a heap of the valid sites of each
+rule; after a step it re-examines only the touched vertices and their
+neighbours, and drops stale heap entries as it pops them, so a step costs
+O(degree * log) instead of O(V+E).  Inside the engine a ``remove-wire``
+site names its self-loop by edge id; outside it, by its index in the edge
+list.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .exact import ExactScalar
-from .graph import B, Diagram, H, VertexData, X, Z
+from .graph import Diagram, H, VertexData, X, Z, normalize_phase
 from .tensor import eval_diagram
 
 __all__ = [
@@ -71,8 +85,10 @@ _SPIDERS = (Z, X)
 @dataclass
 class RewriteRule:
     name: str
-    matcher: Callable[[Diagram], list[tuple]]
-    applier: Callable[[Diagram, tuple], Diagram]
+    # The sites anchored at one vertex of a working form.
+    match_at: Callable[["_Work", int], list[tuple]]
+    # Rewrites one site of a working form in place.
+    apply_at: Callable[["_Work", tuple], None]
     # Builds a random standalone-able instance into a host (for soundness
     # trials); returns nothing, mutates the host.
     seeder: Callable[[Diagram, random.Random], None]
@@ -120,22 +136,114 @@ def derived_scalar_table() -> dict[str, str]:
     return {repr(k): v.serialize() for k, v in sorted(_SCALAR_CACHE.items(), key=lambda kv: repr(kv[0]))}
 
 
+# -- the working form -----------------------------------------------------
+
+
+class _Work:
+    """A copy of a diagram that rules rewrite in place.
+
+    ``edges`` maps a monotone edge id to its ends; ``inc[v]`` maps the id of
+    each edge at v to its other end (a self-loop has one entry) and
+    ``deg[v]`` counts a self-loop twice.  The primitives below are the only
+    mutators, and each adds the vertices whose record or incidence it
+    changes to ``touched``."""
+
+    def __init__(self, d: Diagram) -> None:
+        # Holds the vertices, boundaries and scalar; its edge list is stale
+        # until export.
+        self.diagram = d.copy()
+        self.vertices = self.diagram.vertices
+        self.edges: dict[int, tuple[int, int]] = dict(enumerate(d.edges))
+        self.inc: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
+        self.deg = dict.fromkeys(self.vertices, 0)
+        for e, (a, b) in self.edges.items():
+            self.inc[a][e] = b
+            self.inc[b][e] = a
+            self.deg[a] += 1
+            self.deg[b] += 1
+        self.next_edge = len(self.edges)
+        self.touched: set[int] = set()
+
+    # -- queries ----------------------------------------------------------
+
+    def others(self, v: int, skip: Optional[int] = None) -> list[int]:
+        """The other ends of v's edges in edge order, leaving out ``skip``
+        (a self-loop is listed once)."""
+        return [n for _e, n in sorted(self.inc[v].items()) if n != skip]
+
+    def looped(self, v: int) -> bool:
+        return self.deg[v] > len(self.inc[v])
+
+    def index(self, e: int) -> int:
+        """Edge e's position in the exported edge list."""
+        return list(self.edges).index(e)
+
+    # -- primitives -------------------------------------------------------
+
+    def _register(self, v: int) -> int:
+        self.inc[v] = {}
+        self.deg[v] = 0
+        self.touched.add(v)
+        return v
+
+    def add_spider(self, kind: str, phase=Fraction(0)) -> int:
+        d = self.diagram
+        return self._register(d.add_z(phase) if kind == Z else d.add_x(phase))
+
+    def add_h(self) -> int:
+        return self._register(self.diagram.add_h())
+
+    def replace(self, v: int, data: VertexData) -> None:
+        self.vertices[v] = data
+        self.touched.add(v)
+
+    def remove_vertex(self, v: int) -> None:
+        for e in list(self.inc[v]):
+            self.remove_edge(e)
+        del self.vertices[v], self.inc[v], self.deg[v]
+        self.touched.add(v)
+
+    def _attach(self, e: int, a: int, b: int) -> None:
+        self.inc[a][e] = b
+        self.inc[b][e] = a
+        self.deg[a] += 1
+        self.deg[b] += 1
+        self.touched.add(a)
+        self.touched.add(b)
+
+    def _detach(self, e: int, a: int, b: int) -> None:
+        del self.inc[a][e]
+        self.inc[b].pop(e, None)  # already gone if e is a self-loop
+        self.deg[a] -= 1
+        self.deg[b] -= 1
+        self.touched.add(a)
+        self.touched.add(b)
+
+    def add_edge(self, a: int, b: int) -> None:
+        e = self.next_edge
+        self.next_edge += 1
+        self.edges[e] = (a, b)
+        self._attach(e, a, b)
+
+    def remove_edge(self, e: int) -> None:
+        self._detach(e, *self.edges.pop(e))
+
+    def rewire(self, e: int, old: int, new: int) -> None:
+        """Move edge e's end(s) at ``old`` to ``new``, keeping its place in
+        the edge order and its orientation."""
+        a, b = self.edges[e]
+        self._detach(e, a, b)
+        a, b = (new if a == old else a), (new if b == old else b)
+        self.edges[e] = (a, b)
+        self._attach(e, a, b)
+
+    def export(self) -> Diagram:
+        """The rewritten diagram; the working form is spent."""
+        self.diagram.edges = list(self.edges.values())
+        return self.diagram
+
+
 # -- small helpers --------------------------------------------------------
-
-
-def _incidence(d: Diagram) -> dict[int, list[tuple[int, int]]]:
-    """v -> [(edge index, other end), ...] in edge order, from one pass over
-    the edges.  A self-loop appears twice, so ``len`` is the degree."""
-    inc: dict[int, list[tuple[int, int]]] = {v: [] for v in d.vertices}
-    for i, (a, b) in enumerate(d.edges):
-        inc[a].append((i, b))
-        inc[b].append((i, a))
-    return inc
-
-
-def _self_looped(d: Diagram) -> set[int]:
-    """Vertices that carry at least one self-loop."""
-    return {a for a, b in d.edges if a == b}
 
 
 def _pi_multiple(phase) -> Optional[int]:
@@ -146,6 +254,20 @@ def _pi_multiple(phase) -> Optional[int]:
     if isinstance(phase, int):
         return phase % 2
     return None
+
+
+def _plain_hadamard_box(w: _Work, v: int) -> bool:
+    """An arity-2 H-box labelled -1."""
+    data = w.vertices[v]
+    return data.kind == H and w.deg[v] == 2 and data.label == _MINUS_ONE
+
+
+def _sole_neighbour(w: _Work, v: int) -> Optional[int]:
+    """The other end of a degree-1 vertex's edge, None at any other degree."""
+    if w.deg[v] != 1:
+        return None
+    (n,) = w.inc[v].values()
+    return n
 
 
 def _spider_chain(d: Diagram, phases_kinds: list[tuple[str, Fraction]]) -> tuple[int, int]:
@@ -176,32 +298,30 @@ def _pattern_spider(kind: str, phase: Fraction, legs: int) -> Diagram:
 # -- rule: fuse -----------------------------------------------------------
 
 
-def _m_fuse(d: Diagram) -> list[tuple]:
-    verts = d.vertices
-    out = set()
-    for a, b in d.edges:
-        if a != b:
-            ka = verts[a].kind
-            if ka == verts[b].kind and ka in _SPIDERS:
-                out.add((a, b) if a < b else (b, a))
-    return sorted(out)
+def _m_fuse(w: _Work, v: int) -> list[tuple]:
+    # Anchored at the smaller id.
+    verts = w.vertices
+    kind = verts[v].kind
+    if kind not in _SPIDERS:
+        return []
+    return [(v, n) for n in set(w.inc[v].values()) if n > v and verts[n].kind == kind]
 
 
-def _a_fuse(d: Diagram, site: tuple) -> Diagram:
+def _a_fuse(w: _Work, site: tuple) -> None:
     u, v = site
-    out = d.copy()
-    pu, pv = out.vertices[u].phase, out.vertices[v].phase
-    out.vertices[u] = VertexData(out.vertices[u].kind, (Fraction(pu) + Fraction(pv)) % 2)
-    new_edges = []
-    for a, b in out.edges:
-        a = u if a == v else a
-        b = u if b == v else b
-        if a == u and b == u:
-            continue  # fused connection or resulting self-loop: scalar-free
-        new_edges.append((a, b))
-    out.edges = new_edges
-    del out.vertices[v]
-    return out
+    pu, pv = w.vertices[u].phase, w.vertices[v].phase
+    w.replace(u, VertexData(w.vertices[u].kind, normalize_phase(pu + pv)))
+    # The fused connections and every resulting self-loop go (scalar-free);
+    # v's other edges move to u in place.
+    for e, n in list(w.inc[v].items()):
+        if n == u or n == v:
+            w.remove_edge(e)
+        else:
+            w.rewire(e, v, u)
+    for e, n in list(w.inc[u].items()):
+        if n == u:
+            w.remove_edge(e)
+    w.remove_vertex(v)
 
 
 def _s_fuse(d: Diagram, rng: random.Random) -> None:
@@ -219,17 +339,14 @@ def _s_fuse(d: Diagram, rng: random.Random) -> None:
 # -- rule: remove-wire ----------------------------------------------------
 
 
-def _m_remove_wire(d: Diagram) -> list[tuple]:
-    return sorted(
-        (i, a) for i, (a, b) in enumerate(d.edges) if a == b and d.vertices[a].kind in _SPIDERS
-    )
+def _m_remove_wire(w: _Work, v: int) -> list[tuple]:
+    if w.vertices[v].kind not in _SPIDERS:
+        return []
+    return [(e, v) for e, n in w.inc[v].items() if n == v]
 
 
-def _a_remove_wire(d: Diagram, site: tuple) -> Diagram:
-    i, _v = site
-    out = d.copy()
-    del out.edges[i]
-    return out
+def _a_remove_wire(w: _Work, site: tuple) -> None:
+    w.remove_edge(site[0])
 
 
 def _s_remove_wire(d: Diagram, rng: random.Random) -> None:
@@ -243,30 +360,24 @@ def _s_remove_wire(d: Diagram, rng: random.Random) -> None:
 # -- rule: identity -------------------------------------------------------
 
 
-def _m_identity(d: Diagram) -> list[tuple]:
-    inc = _incidence(d)
-    out = []
-    for v, data in d.vertices.items():
-        legs = inc[v]
-        # At degree 2 a self-loop is both legs, so checking one leg suffices.
-        if (
-            len(legs) == 2
-            and data.kind in _SPIDERS
-            and legs[0][1] != v
-            and _pi_multiple(data.phase) == 0
-        ):
-            out.append((v,))
-    return sorted(out)
+def _m_identity(w: _Work, v: int) -> list[tuple]:
+    data = w.vertices[v]
+    # Two incidence entries at degree 2 means no self-loop.
+    if (
+        data.kind in _SPIDERS
+        and w.deg[v] == 2
+        and len(w.inc[v]) == 2
+        and _pi_multiple(data.phase) == 0
+    ):
+        return [(v,)]
+    return []
 
 
-def _a_identity(d: Diagram, site: tuple) -> Diagram:
+def _a_identity(w: _Work, site: tuple) -> None:
     (v,) = site
-    ends = [w for _i, w in _incidence(d)[v]]
-    out = d.copy()
-    out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
-    del out.vertices[v]
-    out.add_edge(ends[0], ends[1])
-    return out
+    a, b = w.others(v)
+    w.remove_vertex(v)
+    w.add_edge(a, b)
 
 
 def _s_identity(d: Diagram, rng: random.Random) -> None:
@@ -278,42 +389,28 @@ def _s_identity(d: Diagram, rng: random.Random) -> None:
 # -- rule: hh-cancel ------------------------------------------------------
 
 
-def _plain_hadamard_boxes(d: Diagram) -> set[int]:
-    """The arity-2 H-boxes labelled -1."""
-    inc = _incidence(d)
-    return {
-        v for v, data in d.vertices.items()
-        if data.kind == H and data.label == _MINUS_ONE and len(inc[v]) == 2
-    }
+def _m_hh_cancel(w: _Work, v: int) -> list[tuple]:
+    # Anchored at the smaller id.
+    if not _plain_hadamard_box(w, v):
+        return []
+    return [(v, n) for n in set(w.inc[v].values()) if n > v and _plain_hadamard_box(w, n)]
 
 
-def _m_hh_cancel(d: Diagram) -> list[tuple]:
-    plain = _plain_hadamard_boxes(d)
-    out = set()
-    for a, b in d.edges:
-        if a != b and a in plain and b in plain:
-            out.add((a, b) if a < b else (b, a))
-    return sorted(out)
-
-
-def _a_hh_cancel(d: Diagram, site: tuple) -> Diagram:
+def _a_hh_cancel(w: _Work, site: tuple) -> None:
     u, v = site
-    inc = _incidence(d)
-    out = d.copy()
-    links = sum(1 for _i, w in inc[u] if w == v)
-    if links == 2:
+    rest = w.others(u, v)
+    if not rest:
         # Closed pair: trace(H.H) = 4.
-        out.remove_vertex(u)
-        out.remove_vertex(v)
-        out.mul_scalar(_derive_scalar(("hh-cancel", "closed"), _hh_lhs(2), Diagram()))
-        return out
-    nu = next(w for _i, w in inc[u] if w != v)
-    nv = next(w for _i, w in inc[v] if w != u)
-    out.remove_vertex(u)
-    out.remove_vertex(v)
-    out.add_edge(nu, nv)
-    out.mul_scalar(_derive_scalar(("hh-cancel", "open"), _hh_lhs(1), _wire_diagram(1)))
-    return out
+        w.remove_vertex(u)
+        w.remove_vertex(v)
+        w.diagram.mul_scalar(_derive_scalar(("hh-cancel", "closed"), _hh_lhs(2), Diagram()))
+        return
+    (nu,) = rest
+    (nv,) = w.others(v, u)
+    w.remove_vertex(u)
+    w.remove_vertex(v)
+    w.add_edge(nu, nv)
+    w.diagram.mul_scalar(_derive_scalar(("hh-cancel", "open"), _hh_lhs(1), _wire_diagram(1)))
 
 
 def _hh_lhs(links: int) -> Diagram:
@@ -341,32 +438,23 @@ def _s_hh_cancel(d: Diagram, rng: random.Random) -> None:
 # -- rule: hopf -----------------------------------------------------------
 
 
-def _m_hopf(d: Diagram) -> list[tuple]:
-    inc = _incidence(d)
-    out = []
-    for z, data in d.vertices.items():
-        if data.kind != Z:
-            continue
-        links = Counter(w for _i, w in inc[z])
-        for x, n in links.items():
-            if n == 2 and d.vertices[x].kind == X:
-                out.append((z, x) if z < x else (x, z))
-    return sorted(out)
+def _m_hopf(w: _Work, z: int) -> list[tuple]:
+    # Anchored at the Z spider.
+    if w.vertices[z].kind != Z:
+        return []
+    links = Counter(w.inc[z].values())
+    return [
+        (z, x) if z < x else (x, z)
+        for x, n in links.items()
+        if n == 2 and w.vertices[x].kind == X
+    ]
 
 
-def _a_hopf(d: Diagram, site: tuple) -> Diagram:
+def _a_hopf(w: _Work, site: tuple) -> None:
     u, v = site
-    out = d.copy()
-    removed = 0
-    new_edges = []
-    for a, b in out.edges:
-        if {a, b} == {u, v} and removed < 2:
-            removed += 1
-            continue
-        new_edges.append((a, b))
-    out.edges = new_edges
-    out.mul_scalar(_derive_scalar(("hopf",), _hopf_lhs(), _hopf_rhs()))
-    return out
+    for e in [e for e, n in w.inc[u].items() if n == v]:
+        w.remove_edge(e)
+    w.diagram.mul_scalar(_derive_scalar(("hopf",), _hopf_lhs(), _hopf_rhs()))
 
 
 def _hopf_lhs() -> Diagram:
@@ -399,22 +487,22 @@ def _s_hopf(d: Diagram, rng: random.Random) -> None:
 # -- rule: copy -----------------------------------------------------------
 
 
-def _m_copy(d: Diagram) -> list[tuple]:
-    inc, looped = _incidence(d), _self_looped(d)
-    out = []
-    for v, data in d.vertices.items():
-        if data.kind not in _SPIDERS or len(inc[v]) != 1 or _pi_multiple(data.phase) is None:
-            continue
-        (_i, w) = inc[v][0]
-        wd = d.vertices[w]
-        if (
-            wd.kind in _SPIDERS
-            and wd.kind != data.kind
-            and _pi_multiple(wd.phase) == 0
-            and w not in looped
-        ):
-            out.append((v, w))
-    return sorted(out)
+def _m_copy(w: _Work, v: int) -> list[tuple]:
+    data = w.vertices[v]
+    if data.kind not in _SPIDERS or _pi_multiple(data.phase) is None:
+        return []
+    n = _sole_neighbour(w, v)
+    if n is None:
+        return []
+    nd = w.vertices[n]
+    if (
+        nd.kind in _SPIDERS
+        and nd.kind != data.kind
+        and _pi_multiple(nd.phase) == 0
+        and not w.looped(n)
+    ):
+        return [(v, n)]
+    return []
 
 
 def _copy_lhs(kind: str, ph: Fraction, legs: int) -> Diagram:
@@ -435,23 +523,19 @@ def _copy_rhs(kind: str, ph: Fraction, legs: int) -> Diagram:
     return d
 
 
-def _a_copy(d: Diagram, site: tuple) -> Diagram:
-    v, w = site
-    others = [(i, n) for i, n in _incidence(d)[w] if n != v]
-    out = d.copy()
-    kind = out.vertices[v].kind
-    ph = Fraction(out.vertices[v].phase) % 2
+def _a_copy(w: _Work, site: tuple) -> None:
+    v, t = site
+    others = w.others(t, v)
+    kind = w.vertices[v].kind
+    ph = Fraction(w.vertices[v].phase) % 2
     legs = len(others)
-    out.edges = [(a, b) for a, b in out.edges if v not in (a, b) and w not in (a, b)]
-    for _i, n in others:
-        s = out.add_z(ph) if kind == Z else out.add_x(ph)
-        out.add_edge(s, n)
-    del out.vertices[v]
-    del out.vertices[w]
-    out.mul_scalar(
+    w.remove_vertex(v)
+    w.remove_vertex(t)
+    for n in others:
+        w.add_edge(w.add_spider(kind, ph), n)
+    w.diagram.mul_scalar(
         _derive_scalar(("copy", kind, ph, legs), _copy_lhs(kind, ph, legs), _copy_rhs(kind, ph, legs))
     )
-    return out
 
 
 def _s_copy(d: Diagram, rng: random.Random) -> None:
@@ -467,25 +551,24 @@ def _s_copy(d: Diagram, rng: random.Random) -> None:
 # -- rule: pi-copy --------------------------------------------------------
 
 
-def _m_pi_copy(d: Diagram) -> list[tuple]:
-    inc, looped = _incidence(d), _self_looped(d)
+def _m_pi_copy(w: _Work, v: int) -> list[tuple]:
+    data = w.vertices[v]
+    if data.kind not in _SPIDERS or w.deg[v] != 2 or _pi_multiple(data.phase) != 1:
+        return []
+    ends = list(w.inc[v].values())
+    if len(ends) != 2 or ends[0] == ends[1]:
+        return []  # a self-loop, or a double edge to one neighbour
     out = []
-    for v, data in d.vertices.items():
-        if data.kind not in _SPIDERS or len(inc[v]) != 2 or _pi_multiple(data.phase) != 1:
-            continue
-        (_i, w1), (_j, w2) = inc[v]
-        if w1 == w2:
-            continue  # a self-loop, or a double edge to one neighbour
-        for w in (w1, w2):
-            wd = d.vertices[w]
-            if (
-                wd.kind in _SPIDERS
-                and wd.kind != data.kind
-                and isinstance(wd.phase, (int, Fraction))
-                and w not in looped
-            ):
-                out.append((v, w))
-    return sorted(out)
+    for n in ends:
+        nd = w.vertices[n]
+        if (
+            nd.kind in _SPIDERS
+            and nd.kind != data.kind
+            and isinstance(nd.phase, (int, Fraction))
+            and not w.looped(n)
+        ):
+            out.append((v, n))
+    return out
 
 
 def _pi_copy_sides(kind: str, ph: Fraction, legs: int) -> tuple[Diagram, Diagram]:
@@ -506,27 +589,23 @@ def _pi_copy_sides(kind: str, ph: Fraction, legs: int) -> tuple[Diagram, Diagram
     return lhs, rhs
 
 
-def _a_pi_copy(d: Diagram, site: tuple) -> Diagram:
-    v, w = site
-    inc = _incidence(d)
-    n_outer = next(n for _i, n in inc[v] if n != w)
-    others = [(i, n) for i, n in inc[w] if n != v]
-    out = d.copy()
-    kind = out.vertices[v].kind  # colour of the pi spider
-    ph = Fraction(out.vertices[w].phase) % 2
+def _a_pi_copy(w: _Work, site: tuple) -> None:
+    v, t = site
+    (n_outer,) = w.others(v, t)
+    others = w.others(t, v)
+    kind = w.vertices[v].kind  # colour of the pi spider
+    ph = Fraction(w.vertices[t].phase) % 2
     legs = len(others)
-    out.edges = [(a, b) for a, b in out.edges if v not in (a, b) and w not in (a, b)]
-    sp2 = out.add_x(-ph) if kind == Z else out.add_z(-ph)
-    out.add_edge(n_outer, sp2)
-    for _i, n in others:
-        p = out.add_z(_PI) if kind == Z else out.add_x(_PI)
-        out.add_edge(sp2, p)
-        out.add_edge(p, n)
-    del out.vertices[v]
-    del out.vertices[w]
+    w.remove_vertex(v)
+    w.remove_vertex(t)
+    sp2 = w.add_spider(X if kind == Z else Z, -ph)
+    w.add_edge(n_outer, sp2)
+    for n in others:
+        p = w.add_spider(kind, _PI)
+        w.add_edge(sp2, p)
+        w.add_edge(p, n)
     lhs, rhs = _pi_copy_sides(kind, ph, legs)
-    out.mul_scalar(_derive_scalar(("pi-copy", kind, ph, legs), lhs, rhs))
-    return out
+    w.diagram.mul_scalar(_derive_scalar(("pi-copy", kind, ph, legs), lhs, rhs))
 
 
 def _s_pi_copy(d: Diagram, rng: random.Random) -> None:
@@ -543,19 +622,18 @@ def _s_pi_copy(d: Diagram, rng: random.Random) -> None:
 # -- rule: bialgebra ------------------------------------------------------
 
 
-def _m_bialgebra(d: Diagram) -> list[tuple]:
-    # Self-loops on the pair are left to remove-wire.
-    inc, looped = _incidence(d), _self_looped(d)
+def _m_bialgebra(w: _Work, z: int) -> list[tuple]:
+    # Anchored at the Z spider; self-loops on the pair are left to
+    # remove-wire.
+    data = w.vertices[z]
+    if data.kind != Z or _pi_multiple(data.phase) != 0 or w.looped(z):
+        return []
     out = []
-    for z, data in d.vertices.items():
-        if data.kind != Z or _pi_multiple(data.phase) != 0 or z in looped:
-            continue
-        links = Counter(w for _i, w in inc[z])
-        for x, n in links.items():
-            xd = d.vertices[x]
-            if n == 1 and xd.kind == X and _pi_multiple(xd.phase) == 0 and x not in looped:
-                out.append((z, x))
-    return sorted(out)
+    for x, n in Counter(w.inc[z].values()).items():
+        xd = w.vertices[x]
+        if n == 1 and xd.kind == X and _pi_multiple(xd.phase) == 0 and not w.looped(x):
+            out.append((z, x))
+    return out
 
 
 def _bialgebra_sides(m: int, n: int) -> tuple[Diagram, Diagram]:
@@ -578,32 +656,28 @@ def _bialgebra_sides(m: int, n: int) -> tuple[Diagram, Diagram]:
     return lhs, rhs
 
 
-def _a_bialgebra(d: Diagram, site: tuple) -> Diagram:
+def _a_bialgebra(w: _Work, site: tuple) -> None:
     z, x = site
-    inc = _incidence(d)
-    z_others = [(i, n) for i, n in inc[z] if n != x]
-    x_others = [(i, n) for i, n in inc[x] if n != z]
-    out = d.copy()
+    z_others = w.others(z, x)
+    x_others = w.others(x, z)
     m, n = len(z_others), len(x_others)
-    out.edges = [(a, b) for a, b in out.edges if z not in (a, b) and x not in (a, b)]
+    w.remove_vertex(z)
+    w.remove_vertex(x)
     new_x = []
-    for _i, nb in z_others:
-        xv = out.add_x()
-        out.add_edge(nb, xv)
+    for nb in z_others:
+        xv = w.add_spider(X)
+        w.add_edge(nb, xv)
         new_x.append(xv)
     new_z = []
-    for _i, nb in x_others:
-        zv = out.add_z()
-        out.add_edge(zv, nb)
+    for nb in x_others:
+        zv = w.add_spider(Z)
+        w.add_edge(zv, nb)
         new_z.append(zv)
     for xv in new_x:
         for zv in new_z:
-            out.add_edge(xv, zv)
-    del out.vertices[z]
-    del out.vertices[x]
+            w.add_edge(xv, zv)
     lhs, rhs = _bialgebra_sides(m, n)
-    out.mul_scalar(_derive_scalar(("bialgebra", m, n), lhs, rhs))
-    return out
+    w.diagram.mul_scalar(_derive_scalar(("bialgebra", m, n), lhs, rhs))
 
 
 def _s_bialgebra(d: Diagram, rng: random.Random) -> None:
@@ -618,9 +692,8 @@ def _s_bialgebra(d: Diagram, rng: random.Random) -> None:
 # -- rule: color-change ---------------------------------------------------
 
 
-def _m_color_change(d: Diagram) -> list[tuple]:
-    looped = _self_looped(d)
-    return sorted((v,) for v, data in d.vertices.items() if data.kind == X and v not in looped)
+def _m_color_change(w: _Work, v: int) -> list[tuple]:
+    return [(v,)] if w.vertices[v].kind == X and not w.looped(v) else []
 
 
 def _color_change_sides(ph, legs: int) -> tuple[Diagram, Diagram]:
@@ -634,22 +707,19 @@ def _color_change_sides(ph, legs: int) -> tuple[Diagram, Diagram]:
     return lhs, rhs
 
 
-def _a_color_change(d: Diagram, site: tuple) -> Diagram:
+def _a_color_change(w: _Work, site: tuple) -> None:
     (v,) = site
-    inc = _incidence(d)[v]
-    out = d.copy()
-    ph = out.vertices[v].phase
-    out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
-    z = out.add_z(ph)
-    for _i, nb in inc:
-        h = out.add_h()
-        out.add_edge(z, h)
-        out.add_edge(h, nb)
-    del out.vertices[v]
+    ends = w.others(v)
+    ph = w.vertices[v].phase
+    w.remove_vertex(v)
+    z = w.add_spider(Z, ph)
+    for nb in ends:
+        h = w.add_h()
+        w.add_edge(z, h)
+        w.add_edge(h, nb)
     key_ph = Fraction(ph) % 2 if isinstance(ph, (int, Fraction)) else Fraction(0)
-    lhs, rhs = _color_change_sides(key_ph, len(inc))
-    out.mul_scalar(_derive_scalar(("color-change", key_ph, len(inc)), lhs, rhs))
-    return out
+    lhs, rhs = _color_change_sides(key_ph, len(ends))
+    w.diagram.mul_scalar(_derive_scalar(("color-change", key_ph, len(ends)), lhs, rhs))
 
 
 def _s_color_change(d: Diagram, rng: random.Random) -> None:
@@ -661,19 +731,15 @@ def _s_color_change(d: Diagram, rng: random.Random) -> None:
 # -- rule: absorb ---------------------------------------------------------
 
 
-def _m_absorb(d: Diagram) -> list[tuple]:
+def _m_absorb(w: _Work, v: int) -> list[tuple]:
     # X basis states: X(pi) = sqrt(2)|1> selects the box's all-ones slice
     # (label kept); X(0) = sqrt(2)|0> selects the all-ones-free slice
     # (label becomes 1).
-    inc = _incidence(d)
-    out = []
-    for v, data in d.vertices.items():
-        if data.kind != X or len(inc[v]) != 1 or _pi_multiple(data.phase) is None:
-            continue
-        (_i, w) = inc[v][0]
-        if d.vertices[w].kind == H:
-            out.append((v, w))
-    return sorted(out)
+    data = w.vertices[v]
+    if data.kind != X or _pi_multiple(data.phase) is None:
+        return []
+    n = _sole_neighbour(w, v)
+    return [(v, n)] if n is not None and w.vertices[n].kind == H else []
 
 
 def _absorb_sides(ph: Fraction, label: ExactScalar, legs: int) -> tuple[Diagram, Diagram]:
@@ -690,20 +756,16 @@ def _absorb_sides(ph: Fraction, label: ExactScalar, legs: int) -> tuple[Diagram,
     return lhs, rhs
 
 
-def _a_absorb(d: Diagram, site: tuple) -> Diagram:
-    v, w = site
-    inc = _incidence(d)
-    out = d.copy()
-    ph = Fraction(out.vertices[v].phase) % 2
-    label = out.vertices[w].label
-    legs = len(inc[w]) - 1
-    del out.edges[inc[v][0][0]]
-    del out.vertices[v]
+def _a_absorb(w: _Work, site: tuple) -> None:
+    v, h = site
+    ph = Fraction(w.vertices[v].phase) % 2
+    label = w.vertices[h].label
+    legs = w.deg[h] - 1
+    w.remove_vertex(v)
     if ph == 0:
-        out.vertices[w] = VertexData(H, Fraction(0), ExactScalar.one())
+        w.replace(h, VertexData(H, Fraction(0), ExactScalar.one()))
     lhs, rhs = _absorb_sides(ph, label, legs)
-    out.mul_scalar(_derive_scalar(("absorb", ph, label, legs), lhs, rhs))
-    return out
+    w.diagram.mul_scalar(_derive_scalar(("absorb", ph, label, legs), lhs, rhs))
 
 
 def _s_absorb(d: Diagram, rng: random.Random) -> None:
@@ -717,21 +779,16 @@ def _s_absorb(d: Diagram, rng: random.Random) -> None:
 # -- rule: explode --------------------------------------------------------
 
 
-def _m_explode(d: Diagram) -> list[tuple]:
+def _m_explode(w: _Work, v: int) -> list[tuple]:
     # Two shapes: a Z(0) state halves an H-box label offset; a label-1
     # H-box is the all-ones tensor and splits into per-leg Z(0) states.
-    inc, looped = _incidence(d), _self_looped(d)
-    out = []
-    for v, data in d.vertices.items():
-        if data.kind == H and data.label == _ONE and v not in looped:
-            out.append((-1, v))
-            continue
-        if data.kind != Z or len(inc[v]) != 1 or _pi_multiple(data.phase) != 0:
-            continue
-        (_i, w) = inc[v][0]
-        if d.vertices[w].kind == H:
-            out.append((v, w))
-    return sorted(out)
+    data = w.vertices[v]
+    if data.kind == H:
+        return [(-1, v)] if data.label == _ONE and not w.looped(v) else []
+    if data.kind != Z or _pi_multiple(data.phase) != 0:
+        return []
+    n = _sole_neighbour(w, v)
+    return [(v, n)] if n is not None and w.vertices[n].kind == H else []
 
 
 def _explode_sides(label: ExactScalar, legs: int) -> tuple[Diagram, Diagram]:
@@ -760,29 +817,23 @@ def _split_sides(legs: int) -> tuple[Diagram, Diagram]:
     return lhs, rhs
 
 
-def _a_explode(d: Diagram, site: tuple) -> Diagram:
-    v, w = site
-    inc = _incidence(d)
+def _a_explode(w: _Work, site: tuple) -> None:
+    v, h = site
     if v == -1:
-        out = d.copy()
-        legs = [nb for _i, nb in inc[w]]
-        out.edges = [(a, b) for a, b in out.edges if w not in (a, b)]
-        del out.vertices[w]
-        for nb in legs:
-            out.add_edge(out.add_z(), nb)
-        lhs, rhs = _split_sides(len(legs))
-        out.mul_scalar(_derive_scalar(("explode", "split", len(legs)), lhs, rhs))
-        return out
-    out = d.copy()
-    label = out.vertices[w].label
-    legs = len(inc[w]) - 1
-    del out.edges[inc[v][0][0]]
-    del out.vertices[v]
+        ends = w.others(h)
+        w.remove_vertex(h)
+        for nb in ends:
+            w.add_edge(w.add_spider(Z), nb)
+        lhs, rhs = _split_sides(len(ends))
+        w.diagram.mul_scalar(_derive_scalar(("explode", "split", len(ends)), lhs, rhs))
+        return
+    label = w.vertices[h].label
+    legs = w.deg[h] - 1
+    w.remove_vertex(v)
     new_label = (ExactScalar.one() + label) * ExactScalar(Fraction(1, 2))
-    out.vertices[w] = VertexData(H, Fraction(0), new_label)
+    w.replace(h, VertexData(H, Fraction(0), new_label))
     rhs, lhs = _explode_sides(label, legs)
-    out.mul_scalar(_derive_scalar(("explode", label, legs), lhs, rhs))
-    return out
+    w.diagram.mul_scalar(_derive_scalar(("explode", label, legs), lhs, rhs))
 
 
 def _s_explode(d: Diagram, rng: random.Random) -> None:
@@ -801,8 +852,8 @@ def _s_explode(d: Diagram, rng: random.Random) -> None:
 # -- rule: zh-relations ---------------------------------------------------
 
 
-def _m_zh(d: Diagram) -> list[tuple]:
-    return sorted((v,) for v in _plain_hadamard_boxes(d))
+def _m_zh(w: _Work, v: int) -> list[tuple]:
+    return [(v,)] if _plain_hadamard_box(w, v) else []
 
 
 def _zh_sides() -> tuple[Diagram, Diagram]:
@@ -817,20 +868,21 @@ def _zh_sides() -> tuple[Diagram, Diagram]:
     return lhs, rhs
 
 
-def _a_zh(d: Diagram, site: tuple) -> Diagram:
+def _a_zh(w: _Work, site: tuple) -> None:
     (v,) = site
-    ends = [w for _i, w in _incidence(d)[v]]
-    out = d.copy()
-    if len(ends) != 2 or v in ends:
+    if w.looped(v):
         raise ValueError("zh-relations needs an arity-2 H-box on distinct wires")
-    out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
-    del out.vertices[v]
-    first, last = _spider_chain(out, [(Z, _HALF), (X, _HALF), (Z, _HALF)])
-    out.add_edge(ends[0], first)
-    out.add_edge(last, ends[1])
+    a, b = w.others(v)
+    w.remove_vertex(v)
+    first = w.add_spider(Z, _HALF)
+    middle = w.add_spider(X, _HALF)
+    last = w.add_spider(Z, _HALF)
+    w.add_edge(first, middle)
+    w.add_edge(middle, last)
+    w.add_edge(a, first)
+    w.add_edge(last, b)
     lhs, rhs = _zh_sides()
-    out.mul_scalar(_derive_scalar(("zh-relations",), lhs, rhs))
-    return out
+    w.diagram.mul_scalar(_derive_scalar(("zh-relations",), lhs, rhs))
 
 
 def _s_zh(d: Diagram, rng: random.Random) -> None:
@@ -873,23 +925,74 @@ FULL_SIMPLIFY_RULES = (
 )
 
 
+def _rule(name: str) -> RewriteRule:
+    if name not in RULES:
+        raise KeyError(f"unknown rule {name!r}")
+    return RULES[name]
+
+
+def _all_sites(w: _Work, rule: RewriteRule) -> list[tuple]:
+    """Every site of a rule, sorted.  On a freshly built working form edge
+    ids are edge-list indices, so the sites are the public ones."""
+    match_at = rule.match_at
+    return sorted(s for v in w.vertices for s in match_at(w, v))
+
+
 def find_matches(d: Diagram, rule: str) -> list[tuple]:
     """All match sites of a rule, deterministically ordered."""
-    if rule not in RULES:
-        raise KeyError(f"unknown rule {rule!r}")
-    return RULES[rule].matcher(d)
+    return _all_sites(_Work(d), _rule(rule))
 
 
 def apply_rule(d: Diagram, rule: str, site: Optional[tuple] = None) -> Diagram:
     """Apply one rule instance (first match if no site given)."""
-    matches = find_matches(d, rule)
+    r = _rule(rule)
+    w = _Work(d)
+    matches = _all_sites(w, r)
     if site is None:
         if not matches:
             raise ValueError(f"no match for rule {rule!r}")
         site = matches[0]
     elif site not in matches:
         raise ValueError(f"{site} is not a valid match site for {rule!r}")
-    return RULES[rule].applier(d, site)
+    r.apply_at(w, site)
+    return w.export()
+
+
+class _Sites:
+    """The valid sites of one rule on a working form: the sites found at
+    each anchor, their union, and a heap holding every valid site (and
+    possibly stale ones, dropped when they reach the top)."""
+
+    def __init__(self, rule: RewriteRule, w: _Work) -> None:
+        self.rule = rule
+        self.at: dict[int, list[tuple]] = {}
+        self.valid: set[tuple] = set()
+        self.heap: list[tuple] = []
+        self.examine(w, w.vertices)
+
+    def examine(self, w: _Work, region: Iterable[int]) -> None:
+        """Recompute the sites anchored at each vertex of ``region``."""
+        at, valid, heap, match_at = self.at, self.valid, self.heap, self.rule.match_at
+        verts = w.vertices
+        for v in region:
+            old = at.pop(v, ())
+            if old:
+                valid.difference_update(old)
+            if v not in verts:
+                continue
+            new = match_at(w, v)
+            if new:
+                at[v] = new
+                valid.update(new)
+                for s in new:
+                    if s not in old:
+                        heapq.heappush(heap, s)
+
+    def first(self) -> Optional[tuple]:
+        heap, valid = self.heap, self.valid
+        while heap and heap[0] not in valid:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
 
 def simplify(
@@ -898,22 +1001,33 @@ def simplify(
     max_steps: int = 10000,
 ) -> tuple[Diagram, RewriteTrace]:
     """Greedy fixpoint rewriting with the given ruleset (default: the
-    terminating set fuse / remove-wire / identity / hh-cancel)."""
+    terminating set fuse / remove-wire / identity / hh-cancel).  Each step
+    applies the first site of the first rule in ``rules`` that has one; the
+    input is left untouched."""
     if rules is None:
         rules = DEFAULT_SIMPLIFY_RULES
+    w = _Work(d)
+    tables = [_Sites(_rule(r), w) for r in rules]
     trace = RewriteTrace()
-    cur = d
     for _ in range(max_steps):
-        progressed = False
-        for r in rules:
-            matches = find_matches(cur, r)
-            if matches:
-                cur = RULES[r].applier(cur, matches[0])
-                trace.steps.append((r, matches[0]))
-                progressed = True
+        for t in tables:
+            site = t.first()
+            if site is not None:
                 break
-        if not progressed:
-            return cur, trace
+        else:
+            return w.export(), trace
+        rule = t.rule
+        trace.steps.append(
+            (rule.name, (w.index(site[0]), site[1]) if rule.name == "remove-wire" else site)
+        )
+        w.touched = set()
+        rule.apply_at(w, site)
+        region = set(w.touched)
+        for v in w.touched:
+            if v in w.inc:
+                region.update(w.inc[v].values())
+        for t in tables:
+            t.examine(w, region)
     raise RuntimeError("simplify did not reach a fixpoint within max_steps")
 
 
@@ -936,22 +1050,19 @@ def _random_host(rng: random.Random) -> Diagram:
 def check_rule_soundness(rule: str, trials: int = 200, seed: int = 0) -> int:
     """Randomised exact before/after equality trials; returns the number of
     failing trials (0 means the rule is sound on the sampled family)."""
-    if rule not in RULES:
-        raise KeyError(f"unknown rule {rule!r}")
-    r = RULES[rule]
+    r = _rule(rule)
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
         d = _random_host(rng)
         r.seeder(d, rng)
-        matches = r.matcher(d)
+        matches = find_matches(d, rule)
         if not matches:
             failures += 1
             continue
         site = matches[rng.randrange(len(matches))]
         before = eval_diagram(d)
-        after_d = r.applier(d, site)
-        after = eval_diagram(after_d)
+        after = eval_diagram(apply_rule(d, rule, site))
         if before.data.shape != after.data.shape or not bool(
             np.all(before.data == after.data)
         ):

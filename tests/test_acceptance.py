@@ -9,7 +9,7 @@ on the diagram side.
 import math
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -418,3 +418,30 @@ def test_6j_tetrahedral_symmetry(js):
             p[a].reverse()
             p[b].reverse()
             assert w6j(p[0][0], p[1][0], p[2][0], p[0][1], p[1][1], p[2][1]) == base
+
+
+# -- 14. oracle sweep: every admissible 6j with spins <= 1 -------------------
+
+
+def _admissible_6j(max_spin):
+    """Every (j1, ..., j6) with spins in {0, 1/2, ..., max_spin} whose four
+    triads (j1 j2 j3), (j1 j5 j6), (j4 j2 j6), (j3 j4 j5) are admissible."""
+    values = [Fraction(t, 2) for t in range(int(2 * max_spin) + 1)]
+    out = []
+    for js in product(values, repeat=6):
+        j1, j2, j3, j4, j5, j6 = js
+        triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j3, j4, j5))
+        if all(triangle_ok(*t) for t in triads):
+            out.append(js)
+    return out
+
+
+def test_6j_sweep_spins_up_to_one_exact():
+    symbols = _admissible_6j(1)
+    assert len(symbols) == 47
+    for js in symbols:
+        d, corr = network_6j(*js)
+        want = w6j(*js)
+        for route, diagram in (("plain", d), ("simplify", simplify(d)[0])):
+            raw = eval_diagram(diagram, mode="exact").scalar_value().to_radical()
+            assert raw * corr.value == want, (js, route)

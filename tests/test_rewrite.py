@@ -1,5 +1,6 @@
 """Rewrite engine: per-rule soundness, derived scalars, simplification."""
 
+import json
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinnet import rewrite as rw
 from spinnet.exact import ExactScalar, HalfInteger
-from spinnet.graph import H, X, Z, Diagram, VertexData, make_spider, serialize
+from spinnet.graph import H, X, Z, Diagram, VertexData, make_spider, normalize_phase, serialize
 from spinnet.rewrite import (
     DEFAULT_SIMPLIFY_RULES,
     FULL_SIMPLIFY_RULES,
@@ -67,6 +69,48 @@ def test_fuse_adds_phases():
     out = apply_rule(d, "fuse")
     (spider,) = [v for v, data in out.vertices.items() if data.kind == "Z"]
     assert Fraction(out.vertices[spider].phase) % 2 == Fraction(3, 2)
+
+
+def test_fuse_adds_float_phases_as_floats():
+    d = Diagram()
+    a = d.add_z(0.1)
+    b = d.add_z(0.2)
+    d.add_edge(a, b)
+    d.add_edge(d.add_input(), a)
+    d.add_edge(b, d.add_output())
+    for out in (apply_rule(d, "fuse"), simplify(d)[0]):
+        (phase,) = [data.phase for data in out.vertices.values() if data.kind == "Z"]
+        assert isinstance(phase, float)
+        assert abs(phase - 0.3) < 1e-12
+        (entry,) = [e for e in json.loads(serialize(out))["vertices"] if e["kind"] == "Z"]
+        assert entry["phase"] == {"float": phase}
+
+
+def _chain(n):
+    """An input, n phase-free Z spiders in a row, an output: simplify needs
+    n steps (n - 1 fuses, then the identity)."""
+    d = Diagram()
+    prev = d.add_input()
+    for _ in range(n):
+        s = d.add_z()
+        d.add_edge(prev, s)
+        prev = s
+    d.add_edge(prev, d.add_output())
+    return d
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_simplify_max_steps_contract(n):
+    d = _chain(n)
+    text = serialize(d)
+    with pytest.raises(RuntimeError):
+        simplify(d, max_steps=n)
+    assert serialize(d) == text
+    out, trace = simplify(d, max_steps=n + 1)
+    assert len(trace) == n
+    assert [r for r, _ in trace.steps] == ["fuse"] * (n - 1) + ["identity"]
+    assert [data.kind for data in out.vertices.values()] == ["B", "B"]
+    assert serialize(d) == text
 
 
 def test_apply_rule_rejects_bad_site():
@@ -337,14 +381,285 @@ REFERENCE_MATCHERS = {
 }
 
 
+# -- reference appliers ---------------------------------------------------
+#
+# The appliers as they were before the in-place working form: each copies
+# the diagram and rebuilds its edge list.  ``apply_rule`` must produce the
+# same diagram (records in dict order, edges, boundaries, scalar) at every
+# site, and ``simplify`` the same trace and result as the first-match loop
+# over these.  The derived scalars
+# and the rule sides come from the library, which derives them, not from a
+# copy.  Only ``_ref_a_fuse`` differs from the original: float phases add as
+# floats (``normalize_phase(pu + pv)``) instead of as exact binary fractions.
+
+
+def _ref_incidence(d: Diagram) -> dict[int, list[tuple[int, int]]]:
+    """v -> [(edge index, other end), ...] in edge order; a self-loop twice."""
+    inc: dict[int, list[tuple[int, int]]] = {v: [] for v in d.vertices}
+    for i, (a, b) in enumerate(d.edges):
+        inc[a].append((i, b))
+        inc[b].append((i, a))
+    return inc
+
+
+def _ref_remove_vertex(d: Diagram, v: int) -> None:
+    d.edges = [(a, b) for a, b in d.edges if a != v and b != v]
+    del d.vertices[v]
+    d.inputs = [w for w in d.inputs if w != v]
+    d.outputs = [w for w in d.outputs if w != v]
+
+
+def _ref_a_fuse(d: Diagram, site: tuple) -> Diagram:
+    u, v = site
+    out = d.copy()
+    pu, pv = out.vertices[u].phase, out.vertices[v].phase
+    out.vertices[u] = VertexData(out.vertices[u].kind, normalize_phase(pu + pv))
+    new_edges = []
+    for a, b in out.edges:
+        a = u if a == v else a
+        b = u if b == v else b
+        if a == u and b == u:
+            continue  # fused connection or resulting self-loop: scalar-free
+        new_edges.append((a, b))
+    out.edges = new_edges
+    del out.vertices[v]
+    return out
+
+
+
+def _ref_a_remove_wire(d: Diagram, site: tuple) -> Diagram:
+    i, _v = site
+    out = d.copy()
+    del out.edges[i]
+    return out
+
+
+
+def _ref_a_identity(d: Diagram, site: tuple) -> Diagram:
+    (v,) = site
+    ends = [w for _i, w in _ref_incidence(d)[v]]
+    out = d.copy()
+    out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
+    del out.vertices[v]
+    out.add_edge(ends[0], ends[1])
+    return out
+
+
+
+def _ref_a_hh_cancel(d: Diagram, site: tuple) -> Diagram:
+    u, v = site
+    inc = _ref_incidence(d)
+    out = d.copy()
+    links = sum(1 for _i, w in inc[u] if w == v)
+    if links == 2:
+        # Closed pair: trace(H.H) = 4.
+        _ref_remove_vertex(out, u)
+        _ref_remove_vertex(out, v)
+        out.mul_scalar(rw._derive_scalar(("hh-cancel", "closed"), rw._hh_lhs(2), Diagram()))
+        return out
+    nu = next(w for _i, w in inc[u] if w != v)
+    nv = next(w for _i, w in inc[v] if w != u)
+    _ref_remove_vertex(out, u)
+    _ref_remove_vertex(out, v)
+    out.add_edge(nu, nv)
+    out.mul_scalar(rw._derive_scalar(("hh-cancel", "open"), rw._hh_lhs(1), rw._wire_diagram(1)))
+    return out
+
+
+
+def _ref_a_hopf(d: Diagram, site: tuple) -> Diagram:
+    u, v = site
+    out = d.copy()
+    removed = 0
+    new_edges = []
+    for a, b in out.edges:
+        if {a, b} == {u, v} and removed < 2:
+            removed += 1
+            continue
+        new_edges.append((a, b))
+    out.edges = new_edges
+    out.mul_scalar(rw._derive_scalar(("hopf",), rw._hopf_lhs(), rw._hopf_rhs()))
+    return out
+
+
+
+def _ref_a_copy(d: Diagram, site: tuple) -> Diagram:
+    v, w = site
+    others = [(i, n) for i, n in _ref_incidence(d)[w] if n != v]
+    out = d.copy()
+    kind = out.vertices[v].kind
+    ph = Fraction(out.vertices[v].phase) % 2
+    legs = len(others)
+    out.edges = [(a, b) for a, b in out.edges if v not in (a, b) and w not in (a, b)]
+    for _i, n in others:
+        s = out.add_z(ph) if kind == Z else out.add_x(ph)
+        out.add_edge(s, n)
+    del out.vertices[v]
+    del out.vertices[w]
+    out.mul_scalar(
+        rw._derive_scalar(("copy", kind, ph, legs), rw._copy_lhs(kind, ph, legs), rw._copy_rhs(kind, ph, legs))
+    )
+    return out
+
+
+
+def _ref_a_pi_copy(d: Diagram, site: tuple) -> Diagram:
+    v, w = site
+    inc = _ref_incidence(d)
+    n_outer = next(n for _i, n in inc[v] if n != w)
+    others = [(i, n) for i, n in inc[w] if n != v]
+    out = d.copy()
+    kind = out.vertices[v].kind  # colour of the pi spider
+    ph = Fraction(out.vertices[w].phase) % 2
+    legs = len(others)
+    out.edges = [(a, b) for a, b in out.edges if v not in (a, b) and w not in (a, b)]
+    sp2 = out.add_x(-ph) if kind == Z else out.add_z(-ph)
+    out.add_edge(n_outer, sp2)
+    for _i, n in others:
+        p = out.add_z(rw._PI) if kind == Z else out.add_x(rw._PI)
+        out.add_edge(sp2, p)
+        out.add_edge(p, n)
+    del out.vertices[v]
+    del out.vertices[w]
+    lhs, rhs = rw._pi_copy_sides(kind, ph, legs)
+    out.mul_scalar(rw._derive_scalar(("pi-copy", kind, ph, legs), lhs, rhs))
+    return out
+
+
+
+def _ref_a_bialgebra(d: Diagram, site: tuple) -> Diagram:
+    z, x = site
+    inc = _ref_incidence(d)
+    z_others = [(i, n) for i, n in inc[z] if n != x]
+    x_others = [(i, n) for i, n in inc[x] if n != z]
+    out = d.copy()
+    m, n = len(z_others), len(x_others)
+    out.edges = [(a, b) for a, b in out.edges if z not in (a, b) and x not in (a, b)]
+    new_x = []
+    for _i, nb in z_others:
+        xv = out.add_x()
+        out.add_edge(nb, xv)
+        new_x.append(xv)
+    new_z = []
+    for _i, nb in x_others:
+        zv = out.add_z()
+        out.add_edge(zv, nb)
+        new_z.append(zv)
+    for xv in new_x:
+        for zv in new_z:
+            out.add_edge(xv, zv)
+    del out.vertices[z]
+    del out.vertices[x]
+    lhs, rhs = rw._bialgebra_sides(m, n)
+    out.mul_scalar(rw._derive_scalar(("bialgebra", m, n), lhs, rhs))
+    return out
+
+
+
+def _ref_a_color_change(d: Diagram, site: tuple) -> Diagram:
+    (v,) = site
+    inc = _ref_incidence(d)[v]
+    out = d.copy()
+    ph = out.vertices[v].phase
+    out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
+    z = out.add_z(ph)
+    for _i, nb in inc:
+        h = out.add_h()
+        out.add_edge(z, h)
+        out.add_edge(h, nb)
+    del out.vertices[v]
+    key_ph = Fraction(ph) % 2 if isinstance(ph, (int, Fraction)) else Fraction(0)
+    lhs, rhs = rw._color_change_sides(key_ph, len(inc))
+    out.mul_scalar(rw._derive_scalar(("color-change", key_ph, len(inc)), lhs, rhs))
+    return out
+
+
+
+def _ref_a_absorb(d: Diagram, site: tuple) -> Diagram:
+    v, w = site
+    inc = _ref_incidence(d)
+    out = d.copy()
+    ph = Fraction(out.vertices[v].phase) % 2
+    label = out.vertices[w].label
+    legs = len(inc[w]) - 1
+    del out.edges[inc[v][0][0]]
+    del out.vertices[v]
+    if ph == 0:
+        out.vertices[w] = VertexData(H, Fraction(0), ExactScalar.one())
+    lhs, rhs = rw._absorb_sides(ph, label, legs)
+    out.mul_scalar(rw._derive_scalar(("absorb", ph, label, legs), lhs, rhs))
+    return out
+
+
+
+def _ref_a_explode(d: Diagram, site: tuple) -> Diagram:
+    v, w = site
+    inc = _ref_incidence(d)
+    if v == -1:
+        out = d.copy()
+        legs = [nb for _i, nb in inc[w]]
+        out.edges = [(a, b) for a, b in out.edges if w not in (a, b)]
+        del out.vertices[w]
+        for nb in legs:
+            out.add_edge(out.add_z(), nb)
+        lhs, rhs = rw._split_sides(len(legs))
+        out.mul_scalar(rw._derive_scalar(("explode", "split", len(legs)), lhs, rhs))
+        return out
+    out = d.copy()
+    label = out.vertices[w].label
+    legs = len(inc[w]) - 1
+    del out.edges[inc[v][0][0]]
+    del out.vertices[v]
+    new_label = (ExactScalar.one() + label) * ExactScalar(Fraction(1, 2))
+    out.vertices[w] = VertexData(H, Fraction(0), new_label)
+    rhs, lhs = rw._explode_sides(label, legs)
+    out.mul_scalar(rw._derive_scalar(("explode", label, legs), lhs, rhs))
+    return out
+
+
+
+def _ref_a_zh(d: Diagram, site: tuple) -> Diagram:
+    (v,) = site
+    ends = [w for _i, w in _ref_incidence(d)[v]]
+    out = d.copy()
+    if len(ends) != 2 or v in ends:
+        raise ValueError("zh-relations needs an arity-2 H-box on distinct wires")
+    out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
+    del out.vertices[v]
+    first, last = rw._spider_chain(out, [(Z, rw._HALF), (X, rw._HALF), (Z, rw._HALF)])
+    out.add_edge(ends[0], first)
+    out.add_edge(last, ends[1])
+    lhs, rhs = rw._zh_sides()
+    out.mul_scalar(rw._derive_scalar(("zh-relations",), lhs, rhs))
+    return out
+
+
+
+REFERENCE_APPLIERS = {
+    "fuse": _ref_a_fuse,
+    "remove-wire": _ref_a_remove_wire,
+    "identity": _ref_a_identity,
+    "hh-cancel": _ref_a_hh_cancel,
+    "hopf": _ref_a_hopf,
+    "copy": _ref_a_copy,
+    "pi-copy": _ref_a_pi_copy,
+    "bialgebra": _ref_a_bialgebra,
+    "color-change": _ref_a_color_change,
+    "absorb": _ref_a_absorb,
+    "explode": _ref_a_explode,
+    "zh-relations": _ref_a_zh,
+}
+
+
 def reference_simplify(d, rules=DEFAULT_SIMPLIFY_RULES, max_steps=10000):
-    """``simplify``'s first-match loop driven by the reference matchers."""
+    """``simplify``'s first-match loop, rescanning and copying the whole
+    diagram at every step, driven by the reference matchers and appliers."""
     steps = []
     for _ in range(max_steps):
         for r in rules:
             matches = REFERENCE_MATCHERS[r](d)
             if matches:
-                d = RULES[r].applier(d, matches[0])
+                d = REFERENCE_APPLIERS[r](d, matches[0])
                 steps.append((r, matches[0]))
                 break
         else:
@@ -358,27 +673,72 @@ def assert_matchers_agree(d):
         assert find_matches(d, rule) == ref(d), rule
 
 
-def assert_simplify_agrees(d, rules=DEFAULT_SIMPLIFY_RULES):
+def _structure(d):
+    """Everything a diagram holds, in order, with each phase's type."""
+    return (
+        [(v, data.kind, type(data.phase), data.phase, data.label) for v, data in d.vertices.items()],
+        d.edges, d.inputs, d.outputs, d.scalar, d._next_id,
+    )
+
+
+def _outcome(apply):
+    """The structure of one rewrite's result, or the error it raises."""
+    try:
+        return _structure(apply())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_appliers_agree(d):
+    """``apply_rule`` equals the reference applier at every site of every
+    rule, and leaves its input as it was."""
+    assert set(REFERENCE_APPLIERS) == set(RULES)
     before = serialize(d)
-    got, trace = simplify(d, rules=rules)
-    want, steps = reference_simplify(d, rules)
-    assert trace.steps == steps
-    assert serialize(got) == serialize(want)
-    assert serialize(d) == before  # the input is left as it was
+    for rule, ref in REFERENCE_APPLIERS.items():
+        for site in find_matches(d, rule):
+            got = _outcome(lambda: apply_rule(d, rule, site))
+            assert got == _outcome(lambda: ref(d, site)), (rule, site)
+    assert serialize(d) == before
+
+
+def assert_simplify_agrees(d, rules=DEFAULT_SIMPLIFY_RULES, max_steps=10000):
+    """Same trace and result as ``reference_simplify``, or both stop at
+    ``max_steps``; the input is left as it was."""
+    before = serialize(d)
+    try:
+        got, trace = simplify(d, rules=rules, max_steps=max_steps)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            reference_simplify(d, rules, max_steps)
+    else:
+        want, steps = reference_simplify(d, rules, max_steps)
+        assert trace.steps == steps
+        assert serialize(got) == serialize(want)
+    assert serialize(d) == before
+
+
+# The full rule set reaches no fixpoint on many diagrams (the 6j networks,
+# symmetriser 4, seven of the sixteen manifest diagrams); there both sides
+# must stop at the step budget.
+FULL_BUDGET = 100
 
 
 class TestMatchersMatchReference:
     def test_paper_manifest(self, paper_diagrams):
         for d, _cap in paper_diagrams:
             assert_matchers_agree(d)
+            assert_appliers_agree(d)
             assert_simplify_agrees(d)
+            assert_simplify_agrees(d, rules=FULL_SIMPLIFY_RULES, max_steps=FULL_BUDGET)
             assert_matchers_agree(simplify(d)[0])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_symmetrisers(self, n):
         d = symmetriser(n)
         assert_matchers_agree(d)
+        assert_appliers_agree(d)
         assert_simplify_agrees(d)
+        assert_simplify_agrees(d, rules=FULL_SIMPLIFY_RULES, max_steps=FULL_BUDGET)
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_plugged_cswap(self, bit):
@@ -391,13 +751,16 @@ class TestMatchersMatchReference:
         # beyond the default set find their sites.
         for rule, site in simplify(d, rules=FULL_SIMPLIFY_RULES)[1].steps:
             assert_matchers_agree(d)
-            d = RULES[rule].applier(d, site)
+            assert_appliers_agree(d)
+            d = REFERENCE_APPLIERS[rule](d, site)
 
     @pytest.mark.parametrize("twice", [(2, 2, 2, 2, 2, 2), (1, 1, 2, 3, 3, 2)])
     def test_six_j(self, twice):
         d, _ = network_6j(*[HalfInteger(t) for t in twice])
         assert_matchers_agree(d)
+        assert_appliers_agree(d)
         assert_simplify_agrees(d)
+        assert_simplify_agrees(d, rules=FULL_SIMPLIFY_RULES, max_steps=FULL_BUDGET)
         assert_matchers_agree(simplify(d)[0])
 
 
@@ -432,6 +795,7 @@ def _pair(kind_a, phase_a, kind_b, phase_b, links=1, loop_on_b=False, legs=1, st
         "hopf-loop", "unnormalised", "copy-loop", "copy-float"])
 def test_matcher_guards_match_reference(d):
     assert_matchers_agree(d)
+    assert_appliers_agree(d)
     assert_simplify_agrees(d)
 
 
@@ -480,7 +844,9 @@ PROPERTIES = settings(derandomize=True, max_examples=300, deadline=None, databas
 @given(zxh_diagrams())
 def test_matchers_match_reference_property(d):
     assert_matchers_agree(d)
+    assert_appliers_agree(d)
     assert_simplify_agrees(d)
+    assert_simplify_agrees(d, rules=FULL_SIMPLIFY_RULES, max_steps=FULL_BUDGET)
 
 
 def test_vertex_records_are_frozen():
