@@ -1,7 +1,11 @@
 """Tensor-network evaluation of diagrams.
 
 Every vertex becomes a small tensor (one binary index per incident wire);
-edges are contractions.  A greedy planner picks a deterministic pairwise
+edges are contractions.  Planning and evaluation first split every Z/X
+spider of degree > 3 into a chain of degree-3 spiders of the same colour
+(spider fusion read backwards: exact, no scalar), on a copy.  Fused
+symmetriser towers otherwise leave high-degree nodes on which greedy orders
+are much wider.  A greedy planner then picks a deterministic pairwise
 contraction order that keeps intermediate ranks small.  It is incremental:
 connected node pairs wait in a heap keyed by (merged rank, step cost, node
 keys), and a merge re-scores only the pairs of the merged node, so a step
@@ -31,6 +35,7 @@ import heapq
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -62,16 +67,22 @@ class RankCapExceeded(RuntimeError):
 def _rank_cap(mode: str, rank_cap: Optional[int]) -> int:
     """The explicit cap, else ``SPINNET_RANK_CAP``, else the mode default.
 
-    Raises ValueError if the environment variable is not an integer.
+    Raises ValueError, naming where the cap came from, if the environment
+    variable is not an integer or the cap is negative.
     """
     if rank_cap is not None:
+        if rank_cap < 0:
+            raise ValueError(f"rank cap {rank_cap} is negative")
         return rank_cap
     env = os.environ.get("SPINNET_RANK_CAP")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ValueError(f"SPINNET_RANK_CAP={env!r} is not an integer") from None
+        if cap < 0:
+            raise ValueError(f"SPINNET_RANK_CAP={env!r} is negative")
+        return cap
     return DEFAULT_RANK_CAP_EXACT if mode == "exact" else DEFAULT_RANK_CAP_FLOAT
 
 
@@ -259,6 +270,41 @@ def _node_skeleton(d: Diagram) -> dict[int, list[tuple]]:
     return nodes
 
 
+def _split_spiders(d: Diagram) -> Diagram:
+    """A copy of ``d`` in which every Z/X spider of degree > 3 is a chain of
+    degree-3 spiders of the same colour; ``d`` itself if there is none.
+
+    This is spider fusion read backwards, so the value is unchanged and no
+    scalar is added: the X normalisation (1/sqrt2)^degree cancels along each
+    link.  The original vertex keeps its phase and its first two wire ends;
+    each new phase-0 vertex takes the next end and the last one the final
+    two, in edge order.  ``d`` is never mutated.
+    """
+    degree = Counter(itertools.chain.from_iterable(d.edges))
+    ends: dict[int, list[tuple[int, int]]] = {  # spider -> [(edge index, side)]
+        v: [] for v, n in degree.items() if n > 3 and d.vertices[v].kind in (Z, X)
+    }
+    if not ends:
+        return d
+    for i, (a, b) in enumerate(d.edges):
+        if a in ends:
+            ends[a].append((i, 0))
+        if b in ends:
+            ends[b].append((i, 1))
+    out = d.copy()
+    for v, es in ends.items():
+        add = out.add_z if d.vertices[v].kind == Z else out.add_x
+        prev = v
+        for n, (i, side) in enumerate(es[2:], start=3):
+            if n < len(es):  # every end but the last opens a new link
+                w = add()
+                out.edges.append((prev, w))
+                prev = w
+            a, b = out.edges[i]
+            out.edges[i] = (prev, b) if side == 0 else (a, prev)
+    return out
+
+
 @dataclass
 class ContractionPlan:
     """A deterministic pairwise merge order with its cost accounting."""
@@ -270,6 +316,13 @@ class ContractionPlan:
 
 def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "exact") -> ContractionPlan:
     """Greedy pairwise contraction order minimising intermediate rank.
+
+    The plan is made for the diagram with every Z/X spider of degree > 3
+    split into a chain of degree-3 spiders (see :func:`_split_spiders`);
+    :func:`eval_diagram` contracts the same split copy, so its node keys
+    include the chain vertices.  On simplified 6j networks this keeps the
+    peak rank near the unsimplified one (6j(2,1,2,2,1,2): 22 without the
+    split, 14 with it).
 
     At each step the pair of connected nodes whose merge has the smallest
     resulting rank is chosen (ties: smaller merge cost, then smallest node
@@ -287,7 +340,7 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     rank: dict[int, int] = {}
     nbr: dict[int, dict[int, int]] = {}  # node -> {neighbour: shared edges}
     owner: dict[int, int] = {}  # edge index -> first node seen holding it
-    for k, ports in _node_skeleton(d).items():
+    for k, ports in _node_skeleton(_split_spiders(d)).items():
         rank[k] = len(ports)
         nbr[k] = {}
         for kind, i in ports:
@@ -431,6 +484,7 @@ def eval_diagram(
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     ops = _MODES[mode]
+    d = _split_spiders(d)
     if plan is None:
         plan = plan_contraction(d, rank_cap=rank_cap, mode=mode)
     tensors = {}

@@ -420,7 +420,7 @@ def test_6j_tetrahedral_symmetry(js):
             assert w6j(p[0][0], p[1][0], p[2][0], p[0][1], p[1][1], p[2][1]) == base
 
 
-# -- 14. oracle sweep: every admissible 6j with spins <= 1 -------------------
+# -- 14. oracle sweep: every admissible 6j with spins <= 3/2 -----------------
 
 
 def _admissible_6j(max_spin):
@@ -436,9 +436,10 @@ def _admissible_6j(max_spin):
     return out
 
 
-def test_6j_sweep_spins_up_to_one_exact():
-    symbols = _admissible_6j(1)
-    assert len(symbols) == 47
+def test_6j_sweep_spins_up_to_three_halves_exact():
+    symbols = _admissible_6j(Fraction(3, 2))
+    assert len(symbols) == 181
+    assert sum(max(js) <= 1 for js in symbols) == 47
     for js in symbols:
         d, corr = network_6j(*js)
         want = w6j(*js)

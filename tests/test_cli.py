@@ -171,6 +171,26 @@ class TestUsageErrors:
         target = str(path) if command == "eval" else "paper.json"
         assert "SPINNET_RANK_CAP" in run_usage_error(capsys, command, target)
 
+    def test_negative_rank_cap_option(self, capsys, tmp_path):
+        path = tmp_path / "s2.json"
+        run(capsys, "build", "symmetriser", "2", "--out", str(path))
+        assert "rank cap -3 is negative" in run_usage_error(capsys, "eval", str(path), "--rank-cap", "-3")
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_negative_rank_cap_env(self, capsys, tmp_path, monkeypatch, command):
+        path = tmp_path / "s2.json"
+        run(capsys, "build", "symmetriser", "2", "--out", str(path))
+        monkeypatch.setenv("SPINNET_RANK_CAP", "-1")
+        target = str(path) if command == "eval" else "paper.json"
+        assert "SPINNET_RANK_CAP='-1' is negative" in run_usage_error(capsys, command, target)
+
+    def test_zero_rank_cap_is_valid(self, capsys, tmp_path):
+        path = tmp_path / "s2.json"
+        run(capsys, "build", "symmetriser", "2", "--out", str(path))
+        code, _, err = run(capsys, "eval", str(path), "--rank-cap", "0")
+        assert code == EXIT_RANK_CAP
+        assert "exceeds cap 0" in err
+
     def test_verify_has_no_jobs_option(self, capsys):
         run_usage_error(capsys, "verify", "--jobs", "0")
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinnet.exact import ExactScalar, HalfInteger
-from spinnet.graph import Diagram, VertexData, H, X, Z, make_spider
+from spinnet.graph import Diagram, VertexData, H, X, Z, make_spider, serialize
 from spinnet.rewrite import DEFAULT_SIMPLIFY_RULES, simplify
-from spinnet.su2 import network_6j
+from spinnet.su2 import network_6j, symmetriser
 from spinnet.tensor import (
     ContractionPlan,
     RankCapExceeded,
@@ -21,12 +21,14 @@ from spinnet.tensor import (
     _omega_ints,
     _omega_scalar,
     _omega_tensordot,
+    _split_spiders,
     eval_diagram,
     plan_contraction,
     plug_basis,
     to_matrix,
     vertex_tensor,
 )
+from spinnet.wigner import w6j
 
 # Fixed, reproducible property runs: the same examples on every run.
 PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -77,9 +79,10 @@ class TestPlanner:
     def test_plan_covers_all_nodes(self):
         d = make_spider(Z, Fraction(0), 2, 2)
         plan = plan_contraction(d)
-        # Single spider node with 4 open ports: no pairwise steps, rank 4.
+        # The 4-legged spider is split into two linked 3-legged chain nodes:
+        # one pairwise step, back to rank 4.
         assert plan.peak_rank == 4
-        assert plan.steps == []
+        assert len(plan.steps) == 1
 
     def test_rank_cap_enforced(self):
         d = Diagram()
@@ -344,8 +347,9 @@ def plan_outcome(planner, d: Diagram, cap: int):
 
 
 def assert_same_plan(d: Diagram, cap: int):
+    """The planner equals the reference run on the split skeleton."""
     got = plan_outcome(lambda d, cap: plan_contraction(d, rank_cap=cap), d, cap)
-    assert got == plan_outcome(reference_plan, d, cap)
+    assert got == plan_outcome(reference_plan, _split_spiders(d), cap)
     return got
 
 
@@ -388,3 +392,101 @@ def multigraphs(draw):
 @given(multigraphs(), st.integers(0, 28))
 def test_planner_matches_reference_property(d, cap):
     assert_same_plan(d, cap)
+
+
+# -- spider splitting -----------------------------------------------------
+
+
+@st.composite
+def fusable_spiders(draw):
+    """A Z or X spider of degree 4-9 with open legs, self-loops and possibly
+    a multi-edge to a second spider of the same colour, together with the
+    single spider that fusing them gives."""
+    kind = draw(st.sampled_from([Z, X]))
+    add = Diagram.add_z if kind == Z else Diagram.add_x
+    phase = Fraction(draw(st.integers(0, 7)), 4)
+    d = Diagram()
+    v = add(d, phase)
+    degree = draw(st.integers(4, 9))
+    links = draw(st.integers(0, degree))
+    loops = draw(st.integers(0, (degree - links) // 2))
+    for _ in range(loops):
+        d.add_edge(v, v)
+    for _ in range(degree - links - 2 * loops):
+        d.add_edge(d.add_input() if draw(st.booleans()) else d.add_output(), v)
+    if links:
+        w_phase = Fraction(draw(st.integers(0, 7)), 4)
+        phase += w_phase
+        w = add(d, w_phase)
+        for _ in range(links):
+            d.add_edge(v, w)
+        for _ in range(draw(st.integers(0, 1))):
+            d.add_edge(w, w)
+        for _ in range(draw(st.integers(0, 5))):
+            d.add_edge(w, d.add_output())
+    # Any edge order, so chain links and loops land anywhere.
+    d.edges = draw(st.permutations(d.edges))
+    d.mul_scalar(draw(exact_scalars))
+    return d, VertexData(kind, phase % 2), len(d.inputs) + len(d.outputs)
+
+
+def max_spider_degree(d: Diagram) -> int:
+    """The largest degree of a Z/X spider in ``d``, 0 if there is none."""
+    degree = dict.fromkeys(d.vertices, 0)
+    for a, b in d.edges:
+        degree[a] += 1
+        degree[b] += 1
+    return max((n for v, n in degree.items() if d.vertices[v].kind in (Z, X)), default=0)
+
+
+class TestSplitSpiders:
+    @PROPERTIES
+    @given(fusable_spiders())
+    def test_split_keeps_the_spider_tensor(self, case):
+        d, fused, legs = case
+        scale = d.scalar
+        exact = eval_diagram(d, mode="exact").data
+        want = np.asarray(vertex_tensor(fused, legs, "exact") * scale, dtype=object)
+        assert exact.shape == want.shape
+        assert all(a == b for a, b in zip(exact.ravel(), want.ravel()))
+        flt = eval_diagram(d, mode="float").data
+        want_f = vertex_tensor(fused, legs, "float") * scale.to_complex()
+        assert np.abs(flt - want_f).max() <= 1e-12
+
+    @PROPERTIES
+    @given(fusable_spiders())
+    def test_split_leaves_the_input_alone(self, case):
+        d = case[0]
+        before = serialize(d)
+        split = _split_spiders(d)
+        assert serialize(d) == before
+        assert split is not d
+        assert max_spider_degree(split) == 3
+
+    @PROPERTIES
+    @given(clifford_diagrams())
+    def test_nothing_to_split_returns_the_input(self, d):
+        assert (_split_spiders(d) is d) == (max_spider_degree(d) <= 3)
+
+    def test_hboxes_are_not_split(self):
+        d = Diagram()
+        h = d.add_h()
+        for _ in range(5):
+            d.add_edge(h, d.add_output())
+        assert _split_spiders(d) is d
+
+
+class TestSplitPlans:
+    """Plans after ``simplify`` stay thin once fused spiders are split."""
+
+    @pytest.mark.parametrize("n, peak", [(4, 10), (5, 10), (6, 15)])
+    def test_symmetriser_peak_rank(self, n, peak):
+        assert plan_contraction(symmetriser(n), mode="float").peak_rank <= peak
+
+    def test_simplified_6j_212212_exact(self):
+        js = [HalfInteger(j) for j in (2, 1, 2, 2, 1, 2)]
+        d, corr = network_6j(*js)
+        d, _ = simplify(d, rules=DEFAULT_SIMPLIFY_RULES)
+        assert plan_contraction(d).peak_rank <= 16
+        raw = eval_diagram(d, mode="exact").scalar_value().to_radical()
+        assert raw * corr.value == w6j(*js)
