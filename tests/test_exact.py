@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spinnet.exact import (
     ExactScalar,
@@ -15,6 +16,15 @@ from spinnet.exact import (
     sqrt_rational,
     squarefree_decompose,
 )
+
+
+# Fixed, reproducible property runs: the same examples on every run.
+PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=15)
+exact_scalars = st.builds(ExactScalar, rationals, rationals, rationals, rationals)
+real_scalars = st.builds(ExactScalar, rationals, rationals)
+exponents = st.integers(-4, 4)
 
 
 def rand_scalar(rng):
@@ -88,6 +98,70 @@ class TestExactScalar:
         assert math.isclose(r.to_float(), 1.5 - math.sqrt(2) / 3)
         with pytest.raises(ValueError):
             ExactScalar(0, 0, 1, 0).to_radical()
+
+
+class TestExactScalarProperties:
+    """Field laws, serialization and the RadicalNumber embedding."""
+
+    @PROPERTIES
+    @given(exact_scalars, exact_scalars, exact_scalars)
+    def test_ring_laws(self, a, b, c):
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + ExactScalar.zero() == a and a * ExactScalar.one() == a
+        assert a - b == a + (-b)
+        assert a - a == ExactScalar.zero()
+
+    @PROPERTIES
+    @given(exact_scalars, exact_scalars)
+    def test_inverse_and_division(self, a, b):
+        assume(not b.is_zero())
+        assert b * b.inverse() == ExactScalar.one()
+        assert b.inverse().inverse() == b
+        assert (a / b) * b == a
+        assert a / b == a * b.inverse()
+        assert 1 / b == b.inverse()
+
+    @PROPERTIES
+    @given(exact_scalars, exponents, exponents)
+    def test_powers(self, a, m, n):
+        assume(not a.is_zero())
+        assert a ** 0 == ExactScalar.one()
+        assert a ** (m + n) == a ** m * a ** n
+        assert a ** -n == (a ** n).inverse()
+
+    def test_zero_has_no_inverse(self):
+        with pytest.raises(ValueError):
+            ExactScalar.zero().inverse()
+        with pytest.raises(ValueError):
+            ExactScalar.one() / 0
+
+    @PROPERTIES
+    @given(exact_scalars)
+    def test_conjugate_is_an_involution_with_real_norm(self, a):
+        assert a.conjugate().conjugate() == a
+        assert (a * a.conjugate()).is_real()
+        assert a.conjugate().to_complex() == a.to_complex().conjugate()
+
+    @PROPERTIES
+    @given(exact_scalars)
+    def test_serialize_round_trip(self, a):
+        text = a.serialize()
+        assert ExactScalar.deserialize(text) == a
+        assert ExactScalar.deserialize(text).serialize() == text
+
+    @PROPERTIES
+    @given(real_scalars, real_scalars)
+    def test_radical_embedding(self, a, b):
+        ra, rb = a.to_radical(), b.to_radical()
+        assert ra.to_exact_scalar() == a
+        assert (a + b).to_radical() == ra + rb
+        assert (a * b).to_radical() == ra * rb
+        r = RadicalNumber({1: ra.terms.get(1, 0), 2: ra.terms.get(2, 0)})
+        assert r.to_exact_scalar().to_radical() == r
 
 
 class TestRadicalNumber:
