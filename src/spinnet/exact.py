@@ -3,9 +3,12 @@
 Two number types cover everything the diagram engine and the closed-form
 oracle need:
 
-* :class:`ExactScalar` -- elements of the ring Q(i)[sqrt(2)], i.e. numbers of
-  the form ``(a + b*sqrt(2)) + (c + d*sqrt(2))*i`` with rational ``a..d``.
-  Every ZXH diagram with Clifford phases evaluates inside this ring.
+* :class:`ExactScalar` -- elements of the field Q(i)[sqrt(2)] = Q(w),
+  w = e^(i pi/4), i.e. numbers ``(a + b*sqrt(2)) + (c + d*sqrt(2))*i``
+  with rational ``a..d``.  Each is held as four integer coefficients of
+  ``1, w, w**2, w**3`` over one positive integer denominator, in lowest
+  terms; the contraction in :mod:`spinnet.tensor` uses the same form.
+  Every ZXH diagram with phases in (pi/4)Z evaluates inside this field.
 * :class:`RadicalNumber` -- finite Q-linear combinations of square roots of
   squarefree positive integers, ``sum_s q_s * sqrt(s)``.  Wigner symbols and
   normalisation factors live here.
@@ -70,15 +73,46 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _fold(p: tuple, q: tuple) -> tuple:
+    """Product of two omega-polynomials of degree < 4, folded by omega^4 = -1."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (
+        p0 * q0 - p1 * q3 - p2 * q2 - p3 * q1,
+        p0 * q1 + p1 * q0 - p2 * q3 - p3 * q2,
+        p0 * q2 + p1 * q1 + p2 * q0 - p3 * q3,
+        p0 * q3 + p1 * q2 + p2 * q1 + p3 * q0,
+    )
+
+
+def _galois(c: tuple, k: int) -> tuple:
+    """Image of ``sum_j c_j omega^j`` under the field map omega -> omega^k."""
+    out = [0, 0, 0, 0]
+    for j, x in enumerate(c):
+        e = j * k % 8
+        out[e % 4] += x if e < 4 else -x
+    return tuple(out)
+
+
 class ExactScalar:
-    """A number ``(a + b*sqrt(2)) + (c + d*sqrt(2))*i`` with rational a,b,c,d.
+    """An element ``(c0 + c1*w + c2*w**2 + c3*w**3) / den`` of Q(w), w = e^(i pi/4).
+
+    The coefficients ``c0..c3`` and ``den`` are Python ints, ``den > 0``
+    and ``gcd(den, c0, .., c3) == 1``, so each value has exactly one form
+    (zero is ``((0, 0, 0, 0), 1)``).  Q(w) is Q(i)[sqrt(2)]: with
+    ``i = w**2`` and ``sqrt(2) = w - w**3`` the number
+    ``(a + b*sqrt(2)) + (c + d*sqrt(2))*i`` has coefficients
+    ``(a, b + d, c, d - b)`` over their least common denominator.  The
+    constructor takes ``a, b, c, d``, which stay readable as the
+    :class:`~fractions.Fraction` properties ``re_rat``, ``re_sqrt2``,
+    ``im_rat`` and ``im_sqrt2``; :attr:`omega` gives the integer form.
 
     Immutable; supports field arithmetic (division requires a nonzero
     divisor), exact equality, and a canonical text serialization of the form
     ``"a/b + c/d*r2 + (e/f + g/h*r2)*i"``.
     """
 
-    __slots__ = ("re_rat", "re_sqrt2", "im_rat", "im_sqrt2")
+    __slots__ = ("_c", "_d")
 
     def __init__(
         self,
@@ -87,80 +121,102 @@ class ExactScalar:
         im_rat: RationalLike = 0,
         im_sqrt2: RationalLike = 0,
     ) -> None:
-        object.__setattr__(self, "re_rat", _frac(re_rat))
-        object.__setattr__(self, "re_sqrt2", _frac(re_sqrt2))
-        object.__setattr__(self, "im_rat", _frac(im_rat))
-        object.__setattr__(self, "im_sqrt2", _frac(im_sqrt2))
+        parts = [
+            q if isinstance(q, (int, Fraction)) else Fraction(q)
+            for q in (re_rat, re_sqrt2, im_rat, im_sqrt2)
+        ]
+        den = math.lcm(*(q.denominator for q in parts))
+        a, b, c, d = (q.numerator * (den // q.denominator) for q in parts)
+        self._set((a, b + d, c, d - b), den)
+
+    def _set(self, c: tuple, den: int) -> None:
+        g = math.gcd(den, *c)
+        if g != 1:
+            c = tuple(x // g for x in c)
+            den //= g
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_d", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExactScalar is immutable")
+
+    @staticmethod
+    def _from_omega(c: tuple, den: int) -> "ExactScalar":
+        """``sum_k c[k] * w**k / den`` from ints with ``den > 0``, reduced to lowest terms."""
+        x = object.__new__(ExactScalar)
+        x._set(c, den)
+        return x
+
+    @property
+    def omega(self) -> tuple[tuple[int, int, int, int], int]:
+        """``((c0, c1, c2, c3), den)``: the value is ``sum_k c_k w**k / den``."""
+        return self._c, self._d
+
+    @property
+    def re_rat(self) -> Fraction:
+        return Fraction(self._c[0], self._d)
+
+    @property
+    def re_sqrt2(self) -> Fraction:
+        return Fraction(self._c[1] - self._c[3], 2 * self._d)
+
+    @property
+    def im_rat(self) -> Fraction:
+        return Fraction(self._c[2], self._d)
+
+    @property
+    def im_sqrt2(self) -> Fraction:
+        return Fraction(self._c[1] + self._c[3], 2 * self._d)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero() -> "ExactScalar":
-        return ExactScalar()
+        return ExactScalar._from_omega((0, 0, 0, 0), 1)
 
     @staticmethod
     def one() -> "ExactScalar":
-        return ExactScalar(1)
-
-    @staticmethod
-    def i() -> "ExactScalar":
-        return ExactScalar(0, 0, 1, 0)
+        return ExactScalar._from_omega((1, 0, 0, 0), 1)
 
     @staticmethod
     def sqrt2() -> "ExactScalar":
-        return ExactScalar(0, 1)
+        return ExactScalar._from_omega((0, 1, 0, -1), 1)
 
     @staticmethod
     def inv_sqrt2() -> "ExactScalar":
-        return ExactScalar(0, Fraction(1, 2))
-
-    @staticmethod
-    def from_rational(q: RationalLike) -> "ExactScalar":
-        return ExactScalar(q)
+        return ExactScalar._from_omega((0, 1, 0, -1), 2)
 
     @staticmethod
     def phase_quarter(k: int) -> "ExactScalar":
-        """``exp(i * k * pi / 4)`` for integer k (an 8th root of unity)."""
-        k %= 8
-        table = {
-            0: ExactScalar(1),
-            1: ExactScalar(0, 0, 0, Fraction(1, 2)) + ExactScalar(0, Fraction(1, 2)),
-            2: ExactScalar(0, 0, 1),
-            3: ExactScalar(0, -Fraction(1, 2), 0, Fraction(1, 2)),
-            4: ExactScalar(-1),
-            5: ExactScalar(0, -Fraction(1, 2), 0, -Fraction(1, 2)),
-            6: ExactScalar(0, 0, -1),
-            7: ExactScalar(0, Fraction(1, 2), 0, -Fraction(1, 2)),
-        }
-        return table[k]
+        """``exp(i * k * pi / 4) = w**k`` for integer k (an 8th root of unity)."""
+        c = [0, 0, 0, 0]
+        c[k % 4] = -1 if k % 8 >= 4 else 1
+        return ExactScalar._from_omega(tuple(c), 1)
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other) -> "ExactScalar | None":
+    @staticmethod
+    def _coerce(other) -> "ExactScalar | None":
         if isinstance(other, ExactScalar):
             return other
-        if isinstance(other, (int, Fraction)):
-            return ExactScalar(other)
+        if isinstance(other, int):
+            return ExactScalar._from_omega((other, 0, 0, 0), 1)
+        if isinstance(other, Fraction):
+            return ExactScalar._from_omega((other.numerator, 0, 0, 0), other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(
-            self.re_rat + o.re_rat,
-            self.re_sqrt2 + o.re_sqrt2,
-            self.im_rat + o.im_rat,
-            self.im_sqrt2 + o.im_sqrt2,
-        )
+        den = math.lcm(self._d, o._d)
+        m, n = den // self._d, den // o._d
+        return ExactScalar._from_omega(tuple(m * x + n * y for x, y in zip(self._c, o._c)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.re_rat, -self.re_sqrt2, -self.im_rat, -self.im_sqrt2)
+        return ExactScalar._from_omega(tuple(-x for x in self._c), self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -178,38 +234,26 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # (a1 + b1 r + (c1 + d1 r) i)(a2 + b2 r + (c2 + d2 r) i), r^2 = 2.
-        a1, b1, c1, d1 = self.re_rat, self.re_sqrt2, self.im_rat, self.im_sqrt2
-        a2, b2, c2, d2 = o.re_rat, o.re_sqrt2, o.im_rat, o.im_sqrt2
-        re_rat = a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2
-        re_s2 = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
-        im_rat = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
-        im_s2 = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-        return ExactScalar(re_rat, re_s2, im_rat, im_s2)
+        return ExactScalar._from_omega(_fold(self._c, o._c), self._d * o._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactScalar":
-        """Complex conjugate."""
-        return ExactScalar(self.re_rat, self.re_sqrt2, -self.im_rat, -self.im_sqrt2)
-
-    def _sqrt2_conjugate(self) -> "ExactScalar":
-        """Galois conjugate sending sqrt(2) to -sqrt(2)."""
-        return ExactScalar(self.re_rat, -self.re_sqrt2, self.im_rat, -self.im_sqrt2)
+        """Complex conjugate, the field map w -> w**7 = 1/w."""
+        return ExactScalar._from_omega(_galois(self._c, 7), self._d)
 
     def inverse(self) -> "ExactScalar":
-        """Multiplicative inverse (ValueError on zero)."""
+        """Multiplicative inverse (ValueError on zero).
+
+        The product of the images of ``x`` under w -> w**3, w**5, w**7,
+        divided by the rational norm ``x`` times that product.
+        """
         if self.is_zero():
             raise ValueError("division by zero ExactScalar")
-        # Multiply by the sqrt(2)-conjugate to land in Q(i), then by the
-        # complex conjugate to land in Q.
-        g = self._sqrt2_conjugate()
-        p = self * g  # in Q(i): re_sqrt2 == im_sqrt2 == 0
-        pc = p.conjugate()
-        n = p * pc  # rational
-        assert n.re_sqrt2 == 0 and n.im_rat == 0 and n.im_sqrt2 == 0
-        inv_n = Fraction(1, 1) / n.re_rat
-        return g * pc * ExactScalar(inv_n)
+        c = self._c
+        adj = _fold(_fold(_galois(c, 3), _galois(c, 5)), _galois(c, 7))
+        norm = _fold(c, adj)[0]  # |x|^2 |x(w -> w^3)|^2 > 0; w^1..w^3 vanish
+        return ExactScalar._from_omega(tuple(self._d * x for x in adj), norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -240,18 +284,11 @@ class ExactScalar:
     # -- predicates / conversions ----------------------------------------
 
     def is_zero(self) -> bool:
-        return (
-            self.re_rat == 0
-            and self.re_sqrt2 == 0
-            and self.im_rat == 0
-            and self.im_sqrt2 == 0
-        )
+        return not any(self._c)
 
     def is_real(self) -> bool:
-        return self.im_rat == 0 and self.im_sqrt2 == 0
-
-    def is_rational(self) -> bool:
-        return self.is_real() and self.re_sqrt2 == 0
+        c = self._c
+        return c[2] == 0 and c[1] + c[3] == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -260,20 +297,18 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (
-            self.re_rat == o.re_rat
-            and self.re_sqrt2 == o.re_sqrt2
-            and self.im_rat == o.im_rat
-            and self.im_sqrt2 == o.im_sqrt2
-        )
+        return self._c == o._c and self._d == o._d
 
     def __hash__(self) -> int:
-        return hash((self.re_rat, self.re_sqrt2, self.im_rat, self.im_sqrt2))
+        return hash((self._c, self._d))
 
     def to_complex(self) -> complex:
+        c0, c1, c2, c3 = self._c
+        den = self._d
+        # w = (1 + i)/sqrt(2), w**3 = (-1 + i)/sqrt(2)
         return complex(
-            float(self.re_rat) + float(self.re_sqrt2) * SQRT2,
-            float(self.im_rat) + float(self.im_sqrt2) * SQRT2,
+            c0 / den + (c1 - c3) / (2 * den) * SQRT2,
+            c2 / den + (c1 + c3) / (2 * den) * SQRT2,
         )
 
     __complex__ = to_complex
@@ -282,24 +317,21 @@ class ExactScalar:
         """Convert a real value to a RadicalNumber (ValueError if imaginary)."""
         if not self.is_real():
             raise ValueError(f"not a real number: {self}")
-        terms: dict[int, Fraction] = {}
-        if self.re_rat:
-            terms[1] = self.re_rat
-        if self.re_sqrt2:
-            terms[2] = self.re_sqrt2
-        return RadicalNumber(terms)
+        return RadicalNumber({1: self.re_rat, 2: self.re_sqrt2})
 
     # -- serialization ----------------------------------------------------
 
     def serialize(self) -> str:
         """Canonical form ``"a/b + c/d*r2 + (e/f + g/h*r2)*i"``."""
 
-        def q(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
+        def q(n: int, d: int) -> str:
+            g = math.gcd(n, d)
+            return f"{n // g}/{d // g}"
 
+        (c0, c1, c2, c3), den = self._c, self._d
         return (
-            f"{q(self.re_rat)} + {q(self.re_sqrt2)}*r2 + "
-            f"({q(self.im_rat)} + {q(self.im_sqrt2)}*r2)*i"
+            f"{q(c0, den)} + {q(c1 - c3, 2 * den)}*r2 + "
+            f"({q(c2, den)} + {q(c1 + c3, 2 * den)}*r2)*i"
         )
 
     _PATTERN = re.compile(
@@ -310,15 +342,10 @@ class ExactScalar:
     @staticmethod
     def deserialize(text: str) -> "ExactScalar":
         m = ExactScalar._PATTERN.match(text)
-        if not m:
+        g = [int(x) for x in m.groups()] if m else []
+        if not m or 0 in g[1::2]:
             raise ValueError(f"malformed ExactScalar literal: {text!r}")
-        g = [int(x) for x in m.groups()]
-        return ExactScalar(
-            Fraction(g[0], g[1]),
-            Fraction(g[2], g[3]),
-            Fraction(g[4], g[5]),
-            Fraction(g[6], g[7]),
-        )
+        return ExactScalar(*(Fraction(n, d) for n, d in zip(g[::2], g[1::2])))
 
     def __repr__(self) -> str:
         return f"ExactScalar({self.serialize()!r})"
@@ -515,7 +542,7 @@ class RadicalNumber:
         out: dict[int, Fraction] = {}
         for raw in text.split("+"):
             m = RadicalNumber._TERM.match(raw)
-            if not m:
+            if not m or re.search(r"/0+$", m.group(1)):
                 raise ValueError(f"malformed RadicalNumber literal: {text!r}")
             q = Fraction(m.group(1))
             s = int(m.group(2)) if m.group(2) else 1

@@ -12,17 +12,15 @@ keys), and a merge re-scores only the pairs of the merged node, so a step
 costs O(deg log E) rather than a rescan of every node and edge.  Two modes:
 
 * ``"exact"`` -- results are numpy object arrays holding
-  :class:`ExactScalar`, bit-for-bit reproducible elements of Q(i)[sqrt(2)].
-  Inside the contraction that field is written as Q(omega) with
-  omega = e^(i pi/4), using sqrt(2) = omega - omega^3 and i = omega^2, so
-  ``a + b*sqrt(2) + (c + d*sqrt(2))*i`` has omega-coefficients
-  ``(a, b + d, c, d - b)``.  Each tensor is four object arrays of Python
-  ints ``A_0..A_3`` (one per power of omega) and one positive int ``D``;
-  an entry is ``sum_k A_k * omega^k / D``.  Because omega^4 = -1, one
-  pairwise contraction is 16 integer tensordots folded onto four powers,
-  after which the gcd of ``D`` and every coefficient is divided out.
-  Python ints do not overflow.  Results become ExactScalar once, at the
-  end of :func:`eval_diagram`.
+  :class:`ExactScalar`, bit-for-bit reproducible elements of Q(omega),
+  omega = e^(i pi/4).  Inside the contraction a tensor is the
+  :attr:`ExactScalar.omega` form spread over arrays: four object arrays of
+  Python ints ``A_0..A_3`` (one per power of omega) and one positive int
+  ``D``, so an entry is ``sum_k A_k * omega^k / D``.  Because
+  omega^4 = -1, one pairwise contraction is 16 integer tensordots folded
+  onto four powers, after which the gcd of ``D`` and every coefficient is
+  divided out.  Python ints do not overflow.  Results become ExactScalar
+  once, at the end of :func:`eval_diagram`.
 * ``"float"`` -- complex128 arrays (needed for irrational phases).
 
 Matrix convention: inputs index columns and outputs index rows; wire 0 is
@@ -91,40 +89,6 @@ def _rank_cap(mode: str, rank_cap: Optional[int]) -> int:
 # (coefficient arrays A_0..A_3, denominator D); see the module docstring.
 _OmegaTensor = tuple[tuple[np.ndarray, ...], int]
 
-_SQRT2 = (0, 1, 0, -1)  # omega - omega^3
-
-
-def _omega_ints(x: ExactScalar) -> tuple[tuple[int, ...], int]:
-    """Integer omega-coefficients of ``x`` over their least common denominator."""
-    p = (x.re_rat, x.re_sqrt2 + x.im_sqrt2, x.im_rat, x.im_sqrt2 - x.re_sqrt2)
-    den = math.lcm(*(q.denominator for q in p))
-    return tuple(q.numerator * (den // q.denominator) for q in p), den
-
-
-def _omega_scalar(x: ExactScalar) -> _OmegaTensor:
-    """``x`` as a rank-0 tensor."""
-    coeffs, den = _omega_ints(x)
-    return tuple(np.array(c, dtype=object) for c in coeffs), den
-
-
-def _omega_mul(p: tuple, q: tuple) -> tuple:
-    """Product of two omega-polynomials modulo omega^4 + 1."""
-    out = [0, 0, 0, 0]
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            if i + j < 4:
-                out[i + j] += a * b
-            else:
-                out[i + j - 4] -= a * b
-    return tuple(out)
-
-
-def _omega_power(k: int) -> tuple:
-    """omega^k, i.e. exp(i * k * pi / 4)."""
-    out = [0, 0, 0, 0]
-    out[k % 4] = -1 if k % 8 >= 4 else 1
-    return tuple(out)
-
 
 def _reduced(coeffs, den: int) -> _OmegaTensor:
     """Divide the gcd of ``den`` and every coefficient out of both."""
@@ -148,25 +112,26 @@ def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
     if data.kind in (Z, X):
         if not phase_is_exact(data.phase):
             raise ValueError(f"phase {data.phase}*pi requires float mode")
-        ph = _omega_power(int(4 * Fraction(data.phase)))
+        ph = ExactScalar.phase_quarter(int(4 * Fraction(data.phase)))
     if data.kind == Z:
         coeffs = [np.zeros(shape, dtype=object) for _ in range(4)]
         coeffs[0][(0,) * degree] += 1
-        for k in range(4):
-            coeffs[k][ones] += ph[k]
+        for k, c in enumerate(ph.omega[0]):
+            coeffs[k][ones] += c
         return tuple(coeffs), 1
     if data.kind == X:
-        # (1/sqrt2)^deg (1 +- e^(i alpha pi)) = sqrt2^deg (1 +- ph) / 2^deg
-        norm = (1, 0, 0, 0)
-        for _ in range(degree):
-            norm = _omega_mul(norm, _SQRT2)
-        even = _omega_mul(norm, (1 + ph[0],) + ph[1:])
-        odd = _omega_mul(norm, (1 - ph[0],) + tuple(-c for c in ph[1:]))
+        # (1/sqrt2)^deg (1 +- e^(i alpha pi)) by parity, over one denominator
+        norm = ExactScalar.inv_sqrt2() ** degree
+        (even, d_even), (odd, d_odd) = (norm * (1 + ph)).omega, (norm * (1 - ph)).omega
+        den = math.lcm(d_even, d_odd)
         odd_parity = np.indices(shape).sum(axis=0) % 2 == 1
-        coeffs = [np.where(odd_parity, odd[k], even[k]).astype(object) for k in range(4)]
-        return _reduced(coeffs, 2 ** degree)
+        coeffs = [
+            np.where(odd_parity, odd[k] * (den // d_odd), even[k] * (den // d_even)).astype(object)
+            for k in range(4)
+        ]
+        return tuple(coeffs), den
     if data.kind == H:
-        label, den = _omega_ints(data.label)
+        label, den = data.label.omega
         coeffs = [np.full(shape, den if k == 0 else 0, dtype=object) for k in range(4)]
         for k in range(4):
             coeffs[k][ones] = label[k]
@@ -203,11 +168,7 @@ def _exact_array(t: _OmegaTensor) -> np.ndarray:
     for n, key in enumerate(zip(*(c.ravel().tolist() for c in coeffs))):
         x = cache.get(key)
         if x is None:
-            p0, p1, p2, p3 = key
-            x = cache[key] = ExactScalar(
-                Fraction(p0, den), Fraction(p1 - p3, 2 * den),
-                Fraction(p2, den), Fraction(p1 + p3, 2 * den),
-            )
+            x = cache[key] = ExactScalar._from_omega(key, den)
         flat[n] = x
     return flat.reshape(coeffs[0].shape)
 
@@ -446,7 +407,9 @@ class _Exact:
 
     @staticmethod
     def finish(t: _OmegaTensor, scalar: ExactScalar) -> np.ndarray:
-        return _exact_array(_omega_tensordot(t, _omega_scalar(scalar), ([], [])))
+        coeffs, den = scalar.omega
+        rank0 = tuple(np.array(c, dtype=object) for c in coeffs), den
+        return _exact_array(_omega_tensordot(t, rank0, ([], [])))
 
 
 class _Float:

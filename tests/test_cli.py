@@ -147,6 +147,19 @@ class TestBuildEval:
         assert code == EXIT_OK
         assert "matrix (4 x 8)" in out
 
+    @pytest.mark.parametrize("field", ["scalar", "label"])
+    def test_eval_zero_denominator_literal_exits_2(self, capsys, tmp_path, field):
+        obj = json.loads(serialize(cswap_gadget()))
+        literal = "1/0 + 0/1*r2 + (0/1 + 0/1*r2)*i"
+        if field == "scalar":
+            obj["scalar"] = literal
+        else:
+            next(v for v in obj["vertices"] if v["kind"] == "H")["label"] = literal
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(obj))
+        err = run_usage_error(capsys, "eval", str(path))
+        assert "malformed ExactScalar literal" in err
+
     def test_build_writes_the_serialized_diagram(self, capsys, tmp_path):
         path = tmp_path / "cs.json"
         run(capsys, "build", "cswap", "--out", str(path))
@@ -229,6 +242,7 @@ class TestVerify:
     @pytest.mark.parametrize("field, value, message", [
         ("spins", ["x"], "invalid spin 'x'"),
         ("expected", "three", "malformed RadicalNumber literal: 'three'"),
+        ("expected", "1/0", "malformed RadicalNumber literal: '1/0'"),
         ("kind", "7j", "unknown case kind '7j'"),
     ])
     def test_malformed_case_exits_2_before_any_case_runs(self, capsys, tmp_path, field, value, message):

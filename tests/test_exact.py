@@ -27,6 +27,133 @@ real_scalars = st.builds(ExactScalar, rationals, rationals)
 exponents = st.integers(-4, 4)
 
 
+class _RefExactScalar:
+    """Frozen reference: ``(a + b*sqrt(2)) + (c + d*sqrt(2))*i`` held as four
+    Fractions, with the textbook product and an inverse through the
+    sqrt(2)- and complex conjugates.  ExactScalar must agree with it on
+    every operation (see TestMatchesReference)."""
+
+    __slots__ = ("re_rat", "re_sqrt2", "im_rat", "im_sqrt2")
+
+    def __init__(self, re_rat=0, re_sqrt2=0, im_rat=0, im_sqrt2=0):
+        self.re_rat = Fraction(re_rat)
+        self.re_sqrt2 = Fraction(re_sqrt2)
+        self.im_rat = Fraction(im_rat)
+        self.im_sqrt2 = Fraction(im_sqrt2)
+
+    def _parts(self):
+        return self.re_rat, self.re_sqrt2, self.im_rat, self.im_sqrt2
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, _RefExactScalar):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return _RefExactScalar(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _RefExactScalar(*(x + y for x, y in zip(self._parts(), o._parts())))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _RefExactScalar(*(-x for x in self._parts()))
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a1, b1, c1, d1 = self._parts()
+        a2, b2, c2, d2 = o._parts()
+        return _RefExactScalar(
+            a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+        )
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        return _RefExactScalar(self.re_rat, self.re_sqrt2, -self.im_rat, -self.im_sqrt2)
+
+    def _sqrt2_conjugate(self):
+        return _RefExactScalar(self.re_rat, -self.re_sqrt2, self.im_rat, -self.im_sqrt2)
+
+    def inverse(self):
+        if self.is_zero():
+            raise ValueError("division by zero ExactScalar")
+        g = self._sqrt2_conjugate()
+        p = self * g  # in Q(i)
+        pc = p.conjugate()
+        n = p * pc  # rational
+        assert n.re_sqrt2 == 0 and n.im_rat == 0 and n.im_sqrt2 == 0
+        return g * pc * _RefExactScalar(1 / n.re_rat)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = _RefExactScalar(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def is_zero(self):
+        return not any(self._parts())
+
+    def is_real(self):
+        return self.im_rat == 0 and self.im_sqrt2 == 0
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._parts() == o._parts()
+
+    def to_complex(self):
+        return complex(
+            float(self.re_rat) + float(self.re_sqrt2) * math.sqrt(2.0),
+            float(self.im_rat) + float(self.im_sqrt2) * math.sqrt(2.0),
+        )
+
+    def to_radical(self):
+        if not self.is_real():
+            raise ValueError(f"not a real number: {self.serialize()}")
+        return RadicalNumber({1: self.re_rat, 2: self.re_sqrt2})
+
+    def serialize(self):
+        a, b, c, d = (f"{q.numerator}/{q.denominator}" for q in self._parts())
+        return f"{a} + {b}*r2 + ({c} + {d}*r2)*i"
+
+
 def rand_scalar(rng):
     return ExactScalar(
         Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
@@ -162,6 +289,66 @@ class TestExactScalarProperties:
         assert (a * b).to_radical() == ra * rb
         r = RadicalNumber({1: ra.terms.get(1, 0), 2: ra.terms.get(2, 0)})
         assert r.to_exact_scalar().to_radical() == r
+
+
+parts = st.tuples(rationals, rationals, rationals, rationals)
+
+
+@st.composite
+def scalar_parts(draw):
+    """Four rationals, the imaginary pair zeroed in about half the draws."""
+    a, b, c, d = draw(parts)
+    return (a, b, 0, 0) if draw(st.booleans()) else (a, b, c, d)
+
+
+class TestMatchesReference:
+    """ExactScalar pinned to _RefExactScalar by serialize text."""
+
+    @PROPERTIES
+    @given(scalar_parts(), scalar_parts(), st.integers(-6, 6), rationals, st.integers(-4, 4))
+    def test_every_operation(self, p, q, k, r, n):
+        x, y, ref_x, ref_y = ExactScalar(*p), ExactScalar(*q), _RefExactScalar(*p), _RefExactScalar(*q)
+
+        def same(new, ref):
+            assert new.serialize() == ref.serialize()
+
+        same(x, ref_x)
+        assert (x.re_rat, x.re_sqrt2, x.im_rat, x.im_sqrt2) == ref_x._parts()
+        same(ExactScalar.deserialize(ref_x.serialize()), ref_x)
+        same(x + y, ref_x + ref_y)
+        same(x - y, ref_x - ref_y)
+        same(-x, -ref_x)
+        same(x * y, ref_x * ref_y)
+        same(x.conjugate(), ref_x.conjugate())
+        assert (x == y) == (ref_x == ref_y)
+        assert x.is_zero() == ref_x.is_zero() and x.is_real() == ref_x.is_real()
+        assert x.to_complex() == ref_x.to_complex()
+        if ref_x.is_real():
+            assert x.to_radical().serialize() == ref_x.to_radical().serialize()
+        else:
+            with pytest.raises(ValueError):
+                x.to_radical()
+        for c in (k, r):
+            same(x + c, ref_x + c)
+            same(c + x, c + ref_x)
+            same(x - c, ref_x - c)
+            same(c - x, c - ref_x)
+            same(x * c, ref_x * c)
+            same(c * x, c * ref_x)
+            assert (x == c) == (ref_x == c)
+            if c:
+                same(x / c, ref_x / c)
+        if not ref_y.is_zero():
+            same(y.inverse(), ref_y.inverse())
+            same(x / y, ref_x / ref_y)
+            same(k / y, k / ref_y)
+            same(r / y, r / ref_y)
+            same(y ** n, ref_y ** n)
+        else:
+            with pytest.raises(ValueError):
+                y.inverse()
+        if n >= 0:
+            same(x ** n, ref_x ** n)
 
 
 class TestRadicalNumber:

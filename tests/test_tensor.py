@@ -18,8 +18,6 @@ from spinnet.tensor import (
     RankCapExceeded,
     _node_skeleton,
     _exact_array,
-    _omega_ints,
-    _omega_scalar,
     _omega_tensordot,
     _split_spiders,
     eval_diagram,
@@ -223,20 +221,27 @@ class TestPlugBasis:
             plug_basis(d, {z: 0})
 
 
+def rank0(x: ExactScalar):
+    """``x`` as a rank-0 tensor of the exact backend."""
+    coeffs, den = x.omega
+    return tuple(np.array(c, dtype=object) for c in coeffs), den
+
+
 class TestOmegaCoefficients:
     """The exact backend's Z[omega] form against ExactScalar arithmetic."""
 
     @PROPERTIES
-    @given(exact_scalars)
-    def test_round_trip(self, x):
-        coeffs, den = _omega_ints(x)
+    @given(exact_scalars, st.integers(1, 12))
+    def test_round_trip(self, x, k):
+        coeffs, den = x.omega
         assert den > 0 and math.gcd(den, *coeffs) == 1
-        assert _exact_array(_omega_scalar(x)).item() == x
+        assert ExactScalar._from_omega(tuple(k * c for c in coeffs), k * den).omega == x.omega
+        assert _exact_array(rank0(x)).item() == x
 
     @PROPERTIES
     @given(exact_scalars, exact_scalars)
     def test_product_matches_exact_scalar(self, x, y):
-        prod = _omega_tensordot(_omega_scalar(x), _omega_scalar(y), ([], []))
+        prod = _omega_tensordot(rank0(x), rank0(y), ([], []))
         assert _exact_array(prod).item() == x * y
 
     @PROPERTIES
