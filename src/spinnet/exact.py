@@ -246,7 +246,7 @@ class ExactScalar:
         """Multiplicative inverse (ValueError on zero).
 
         The product of the images of ``x`` under w -> w**3, w**5, w**7,
-        divided by the rational norm ``x`` times that product.
+        divided by the norm: ``x`` times that product, a positive rational.
         """
         if self.is_zero():
             raise ValueError("division by zero ExactScalar")
@@ -317,7 +317,13 @@ class ExactScalar:
         """Convert a real value to a RadicalNumber (ValueError if imaginary)."""
         if not self.is_real():
             raise ValueError(f"not a real number: {self}")
-        return RadicalNumber({1: self.re_rat, 2: self.re_sqrt2})
+        c0, c1, _, c3 = self._c
+        terms: dict[int, Fraction] = {}
+        if c0:
+            terms[1] = self.re_rat
+        if c1 != c3:
+            terms[2] = self.re_sqrt2
+        return RadicalNumber(terms)
 
     # -- serialization ----------------------------------------------------
 
