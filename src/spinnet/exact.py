@@ -199,9 +199,7 @@ class ExactScalar:
     def _coerce(other) -> "ExactScalar | None":
         if isinstance(other, ExactScalar):
             return other
-        if isinstance(other, int):
-            return ExactScalar._from_omega((other, 0, 0, 0), 1)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return ExactScalar._from_omega((other.numerator, 0, 0, 0), other.denominator)
         return None
 
