@@ -335,6 +335,8 @@ def from_json_dict(obj: dict) -> Diagram:
             p = entry.get("phase", {"num": 0, "den": 1})
             if "float" in p:
                 phase = float(p["float"])
+            elif p["den"] == 0:
+                raise ValueError(f"phase {p!r} has a zero denominator")
             else:
                 phase = Fraction(p["num"], p["den"])
         elif kind == H:

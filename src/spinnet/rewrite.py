@@ -72,7 +72,6 @@ __all__ = [
     "check_rule_soundness",
     "derived_scalar_table",
     "DEFAULT_SIMPLIFY_RULES",
-    "FULL_SIMPLIFY_RULES",
 ]
 
 _PI = Fraction(1)
@@ -912,17 +911,6 @@ RULES: dict[str, RewriteRule] = {
 }
 
 DEFAULT_SIMPLIFY_RULES = ("fuse", "remove-wire", "identity", "hh-cancel")
-FULL_SIMPLIFY_RULES = (
-    "fuse",
-    "remove-wire",
-    "identity",
-    "hh-cancel",
-    "absorb",
-    "explode",
-    "copy",
-    "hopf",
-    "pi-copy",
-)
 
 
 def _rule(name: str) -> RewriteRule:

@@ -19,6 +19,17 @@ Builders return raw diagrams whose exact evaluation matches the
 unnormalised diagrammatic value, together with a :class:`CorrectionFactor`
 (products of lambda_n bundle normalisations, 1/N vertex normalisations and
 basis-plug norms) that rescales raw values to Wigner-symbol conventions.
+
+Every open leg of a vertex ends in a symmetriser, so its spin basis is the
+Dicke basis |j m> = |D_k> / sqrt(C(2j, k)), k = j - m ones.  One helper,
+:func:`_dicke_basis`, gives the weight class of each bit string and the
+class amplitudes; both spin-basis steps go through it:
+
+* :func:`plug_vertex_arguments` plugs |j m> as one product state with k
+  ones, which is exact behind the symmetriser (<D_k| = C(2j, k) <b| there),
+  with plug norm sqrt(C(2j, k) / 2^(2j));
+* :func:`project_to_spin_basis` sums the qubit-matrix entries of each
+  (row class, column class) pair and scales the sum by the amplitudes.
 """
 
 from __future__ import annotations
@@ -35,10 +46,9 @@ from .exact import (
     HalfInteger,
     RadicalNumber,
     factorial,
-    half_integer_range,
     sqrt_rational,
 )
-from .graph import B, Diagram, X, Z
+from .graph import Diagram, X, Z
 from .tensor import eval_diagram, plug_basis
 from .wigner import SpinLike, _hi, triangle_ok
 
@@ -62,7 +72,6 @@ __all__ = [
     "network_6j",
     "theta_network",
     "loop_network",
-    "plug_leg_state",
     "plug_vertex_arguments",
     "exact_matrix",
     "project_to_spin_basis",
@@ -190,23 +199,32 @@ def binor_N(j1: SpinLike, j2: SpinLike, j3: SpinLike) -> RadicalNumber:
     return sqrt_rational(Fraction(num, den))
 
 
+def _dicke_basis(spins: Sequence[SpinLike]) -> tuple[list[int], list[RadicalNumber]]:
+    """The Dicke weight classes of a run of legs (see the module docstring).
+
+    Returns the class of every bit string over the legs' wires (wire 0 most
+    significant), which is its spin-basis index: legs in order, each leg
+    counting k = 0 .. 2j ones (m = j .. -j).  Also returns the amplitude
+    prod 1/sqrt(C(2j, k)) of every class; |D_k> sums the weight-k strings.
+    """
+    classes, amps = [0], [RadicalNumber.one()]
+    for j in spins:
+        n = _hi(j).twice
+        leg = [sqrt_rational(Fraction(1, math.comb(n, k))) for k in range(n + 1)]
+        classes = [c * (n + 1) + bin(bits).count("1") for c in classes for bits in range(2 ** n)]
+        amps = [a * b for a in amps for b in leg]
+    return classes, amps
+
+
 def symmetric_isometry(j: SpinLike) -> list[list[RadicalNumber]]:
     """The (2j+1) x 2^(2j) isometry from qubit wires to the spin-j space.
 
     Rows are labelled m = j .. -j (decreasing); the entry at a bit string
     with j-m ones is sqrt((j+m)!(j-m)!/(2j)!); |1/2, +1/2> is |0>.
     """
-    tj = _hi(j).twice
-    n = tj  # number of qubit wires
-    rows = []
-    for m in half_integer_range(_hi(j)):
-        k = (tj - m.twice) // 2  # number of ones
-        amp = sqrt_rational(Fraction(factorial((tj + m.twice) // 2) * factorial(k), factorial(tj)))
-        row = []
-        for bits in range(2 ** n):
-            row.append(amp if bin(bits).count("1") == k else RadicalNumber.zero())
-        rows.append(row)
-    return rows
+    classes, amps = _dicke_basis([j])
+    zero = RadicalNumber.zero()
+    return [[amp if c == k else zero for c in classes] for k, amp in enumerate(amps)]
 
 
 # -- in-place construction helpers ---------------------------------------
@@ -445,30 +463,20 @@ def _connect_internal_edge(d: Diagram, tail_ports: list[int], head_ports: list[i
 
 
 def vertex_3jm(spec: VertexSpec) -> tuple[Diagram, CorrectionFactor]:
-    """Diagram for a 3-valent intertwiner vertex.
+    """Diagram for a 3-valent intertwiner vertex: one network node whose
+    three legs are all open.
 
     Boundary wires: 2j per leg; ingoing legs contribute inputs, outgoing
     legs outputs, both in leg order.  The corrected spin-basis matrix
-    (raw evaluation, projected with :func:`symmetric_isometry` and scaled
-    by the correction value) equals the 3jm matrix of
+    (:func:`corrected_spin_matrix`) equals the 3jm matrix of
     :func:`spinnet.wigner.yutsis_matrix_3`.
     """
-    js = [_hi(j) for j in spec.spins]
-    d = Diagram()
-    leg_ports = _add_vertex_core(d, js)
-    ins: list[int] = []
-    outs: list[int] = []
-    for k, (ports, o) in enumerate(zip(leg_ports, spec.orientation)):
-        bounds = _finish_open_leg(d, ports, ingoing=(o == "i"))
-        (ins if o == "i" else outs).extend(bounds)
-    d.inputs = ins
-    d.outputs = outs
-    d.mul_scalar(ExactScalar(_vertex_sign(js)))
-    corr = CorrectionFactor()
-    for j in js:
-        corr.times_lambda(j, f"lambda({j})")
-    corr.times_inv_norm(*js)
-    return d, corr
+    legs = zip(spec.spins, spec.orientation)
+    return assemble_network(NetworkSpec(
+        nodes=[NodeSpec(spec.spins)],
+        edges=[],
+        open_legs=[OpenLegSpec(0, k, j, o) for k, (j, o) in enumerate(legs)],
+    ))
 
 
 def vertex_4jm(
@@ -613,51 +621,27 @@ def loop_network(j: SpinLike) -> tuple[Diagram, CorrectionFactor]:
 # -- basis plugs ----------------------------------------------------------
 
 
-def plug_leg_state(
-    d: Diagram,
-    boundaries: Sequence[int],
-    j: SpinLike,
-    m: SpinLike,
-    corr: Optional[CorrectionFactor] = None,
+def _plug_leg(
+    d: Diagram, boundaries: Sequence[int], j: SpinLike, m: SpinLike, corr: CorrectionFactor
 ) -> Diagram:
-    """Plug the spin state |j m> into a leg's 2j boundary wires.
+    """Plug |j m> into a leg's 2j boundary wires, which end in a symmetriser.
 
-    Supported: extremal m = +-j (product basis plugs) and the j=1, m=0
-    symmetric state.  The plug norm (one 1/sqrt(2) per sqrt(2) of
-    unnormalised plug amplitude) is recorded on ``corr`` when given.
+    On the symmetric subspace <D_k| = C(2j, k) <b| for any bit string b of
+    weight k = j - m, so the leg takes one product state b.  plug_basis
+    plugs sqrt(2)^(2j) <b|, hence the plug norm sqrt(C(2j, k) / 2^(2j)).
     """
     jh, mh = _hi(j), _hi(m)
-    if len(boundaries) != jh.twice:
-        raise ValueError(f"leg of spin {jh} needs {jh.twice} wires")
-    norm = RadicalNumber.one()
-    if mh.twice == jh.twice:
-        out = plug_basis(d, {b: 0 for b in boundaries})
-        norm = sqrt_rational(Fraction(1, 2)) ** jh.twice
-    elif mh.twice == -jh.twice:
-        out = plug_basis(d, {b: 1 for b in boundaries})
-        norm = sqrt_rational(Fraction(1, 2)) ** jh.twice
-    elif jh.twice == 2 and mh.twice == 0:
-        out = d.copy()
-        xs = out.add_x(_PI)
-        for b in boundaries:
-            if out.vertices[b].kind != B:
-                raise ValueError(f"vertex {b} is not a boundary")
-            (edge_idx, other) = next(
-                (i, bb if aa == b else aa)
-                for i, (aa, bb) in enumerate(out.edges)
-                if aa == b or bb == b
-            )
-            del out.edges[edge_idx]
-            out.add_edge(other, xs)
-            del out.vertices[b]
-            out.inputs = [w for w in out.inputs if w != b]
-            out.outputs = [w for w in out.outputs if w != b]
-        norm = sqrt_rational(Fraction(1, 2))
-    else:
-        raise NotImplementedError(f"no plug gadget for |{jh} {mh}>")
-    if corr is not None:
-        corr.plug_norm = corr.plug_norm * norm
-        corr.notes.append(f"plug |{jh},{mh}>")
+    n = jh.twice
+    if len(boundaries) != n:
+        raise ValueError(f"leg of spin {jh} needs {n} wires")
+    if abs(mh.twice) > n or (n + mh.twice) % 2:
+        raise ValueError(f"m={mh} is not a magnetic index for j={jh}")
+    k = (n - mh.twice) // 2
+    classes, amps = _dicke_basis([jh])
+    b = classes.index(k)  # the first bit string of weight k
+    out = plug_basis(d, {w: (b >> (n - 1 - i)) & 1 for i, w in enumerate(boundaries)})
+    corr.plug_norm = corr.plug_norm * sqrt_rational(Fraction(1, 2 ** n)) / amps[k]
+    corr.notes.append(f"plug |{jh},{mh}>")
     return out
 
 
@@ -670,48 +654,28 @@ def exact_matrix(d: Diagram) -> list[list[RadicalNumber]]:
     return [[x.to_radical() for x in row] for row in m]
 
 
-def _kron_isometry(spins: Sequence[HalfInteger]) -> list[list[RadicalNumber]]:
-    mat = [[RadicalNumber.one()]]
-    for j in spins:
-        p = symmetric_isometry(j)
-        mat = [
-            [a * b for a in row1 for b in row2]
-            for row1 in mat
-            for row2 in p
-        ]
-    return mat
-
-
 def project_to_spin_basis(
-    qubit_matrix: Sequence[Sequence[RadicalNumber]],
+    qubit_matrix: Sequence[Sequence],
     in_spins: Sequence[SpinLike],
     out_spins: Sequence[SpinLike],
 ) -> list[list[RadicalNumber]]:
-    """Conjugate a qubit-wire matrix with symmetric isometries:
-    P_out . M . P_in^T, giving the spin-basis matrix."""
-    p_in = _kron_isometry([_hi(j) for j in in_spins])
-    p_out = _kron_isometry([_hi(j) for j in out_spins])
-    rows_q = len(qubit_matrix)
-    cols_q = len(qubit_matrix[0]) if rows_q else 0
-    if len(p_out[0]) != rows_q or len(p_in[0]) != cols_q:
+    """The spin-basis matrix P_out . M . P_in^T of a qubit-wire matrix with
+    real entries (RadicalNumber or ExactScalar).
+
+    The isometries P are Dicke weight classes (see :func:`_dicke_basis`),
+    so each spin entry is the sum of the qubit entries in its (row class,
+    column class) pair, times the product of the two class amplitudes.
+    """
+    row_class, row_amp = _dicke_basis(out_spins)
+    col_class, col_amp = _dicke_basis(in_spins)
+    if len(qubit_matrix) != len(row_class) or any(len(row) != len(col_class) for row in qubit_matrix):
         raise ValueError("isometry dimensions do not match the matrix")
-    out = []
-    for r in range(len(p_out)):
-        row = []
-        for c in range(len(p_in)):
-            acc = RadicalNumber.zero()
-            for a in range(rows_q):
-                pa = p_out[r][a]
-                if pa.is_zero():
-                    continue
-                for b in range(cols_q):
-                    pb = p_in[c][b]
-                    if pb.is_zero() or qubit_matrix[a][b].is_zero():
-                        continue
-                    acc = acc + pa * qubit_matrix[a][b] * pb
-            row.append(acc)
-        out.append(row)
-    return out
+    sums: list[list] = [[None] * len(col_amp) for _ in row_amp]
+    for r, row in zip(row_class, qubit_matrix):
+        acc = sums[r]
+        for c, x in zip(col_class, row):
+            acc[c] = x if acc[c] is None else acc[c] + x
+    return [[ra * ca * x for ca, x in zip(col_amp, acc)] for ra, acc in zip(row_amp, sums)]
 
 
 def plug_vertex_arguments(
@@ -726,16 +690,19 @@ def plug_vertex_arguments(
     An ingoing leg with argument m receives the dual state |j, -m>, an
     outgoing leg receives |j, m>; the closed diagram's corrected value is
     then the symbol at (m1, ..., mk).  Plug norms accumulate on ``corr``.
+    Every open leg of a diagram from :func:`assemble_network` (and so of
+    :func:`vertex_3jm` and :func:`vertex_4jm`) ends in a symmetriser, which
+    makes the one-product-state plug of each leg exact.
     """
     ins, outs = list(d.inputs), list(d.outputs)
     for j, m, o in zip(spins, ms, orientation):
         tw = _hi(j).twice
         if o == "i":
             bounds, ins = ins[:tw], ins[tw:]
-            d = plug_leg_state(d, bounds, j, -_hi(m), corr)
+            d = _plug_leg(d, bounds, j, -_hi(m), corr)
         else:
             bounds, outs = outs[:tw], outs[tw:]
-            d = plug_leg_state(d, bounds, j, m, corr)
+            d = _plug_leg(d, bounds, j, m, corr)
     if ins or outs:
         raise ValueError("leg spins do not cover all boundary wires")
     return d
@@ -747,10 +714,10 @@ def corrected_spin_matrix(
     in_spins: Sequence[SpinLike],
     out_spins: Sequence[SpinLike],
 ) -> list[list[RadicalNumber]]:
-    """Exact spin-basis matrix of a vertex diagram: the qubit-wire matrix
-    conjugated with symmetric isometries and scaled by the correction.
+    """Exact spin-basis matrix of a vertex diagram: the exact qubit-wire
+    matrix projected onto the spin basis and scaled by the correction.
     Matches :func:`spinnet.wigner.yutsis_matrix_3` / ``yutsis_matrix_4``."""
-    q = exact_matrix(d)
+    q = eval_diagram(d, mode="exact").to_matrix()
     m = project_to_spin_basis(q, in_spins, out_spins)
     c = corr.value
     return [[c * x for x in row] for row in m]

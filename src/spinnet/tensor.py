@@ -290,7 +290,8 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     keys); the merged node takes the smaller key.  When no two nodes share
     an edge, the smallest key is merged with the node of least rank (ties:
     smallest key) as an outer product.  Raises :class:`RankCapExceeded` if
-    the peak rank exceeds the cap.
+    the peak rank exceeds the cap, or the port count of a node does with its
+    self-loops (the rank at which :func:`eval_diagram` builds its tensor).
 
     The search is incremental: every connected pair sits in a heap keyed by
     its score, stale entries are dropped when popped, and a merge re-scores
@@ -301,7 +302,9 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     rank: dict[int, int] = {}
     nbr: dict[int, dict[int, int]] = {}  # node -> {neighbour: shared edges}
     owner: dict[int, int] = {}  # edge index -> first node seen holding it
+    widest = 0  # eval_diagram builds each vertex tensor before it traces out self-loops
     for k, ports in _node_skeleton(_split_spiders(d)).items():
+        widest = max(widest, len(ports))
         rank[k] = len(ports)
         nbr[k] = {}
         for kind, i in ports:
@@ -321,12 +324,10 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
 
     heap = [score(a, b) for a in nbr for b in nbr[a] if a < b]
     heapq.heapify(heap)
+    if widest > cap:
+        raise RankCapExceeded(f"initial vertex rank {widest} exceeds cap {cap}")
     plan = ContractionPlan()
     plan.peak_rank = max(rank.values(), default=0)
-    if plan.peak_rank > cap:
-        raise RankCapExceeded(
-            f"initial vertex rank {plan.peak_rank} exceeds cap {cap}"
-        )
     while len(rank) > 1:
         while heap:
             best = heapq.heappop(heap)

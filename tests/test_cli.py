@@ -160,6 +160,13 @@ class TestBuildEval:
         err = run_usage_error(capsys, "eval", str(path))
         assert "malformed ExactScalar literal" in err
 
+    def test_eval_zero_phase_denominator_exits_2(self, capsys, tmp_path):
+        obj = json.loads(serialize(cswap_gadget()))
+        next(v for v in obj["vertices"] if v["kind"] == "Z")["phase"] = {"num": 1, "den": 0}
+        path = tmp_path / "zero_phase.json"
+        path.write_text(json.dumps(obj))
+        assert "zero denominator" in run_usage_error(capsys, "eval", str(path))
+
     def test_build_writes_the_serialized_diagram(self, capsys, tmp_path):
         path = tmp_path / "cs.json"
         run(capsys, "build", "cswap", "--out", str(path))

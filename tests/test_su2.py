@@ -2,12 +2,13 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, sqrt_rational
+from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, half_integer_range, sqrt_rational
 from spinnet.graph import Diagram
 from spinnet.su2 import (
     NetworkSpec,
@@ -26,8 +27,8 @@ from spinnet.su2 import (
     lambda_n,
     loop_network,
     network_6j,
-    plug_leg_state,
     plug_vertex_arguments,
+    project_to_spin_basis,
     symmetric_isometry,
     symmetriser,
     theta_network,
@@ -39,6 +40,7 @@ from spinnet.tensor import eval_diagram, to_matrix
 from spinnet.wigner import (
     invariant_loop,
     invariant_theta,
+    triangle_ok,
     w3jm,
     w4jm,
     w6j,
@@ -156,8 +158,6 @@ class TestLinkAndIsometry:
         assert m[0, 1] == m[1, 0] == ExactScalar.zero()
 
     def test_link_spin_one_spin_basis(self):
-        from spinnet.su2 import project_to_spin_basis
-
         q = exact_matrix(yutsis_link(1))
         s = project_to_spin_basis(q, [1], [1])
         for r in range(3):
@@ -228,6 +228,94 @@ class TestVertices:
         d = plug_vertex_arguments(d, corr, spins, ms, "iioo")
         raw = eval_diagram(d).scalar_value().to_radical()
         assert raw * corr.value == w4jm(*spins, *ms, j)
+
+    @pytest.mark.parametrize(
+        "spins,j,ms",
+        [
+            ((1, 1, 1, 1), 1, (0, 0, 0, 0)),
+            ((1, 1, 1, 1), 2, (1, 0, -1, 0)),
+            ((Fraction(3, 2), H, 1, 1), 1, (H, H, 0, -1)),
+            ((Fraction(3, 2), Fraction(3, 2), 1, 0), 1, (-H, H, 0, 0)),
+        ],
+    )
+    def test_plugged_4jm_value_non_extremal(self, spins, j, ms):
+        d, corr = vertex_4jm(spins, j, "iioo")
+        d = plug_vertex_arguments(d, corr, spins, ms, "iioo")
+        raw = eval_diagram(d).scalar_value().to_radical()
+        assert raw * corr.value == w4jm(*spins, *ms, j)
+
+    @pytest.mark.parametrize("orient", ["iio", "ioo"])
+    def test_plugged_3jm_every_m_spins_up_to_one(self, orient):
+        spins = [HalfInteger.from_twice(t) for t in range(3)]
+        checked = 0
+        for js in product(spins, repeat=3):
+            if not triangle_ok(*js):
+                continue
+            for ms in product(*(half_integer_range(j) for j in js)):
+                d, corr = vertex_3jm(VertexSpec(js, orient))
+                d = plug_vertex_arguments(d, corr, js, ms, orient)
+                raw = eval_diagram(d).scalar_value().to_radical()
+                assert raw * corr.value == w3jm(*js, *ms), (js, ms)
+                checked += 1
+        assert checked == 103
+
+    def test_plug_rejects_a_non_magnetic_index(self):
+        d, corr = vertex_3jm(VertexSpec((1, 1, 1), "iio"))
+        with pytest.raises(ValueError, match="not a magnetic index"):
+            plug_vertex_arguments(d, corr, (1, 1, 1), (1, H, 0), "iio")
+
+
+def _ref_project_to_spin_basis(qubit_matrix, in_spins, out_spins):
+    """The dense route: P_out . M . P_in^T with Kronecker products of
+    :func:`symmetric_isometry`, over RadicalNumber entries."""
+
+    def kron_isometry(spins):
+        mat = [[RadicalNumber.one()]]
+        for j in spins:
+            p = symmetric_isometry(j)
+            mat = [[a * b for a in row1 for b in row2] for row1 in mat for row2 in p]
+        return mat
+
+    p_in, p_out = kron_isometry(in_spins), kron_isometry(out_spins)
+    out = []
+    for pr in p_out:
+        row = []
+        for pc in p_in:
+            acc = RadicalNumber.zero()
+            for a, pa in enumerate(pr):
+                for b, pb in enumerate(pc):
+                    if pa and pb:
+                        acc = acc + pa * qubit_matrix[a][b] * pb
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def leg_spins(draw):
+    """Leg spins of one side, at most 4 wires in all (spin-0 legs included)."""
+    spins, wires = [], 0
+    for _ in range(draw(st.integers(0, 3))):
+        twice = draw(st.integers(0, 4 - wires))
+        spins.append(HalfInteger.from_twice(twice))
+        wires += twice
+    return spins
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(leg_spins(), leg_spins(), st.data())
+def test_project_to_spin_basis_matches_dense_route(in_spins, out_spins, data):
+    rows = 2 ** sum(j.twice for j in out_spins)
+    cols = 2 ** sum(j.twice for j in in_spins)
+    n = 2 * rows * cols
+    ints = data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    # Real entries a/3 + b/2 * sqrt(2).
+    entries = [ExactScalar(Fraction(a, 3), Fraction(b, 2)) for a, b in zip(ints[::2], ints[1::2])]
+    exact = np.array(entries, dtype=object).reshape(rows, cols)
+    radical = [[x.to_radical() for x in row] for row in exact]
+    want = _ref_project_to_spin_basis(radical, in_spins, out_spins)
+    assert project_to_spin_basis(exact, in_spins, out_spins) == want
+    assert project_to_spin_basis(radical, in_spins, out_spins) == want
 
 
 class TestNetworks:

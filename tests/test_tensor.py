@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinnet import tensor
 from spinnet.exact import ExactScalar, HalfInteger
 from spinnet.graph import Diagram, VertexData, H, X, Z, make_spider, serialize
 from spinnet.rewrite import DEFAULT_SIMPLIFY_RULES, simplify
@@ -91,6 +92,25 @@ class TestPlanner:
             plan_contraction(d, rank_cap=5)
         plan = plan_contraction(d, rank_cap=6)
         assert plan.peak_rank <= 6
+
+    def test_rank_cap_counts_self_loops(self, monkeypatch):
+        # eval_diagram builds a vertex tensor before tracing its self-loops,
+        # so an H-box with 5 self-loops and one wire needs rank 11, not 1.
+        d = Diagram()
+        h = d.add_h()
+        for _ in range(5):
+            d.add_edge(h, h)
+        d.add_edge(h, d.add_output())
+        with pytest.raises(RankCapExceeded, match="initial vertex rank 11 exceeds cap 4"):
+            plan_contraction(d, rank_cap=4)
+
+        def no_tensor(*args):
+            raise AssertionError("vertex tensor built over the cap")
+
+        monkeypatch.setattr(tensor._Exact, "vertex", staticmethod(no_tensor))
+        with pytest.raises(RankCapExceeded):
+            eval_diagram(d, rank_cap=4)
+        assert plan_contraction(d, rank_cap=11).peak_rank == 1
 
     def test_env_rank_cap(self, monkeypatch):
         d = Diagram()
@@ -290,6 +310,9 @@ def reference_plan(d: Diagram, cap: int) -> ContractionPlan:
     Kept only to pin ``plan_contraction`` to the same plans and errors.
     """
     nodes = {k: list(ports) for k, ports in _node_skeleton(d).items()}
+    widest = max((len(p) for p in nodes.values()), default=0)  # self-loops included
+    if widest > cap:
+        raise RankCapExceeded(f"initial vertex rank {widest} exceeds cap {cap}")
     for k, ports in nodes.items():
         seen: dict[tuple, int] = {}
         for p in list(ports):
@@ -300,10 +323,6 @@ def reference_plan(d: Diagram, cap: int) -> ContractionPlan:
                 nodes[k] = [q for q in nodes[k] if q != p]
     plan = ContractionPlan()
     plan.peak_rank = max((len(p) for p in nodes.values()), default=0)
-    if plan.peak_rank > cap:
-        raise RankCapExceeded(
-            f"initial vertex rank {plan.peak_rank} exceeds cap {cap}"
-        )
     while len(nodes) > 1:
         best = None
         keys = sorted(nodes)
