@@ -13,7 +13,9 @@ Subcommands:
   independent oracle.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
-3 rank cap exceeded.
+3 rank cap exceeded.  Spins, triads, magnetic indices and orientations are
+checked before anything is built, and ``verify`` checks every case before
+it runs any, so bad input exits 2 and is never a failed case.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import re
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact import ExactScalar, HalfInteger, RadicalNumber
+from .exact import HalfInteger, RadicalNumber
 from .graph import Diagram, deserialize, serialize, to_dot
 from .rewrite import DEFAULT_SIMPLIFY_RULES, simplify
 from .tensor import RankCapExceeded, _rank_cap, eval_diagram, plan_contraction, plug_basis
@@ -74,57 +76,127 @@ def _spin(text: str) -> HalfInteger:
         raise CliError(f"invalid spin {text!r}: {exc}") from None
 
 
-def _spins(texts: Sequence[str]) -> list[HalfInteger]:
-    return [_spin(t) for t in texts]
+def _spin_list(value, count: int) -> list[HalfInteger]:
+    if not isinstance(value, list) or len(value) != count:
+        raise CliError(f"expected a list of {count} spins, got {value!r}")
+    return [_spin(t) for t in value]
 
 
-def _check_triads(kind: str, spins: Sequence[HalfInteger], j: Optional[HalfInteger] = None) -> None:
-    """Raises CliError unless every spin triad of a 3jm, 4jm (channel spin
-    ``j``), 6j or theta satisfies the triangle rule."""
-    if kind in ("3jm", "theta"):
-        triads = [tuple(spins)]
-    elif kind == "4jm":
-        j1, j2, j3, j4 = spins
-        triads = [(j1, j2, j), (j, j3, j4)]
-    elif kind == "6j":
-        j1, j2, j3, j4, j5, j6 = spins
-        triads = [(j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j3, j4, j5)]
-    else:
-        triads = []
-    for t in triads:
+# -- recoupling objects ---------------------------------------------------
+
+
+class _Args(NamedTuple):
+    """Checked arguments of one recoupling object (see :func:`_parse_args`)."""
+
+    kind: str
+    spins: tuple[HalfInteger, ...]
+    ms: Optional[tuple[HalfInteger, ...]]  # symbol arguments, or None
+    j: Optional[HalfInteger]  # channel spin of a 4jm
+    orient: Optional[str]  # None for a closed network
+
+
+class _Symbol(NamedTuple):
+    """What the CLI knows about one recoupling object.  The callables look
+    up the builders and oracles imported here when they run."""
+
+    legs: int  # spins, one per open leg or network edge
+    orientation: Optional[str]  # default orientation; None when closed
+    triads: Callable[[list, Optional[HalfInteger]], list]
+    build: Callable[[_Args], tuple[Diagram, CorrectionFactor]]
+    oracle: Callable[[_Args], RadicalNumber]
+    matrix: Optional[Callable[[_Args], list[list[RadicalNumber]]]] = None
+    channel: bool = False
+
+
+_SYMBOLS = {
+    "3jm": _Symbol(
+        3, "iio", lambda s, j: [s],
+        lambda a: vertex_3jm(VertexSpec(a.spins, a.orient)),
+        lambda a: w3jm(*a.spins, *a.ms),
+        lambda a: yutsis_matrix_3(a.spins, a.orient)),
+    "4jm": _Symbol(
+        4, "iioo", lambda s, j: [(s[0], s[1], j), (j, s[2], s[3])],
+        lambda a: vertex_4jm(a.spins, a.j, a.orient),
+        lambda a: w4jm(*a.spins, *a.ms, a.j),
+        lambda a: yutsis_matrix_4(a.spins, a.j, a.orient), channel=True),
+    "6j": _Symbol(
+        6, None, lambda s, j: [s[0:3], (s[0], s[4], s[5]), (s[3], s[1], s[5]), s[2:5]],
+        lambda a: network_6j(*a.spins),
+        lambda a: w6j(*a.spins)),
+    "theta": _Symbol(
+        3, None, lambda s, j: [s],
+        lambda a: theta_network(*a.spins),
+        lambda a: invariant_theta(*a.spins)),
+    "loop": _Symbol(
+        1, None, lambda s, j: [],
+        lambda a: loop_network(*a.spins),
+        lambda a: invariant_loop(*a.spins)),
+}
+
+
+def _parse_args(kind: str, fields: dict, with_ms: bool) -> _Args:
+    """Checks the ``spins``, channel spin ``j``, ``orientation`` and, if
+    ``with_ms`` and the object is open, the ``ms`` of a recoupling object.
+
+    Raises CliError on bad input and KeyError for a missing field.
+    """
+    sym = _SYMBOLS[kind]
+    spins = _spin_list(fields["spins"], sym.legs)
+    j = _spin(fields["j"]) if sym.channel else None
+    for s in spins:  # the channel spin is in a triad, which rejects it if negative
+        if s.twice < 0:
+            raise CliError(f"spin {s} is negative")
+    for t in sym.triads(spins, j):
         if not triangle_ok(*t):
             raise CliError(f"triad ({', '.join(map(str, t))}) violates the triangle rule")
+    orient = ms = None
+    if sym.orientation is not None:
+        orient = fields.get("orientation", sym.orientation)
+        if not isinstance(orient, str) or len(orient) != sym.legs or set(orient) - {"i", "o"}:
+            raise CliError(f"orientation {orient!r} is not {sym.legs} letters from 'io'")
+        if with_ms:
+            ms = tuple(_spin_list(fields["ms"], sym.legs))
+            for s, m in zip(spins, ms):
+                if abs(m.twice) > s.twice or (s.twice + m.twice) % 2:
+                    raise CliError(f"m={m} is not a magnetic index for j={s}")
+    return _Args(kind, tuple(spins), ms, j, orient)
 
 
-def _print_value(v: RadicalNumber) -> None:
-    print(f"{v.serialize()}  (~ {v.to_float():.12g})")
+def _line_args(kind: str, texts: Sequence[str], with_ms: bool, orient: Optional[str] = None) -> _Args:
+    """Parses a command line's ``j1 .. jn [m1 .. mn] [j]`` for a recoupling object."""
+    sym = _SYMBOLS[kind]
+    n = sym.legs
+    names = [f"j{k}" for k in range(1, n + 1)]
+    if with_ms and sym.orientation is not None:
+        names += [f"m{k}" for k in range(1, n + 1)]
+    if sym.channel:
+        names.append("j")
+    if len(texts) != len(names):
+        raise CliError(f"{kind} needs {' '.join(names)}")
+    fields = {"spins": list(texts[:n]), "ms": list(texts[n:2 * n]), "j": texts[-1]}
+    if orient is not None:
+        fields["orientation"] = orient
+    return _parse_args(kind, fields, with_ms)
+
+
+def _diagram_value(a: _Args, mode: str):
+    """Corrected value (RadicalNumber or float) of the object's diagram, ms plugged in."""
+    d, corr = _SYMBOLS[a.kind].build(a)
+    if a.ms is not None:
+        d = plug_vertex_arguments(d, corr, a.spins, a.ms, a.orient)
+    raw = eval_diagram(d, mode=mode).scalar_value()
+    if mode == "exact":
+        return raw.to_radical() * corr.value
+    return raw.real * corr.value.to_float()
 
 
 # -- symbol ---------------------------------------------------------------
 
 
 def cmd_symbol(args: argparse.Namespace) -> int:
-    kind = args.kind
-    vals = _spins(args.spins)
-    if kind == "3jm":
-        if len(vals) != 6:
-            raise CliError("3jm needs j1 j2 j3 m1 m2 m3")
-        j1, j2, j3, m1, m2, m3 = vals
-        _check_triads(kind, vals[:3])
-        for j, m in ((j1, m1), (j2, m2), (j3, m3)):
-            if abs(m.twice) > j.twice or (j.twice + m.twice) % 2:
-                raise CliError(f"m={m} is not a magnetic index for j={j}")
-        _print_value(w3jm(j1, j2, j3, m1, m2, m3))
-    elif kind == "4jm":
-        if len(vals) != 9:
-            raise CliError("4jm needs j1 j2 j3 j4 m1 m2 m3 m4 j")
-        _check_triads(kind, vals[:4], vals[8])
-        _print_value(w4jm(*vals))
-    else:  # 6j
-        if len(vals) != 6:
-            raise CliError("6j needs j1 j2 j3 j4 j5 j6")
-        _check_triads(kind, vals)
-        _print_value(w6j(*vals))
+    a = _line_args(args.kind, args.spins, with_ms=True)
+    v = _SYMBOLS[a.kind].oracle(a)
+    print(f"{v.serialize()}  (~ {v.to_float():.12g})")
     return EXIT_OK
 
 
@@ -140,44 +212,19 @@ def _int(text: str, what: str) -> int:
 
 def _build_object(kind: str, spins: list[str], orient: Optional[str]):
     """Returns (diagram, correction-or-None)."""
+    if kind in _SYMBOLS:
+        return _SYMBOLS[kind].build(_line_args(kind, spins, with_ms=False, orient=orient))
+    if kind == "cswap":
+        return cswap_gadget(), None
+    what = {"symmetriser": "wire count", "crown": "stage number", "link": "spin"}[kind]
+    if len(spins) != 1:
+        raise CliError(f"{kind} needs one {what}")
     try:
-        if kind == "symmetriser":
-            if len(spins) != 1:
-                raise CliError("symmetriser needs one wire count")
-            return symmetriser(_int(spins[0], "wire count")), None
-        if kind == "cswap":
-            return cswap_gadget(), None
-        if kind == "crown":
-            if len(spins) != 1:
-                raise CliError("crown needs one stage number")
-            return crown(_int(spins[0], "stage number")), None
         if kind == "link":
-            if len(spins) != 1:
-                raise CliError("link needs one spin")
             return yutsis_link(_spin(spins[0])), None
-        if kind == "3jm":
-            if len(spins) != 3:
-                raise CliError("3jm needs three spins")
-            return vertex_3jm(VertexSpec(tuple(_spins(spins)), orient or "iio"))
-        if kind == "4jm":
-            if len(spins) != 5:
-                raise CliError("4jm needs four leg spins and a channel spin")
-            return vertex_4jm(_spins(spins[:4]), _spin(spins[4]), orient or "iioo")
-        if kind == "6j":
-            if len(spins) != 6:
-                raise CliError("6j needs six spins")
-            return network_6j(*_spins(spins))
-        if kind == "theta":
-            if len(spins) != 3:
-                raise CliError("theta needs three spins")
-            return theta_network(*_spins(spins))
-        if kind == "loop":
-            if len(spins) != 1:
-                raise CliError("loop needs one spin")
-            return loop_network(_spin(spins[0]))
+        return (symmetriser if kind == "symmetriser" else crown)(_int(spins[0], what)), None
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    raise CliError(f"unknown build kind {kind!r}")
 
 
 def _correction_dict(corr: CorrectionFactor) -> dict:
@@ -191,8 +238,7 @@ def _correction_dict(corr: CorrectionFactor) -> dict:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    result = _build_object(args.kind, args.spins, args.orient)
-    d, corr = result if isinstance(result, tuple) else (result, None)
+    d, corr = _build_object(args.kind, args.spins, args.orient)
     doc = serialize(d)
     out = Path(args.out) if args.out else None
     if out is not None:
@@ -304,17 +350,6 @@ def _load_manifest(name: str) -> dict:
         raise CliError(f"cannot read manifest {name}: {exc}") from None
 
 
-# Spins per case kind, per invariant and per matrix builder.
-_SPIN_COUNTS = {"6j": 6, "3jm": 3, "4jm": 4, "loop": 1, "theta": 3}
-_MATRIX_BUILDERS = ("3jm", "4jm", "symmetriser", "cswap")
-
-
-def _spin_list(value, count: int) -> list[HalfInteger]:
-    if not isinstance(value, list) or len(value) != count:
-        raise CliError(f"expected a list of {count} spins, got {value!r}")
-    return _spins(value)
-
-
 def _radical(text) -> RadicalNumber:
     if not isinstance(text, str):
         raise CliError(f"expected value {text!r} is not a string")
@@ -322,8 +357,8 @@ def _radical(text) -> RadicalNumber:
 
 
 def _parse_case(case) -> dict:
-    """A copy of ``case`` with its spins, ms, j, n, tol and expected value(s)
-    parsed, after checking its kind, policy, invariant or matrix builder.
+    """A copy of ``case`` with its n, tol, expected value(s) and recoupling
+    ``args`` parsed, after checking its kind, policy, invariant or matrix builder.
 
     Raises CliError naming the case on malformed input, so that a bad
     manifest is a usage error and never a failed case.
@@ -335,15 +370,11 @@ def _parse_case(case) -> dict:
     try:
         if kind == "matrix":
             builder = case.get("builder")
-            if builder not in _MATRIX_BUILDERS:
+            if builder in _SYMBOLS and _SYMBOLS[builder].matrix is not None:
+                out["args"] = _parse_args(builder, case, with_ms=False)
+            elif builder not in ("symmetriser", "cswap"):
                 raise CliError(f"unknown matrix builder {builder!r}")
             out["expected"] = [[_radical(x) for x in row] for row in case["expected"]]
-            if builder in ("3jm", "4jm"):
-                out["spins"] = _spin_list(case["spins"], _SPIN_COUNTS[builder])
-            if builder == "4jm":
-                out["j"] = _spin(case["j"])
-            if builder in ("3jm", "4jm"):
-                _check_triads(builder, out["spins"], out.get("j"))
             if builder == "symmetriser":
                 out["n"] = _int(str(case["n"]), "wire count")
             return out
@@ -356,14 +387,7 @@ def _parse_case(case) -> dict:
         out["tol"] = float(case.get("tol", 1e-8))
         if kind == "invariant" and case["which"] not in ("loop", "theta"):
             raise CliError(f"unknown invariant {case['which']!r}")
-        shape = case["which"] if kind == "invariant" else kind
-        count = _SPIN_COUNTS[shape]
-        out["spins"] = _spin_list(case["spins"], count)
-        if kind in ("3jm", "4jm"):
-            out["ms"] = _spin_list(case["ms"], count)
-        if kind == "4jm":
-            out["j"] = _spin(case["j"])
-        _check_triads(shape, out["spins"], out.get("j"))
+        out["args"] = _parse_args(case["which"] if kind == "invariant" else kind, case, with_ms=True)
         return out
     except KeyError as exc:
         raise CliError(f"case {case.get('id', '?')!r}: missing field {exc}") from None
@@ -371,67 +395,17 @@ def _parse_case(case) -> dict:
         raise CliError(f"case {case.get('id', '?')!r}: {exc}") from None
 
 
-def _closed_value(d: Diagram, corr: CorrectionFactor, mode: str):
-    """Corrected value of a closed diagram (RadicalNumber or float)."""
-    raw = eval_diagram(d, mode=mode).scalar_value()
-    if mode == "exact":
-        return raw.to_radical() * corr.value
-    return raw.real * corr.value.to_float()
-
-
-def _case_diagram_value(case: dict, mode: str):
-    kind, spins = case["kind"], case["spins"]
-    if kind == "6j":
-        d, corr = network_6j(*spins)
-    elif kind == "3jm":
-        orient = case.get("orientation", "iio")
-        d, corr = vertex_3jm(VertexSpec(tuple(spins), orient))
-        d = plug_vertex_arguments(d, corr, spins, case["ms"], orient)
-    elif kind == "4jm":
-        orient = case.get("orientation", "iioo")
-        d, corr = vertex_4jm(spins, case["j"], orient)
-        d = plug_vertex_arguments(d, corr, spins, case["ms"], orient)
-    elif case["which"] == "loop":
-        d, corr = loop_network(spins[0])
-    else:
-        d, corr = theta_network(*spins)
-    return _closed_value(d, corr, mode)
-
-
-def _case_oracle_value(case: dict) -> RadicalNumber:
-    kind, spins = case["kind"], case["spins"]
-    if kind == "6j":
-        return w6j(*spins)
-    if kind == "3jm":
-        return w3jm(*spins, *case["ms"])
-    if kind == "4jm":
-        return w4jm(*spins, *case["ms"], case["j"])
-    if case["which"] == "loop":
-        return invariant_loop(spins[0])
-    return invariant_theta(*spins)
-
-
 def _matrix_case(case: dict) -> tuple[bool, str]:
     builder = case["builder"]
-    if builder in ("3jm", "4jm"):
-        spins = case["spins"]
-        if builder == "3jm":
-            orient = case.get("orientation", "iio")
-            d, corr = vertex_3jm(VertexSpec(tuple(spins), orient))
-            oracle = yutsis_matrix_3(spins, orient)
-        else:
-            orient = case.get("orientation", "iioo")
-            d, corr = vertex_4jm(spins, case["j"], orient)
-            oracle = yutsis_matrix_4(spins, case["j"], orient)
-        got = corrected_spin_matrix(
-            d, corr,
-            [j for j, o in zip(spins, orient) if o == "i"],
-            [j for j, o in zip(spins, orient) if o == "o"],
-        )
-    elif builder == "symmetriser":
+    if builder == "symmetriser":
         got, oracle = exact_matrix(symmetriser(case["n"])), None
-    else:
+    elif builder == "cswap":
         got, oracle = exact_matrix(cswap_gadget()), None
+    else:
+        a, sym = case["args"], _SYMBOLS[builder]
+        (d, corr), oracle = sym.build(a), sym.matrix(a)
+        got = corrected_spin_matrix(
+            d, corr, *([j for j, o in zip(a.spins, a.orient) if o == side] for side in "io"))
     expected = case["expected"]
     if len(got) != len(expected) or any(len(a) != len(b) for a, b in zip(got, expected)):
         return False, f"shape mismatch: got {len(got)}x{len(got[0])}"
@@ -439,11 +413,8 @@ def _matrix_case(case: dict) -> tuple[bool, str]:
         for c, (a, b) in enumerate(zip(ra, rb)):
             if a != b:
                 return False, f"entry ({r},{c}): got {a.serialize()}, expected {b.serialize()}"
-    if oracle is not None:
-        for ra, rb in zip(got, oracle):
-            for a, b in zip(ra, rb):
-                if a != b:
-                    return False, "matrix disagrees with the oracle"
+    if oracle is not None and any(a != b for ra, rb in zip(got, oracle) for a, b in zip(ra, rb)):
+        return False, "matrix disagrees with the oracle"
     return True, "ok"
 
 
@@ -452,16 +423,17 @@ def _run_case(case: dict) -> tuple[bool, str]:
     try:
         if case["kind"] == "matrix":
             return _matrix_case(case)
-        expected, oracle = case["expected"], _case_oracle_value(case)
+        a = case["args"]
+        expected, oracle = case["expected"], _SYMBOLS[a.kind].oracle(a)
         if case.get("policy", "exact") == "exact":
-            got = _case_diagram_value(case, "exact")
+            got = _diagram_value(a, "exact")
             if got != expected:
                 return False, f"got {got.serialize()}, expected {expected.serialize()}"
             if got != oracle:
                 return False, f"diagram {got.serialize()} disagrees with oracle {oracle.serialize()}"
             return True, f"value {got.serialize()}"
         tol = case["tol"]
-        got = _case_diagram_value(case, "float")
+        got = _diagram_value(a, "float")
         want = expected.to_float()
         scale = max(abs(want), 1.0)
         if abs(got - want) > tol * scale:
@@ -488,11 +460,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for case in cases:
         ok, detail = _run_case(case)
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
+        failures += not ok
         src = case.get("source", "")
-        print(f"[{status}] {case.get('id', '?'):32s} {detail}" + (f"  ({src})" if src else ""))
+        print(f"[{'PASS' if ok else 'FAIL'}] {case.get('id', '?'):32s} {detail}" + (f"  ({src})" if src else ""))
     print(f"{len(cases) - failures}/{len(cases)} cases passed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 

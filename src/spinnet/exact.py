@@ -486,14 +486,6 @@ class RadicalNumber:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_rational(self) -> bool:
-        return all(s == 1 for s in self.terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return self.terms.get(1, Fraction(0))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -694,14 +686,6 @@ class HalfInteger:
 
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def as_int(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"not an integer: {self}")
-        return self.twice // 2
 
     def __float__(self) -> float:
         return self.twice / 2.0

@@ -506,18 +506,12 @@ def to_matrix(d: Diagram, mode: str = "exact", **kw) -> np.ndarray:
 # -- basis plugging -------------------------------------------------------
 
 
-def plug_basis(
-    d: Diagram,
-    assignment: dict[int, int],
-    normalize: bool = False,
-) -> Diagram:
+def plug_basis(d: Diagram, assignment: dict[int, int]) -> Diagram:
     """Plug computational basis states/effects into boundary wires.
 
     ``assignment`` maps boundary vertex ids to bits.  Each plugged boundary
     becomes a phase-0 (bit 0) or phase-pi (bit 1) X-spider, i.e. the
-    unnormalised state sqrt(2)|0> or sqrt(2)|1>.  With ``normalize=True``
-    the diagram scalar is divided by sqrt(2) per plug, yielding the exact
-    basis amplitude instead of the raw diagram value.
+    unnormalised state sqrt(2)|0> or sqrt(2)|1>.
     """
     out = d.copy()
     for v, bit in assignment.items():
@@ -528,6 +522,4 @@ def plug_basis(
         out.vertices[v] = VertexData(X, Fraction(bit))
         out.inputs = [w for w in out.inputs if w != v]
         out.outputs = [w for w in out.outputs if w != v]
-        if normalize:
-            out.mul_scalar(ExactScalar.inv_sqrt2())
     return out

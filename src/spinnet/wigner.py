@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exact import (
     HalfInteger,
@@ -234,6 +234,40 @@ def _m_tuples(spins: Sequence[HalfInteger]) -> list[tuple[HalfInteger, ...]]:
     return out
 
 
+def _leg_matrix(
+    spins: Sequence[SpinLike],
+    orientation: str,
+    example: str,
+    entry: Callable[[list[HalfInteger], list[HalfInteger]], RadicalNumber],
+) -> list[list[RadicalNumber]]:
+    """Spin-basis matrix of an intertwiner with len(example) legs, with
+    ``entry(js, ms)`` its tensor entry at leg indices ms.
+
+    Outgoing ('o') legs index rows, ingoing ('i') legs columns, both in leg
+    order with magnetic indices decreasing; ingoing indices are negated.
+    """
+    n = len(example)
+    if len(spins) != n or len(orientation) != n or set(orientation) - {"i", "o"}:
+        raise ValueError(f"need {n} spins and an orientation like {example!r}")
+    js = [_hi(j) for j in spins]
+    rows_legs = [k for k, o in enumerate(orientation) if o == "o"]
+    cols_legs = [k for k, o in enumerate(orientation) if o == "i"]
+    row_ms = _m_tuples([js[k] for k in rows_legs])
+    col_ms = _m_tuples([js[k] for k in cols_legs])
+    out = []
+    for rm in row_ms:
+        row = []
+        for cm in col_ms:
+            m = [None] * n
+            for k, v in zip(rows_legs, rm):
+                m[k] = v
+            for k, v in zip(cols_legs, cm):
+                m[k] = -v
+            row.append(entry(js, m))
+        out.append(row)
+    return out
+
+
 def yutsis_matrix_3(
     spins: Sequence[SpinLike], orientation: str
 ) -> list[list[RadicalNumber]]:
@@ -244,25 +278,7 @@ def yutsis_matrix_3(
     leg order with magnetic indices decreasing; the tensor entry at
     (m1, m2, m3) is the 3jm symbol with ingoing indices negated.
     """
-    if len(spins) != 3 or len(orientation) != 3 or set(orientation) - {"i", "o"}:
-        raise ValueError("need 3 spins and an orientation like 'iio'")
-    js = [_hi(j) for j in spins]
-    rows_legs = [k for k, o in enumerate(orientation) if o == "o"]
-    cols_legs = [k for k, o in enumerate(orientation) if o == "i"]
-    row_ms = _m_tuples([js[k] for k in rows_legs])
-    col_ms = _m_tuples([js[k] for k in cols_legs])
-    out = []
-    for rm in row_ms:
-        row = []
-        for cm in col_ms:
-            m = [None, None, None]
-            for k, v in zip(rows_legs, rm):
-                m[k] = v
-            for k, v in zip(cols_legs, cm):
-                m[k] = -v
-            row.append(w3jm(js[0], js[1], js[2], m[0], m[1], m[2]))
-        out.append(row)
-    return out
+    return _leg_matrix(spins, orientation, "iio", lambda js, m: w3jm(*js, *m))
 
 
 def yutsis_matrix_4(
@@ -270,25 +286,7 @@ def yutsis_matrix_4(
 ) -> list[list[RadicalNumber]]:
     """Matrix of a 4-valent intertwiner (channel spin j); same conventions
     as :func:`yutsis_matrix_3`."""
-    if len(spins) != 4 or len(orientation) != 4 or set(orientation) - {"i", "o"}:
-        raise ValueError("need 4 spins and an orientation like 'iioo'")
-    js = [_hi(x) for x in spins]
-    rows_legs = [k for k, o in enumerate(orientation) if o == "o"]
-    cols_legs = [k for k, o in enumerate(orientation) if o == "i"]
-    row_ms = _m_tuples([js[k] for k in rows_legs])
-    col_ms = _m_tuples([js[k] for k in cols_legs])
-    out = []
-    for rm in row_ms:
-        row = []
-        for cm in col_ms:
-            m = [None, None, None, None]
-            for k, v in zip(rows_legs, rm):
-                m[k] = v
-            for k, v in zip(cols_legs, cm):
-                m[k] = -v
-            row.append(w4jm(js[0], js[1], js[2], js[3], m[0], m[1], m[2], m[3], j))
-        out.append(row)
-    return out
+    return _leg_matrix(spins, orientation, "iioo", lambda js, m: w4jm(*js, *m, j))
 
 
 # -- closed invariants (oracle self-checks) -------------------------------

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, manifest verification."""
 
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spinnet.exact import HalfInteger, half_integer_range
 from spinnet.graph import deserialize, serialize
 from spinnet.tensor import plan_contraction
 from spinnet.su2 import cswap_gadget
@@ -13,8 +16,16 @@ from spinnet.cli import (
     EXIT_RANK_CAP,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    CliError,
+    _Args,
+    _diagram_value,
+    _parse_args,
+    _SYMBOLS,
     main,
 )
+
+PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_paper.txt"
 
 
 def run(capsys, *argv):
@@ -61,6 +72,10 @@ class TestSymbol:
     def test_wrong_arity_exits_2(self, capsys):
         code, _, _ = run(capsys, "symbol", "6j", "1", "1")
         assert code == EXIT_USAGE
+
+    def test_4jm_bad_magnetic_index_exits_2(self, capsys):
+        err = run_usage_error(capsys, "symbol", "4jm", "1", "1", "1", "1", "2", "-1", "0", "-1", "1")
+        assert "m=2 is not a magnetic index for j=1" in err
 
 
 class TestBuildEval:
@@ -251,6 +266,7 @@ class TestVerify:
         ("expected", "three", "malformed RadicalNumber literal: 'three'"),
         ("expected", "1/0", "malformed RadicalNumber literal: '1/0'"),
         ("kind", "7j", "unknown case kind '7j'"),
+        ("spins", ["-1"], "spin -1 is negative"),
     ])
     def test_malformed_case_exits_2_before_any_case_runs(self, capsys, tmp_path, field, value, message):
         good = {"id": "good-loop", "kind": "invariant", "which": "loop",
@@ -281,6 +297,29 @@ class TestVerify:
         assert "violates the triangle rule" in err
         assert out == ""
 
+    @pytest.mark.parametrize("case, message", [
+        ({"kind": "3jm", "spins": ["1", "1", "1"], "ms": ["2", "-1", "-1"], "expected": "0"},
+         "m=2 is not a magnetic index for j=1"),
+        ({"kind": "4jm", "spins": ["1", "1", "1", "1"], "j": "1", "ms": ["2", "-1", "0", "-1"],
+          "expected": "0"}, "m=2 is not a magnetic index for j=1"),
+        ({"kind": "3jm", "spins": ["1", "1", "1"], "ms": ["1", "-1", "0"], "orientation": "xyz",
+          "expected": "0"}, "orientation 'xyz' is not 3 letters from 'io'"),
+    ], ids=["3jm-m", "4jm-m", "orientation"])
+    def test_bad_symbol_arguments_exit_2_before_any_case_runs(self, capsys, tmp_path, case, message):
+        good = {"id": "good-loop", "kind": "invariant", "which": "loop",
+                "spins": ["1/2"], "policy": "exact", "expected": "2"}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"version": 1, "cases": [good, dict(case, id="bad-args")]}))
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == EXIT_USAGE
+        assert err == f"error: case 'bad-args': {message}\n"
+        assert out == ""
+
+    def test_paper_manifest_prints_the_golden_text(self, capsys):
+        code, out, _ = run(capsys, "verify", "paper.json")
+        assert code == EXIT_OK
+        assert out == GOLDEN_VERIFY.read_text()
+
     def test_unparsable_manifest_exits_2(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -293,3 +332,71 @@ class TestVerify:
     def test_missing_manifest_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/m.json")
         assert code == EXIT_USAGE
+
+
+# -- the recoupling-object table --------------------------------------------
+
+SMALL_SPINS = ("0", "1/2", "1")
+
+
+def _small_arguments(kind):
+    """Every (spins, channel spin) text tuple of ``kind`` with spins <= 1."""
+    sym = _SYMBOLS[kind]
+    for combo in product(SMALL_SPINS, repeat=sym.legs + sym.channel):
+        yield list(combo[:sym.legs]), (combo[-1] if sym.channel else None)
+
+
+@pytest.mark.parametrize("kind", sorted(_SYMBOLS))
+def test_table_rejects_exactly_what_the_builder_rejects(kind):
+    sym = _SYMBOLS[kind]
+    rejected = 0
+    for spins, j in _small_arguments(kind):
+        try:
+            _parse_args(kind, {"spins": spins, "j": j}, with_ms=False)
+            parse_ok = True
+        except CliError:
+            parse_ok = False
+        unchecked = _Args(kind, tuple(HalfInteger(x) for x in spins), None,
+                          None if j is None else HalfInteger(j), sym.orientation)
+        try:
+            sym.build(unchecked)
+            build_ok = True
+        except ValueError as exc:
+            assert "inadmissible" in str(exc), exc
+            build_ok = False
+        assert parse_ok == build_ok, (spins, j)
+        rejected += not parse_ok
+    assert rejected > 0 or kind == "loop"
+
+
+def _admissible(kind):
+    out = []
+    for spins, j in _small_arguments(kind):
+        try:
+            out.append(_parse_args(kind, {"spins": spins, "j": j}, with_ms=False))
+        except CliError:
+            pass
+    return out
+
+
+_ADMISSIBLE = {kind: _admissible(kind) for kind in sorted(_SYMBOLS)}
+
+
+@st.composite
+def _symbol_arguments(draw):
+    """Admissible arguments of a random kind with spins <= 1; an open object
+    gets a random orientation and ms, summing to zero half of the time."""
+    kind = draw(st.sampled_from(sorted(_ADMISSIBLE)))
+    a = draw(st.sampled_from(_ADMISSIBLE[kind]))
+    if a.orient is None:
+        return a
+    all_ms = list(product(*(half_integer_range(s) for s in a.spins)))
+    balanced = [ms for ms in all_ms if sum(m.twice for m in ms) == 0]
+    ms = draw(st.sampled_from(balanced if draw(st.booleans()) else all_ms))
+    return a._replace(orient="".join(draw(st.sampled_from("io")) for _ in a.spins), ms=ms)
+
+
+@PROPERTIES
+@given(_symbol_arguments())
+def test_table_diagram_value_equals_its_oracle(a):
+    assert _diagram_value(a, "exact") == _SYMBOLS[a.kind].oracle(a)
