@@ -14,8 +14,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 3 rank cap exceeded.  Spins, triads, magnetic indices and orientations are
-checked before anything is built, and ``verify`` checks every case before
-it runs any, so bad input exits 2 and is never a failed case.
+checked before anything is built, a field or argument that an object does
+not take is rejected rather than ignored, and ``verify`` checks every case
+before it runs any, so bad input exits 2 and is never a failed case.
 """
 
 from __future__ import annotations
@@ -134,6 +135,17 @@ _SYMBOLS = {
 }
 
 
+def _fields(kind: str, with_ms: bool) -> set[str]:
+    """The fields a recoupling object takes: its spins, the channel spin
+    ``j`` of a 4jm and, if the object is open, ``orientation`` and (with
+    ``with_ms``) its ``ms``."""
+    sym = _SYMBOLS[kind]
+    out = {"spins", "j"} if sym.channel else {"spins"}
+    if sym.orientation is not None:
+        out |= {"orientation", "ms"} if with_ms else {"orientation"}
+    return out
+
+
 def _parse_args(kind: str, fields: dict, with_ms: bool) -> _Args:
     """Checks the ``spins``, channel spin ``j``, ``orientation`` and, if
     ``with_ms`` and the object is open, the ``ms`` of a recoupling object.
@@ -212,9 +224,13 @@ def _int(text: str, what: str) -> int:
 
 def _build_object(kind: str, spins: list[str], orient: Optional[str]):
     """Returns (diagram, correction-or-None)."""
+    if orient is not None and (kind not in _SYMBOLS or "orientation" not in _fields(kind, False)):
+        raise CliError(f"{kind} takes no --orient")
     if kind in _SYMBOLS:
         return _SYMBOLS[kind].build(_line_args(kind, spins, with_ms=False, orient=orient))
     if kind == "cswap":
+        if spins:
+            raise CliError("cswap takes no arguments")
         return cswap_gadget(), None
     what = {"symmetriser": "wire count", "crown": "stage number", "link": "spin"}[kind]
     if len(spins) != 1:
@@ -356,9 +372,22 @@ def _radical(text) -> RadicalNumber:
     return RadicalNumber.deserialize(text)
 
 
+_CASE_FIELDS = {"id", "kind", "source", "expected"}
+# Matrix builders outside _SYMBOLS, with the fields each takes.
+_PLAIN_MATRIX_BUILDERS = {"symmetriser": {"n"}, "cswap": set()}
+
+
+def _check_fields(case: dict, name: str, accepted: set[str]) -> None:
+    """Rejects the fields of ``case`` that neither every case nor ``name`` takes."""
+    extra = sorted(set(case) - _CASE_FIELDS - accepted)
+    if extra:
+        raise CliError(f"{name} takes no {' or '.join(map(repr, extra))} field")
+
+
 def _parse_case(case) -> dict:
     """A copy of ``case`` with its n, tol, expected value(s) and recoupling
-    ``args`` parsed, after checking its kind, policy, invariant or matrix builder.
+    ``args`` parsed, after checking its kind, policy, invariant or matrix
+    builder, and that it has no field they do not take.
 
     Raises CliError naming the case on malformed input, so that a bad
     manifest is a usage error and never a failed case.
@@ -371,8 +400,11 @@ def _parse_case(case) -> dict:
         if kind == "matrix":
             builder = case.get("builder")
             if builder in _SYMBOLS and _SYMBOLS[builder].matrix is not None:
+                _check_fields(case, builder, _fields(builder, False) | {"builder"})
                 out["args"] = _parse_args(builder, case, with_ms=False)
-            elif builder not in ("symmetriser", "cswap"):
+            elif builder in _PLAIN_MATRIX_BUILDERS:
+                _check_fields(case, builder, _PLAIN_MATRIX_BUILDERS[builder] | {"builder"})
+            else:
                 raise CliError(f"unknown matrix builder {builder!r}")
             out["expected"] = [[_radical(x) for x in row] for row in case["expected"]]
             if builder == "symmetriser":
@@ -387,7 +419,10 @@ def _parse_case(case) -> dict:
         out["tol"] = float(case.get("tol", 1e-8))
         if kind == "invariant" and case["which"] not in ("loop", "theta"):
             raise CliError(f"unknown invariant {case['which']!r}")
-        out["args"] = _parse_args(case["which"] if kind == "invariant" else kind, case, with_ms=True)
+        name = case["which"] if kind == "invariant" else kind
+        accepted = _fields(name, True) | {"policy", "tol"}
+        _check_fields(case, name, accepted | ({"which"} if kind == "invariant" else set()))
+        out["args"] = _parse_args(name, case, with_ms=True)
         return out
     except KeyError as exc:
         raise CliError(f"case {case.get('id', '?')!r}: missing field {exc}") from None

@@ -14,6 +14,11 @@ qubit wires:
 * :func:`vertex_3jm`, :func:`vertex_4jm`, :func:`assemble_network`,
   :func:`network_6j`, :func:`theta_network`, :func:`loop_network` --
   intertwiner vertices and closed recoupling networks.
+* :func:`invariance_defect` -- the exact SU(2)-invariance certificate: the
+  generators J_x and J_z of su(2) act on a diagram's exact matrix from the
+  output and the input side, and the count of entries where the two
+  differ is 0 exactly when the matrix is invariant (no sampling, no
+  tolerance).
 
 Builders return raw diagrams whose exact evaluation matches the
 unnormalised diagrammatic value, together with a :class:`CorrectionFactor`
@@ -39,8 +44,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .exact import (
     ExactScalar,
     HalfInteger,
@@ -64,7 +67,6 @@ __all__ = [
     "symmetriser",
     "lambda_n",
     "binor_N",
-    "symmetric_isometry",
     "yutsis_link",
     "vertex_3jm",
     "vertex_4jm",
@@ -76,8 +78,7 @@ __all__ = [
     "exact_matrix",
     "project_to_spin_basis",
     "corrected_spin_matrix",
-    "check_su2_invariance",
-    "check_symmetriser_commutation",
+    "invariance_defect",
 ]
 
 _PI = Fraction(1)
@@ -214,17 +215,6 @@ def _dicke_basis(spins: Sequence[SpinLike]) -> tuple[list[int], list[RadicalNumb
         classes = [c * (n + 1) + bin(bits).count("1") for c in classes for bits in range(2 ** n)]
         amps = [a * b for a in amps for b in leg]
     return classes, amps
-
-
-def symmetric_isometry(j: SpinLike) -> list[list[RadicalNumber]]:
-    """The (2j+1) x 2^(2j) isometry from qubit wires to the spin-j space.
-
-    Rows are labelled m = j .. -j (decreasing); the entry at a bit string
-    with j-m ones is sqrt((j+m)!(j-m)!/(2j)!); |1/2, +1/2> is |0>.
-    """
-    classes, amps = _dicke_basis([j])
-    zero = RadicalNumber.zero()
-    return [[amp if c == k else zero for c in classes] for k, amp in enumerate(amps)]
 
 
 # -- in-place construction helpers ---------------------------------------
@@ -723,85 +713,31 @@ def corrected_spin_matrix(
     return [[c * x for x in row] for row in m]
 
 
-# -- SU(2) invariance checks (float path) ---------------------------------
+# -- SU(2) invariance -----------------------------------------------------
 
 
-def _euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    rz = lambda t: np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
-    rx = lambda t: np.array(
-        [
-            [np.cos(t / 2), -1j * np.sin(t / 2)],
-            [-1j * np.sin(t / 2), np.cos(t / 2)],
-        ]
-    )
-    return rz(alpha) @ rx(beta) @ rz(gamma)
+def invariance_defect(d: Diagram, dual_inputs: bool) -> int:
+    """Number of nonzero entries of J_x^out M - s M J_x^in and
+    J_z^out M - M J_z^in, where M is the exact (outputs x inputs) matrix of
+    ``d``, J = sum_w sigma^(w) over one side's wires and s = -1 if
+    ``dual_inputs`` else +1.
 
-
-def check_su2_invariance(
-    spec: VertexSpec, trials: int = 10, seed: int = 0
-) -> float:
-    """Max deviation of U_out^dagger M U_in from M over random group
-    elements U = Rz Rx Rz; an intertwiner vertex gives ~0 (float path).
-
-    Output wires carry the defining representation U; input wires sit
-    behind the arrow decoration and a dual cup, so they carry the
-    sigma_x-conjugated complex conjugate representation sigma_x U* sigma_x
-    (equivalent to U by the spin-1/2 self-duality).
+    Output wires carry U.  With ``dual_inputs`` the input wires sit behind
+    the X(pi) arrow and carry sigma_x U* sigma_x, whose generators are
+    (-sigma_x, -sigma_y, sigma_z); otherwise they carry U.  J_x and J_z
+    generate su(2) ([J_z, J_x] is proportional to J_y) and SU(2) is
+    connected, so 0 proves that M intertwines the two representations:
+    exact arithmetic, no sampling and no tolerance.  J_x flips one bit of
+    an index; J_z multiplies it by (#zeros - #ones).
     """
-    d, _ = vertex_3jm(spec)
-    m = eval_diagram(d, mode="float").to_matrix()
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        a, b, g = rng.uniform(0, 2 * np.pi, size=3)
-        u = _euler_unitary(a, b, g)
-        u_dual = sx @ u.conj() @ sx
-        u_in = np.array([[1.0 + 0j]])
-        for _w in range(len(d.inputs)):
-            u_in = np.kron(u_in, u_dual)
-        u_out = np.array([[1.0 + 0j]])
-        for _w in range(len(d.outputs)):
-            u_out = np.kron(u_out, u)
-        worst = max(worst, float(np.abs(u_out.conj().T @ m @ u_in - m).max()))
-    return worst
-
-
-def check_symmetriser_commutation(
-    n: int, trials: int = 5, seed: int = 0
-) -> float:
-    """Max deviation between S_n . U^(x n) and U^(x n) . S_n, evaluated
-    through the float diagram path with irrational spider phases."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        a, b, g = rng.uniform(0.0, 2.0, size=3)  # phases in units of pi
-        sides = []
-        for before in (True, False):
-            d = symmetriser(n)
-            d = d.copy()
-            wires = d.inputs if before else d.outputs
-            for w in wires:
-                # The same operator Z(g) X(b) Z(a) on every wire; the chain
-                # is laid out boundary-first on inputs and reversed on
-                # outputs so both sides see an identical matrix.
-                (ei, other) = next(
-                    (i, bb if aa == w else aa)
-                    for i, (aa, bb) in enumerate(d.edges)
-                    if aa == w or bb == w
-                )
-                del d.edges[ei]
-                za = d.add_z(float(a))
-                xb = d.add_x(float(b))
-                zg = d.add_z(float(g))
-                d.add_edge(za, xb)
-                d.add_edge(xb, zg)
-                if before:
-                    d.add_edge(w, za)
-                    d.add_edge(zg, other)
-                else:
-                    d.add_edge(other, za)
-                    d.add_edge(zg, w)
-            sides.append(eval_diagram(d, mode="float").to_matrix())
-        worst = max(worst, float(np.abs(sides[0] - sides[1]).max()))
-    return worst
+    m = eval_diagram(d, mode="exact").to_matrix().tolist()
+    n_out, n_in = len(d.outputs), len(d.inputs)
+    s = -1 if dual_inputs else 1
+    defect = 0
+    for r, row in enumerate(m):
+        for c, x in enumerate(row):
+            jx_out = sum(m[r ^ 1 << w][c] for w in range(n_out))  # (J_x^out M)[r, c]
+            jx_in = sum(row[c ^ 1 << w] for w in range(n_in))  # (M J_x^in)[r, c]
+            jz = n_out - 2 * bin(r).count("1") - n_in + 2 * bin(c).count("1")  # z_out(r) - z_in(c)
+            defect += bool(jx_out - s * jx_in) + bool(jz and x)
+    return defect

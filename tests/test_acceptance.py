@@ -24,8 +24,6 @@ from spinnet.exact import (
 from spinnet.rewrite import RULES, check_rule_soundness, simplify
 from spinnet.su2 import (
     VertexSpec,
-    check_su2_invariance,
-    check_symmetriser_commutation,
     corrected_spin_matrix,
     cswap_gadget,
     exact_matrix,
@@ -296,18 +294,9 @@ def test_theta_invariant(triad, sign):
 
 
 # -- 11. SU(2) invariance -----------------------------------------------------
-
-
-@pytest.mark.parametrize("spins", [(H, H, 1), (1, 1, 1)])
-def test_vertex_su2_invariance_random_rotations(spins):
-    dev = check_su2_invariance(VertexSpec(spins, "iio"), trials=20, seed=42)
-    assert dev < 1e-9
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_symmetriser_su2_commutation(n):
-    dev = check_symmetriser_commutation(n, trials=5, seed=42)
-    assert dev < 1e-9
+#
+# Checked exactly, through the su(2) generators, by the sweep in
+# tests/test_su2.py (TestInvariance).
 
 
 # -- 12. rewrite soundness and gadget derivations ----------------------------

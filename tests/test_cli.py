@@ -192,6 +192,17 @@ class TestUsageErrors:
     def test_build_crown_non_integer(self, capsys):
         run_usage_error(capsys, "build", "crown", "x")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["6j", "1", "1", "1", "1", "1", "1", "--orient", "xyz"], "6j takes no --orient"),
+        (["cswap", "--orient", "xyz"], "cswap takes no --orient"),
+        (["cswap", "1", "2", "3"], "cswap takes no arguments"),
+        (["symmetriser", "3", "--orient", "io"], "symmetriser takes no --orient"),
+        (["link", "1", "--orient", "i"], "link takes no --orient"),
+        (["theta", "1", "1", "1", "--orient", "iio"], "theta takes no --orient"),
+    ], ids=["6j", "cswap-orient", "cswap-arguments", "symmetriser", "link", "theta"])
+    def test_build_rejects_an_ignored_field(self, capsys, argv, message):
+        assert run_usage_error(capsys, "build", *argv) == f"error: {message}\n"
+
     def test_build_crown_stage_too_small(self, capsys):
         run_usage_error(capsys, "build", "crown", "1")
 
@@ -313,6 +324,31 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(p))
         assert code == EXIT_USAGE
         assert err == f"error: case 'bad-args': {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("case, message", [
+        ({"kind": "6j", "spins": ["1"] * 6, "orientation": "xyz", "ms": [9, 9], "expected": "1/6"},
+         "6j takes no 'ms' or 'orientation' field"),
+        ({"kind": "invariant", "which": "loop", "spins": ["1"], "orientation": "q", "expected": "3"},
+         "loop takes no 'orientation' field"),
+        ({"kind": "3jm", "spins": ["1", "1", "1"], "ms": ["1", "-1", "0"], "j": "1", "expected": "0"},
+         "3jm takes no 'j' field"),
+        ({"kind": "matrix", "builder": "3jm", "spins": ["1/2", "1/2", "1"], "ms": ["0", "0", "0"],
+          "expected": [["0"]]}, "3jm takes no 'ms' field"),
+        ({"kind": "matrix", "builder": "cswap", "n": 3, "expected": [["0"]]}, "cswap takes no 'n' field"),
+        ({"kind": "matrix", "builder": "cswap", "policy": "float", "tol": 5, "expected": [["0"]]},
+         "cswap takes no 'policy' or 'tol' field"),
+        ({"kind": "6j", "spins": ["1"] * 6, "builder": "cswap", "expected": "1/6"},
+         "6j takes no 'builder' field"),
+    ], ids=["6j", "loop", "3jm-j", "matrix-3jm-ms", "matrix-cswap-n", "matrix-cswap-tol", "6j-builder"])
+    def test_ignored_field_exits_2_before_any_case_runs(self, capsys, tmp_path, case, message):
+        good = {"id": "good-loop", "kind": "invariant", "which": "loop",
+                "spins": ["1/2"], "policy": "exact", "expected": "2"}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"version": 1, "cases": [good, dict(case, id="bad-fields")]}))
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == EXIT_USAGE
+        assert err == f"error: case 'bad-fields': {message}\n"
         assert out == ""
 
     def test_paper_manifest_prints_the_golden_text(self, capsys):

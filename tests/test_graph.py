@@ -3,7 +3,9 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinnet.exact import ExactScalar
 from spinnet.graph import (
@@ -22,6 +24,10 @@ from spinnet.graph import (
     to_dot,
 )
 from spinnet.tensor import eval_diagram, to_matrix
+
+PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+exact_scalars = st.builds(ExactScalar, rationals, rationals, rationals, rationals)
 
 
 def test_basic_construction():
@@ -57,8 +63,6 @@ def test_identity_composition():
 
 
 def test_compose_par_matrix_is_kron():
-    import numpy as np
-
     a = make_spider(Z, Fraction(1, 2), 1, 1)
     b = make_spider(X, Fraction(1), 1, 1)
     ab = compose_par(a, b)
@@ -141,3 +145,53 @@ def test_to_dot_mentions_all_vertices():
     assert dot.startswith("graph")
     for v in d.vertices:
         assert str(v) in dot
+
+
+@st.composite
+def open_diagrams(draw, n_in=None, n_out=None):
+    """Small Z/X/H diagrams with exact (pi/4) phases, H labels, a scalar and
+    n_in inputs and n_out outputs (0-2 each unless given)."""
+    n_in = draw(st.integers(0, 2)) if n_in is None else n_in
+    n_out = draw(st.integers(0, 2)) if n_out is None else n_out
+    d = Diagram()
+    ins = [d.add_input() for _ in range(n_in)]
+    vs = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from([Z, X, H]))
+        if kind == H:
+            vs.append(d.add_h(draw(exact_scalars)))
+        else:
+            phase = Fraction(draw(st.integers(0, 7)), 4)
+            vs.append(d.add_z(phase) if kind == Z else d.add_x(phase))
+    # The wires of one side end on distinct vertices, so their order matters.
+    for b, v in zip(ins, draw(st.permutations(vs))):
+        d.add_edge(b, v)
+    for _ in range(draw(st.integers(0, 4))):
+        d.add_edge(draw(st.sampled_from(vs)), draw(st.sampled_from(vs)))
+    for v in draw(st.permutations(vs))[:n_out]:
+        d.add_edge(v, d.add_output())
+    d.mul_scalar(draw(exact_scalars))
+    return d
+
+
+@PROPERTIES
+@given(open_diagrams())
+def test_serialize_roundtrip_property(d):
+    text = serialize(d)
+    d2 = deserialize(text)
+    assert serialize(d2) == text
+    assert (to_matrix(d2) == to_matrix(d)).all()
+
+
+@PROPERTIES
+@given(st.data())
+def test_compose_seq_is_the_matrix_product_property(data):
+    a = data.draw(open_diagrams())
+    b = data.draw(open_diagrams(n_in=len(a.outputs)))
+    assert (to_matrix(compose_seq(a, b)) == to_matrix(b).dot(to_matrix(a))).all()
+
+
+@PROPERTIES
+@given(open_diagrams(), open_diagrams())
+def test_compose_par_is_the_kronecker_product_property(a, b):
+    assert (to_matrix(compose_par(a, b)) == np.kron(to_matrix(a), to_matrix(b))).all()

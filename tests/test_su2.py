@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, half_integer_range, sqrt_rational
-from spinnet.graph import Diagram
+from spinnet.graph import Diagram, VertexData, X, Z
 from spinnet.su2 import (
     NetworkSpec,
     NodeSpec,
@@ -18,18 +18,16 @@ from spinnet.su2 import (
     VertexSpec,
     assemble_network,
     binor_N,
-    check_su2_invariance,
-    check_symmetriser_commutation,
     corrected_spin_matrix,
     crown,
     cswap_gadget,
     exact_matrix,
+    invariance_defect,
     lambda_n,
     loop_network,
     network_6j,
     plug_vertex_arguments,
     project_to_spin_basis,
-    symmetric_isometry,
     symmetriser,
     theta_network,
     vertex_3jm,
@@ -171,7 +169,7 @@ class TestLinkAndIsometry:
 
     def test_symmetric_isometry_rows_normalized(self):
         for j in (H, 1, Fraction(3, 2)):
-            p = symmetric_isometry(j)
+            p = _ref_symmetric_isometry(j)
             for row in p:
                 total = RadicalNumber.zero()
                 for x in row:
@@ -265,14 +263,29 @@ class TestVertices:
             plug_vertex_arguments(d, corr, (1, 1, 1), (1, H, 0), "iio")
 
 
+def _ref_symmetric_isometry(j):
+    """The (2j+1) x 2^(2j) isometry from qubit wires to the spin-j space.
+
+    Rows are labelled m = j .. -j (decreasing); the entry at a bit string
+    with k = j-m ones is sqrt((j+m)!(j-m)!/(2j)!) = 1/sqrt(C(2j, k));
+    |1/2, +1/2> is |0>.
+    """
+    n = HalfInteger(j).twice
+    zero = RadicalNumber.zero()
+    return [
+        [sqrt_rational(Fraction(1, math.comb(n, k))) if bin(b).count("1") == k else zero for b in range(2 ** n)]
+        for k in range(n + 1)
+    ]
+
+
 def _ref_project_to_spin_basis(qubit_matrix, in_spins, out_spins):
     """The dense route: P_out . M . P_in^T with Kronecker products of
-    :func:`symmetric_isometry`, over RadicalNumber entries."""
+    :func:`_ref_symmetric_isometry`, over RadicalNumber entries."""
 
     def kron_isometry(spins):
         mat = [[RadicalNumber.one()]]
         for j in spins:
-            p = symmetric_isometry(j)
+            p = _ref_symmetric_isometry(j)
             mat = [[a * b for a in row1 for b in row2] for row1 in mat for row2 in p]
         return mat
 
@@ -359,13 +372,48 @@ class TestNetworks:
             assemble_network(spec)
 
 
-class TestInvariance:
-    @pytest.mark.parametrize("spins", [(H, H, 1), (1, 1, 1)])
-    def test_vertex_su2_invariance(self, spins):
-        dev = check_su2_invariance(VertexSpec(spins, "iio"), trials=20, seed=11)
-        assert dev < 1e-9
+def _twice(spins):
+    return "2j=" + ",".join(str(j.twice) for j in spins)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_symmetriser_commutes_with_tensor_powers(self, n):
-        dev = check_symmetriser_commutation(n, trials=5, seed=11)
-        assert dev < 1e-9
+
+def _invariance_cases():
+    """(builder, dual_inputs) for every diagram of the exact invariance sweep:
+    3jm vertices with spins <= 3/2 in four orientations, 4jm vertices with
+    leg spins <= 1 (orientation iioo) and symmetrisers 2-5.  Ids give twice
+    the spins (a 4jm's channel spin last)."""
+    spins = [HalfInteger.from_twice(t) for t in range(4)]
+    cases = []
+    for js in product(spins, repeat=3):
+        if triangle_ok(*js):
+            for orient in ("iio", "ioo", "iii", "ooo"):
+                cases.append(pytest.param(
+                    lambda js=js, orient=orient: vertex_3jm(VertexSpec(js, orient))[0], True,
+                    id=f"3jm-{_twice(js)}-{orient}"))
+    for js in product(spins[:3], repeat=4):
+        for j in (HalfInteger.from_twice(t) for t in range(5)):
+            if triangle_ok(js[0], js[1], j) and triangle_ok(j, js[2], js[3]):
+                cases.append(pytest.param(
+                    lambda js=js, j=j: vertex_4jm(js, j, "iioo")[0], True,
+                    id=f"4jm-{_twice(js + (j,))}-iioo"))
+    for n in range(2, 6):
+        cases.append(pytest.param(lambda n=n: symmetriser(n), False, id=f"symmetriser-{n}"))
+    return cases
+
+
+class TestInvariance:
+    @pytest.mark.parametrize("build,dual_inputs", _invariance_cases())
+    def test_zero_defect(self, build, dual_inputs):
+        assert invariance_defect(build(), dual_inputs) == 0
+
+    def test_cswap_has_a_defect(self):
+        assert invariance_defect(cswap_gadget(), dual_inputs=False) == 16
+        assert invariance_defect(cswap_gadget(), dual_inputs=True) == 32
+
+    def test_vertex_without_an_arrow_has_a_defect(self):
+        # Replace the X(pi) arrow on input wire 0 by a plain wire, Z(0).
+        d, _ = vertex_3jm(VertexSpec((1, 1, 1), "iio"))
+        b = d.inputs[0]
+        (arrow,) = [u if v == b else v for u, v in d.edges if b in (u, v)]
+        assert d.vertices[arrow] == VertexData(X, Fraction(1))
+        d.vertices[arrow] = VertexData(Z)
+        assert invariance_defect(d, dual_inputs=True) == 12
