@@ -27,6 +27,7 @@ from spinnet.su2 import (
     corrected_spin_matrix,
     cswap_gadget,
     exact_matrix,
+    invariance_defect,
     lambda_n,
     loop_network,
     network_6j,
@@ -295,8 +296,20 @@ def test_theta_invariant(triad, sign):
 
 # -- 11. SU(2) invariance -----------------------------------------------------
 #
-# Checked exactly, through the su(2) generators, by the sweep in
+# Checked exactly, through the su(2) generators: a zero defect covers every
+# rotation, so no angles are sampled.  The full sweep is in
 # tests/test_su2.py (TestInvariance).
+
+
+@pytest.mark.parametrize("spins", [(H, H, 1), (1, 1, 1)])
+def test_vertex_su2_invariance_random_rotations(spins):
+    d, _ = vertex_3jm(VertexSpec(spins, "iio"))
+    assert invariance_defect(d, dual_inputs=True) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetriser_su2_commutation(n):
+    assert invariance_defect(symmetriser(n), dual_inputs=False) == 0
 
 
 # -- 12. rewrite soundness and gadget derivations ----------------------------

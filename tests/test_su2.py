@@ -405,6 +405,15 @@ class TestInvariance:
     def test_zero_defect(self, build, dual_inputs):
         assert invariance_defect(build(), dual_inputs) == 0
 
+    @pytest.mark.parametrize("spins", [(H, H, 1), (1, 1, 1)])
+    def test_vertex_su2_invariance(self, spins):
+        d, _ = vertex_3jm(VertexSpec(spins, "iio"))
+        assert invariance_defect(d, dual_inputs=True) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_symmetriser_commutes_with_tensor_powers(self, n):
+        assert invariance_defect(symmetriser(n), dual_inputs=False) == 0
+
     def test_cswap_has_a_defect(self):
         assert invariance_defect(cswap_gadget(), dual_inputs=False) == 16
         assert invariance_defect(cswap_gadget(), dual_inputs=True) == 32
