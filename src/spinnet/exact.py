@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 __all__ = [
     "ExactScalar",

@@ -23,9 +23,9 @@ instead of editing it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .exact import ExactScalar
 
@@ -125,9 +125,6 @@ class Diagram:
         self.scalar = self.scalar * s
 
     # -- queries ----------------------------------------------------------
-
-    def kind(self, v: int) -> str:
-        return self.vertices[v].kind
 
     def degree(self, v: int) -> int:
         d = 0

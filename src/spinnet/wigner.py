@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .exact import (
     HalfInteger,

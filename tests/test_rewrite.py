@@ -3,6 +3,7 @@
 import json
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from spinnet import rewrite as rw
 from spinnet.exact import ExactScalar, HalfInteger
-from spinnet.graph import H, X, Z, Diagram, VertexData, make_spider, normalize_phase, serialize
+from spinnet.graph import (
+    H, X, Z, Diagram, VertexData, compose_par, make_spider, normalize_phase, serialize,
+)
 from spinnet.rewrite import (
     DEFAULT_SIMPLIFY_RULES,
     RULES,
@@ -31,9 +34,50 @@ FULL_RULES = (
 )
 
 
+# Every scalar that the seed-0 trials derive, per rule, in text form.
+DERIVED_SCALARS = json.loads((Path(__file__).parent / "data" / "derived_scalars.json").read_text())
+
+
 @pytest.mark.parametrize("rule", sorted(RULES))
 def test_rule_soundness_200_trials(rule):
     assert check_rule_soundness(rule, trials=200, seed=0) == 0
+    table = derived_scalar_table()
+    for key, value in DERIVED_SCALARS[rule].items():
+        assert table.get(key) == value, key
+
+
+def _hopf_dropping_one_edge(w, site):
+    u, v = site
+    w.remove_edge(next(e for e, n in w.inc[u].items() if n == v))
+    return ("hopf",)
+
+
+def test_derivation_rejects_an_unsound_applier(monkeypatch):
+    # The scalar is derived by running the applier itself, so a broken
+    # surgery cannot ship with a scalar derived from some other right side.
+    monkeypatch.setattr(rw, "_SCALAR_CACHE", {})
+    monkeypatch.setattr(RULES["hopf"], "apply_at", _hopf_dropping_one_edge)
+    d, _site = RULES["hopf"].lhs()
+    with pytest.raises(ValueError, match="not proportional"):
+        apply_rule(d, "hopf")
+
+
+def test_derivation_rejects_a_site_that_does_not_match(monkeypatch):
+    monkeypatch.setattr(rw, "_SCALAR_CACHE", {})
+    rule = RULES["hopf"]
+    d, (z, x) = rule.lhs()
+    monkeypatch.setattr(rule, "lhs", lambda: (d, (x, z)))
+    with pytest.raises(ValueError, match="is not a 'hopf' site"):
+        rw._derive_scalar(rule, ("hopf",))
+
+
+def test_derivation_rejects_an_applier_reporting_another_key(monkeypatch):
+    monkeypatch.setattr(rw, "_SCALAR_CACHE", {})
+    rule = RULES["hh-cancel"]
+    apply_at = rule.apply_at
+    monkeypatch.setattr(rule, "apply_at", lambda w, site: apply_at(w, site)[:1])
+    with pytest.raises(ValueError, match="the applier reports"):
+        rw._derive_scalar(rule, ("hh-cancel", "open"))
 
 
 def test_negative_control_detects_wrong_scalar():
@@ -393,10 +437,15 @@ REFERENCE_MATCHERS = {
 # the diagram and rebuilds its edge list.  ``apply_rule`` must produce the
 # same diagram (records in dict order, edges, boundaries, scalar) at every
 # site, and ``simplify`` the same trace and result as the first-match loop
-# over these.  The derived scalars
-# and the rule sides come from the library, which derives them, not from a
-# copy.  Only ``_ref_a_fuse`` differs from the original: float phases add as
-# floats (``normalize_phase(pu + pv)``) instead of as exact binary fractions.
+# over these.  The scalars come from the library, which derives them, fetched
+# by key.  Only ``_ref_a_fuse`` differs from the original: float phases add
+# as floats (``normalize_phase(pu + pv)``) instead of as exact binary
+# fractions.
+
+
+def _scalar(*key):
+    """The library's derived scalar for a key."""
+    return rw._derive_scalar(RULES[key[0]], key)
 
 
 def _ref_incidence(d: Diagram) -> dict[int, list[tuple[int, int]]]:
@@ -461,14 +510,14 @@ def _ref_a_hh_cancel(d: Diagram, site: tuple) -> Diagram:
         # Closed pair: trace(H.H) = 4.
         _ref_remove_vertex(out, u)
         _ref_remove_vertex(out, v)
-        out.mul_scalar(rw._derive_scalar(("hh-cancel", "closed"), rw._hh_lhs(2), Diagram()))
+        out.mul_scalar(_scalar("hh-cancel", "closed"))
         return out
     nu = next(w for _i, w in inc[u] if w != v)
     nv = next(w for _i, w in inc[v] if w != u)
     _ref_remove_vertex(out, u)
     _ref_remove_vertex(out, v)
     out.add_edge(nu, nv)
-    out.mul_scalar(rw._derive_scalar(("hh-cancel", "open"), rw._hh_lhs(1), rw._wire_diagram(1)))
+    out.mul_scalar(_scalar("hh-cancel", "open"))
     return out
 
 
@@ -484,7 +533,7 @@ def _ref_a_hopf(d: Diagram, site: tuple) -> Diagram:
             continue
         new_edges.append((a, b))
     out.edges = new_edges
-    out.mul_scalar(rw._derive_scalar(("hopf",), rw._hopf_lhs(), rw._hopf_rhs()))
+    out.mul_scalar(_scalar("hopf"))
     return out
 
 
@@ -502,9 +551,7 @@ def _ref_a_copy(d: Diagram, site: tuple) -> Diagram:
         out.add_edge(s, n)
     del out.vertices[v]
     del out.vertices[w]
-    out.mul_scalar(
-        rw._derive_scalar(("copy", kind, ph, legs), rw._copy_lhs(kind, ph, legs), rw._copy_rhs(kind, ph, legs))
-    )
+    out.mul_scalar(_scalar("copy", kind, ph, legs))
     return out
 
 
@@ -527,8 +574,7 @@ def _ref_a_pi_copy(d: Diagram, site: tuple) -> Diagram:
         out.add_edge(p, n)
     del out.vertices[v]
     del out.vertices[w]
-    lhs, rhs = rw._pi_copy_sides(kind, ph, legs)
-    out.mul_scalar(rw._derive_scalar(("pi-copy", kind, ph, legs), lhs, rhs))
+    out.mul_scalar(_scalar("pi-copy", kind, ph, legs))
     return out
 
 
@@ -556,8 +602,7 @@ def _ref_a_bialgebra(d: Diagram, site: tuple) -> Diagram:
             out.add_edge(xv, zv)
     del out.vertices[z]
     del out.vertices[x]
-    lhs, rhs = rw._bialgebra_sides(m, n)
-    out.mul_scalar(rw._derive_scalar(("bialgebra", m, n), lhs, rhs))
+    out.mul_scalar(_scalar("bialgebra", m, n))
     return out
 
 
@@ -575,8 +620,7 @@ def _ref_a_color_change(d: Diagram, site: tuple) -> Diagram:
         out.add_edge(h, nb)
     del out.vertices[v]
     key_ph = Fraction(ph) % 2 if isinstance(ph, (int, Fraction)) else Fraction(0)
-    lhs, rhs = rw._color_change_sides(key_ph, len(inc))
-    out.mul_scalar(rw._derive_scalar(("color-change", key_ph, len(inc)), lhs, rhs))
+    out.mul_scalar(_scalar("color-change", key_ph, len(inc)))
     return out
 
 
@@ -592,8 +636,7 @@ def _ref_a_absorb(d: Diagram, site: tuple) -> Diagram:
     del out.vertices[v]
     if ph == 0:
         out.vertices[w] = VertexData(H, Fraction(0), ExactScalar.one())
-    lhs, rhs = rw._absorb_sides(ph, label, legs)
-    out.mul_scalar(rw._derive_scalar(("absorb", ph, label, legs), lhs, rhs))
+    out.mul_scalar(_scalar("absorb", ph, label, legs))
     return out
 
 
@@ -608,8 +651,7 @@ def _ref_a_explode(d: Diagram, site: tuple) -> Diagram:
         del out.vertices[w]
         for nb in legs:
             out.add_edge(out.add_z(), nb)
-        lhs, rhs = rw._split_sides(len(legs))
-        out.mul_scalar(rw._derive_scalar(("explode", "split", len(legs)), lhs, rhs))
+        out.mul_scalar(_scalar("explode", "split", len(legs)))
         return out
     out = d.copy()
     label = out.vertices[w].label
@@ -618,8 +660,7 @@ def _ref_a_explode(d: Diagram, site: tuple) -> Diagram:
     del out.vertices[v]
     new_label = (ExactScalar.one() + label) * ExactScalar(Fraction(1, 2))
     out.vertices[w] = VertexData(H, Fraction(0), new_label)
-    rhs, lhs = rw._explode_sides(label, legs)
-    out.mul_scalar(rw._derive_scalar(("explode", label, legs), lhs, rhs))
+    out.mul_scalar(_scalar("explode", label, legs))
     return out
 
 
@@ -632,11 +673,12 @@ def _ref_a_zh(d: Diagram, site: tuple) -> Diagram:
         raise ValueError("zh-relations needs an arity-2 H-box on distinct wires")
     out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
     del out.vertices[v]
-    first, last = rw._spider_chain(out, [(Z, rw._HALF), (X, rw._HALF), (Z, rw._HALF)])
+    first, middle, last = out.add_z(rw._HALF), out.add_x(rw._HALF), out.add_z(rw._HALF)
+    out.add_edge(first, middle)
+    out.add_edge(middle, last)
     out.add_edge(ends[0], first)
     out.add_edge(last, ends[1])
-    lhs, rhs = rw._zh_sides()
-    out.mul_scalar(rw._derive_scalar(("zh-relations",), lhs, rhs))
+    out.mul_scalar(_scalar("zh-relations"))
     return out
 
 
@@ -813,9 +855,10 @@ _LABELS = [ExactScalar(-1), ExactScalar(1), ExactScalar(2)]
 def zxh_diagrams(draw):
     """Random small diagrams with self-loops, multi-edges, boundary-to-boundary
     wires, H-boxes labelled -1, 1 and 2 and Z/X phases 0, 1/2, 1, 3/2 and the
-    float 1.0.  One to three rule instances are planted by the rules' own
-    seeders, so that every rule has sites to find; up to two spiders then get
-    the float phase, and random edges join or break the instances."""
+    float 1.0.  One to three left-hand-side instances of the rules, with
+    sampled parameters, are planted beside them with ``compose_par``, so that
+    every rule has sites to find; up to two spiders then get the float phase,
+    and random edges join or break the instances."""
     d = Diagram()
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from((Z, X, H)))
@@ -826,7 +869,8 @@ def zxh_diagrams(draw):
             d.add_z(phase) if kind == Z else d.add_x(phase)
     rng = draw(st.randoms(use_true_random=False))
     for rule in draw(st.lists(st.sampled_from(sorted(RULES)), min_size=1, max_size=3)):
-        RULES[rule].seeder(d, rng)
+        r = RULES[rule]
+        d = compose_par(d, r.lhs(*r.sample(rng))[0])
     spiders = [v for v, data in d.vertices.items() if data.kind in (Z, X)]
     for v in draw(st.lists(st.sampled_from(spiders), max_size=2, unique=True)) if spiders else ():
         d.vertices[v] = VertexData(d.vertices[v].kind, 1.0)
