@@ -371,10 +371,13 @@ class RadicalNumber:
         canonical: dict[int, Fraction] = {}
         if terms:
             for s, q in terms.items():
-                if s <= 0:
-                    raise ValueError("radicand must be positive")
-                c, sf = squarefree_decompose(s)
-                qq = _frac(q) * c
+                if s == 1:
+                    sf, qq = 1, _frac(q)
+                else:
+                    if s <= 0:
+                        raise ValueError("radicand must be positive")
+                    c, sf = squarefree_decompose(s)
+                    qq = _frac(q) * c
                 if qq:
                     canonical[sf] = canonical.get(sf, Fraction(0)) + qq
                     if not canonical[sf]:

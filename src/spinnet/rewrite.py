@@ -748,13 +748,11 @@ def _sample_explode(rng: random.Random) -> tuple:
 
 
 def _m_zh(w: _Work, v: int) -> list[tuple]:
-    return [(v,)] if _plain_hadamard_box(w, v) else []
+    return [(v,)] if _plain_hadamard_box(w, v) and not w.looped(v) else []
 
 
 def _a_zh(w: _Work, site: tuple) -> tuple:
     (v,) = site
-    if w.looped(v):
-        raise ValueError("zh-relations needs an arity-2 H-box on distinct wires")
     a, b = w.others(v)
     w.remove_vertex(v)
     first = w.add_spider(Z, _HALF)

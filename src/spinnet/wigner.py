@@ -5,16 +5,18 @@ uses factorial sum formulas over exact rationals and square roots
 (:class:`~spinnet.exact.RadicalNumber`), and shares no code with the tensor
 contraction path.
 
-Conventions: 3jm symbols follow the standard relation to Clebsch-Gordan
-coefficients; the 4jm symbol couples (j1 j2) and (j3 j4) through an
-intermediate spin j with a (-1)^(j-m) metric; the 6j symbol is the closed
-tetrahedral contraction of four 3jm symbols.
+Conventions: the 3jm and 6j symbols are Racah's single sums (Racah, Phys.
+Rev. 62, 438, 1942; Edmonds, *Angular Momentum in Quantum Mechanics*, 1957),
+each one integer factorial sum over a common denominator times one square
+root of a rational; Clebsch-Gordan coefficients follow from the 3jm symbol by
+the standard relation; the 4jm symbol couples (j1 j2) and (j3 j4) through an
+intermediate spin j with a (-1)^(j-m) metric.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import prod
 from typing import Callable, Sequence
 
 from .exact import (
@@ -56,100 +58,77 @@ def _sign_pow(x: HalfInteger | int) -> int:
     return -1 if n % 2 else 1
 
 
+def _admissible(a: int, b: int, c: int) -> bool:
+    """Triangle rule and integer sum for twice-spins a, b, c."""
+    return min(a, b, c) >= 0 and (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
+
+
 def triangle_ok(j1: SpinLike, j2: SpinLike, j3: SpinLike) -> bool:
     """Admissibility of a spin triad: triangle inequality + integer sum."""
-    a, b, c = _hi(j1).twice, _hi(j2).twice, _hi(j3).twice
-    if min(a, b, c) < 0:
-        return False
-    return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
+    return _admissible(_hi(j1).twice, _hi(j2).twice, _hi(j3).twice)
 
 
-@lru_cache(maxsize=None)
-def _cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> RadicalNumber:
-    zero = RadicalNumber.zero()
-    if tm != tm1 + tm2:
-        return zero
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm) > tj:
-        return zero
-    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
-        return zero
-    if not triangle_ok(
-        HalfInteger.from_twice(tj1), HalfInteger.from_twice(tj2), HalfInteger.from_twice(tj)
-    ):
-        return zero
-    # All the following combinations are integers.
-    jpm = (tj + tm) // 2
-    jmm = (tj - tm) // 2
-    t1 = (-tj + tj1 + tj2) // 2
-    t2 = (tj - tj1 + tj2) // 2
-    t3 = (tj + tj1 - tj2) // 2
-    j1pm1 = (tj1 + tm1) // 2
-    j1mm1 = (tj1 - tm1) // 2
-    j2pm2 = (tj2 + tm2) // 2
-    j2mm2 = (tj2 - tm2) // 2
-    jsum1 = (tj + tj1 + tj2) // 2 + 1
-    pref = Fraction(
-        (tj + 1)
-        * factorial(jpm)
-        * factorial(jmm)
-        * factorial(t1)
-        * factorial(t2)
-        * factorial(t3),
-        factorial(jsum1)
-        * factorial(j1pm1)
-        * factorial(j1mm1)
-        * factorial(j2pm2)
-        * factorial(j2mm2),
+def _delta2(a: int, b: int, c: int) -> tuple[int, int]:
+    """Triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)! of an
+    admissible triad of twice-spins, as (numerator, denominator)."""
+    return (
+        factorial((a + b - c) // 2) * factorial((a - b + c) // 2) * factorial((b + c - a) // 2),
+        factorial((a + b + c) // 2 + 1),
     )
-    # Summation index bounds keep every factorial argument nonnegative.
-    a_top = (tj + tj2 + tm1) // 2  # (j + j2 + m1 - k)!
-    b_base = j1mm1  # (j1 - m1 + k)!
-    c_top = t2  # (j - j1 + j2 - k)!
-    d_top = jpm  # (j + m - k)!
-    e_shift = (tj1 - tj2 - tm) // 2  # (k + j1 - j2 - m)!
-    k_lo = max(0, -e_shift)
-    k_hi = min(a_top, c_top, d_top)
-    total = Fraction(0)
-    sign_base = (tj2 + tm2) // 2
-    for k in range(k_lo, k_hi + 1):
-        term = Fraction(
-            factorial(a_top - k) * factorial(b_base + k),
-            factorial(c_top - k) * factorial(d_top - k) * factorial(k) * factorial(k + e_shift),
+
+
+def _racah_sum(
+    lows: Sequence[int], highs: Sequence[int], weight: Callable[[int], int]
+) -> Fraction:
+    """Sum over max(lows) <= t <= min(highs) of
+    (-1)^t weight(t) / (prod (t - l)! * prod (h - t)!), as one integer sum
+    over the common denominator of its terms."""
+    t0, t1 = max(lows), min(highs)
+    den = prod(factorial(t1 - l) for l in lows) * prod(factorial(h - t0) for h in highs)
+    num = 0
+    for t in range(t0, t1 + 1):
+        term = weight(t) * den // (
+            prod(factorial(t - l) for l in lows) * prod(factorial(h - t) for h in highs)
         )
-        total += term if (k + sign_base) % 2 == 0 else -term
-    if total == 0:
-        return zero
-    return sqrt_rational(pref) * RadicalNumber.from_rational(total)
-
-
-def cg(
-    j1: SpinLike, m1: SpinLike, j2: SpinLike, m2: SpinLike, j: SpinLike, m: SpinLike
-) -> RadicalNumber:
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m>, exact."""
-    return _cg_twice(
-        _hi(j1).twice, _hi(m1).twice, _hi(j2).twice, _hi(m2).twice, _hi(j).twice, _hi(m).twice
-    )
+        num += -term if t % 2 else term
+    return Fraction(num, den)
 
 
 def w3jm(
     j1: SpinLike, j2: SpinLike, j3: SpinLike, m1: SpinLike, m2: SpinLike, m3: SpinLike
 ) -> RadicalNumber:
-    """Wigner 3jm symbol (j1 j2 j3; m1 m2 m3), exact."""
-    j1, j2, j3 = _hi(j1), _hi(j2), _hi(j3)
-    m1, m2, m3 = _hi(m1), _hi(m2), _hi(m3)
-    if not triangle_ok(j1, j2, j3):
+    """Wigner 3jm symbol (j1 j2 j3; m1 m2 m3), exact, by Racah's single sum:
+    (-1)^(j1-j2-m3) times the square root of the triangle coefficient of
+    (j1 j2 j3) and of prod (ji+mi)! (ji-mi)!, times
+    sum_k (-1)^k / (k! (j3-j2+m1+k)! (j3-j1-m2+k)! (j1+j2-j3-k)! (j1-m1-k)! (j2+m2-k)!).
+    """
+    a, b, c = _hi(j1).twice, _hi(j2).twice, _hi(j3).twice
+    x, y, z = _hi(m1).twice, _hi(m2).twice, _hi(m3).twice
+    if x + y + z or not _admissible(a, b, c):
         return RadicalNumber.zero()
-    if (m1 + m2 + m3).twice != 0:
+    if any((t + u) % 2 or abs(u) > t for t, u in ((a, x), (b, y), (c, z))):
         return RadicalNumber.zero()
-    for jj, mm in ((j1, m1), (j2, m2), (j3, m3)):
-        if (jj.twice + mm.twice) % 2 or abs(mm.twice) > jj.twice:
-            return RadicalNumber.zero()
-    c = cg(j1, m1, j2, m2, j3, -m3)
-    if c.is_zero():
-        return c
-    sign = _sign_pow(j1 - j2 - m3)
-    dim = Fraction(j3.twice + 1, 1)
-    return sign * c * sqrt_rational(1 / dim)
+    total = _racah_sum(
+        (0, (b - c - x) // 2, (a - c + y) // 2),
+        ((a + b - c) // 2, (a - x) // 2, (b + y) // 2),
+        lambda t: 1,
+    )
+    num, den = _delta2(a, b, c)
+    for t, u in ((a, x), (b, y), (c, z)):
+        num *= factorial((t + u) // 2) * factorial((t - u) // 2)
+    return sqrt_rational(Fraction(num, den)) * (_sign_pow((a - b - z) // 2) * total)
+
+
+def cg(
+    j1: SpinLike, m1: SpinLike, j2: SpinLike, m2: SpinLike, j: SpinLike, m: SpinLike
+) -> RadicalNumber:
+    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m>, exact:
+    (-1)^(j1-j2+m) sqrt(2j+1) (j1 j2 j; m1 m2 -m)."""
+    m = _hi(m)
+    w = w3jm(j1, j2, j, m1, m2, -m)
+    if w.is_zero():
+        return w
+    return _sign_pow(_hi(j1) - _hi(j2) + m) * sqrt_rational(_hi(j).twice + 1) * w
 
 
 def w4jm(
@@ -183,43 +162,21 @@ def w4jm(
 def w6j(
     j1: SpinLike, j2: SpinLike, j3: SpinLike, j4: SpinLike, j5: SpinLike, j6: SpinLike
 ) -> RadicalNumber:
-    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}, exact.
-
-    Computed as the closed contraction of four 3jm symbols over all
-    magnetic indices with a (-1)^(ji - mi) metric on every line.
+    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}, exact, by Racah's single sum:
+    the square root of the four triangle coefficients of the triads
+    (j1 j2 j3), (j1 j5 j6), (j4 j2 j6), (j4 j5 j3), times
+    sum_t (-1)^t (t+1)! / (prod (t - triad sum)! * prod (quad sum - t)!).
     """
-    j1, j2, j3 = _hi(j1), _hi(j2), _hi(j3)
-    j4, j5, j6 = _hi(j4), _hi(j5), _hi(j6)
-    total = RadicalNumber.zero()
-    for m1 in half_integer_range(j1):
-        for m2 in half_integer_range(j2):
-            m3 = -(m1 + m2)
-            if abs(m3.twice) > j3.twice:
-                continue
-            a = w3jm(j1, j2, j3, -m1, -m2, -m3)
-            if a.is_zero():
-                continue
-            for m4 in half_integer_range(j4):
-                m5 = m4 - m3
-                if abs(m5.twice) > j5.twice:
-                    continue
-                m6 = m5 - m1
-                if abs(m6.twice) > j6.twice:
-                    continue
-                b = w3jm(j1, j5, j6, m1, -m5, m6)
-                if b.is_zero():
-                    continue
-                c = w3jm(j4, j2, j6, m4, m2, -m6)
-                if c.is_zero():
-                    continue
-                e = w3jm(j3, j4, j5, m3, -m4, m5)
-                if e.is_zero():
-                    continue
-                sign = _sign_pow(
-                    (j1 - m1) + (j2 - m2) + (j3 - m3) + (j4 - m4) + (j5 - m5) + (j6 - m6)
-                )
-                total = total + sign * a * b * c * e
-    return total
+    a1, a2, a3, a4, a5, a6 = (_hi(j).twice for j in (j1, j2, j3, j4, j5, j6))
+    triads = ((a1, a2, a3), (a1, a5, a6), (a4, a2, a6), (a4, a5, a3))
+    if not all(_admissible(*t) for t in triads):
+        return RadicalNumber.zero()
+    total = _racah_sum(
+        [sum(t) // 2 for t in triads],
+        ((a1 + a2 + a4 + a5) // 2, (a2 + a3 + a5 + a6) // 2, (a3 + a1 + a6 + a4) // 2),
+        lambda t: factorial(t + 1),
+    )
+    return sqrt_rational(prod(Fraction(*_delta2(*t)) for t in triads)) * total
 
 
 # -- matrix representations ----------------------------------------------

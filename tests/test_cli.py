@@ -48,6 +48,11 @@ class TestSymbol:
         assert code == EXIT_OK
         assert out.startswith("1/6")
 
+    def test_6j_at_spin_4(self, capsys):
+        code, out, _ = run(capsys, "symbol", "6j", "4", "4", "4", "4", "4", "4")
+        assert code == EXIT_OK
+        assert out.startswith("-467/18018 ")
+
     def test_3jm(self, capsys):
         code, out, _ = run(capsys, "symbol", "3jm", "1/2", "1/2", "1", "1/2", "1/2", "-1")
         assert code == EXIT_OK

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from spinnet.exact import ExactScalar
 from spinnet.graph import (
-    B,
     Diagram,
     H,
     X,

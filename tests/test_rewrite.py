@@ -24,7 +24,7 @@ from spinnet.rewrite import (
     simplify,
 )
 from spinnet.su2 import cswap_gadget, network_6j, symmetriser
-from spinnet.tensor import eval_diagram, plug_basis, to_matrix
+from spinnet.tensor import plug_basis, to_matrix
 
 # The default rules plus absorb, explode, copy, hopf and pi-copy: enough to
 # reduce a plugged Fredkin gadget, but with no fixpoint on larger diagrams.
@@ -172,6 +172,19 @@ def test_apply_rule_rejects_bad_site():
         apply_rule(d, "fuse", site=(a + 99, b))
     with pytest.raises(KeyError):
         find_matches(d, "no-such-rule")
+
+
+def test_zh_relations_skips_a_self_looped_h_box():
+    # Both legs of the H(-1) box are one self-loop: there are no two wires
+    # to put the Z-X-Z chain on, so it is no site.
+    d = Diagram()
+    h = d.add_h()
+    d.add_edge(h, h)
+    text = serialize(d)
+    assert find_matches(d, "zh-relations") == []
+    out, trace = simplify(d, rules=("zh-relations",))
+    assert len(trace) == 0
+    assert serialize(out) == text
 
 
 def test_simplify_reaches_fixpoint_and_preserves_tensor():
@@ -412,7 +425,11 @@ def _ref_explode(d: Diagram) -> list[tuple]:
 
 
 def _ref_zh(d: Diagram) -> list[tuple]:
-    return sorted((v,) for v in d.vertices if _ref_is_plain_hadamard_box(d, v))
+    return sorted(
+        (v,)
+        for v in d.vertices
+        if _ref_is_plain_hadamard_box(d, v) and not any(a == b == v for a, b in d.edges)
+    )
 
 
 REFERENCE_MATCHERS = {

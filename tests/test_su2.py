@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, half_integer_range, sqrt_rational
-from spinnet.graph import Diagram, VertexData, X, Z
+from spinnet.graph import VertexData, X, Z
 from spinnet.su2 import (
     NetworkSpec,
     NodeSpec,
-    EdgeSpec,
     OpenLegSpec,
     VertexSpec,
     assemble_network,

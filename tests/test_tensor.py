@@ -1,7 +1,6 @@
 """Tensor engine: spider semantics, planning, exact/float agreement."""
 
 import math
-import os
 import random
 from fractions import Fraction
 

@@ -2,9 +2,9 @@
 properties, and the spin-basis vertex matrices."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
-from spinnet.exact import HalfInteger, RadicalNumber, sqrt_rational, half_integer_range
+from spinnet.exact import HalfInteger, RadicalNumber, factorial, sqrt_rational, half_integer_range
 from spinnet.wigner import (
     cg,
     invariant_loop,
@@ -19,6 +19,7 @@ from spinnet.wigner import (
 
 H = Fraction(1, 2)
 SPINS_UP_TO_3_HALVES = [Fraction(0), H, Fraction(1), Fraction(3, 2)]
+SPINS_UP_TO_2 = [HalfInteger.from_twice(t) for t in range(5)]
 
 
 def valid_triads(spins):
@@ -33,6 +34,126 @@ def sign_power(twice_exponent):
     """(-1)^(k/2) for even twice_exponent k (raises if k is odd)."""
     assert twice_exponent % 2 == 0
     return RadicalNumber.one() if (twice_exponent // 2) % 2 == 0 else -RadicalNumber.one()
+
+
+def _sign(x: HalfInteger) -> int:
+    """(-1)**x for an integer-valued HalfInteger x."""
+    assert x.twice % 2 == 0
+    return -1 if (x.twice // 2) % 2 else 1
+
+
+# -- reference closed forms -------------------------------------------------
+#
+# The oracle's earlier forms, kept as independent references for its Racah
+# single sums: the 6j symbol as the closed tetrahedral contraction of four
+# 3jm symbols, and the Clebsch-Gordan coefficient as its own factorial sum.
+
+
+def _ref_w6j(j1, j2, j3, j4, j5, j6) -> RadicalNumber:
+    """The closed contraction of four 3jm symbols over all magnetic indices,
+    with a (-1)^(j - m) metric on every line."""
+    j1, j2, j3, j4, j5, j6 = (HalfInteger(j) for j in (j1, j2, j3, j4, j5, j6))
+    total = RadicalNumber.zero()
+    for m1 in half_integer_range(j1):
+        for m2 in half_integer_range(j2):
+            m3 = -(m1 + m2)
+            if abs(m3.twice) > j3.twice:
+                continue
+            a = w3jm(j1, j2, j3, -m1, -m2, -m3)
+            if a.is_zero():
+                continue
+            for m4 in half_integer_range(j4):
+                m5 = m4 - m3
+                if abs(m5.twice) > j5.twice:
+                    continue
+                m6 = m5 - m1
+                if abs(m6.twice) > j6.twice:
+                    continue
+                b = w3jm(j1, j5, j6, m1, -m5, m6)
+                if b.is_zero():
+                    continue
+                c = w3jm(j4, j2, j6, m4, m2, -m6)
+                if c.is_zero():
+                    continue
+                e = w3jm(j3, j4, j5, m3, -m4, m5)
+                if e.is_zero():
+                    continue
+                sign = _sign((j1 - m1) + (j2 - m2) + (j3 - m3) + (j4 - m4) + (j5 - m5) + (j6 - m6))
+                total = total + sign * a * b * c * e
+    return total
+
+
+def _ref_cg(j1, m1, j2, m2, j, m) -> RadicalNumber:
+    """<j1 m1; j2 m2 | j m> as a prefactor square root times a factorial sum
+    over k, with a Fraction per term."""
+    tj1, tm1, tj2, tm2, tj, tm = (HalfInteger(x).twice for x in (j1, m1, j2, m2, j, m))
+    zero = RadicalNumber.zero()
+    if tm != tm1 + tm2:
+        return zero
+    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm) > tj:
+        return zero
+    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tj + tm) % 2:
+        return zero
+    if not triangle_ok(
+        HalfInteger.from_twice(tj1), HalfInteger.from_twice(tj2), HalfInteger.from_twice(tj)
+    ):
+        return zero
+    # All the following combinations are integers.
+    jpm = (tj + tm) // 2
+    jmm = (tj - tm) // 2
+    t1 = (-tj + tj1 + tj2) // 2
+    t2 = (tj - tj1 + tj2) // 2
+    t3 = (tj + tj1 - tj2) // 2
+    j1pm1 = (tj1 + tm1) // 2
+    j1mm1 = (tj1 - tm1) // 2
+    j2pm2 = (tj2 + tm2) // 2
+    j2mm2 = (tj2 - tm2) // 2
+    jsum1 = (tj + tj1 + tj2) // 2 + 1
+    pref = Fraction(
+        (tj + 1)
+        * factorial(jpm)
+        * factorial(jmm)
+        * factorial(t1)
+        * factorial(t2)
+        * factorial(t3),
+        factorial(jsum1)
+        * factorial(j1pm1)
+        * factorial(j1mm1)
+        * factorial(j2pm2)
+        * factorial(j2mm2),
+    )
+    # Summation index bounds keep every factorial argument nonnegative.
+    a_top = (tj + tj2 + tm1) // 2  # (j + j2 + m1 - k)!
+    b_base = j1mm1  # (j1 - m1 + k)!
+    c_top = t2  # (j - j1 + j2 - k)!
+    d_top = jpm  # (j + m - k)!
+    e_shift = (tj1 - tj2 - tm) // 2  # (k + j1 - j2 - m)!
+    k_lo = max(0, -e_shift)
+    k_hi = min(a_top, c_top, d_top)
+    total = Fraction(0)
+    sign_base = (tj2 + tm2) // 2
+    for k in range(k_lo, k_hi + 1):
+        term = Fraction(
+            factorial(a_top - k) * factorial(b_base + k),
+            factorial(c_top - k) * factorial(d_top - k) * factorial(k) * factorial(k + e_shift),
+        )
+        total += term if (k + sign_base) % 2 == 0 else -term
+    if total == 0:
+        return zero
+    return sqrt_rational(pref) * RadicalNumber.from_rational(total)
+
+
+def admissible_6j(spins):
+    """Every sextuple whose four triads are admissible."""
+    return [
+        js
+        for js in product(spins, repeat=6)
+        if all(
+            triangle_ok(*t)
+            for t in ((js[0], js[1], js[2]), (js[0], js[4], js[5]),
+                      (js[3], js[1], js[5]), (js[2], js[3], js[4]))
+        )
+    ]
 
 
 class TestClebschGordan:
@@ -65,6 +186,13 @@ class TestClebschGordan:
                         c = cg(h1, m1, h2, m2, j, m)
                         total = total + c * c
                     assert total == RadicalNumber.one()
+
+    def test_matches_factorial_sum_reference(self):
+        # Every (j, m) tuple with spins <= 2, inadmissible ones included.
+        jm = [(j, m) for j in SPINS_UP_TO_2 for m in half_integer_range(j)]
+        assert len(jm) ** 3 == 3375
+        for (j1, m1), (j2, m2), (j, m) in product(jm, repeat=3):
+            assert cg(j1, m1, j2, m2, j, m) == _ref_cg(j1, m1, j2, m2, j, m), (j1, m1, j2, m2, j, m)
 
 
 class TestW3jm:
@@ -148,6 +276,26 @@ class TestW6j:
         assert w6j(2, 2, 2, 1, 1, 1) == RadicalNumber({21: Fraction(1, 30)})
         # {a b 0; c d f} with a=b, c=d equals (-1)^(a+c+f)/sqrt((2a+1)(2c+1)).
         assert w6j(0, 1, 1, 1, 1, 1) == -RadicalNumber({1: Fraction(1, 3)})
+
+    def test_matches_contraction_reference(self):
+        symbols = admissible_6j(SPINS_UP_TO_2)
+        assert len(symbols) == 570
+        for js in symbols:
+            assert w6j(*js) == _ref_w6j(*js), js
+
+    def test_zero_when_a_triad_fails(self):
+        assert w6j(1, 1, 1, 1, 1, 3) == RadicalNumber.zero()
+        assert w6j(1, 1, 1, 1, 1, H) == RadicalNumber.zero()
+
+    def test_large_spin_values(self):
+        S = Fraction(7, 2)
+        for js, want in [
+            ((3, 3, 3, 3, 3, 3), Fraction(-1, 14)),
+            ((S, S, 3, S, S, 3), Fraction(31, 616)),
+            ((4, 4, 4, 4, 4, 4), Fraction(-467, 18018)),
+        ]:
+            assert w6j(*js) == RadicalNumber.from_rational(want), js
+            assert _ref_w6j(*js) == RadicalNumber.from_rational(want), js
 
     def test_tetrahedral_symmetry(self):
         # Invariance under any permutation of the three columns, and under
