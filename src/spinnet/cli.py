@@ -327,7 +327,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         }))
     plan = plan_contraction(d, rank_cap=_resolve_rank_cap(args.mode, args.rank_cap), mode=args.mode)
     print(f"peak rank: {plan.peak_rank}  steps: {len(plan.steps)}  cost: {plan.cost}")
-    t = eval_diagram(d, mode=args.mode, plan=plan)
+    try:
+        t = eval_diagram(d, mode=args.mode, plan=plan)
+    except ValueError as exc:  # a phase off the pi/4 grid, in exact mode
+        raise CliError(f"{exc}; evaluate it with --mode float") from None
     if t.n_inputs == 0 and t.n_outputs == 0:
         v = t.scalar_value()
         if args.mode == "exact":

@@ -14,14 +14,21 @@ costs O(deg log E) rather than a rescan of every node and edge.  Two modes:
 * ``"exact"`` -- results are numpy object arrays holding
   :class:`ExactScalar`, bit-for-bit reproducible elements of Q(omega),
   omega = e^(i pi/4).  Inside the contraction a tensor is the
-  :attr:`ExactScalar.omega` form spread over arrays: four object arrays of
-  Python ints ``A_0..A_3`` (one per power of omega) and one positive int
-  ``D``, so an entry is ``sum_k A_k * omega^k / D``.  Because
-  omega^4 = -1, one pairwise contraction is 16 integer tensordots folded
-  onto four powers, after which the gcd of ``D`` and every coefficient is
-  divided out.  Python ints do not overflow.  Results become ExactScalar
-  once, at the end of :func:`eval_diagram`.
+  :attr:`ExactScalar.omega` form spread over arrays: four slots ``A_0..A_3``
+  (one per power of omega) and one positive int ``D``, so an entry is
+  ``sum_k A_k * omega^k / D`` in lowest terms.  A slot holds an object
+  array of Python ints, or ``None`` where that coefficient is zero in every
+  entry; an all-zero tensor keeps one zero array, so its shape survives.
+  Because omega^4 = -1, one pairwise contraction is an integer tensordot
+  for each pair of present slots (at most 16) folded onto four powers,
+  after which all-zero results are dropped and the gcd of ``D`` and every
+  coefficient is divided out.  Python ints do not overflow.  Results
+  become ExactScalar once, at the end of :func:`eval_diagram`.
 * ``"float"`` -- complex128 arrays (needed for irrational phases).
+
+In both modes :func:`eval_diagram` builds the tensor of each distinct
+(kind, phase, label, degree) once per call and shares it, read-only,
+between the nodes that have it.
 
 Matrix convention: inputs index columns and outputs index rows; wire 0 is
 the most significant bit on each side.
@@ -86,23 +93,30 @@ def _rank_cap(mode: str, rank_cap: Optional[int]) -> int:
 
 # -- exact tensors over Z[omega] ------------------------------------------
 
-# (coefficient arrays A_0..A_3, denominator D); see the module docstring.
-_OmegaTensor = tuple[tuple[np.ndarray, ...], int]
+# (coefficient arrays A_0..A_3, None where all zero; denominator D); see
+# the module docstring.
+_OmegaTensor = tuple[tuple[Optional[np.ndarray], ...], int]
 
 
 def _reduced(coeffs, den: int) -> _OmegaTensor:
-    """Divide the gcd of ``den`` and every coefficient out of both."""
+    """Drop all-zero coefficient arrays and divide the gcd of ``den`` and
+    every coefficient out of both.  ``coeffs`` holds at least one array."""
     # Ufuncs return 0-d object arrays as bare ints; asarray undoes that.
-    coeffs = [np.asarray(c, dtype=object) for c in coeffs]
+    arrays = [None if c is None else np.asarray(c, dtype=object) for c in coeffs]
+    kept = [c if c is not None and c.any() else None for c in arrays]
+    if not any(c is not None for c in kept):
+        shape = next(c for c in arrays if c is not None).shape
+        return (np.zeros(shape, dtype=object), None, None, None), 1
     g = den
-    for c in coeffs:
+    for c in kept:
         if g == 1:
             break
-        g = math.gcd(g, *c.ravel().tolist())
+        if c is not None:
+            g = math.gcd(g, *c.ravel().tolist())
     if g > 1:
-        coeffs = [np.asarray(c // g, dtype=object) for c in coeffs]
+        kept = [None if c is None else np.asarray(c // g, dtype=object) for c in kept]
         den //= g
-    return tuple(coeffs), den
+    return tuple(kept), den
 
 
 def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
@@ -118,7 +132,7 @@ def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
         coeffs[0][(0,) * degree] += 1
         for k, c in enumerate(ph.omega[0]):
             coeffs[k][ones] += c
-        return tuple(coeffs), 1
+        return _reduced(coeffs, 1)
     if data.kind == X:
         # (1/sqrt2)^deg (1 +- e^(i alpha pi)) by parity, over one denominator
         norm = ExactScalar.inv_sqrt2() ** degree
@@ -129,48 +143,52 @@ def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
             np.where(odd_parity, odd[k] * (den // d_odd), even[k] * (den // d_even)).astype(object)
             for k in range(4)
         ]
-        return tuple(coeffs), den
+        return _reduced(coeffs, den)
     if data.kind == H:
         label, den = data.label.omega
         coeffs = [np.full(shape, den if k == 0 else 0, dtype=object) for k in range(4)]
         for k in range(4):
             coeffs[k][ones] = label[k]
-        return tuple(coeffs), den
+        return _reduced(coeffs, den)
     raise ValueError(f"no tensor for vertex kind {data.kind!r}")
 
 
 def _omega_tensordot(a: _OmegaTensor, b: _OmegaTensor, axes) -> _OmegaTensor:
-    """Contract two tensors: 16 integer tensordots folded by omega^4 = -1.
-
-    Pairs with an all-zero coefficient array are skipped.
-    """
+    """Contract two tensors: one integer tensordot per pair of present
+    coefficient arrays, folded by omega^4 = -1."""
     (ca, da), (cb, db) = a, b
-    pairs = [(i, j) for i in range(4) if ca[i].any() for j in range(4) if cb[j].any()]
     out: list = [None] * 4
-    for i, j in pairs or [(0, 0)]:
-        p = np.tensordot(ca[i], cb[j], axes=axes)
-        k, neg = (i + j) % 4, i + j >= 4
-        if out[k] is None:
-            out[k] = -p if neg else p
-        elif neg:
-            out[k] -= p
-        else:
-            out[k] += p
-    zero = next(c for c in out if c is not None) * 0
-    return _reduced([zero if c is None else c for c in out], da * db)
+    for i, x in enumerate(ca):
+        if x is None:
+            continue
+        for j, y in enumerate(cb):
+            if y is None:
+                continue
+            p = np.tensordot(x, y, axes=axes)
+            k, neg = (i + j) % 4, i + j >= 4
+            if out[k] is None:
+                out[k] = -p if neg else p
+            elif neg:
+                out[k] -= p
+            else:
+                out[k] += p
+    return _reduced(out, da * db)
 
 
 def _exact_array(t: _OmegaTensor) -> np.ndarray:
     """Object array of ExactScalar, equal values sharing one object."""
     coeffs, den = t
+    shape = next(c for c in coeffs if c is not None).shape
+    size = math.prod(shape)
     cache: dict[tuple, ExactScalar] = {}
-    flat = np.empty(coeffs[0].size, dtype=object)
-    for n, key in enumerate(zip(*(c.ravel().tolist() for c in coeffs))):
+    flat = np.empty(size, dtype=object)
+    columns = (itertools.repeat(0, size) if c is None else c.ravel().tolist() for c in coeffs)
+    for n, key in enumerate(zip(*columns)):
         x = cache.get(key)
         if x is None:
             x = cache[key] = ExactScalar._from_omega(key, den)
         flat[n] = x
-    return flat.reshape(coeffs[0].shape)
+    return flat.reshape(shape)
 
 
 def vertex_tensor(data: VertexData, degree: int, mode: str = "exact") -> np.ndarray:
@@ -398,19 +416,26 @@ class Tensor:
 class _Exact:
     """Contraction steps over ``_OmegaTensor``; results are ExactScalar."""
 
-    vertex = staticmethod(_omega_vertex)
     tensordot = staticmethod(_omega_tensordot)
+
+    @staticmethod
+    def vertex(data: VertexData, degree: int) -> _OmegaTensor:
+        """The vertex tensor, read-only: :func:`eval_diagram` shares it."""
+        t = _omega_vertex(data, degree)
+        for c in t[0]:
+            if c is not None:
+                c.flags.writeable = False
+        return t
 
     @staticmethod
     def trace(t: _OmegaTensor, i: int, j: int) -> _OmegaTensor:
         coeffs, den = t
-        return tuple(np.asarray(np.trace(c, axis1=i, axis2=j), dtype=object) for c in coeffs), den
+        return _reduced([None if c is None else np.trace(c, axis1=i, axis2=j) for c in coeffs], den)
 
     @staticmethod
     def finish(t: _OmegaTensor, scalar: ExactScalar) -> np.ndarray:
         coeffs, den = scalar.omega
-        rank0 = tuple(np.array(c, dtype=object) for c in coeffs), den
-        return _exact_array(_omega_tensordot(t, rank0, ([], [])))
+        return _exact_array(_omega_tensordot(t, _reduced(coeffs, den), ([], [])))
 
 
 class _Float:
@@ -420,7 +445,10 @@ class _Float:
 
     @staticmethod
     def vertex(data: VertexData, degree: int) -> np.ndarray:
-        return vertex_tensor(data, degree, "float")
+        """The vertex tensor, read-only: :func:`eval_diagram` shares it."""
+        t = vertex_tensor(data, degree, "float")
+        t.flags.writeable = False
+        return t
 
     @staticmethod
     def trace(t: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -452,9 +480,16 @@ def eval_diagram(
     if plan is None:
         plan = plan_contraction(d, rank_cap=rank_cap, mode=mode)
     tensors = {}
+    # One tensor per distinct vertex; type(phase) keeps a float phase from
+    # reusing the exact tensor of an equal Fraction, which hashes the same.
+    built: dict[tuple, object] = {}
     for k, ports in _node_skeleton(d).items():
         # k < 0: a boundary-boundary wire, whose identity is a 2-legged Z-spider
-        t = ops.vertex(d.vertices[k] if k >= 0 else VertexData(Z), len(ports))
+        data = d.vertices[k] if k >= 0 else VertexData(Z)
+        key = (data.kind, type(data.phase), data.phase, data.label, len(ports))
+        t = built.get(key)
+        if t is None:
+            t = built[key] = ops.vertex(data, len(ports))
         # Trace out self-loop port pairs.
         ports = list(ports)
         while True:

@@ -242,8 +242,32 @@ def yutsis_matrix_4(
     spins: Sequence[SpinLike], j: SpinLike, orientation: str
 ) -> list[list[RadicalNumber]]:
     """Matrix of a 4-valent intertwiner (channel spin j); same conventions
-    as :func:`yutsis_matrix_3`."""
-    return _leg_matrix(spins, orientation, "iioo", lambda js, m: w4jm(*js, *m, j))
+    as :func:`yutsis_matrix_3`.  Each entry is the sum of :func:`w4jm`, with
+    every 3jm factor computed once per matrix: neighbouring entries share them.
+    """
+    j = _hi(j)
+    factors: dict[tuple, RadicalNumber] = {}
+
+    def w3(*args: HalfInteger) -> RadicalNumber:
+        key = tuple(a.twice for a in args)  # ints hash far faster than HalfInteger
+        x = factors.get(key)
+        if x is None:
+            x = factors[key] = w3jm(*args)
+        return x
+
+    def entry(js: list[HalfInteger], ms: list[HalfInteger]) -> RadicalNumber:
+        total = RadicalNumber.zero()
+        for m in half_integer_range(j):
+            a = w3(js[0], js[1], j, ms[0], ms[1], m)
+            if a.is_zero():
+                continue
+            b = w3(j, js[2], js[3], -m, ms[2], ms[3])
+            if b.is_zero():
+                continue
+            total = total + _sign_pow(j - m) * a * b
+        return total
+
+    return _leg_matrix(spins, orientation, "iioo", entry)
 
 
 # -- closed invariants (oracle self-checks) -------------------------------

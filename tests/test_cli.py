@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, manifest verification."""
 
 import json
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinnet.exact import HalfInteger, half_integer_range
-from spinnet.graph import deserialize, serialize
+from spinnet.graph import Diagram, deserialize, serialize
 from spinnet.tensor import plan_contraction
 from spinnet.su2 import cswap_gadget
 from spinnet.cli import (
@@ -186,6 +187,18 @@ class TestBuildEval:
         path = tmp_path / "zero_phase.json"
         path.write_text(json.dumps(obj))
         assert "zero denominator" in run_usage_error(capsys, "eval", str(path))
+
+    def test_eval_non_clifford_phase_in_exact_mode_exits_2(self, capsys, tmp_path):
+        d = Diagram()
+        for phase in (Fraction(1, 2), 0.3, Fraction(1, 2)):
+            d.add_edge(d.add_z(phase), d.add_output())
+        path = tmp_path / "t.json"
+        path.write_text(serialize(d))
+        err = run_usage_error(capsys, "eval", str(path))
+        assert "0.3*pi requires float mode" in err and "--mode float" in err
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, "eval", str(path), "--mode", "float")
+        assert code == EXIT_OK and "matrix (8 x 1)" in out
 
     def test_build_writes_the_serialized_diagram(self, capsys, tmp_path):
         path = tmp_path / "cs.json"

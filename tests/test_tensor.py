@@ -1,5 +1,6 @@
 """Tensor engine: spider semantics, planning, exact/float agreement."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -298,6 +299,173 @@ def test_exact_float_agreement_property(d):
     exact = eval_diagram(d, mode="exact").to_numpy()
     flt = eval_diagram(d, mode="float").data
     assert np.abs(exact - flt).max() <= 1e-9 * max(1.0, np.abs(flt).max())
+
+
+# -- the dense exact backend, kept as the reference -----------------------
+
+
+def _ref_reduced(coeffs, den):
+    """Four dense coefficient arrays over ``den``, gcd divided out."""
+    coeffs = [np.asarray(c, dtype=object) for c in coeffs]
+    g = math.gcd(den, *(x for c in coeffs for x in c.ravel().tolist()))
+    return [np.asarray(c // g, dtype=object) for c in coeffs], den // g
+
+
+def _ref_vertex(data: VertexData, degree: int):
+    """A vertex tensor entry by entry from the diagram semantics, spread
+    over four dense omega-coefficient arrays."""
+    if data.kind != H:
+        ph = ExactScalar.phase_quarter(int(4 * data.phase))
+        norm = ExactScalar.inv_sqrt2() ** degree
+    entries = {}
+    for idx in itertools.product((0, 1), repeat=degree):
+        if data.kind == Z:
+            entries[idx] = (ExactScalar.zero() if any(idx) else ExactScalar.one()) + (
+                ph if all(idx) else 0
+            )
+        elif data.kind == X:
+            entries[idx] = norm * (1 - ph if sum(idx) % 2 else 1 + ph)
+        else:
+            entries[idx] = data.label if all(idx) else ExactScalar.one()
+    den = math.lcm(*(x.omega[1] for x in entries.values()))
+    coeffs = [np.zeros((2,) * degree, dtype=object) for _ in range(4)]
+    for idx, x in entries.items():
+        c, dx = x.omega
+        for k in range(4):
+            coeffs[k][idx] = c[k] * (den // dx)
+    return _ref_reduced(coeffs, den)
+
+
+def _ref_tensordot(a, b, axes):
+    """All 16 coefficient tensordots, folded by omega^4 = -1."""
+    (ca, da), (cb, db) = a, b
+    out = [0, 0, 0, 0]
+    for i in range(4):
+        for j in range(4):
+            p = np.tensordot(ca[i], cb[j], axes=axes)
+            out[(i + j) % 4] = out[(i + j) % 4] + (-p if i + j >= 4 else p)
+    return _ref_reduced(out, da * db)
+
+
+def _ref_eval_exact(d: Diagram) -> np.ndarray:
+    """``eval_diagram(d, mode="exact").data`` by the dense contraction:
+    every tensor keeps all four omega arrays, built afresh for each node."""
+    d = _split_spiders(d)
+    tensors = {}
+    for k, ports in _node_skeleton(d).items():
+        t = _ref_vertex(d.vertices[k] if k >= 0 else VertexData(Z), len(ports))
+        for p in {p for p in ports if ports.count(p) == 2}:  # self-loops
+            i = ports.index(p)
+            j = ports.index(p, i + 1)
+            t = _ref_reduced([np.trace(c, axis1=i, axis2=j) for c in t[0]], t[1])
+            ports = [q for n, q in enumerate(ports) if n not in (i, j)]
+        tensors[k] = ports, t
+    for k1, k2 in plan_contraction(d).steps:
+        ports1, t1 = tensors.pop(k1)
+        ports2, t2 = tensors.pop(k2)
+        shared = [p for p in ports1 if p[0] == "e" and p in ports2]
+        axes = ([ports1.index(p) for p in shared], [ports2.index(p) for p in shared])
+        merged = [p for p in ports1 if p not in shared] + [p for p in ports2 if p not in shared]
+        tensors[min(k1, k2)] = merged, _ref_tensordot(t1, t2, axes)
+    coeffs, den = d.scalar.omega
+    ports, t = [], _ref_reduced(coeffs, den)
+    for k in sorted(tensors):
+        ports = ports + tensors[k][0]
+        t = _ref_tensordot(t, tensors[k][1], ([], []))
+    coeffs, den = t
+    out = np.empty(coeffs[0].shape, dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = ExactScalar._from_omega(tuple(int(c[idx]) for c in coeffs), den)
+    perm = [ports.index(("open", v)) for v in list(d.inputs) + list(d.outputs)]
+    return np.transpose(out, axes=perm)
+
+
+def assert_matches_reference(d: Diagram) -> np.ndarray:
+    """The exact result equals the dense reference entry for entry."""
+    got, want = eval_diagram(d, mode="exact").data, _ref_eval_exact(d)
+    assert got.shape == want.shape
+    assert all(type(a) is ExactScalar and a.omega == b.omega for a, b in zip(got.ravel(), want.ravel()))
+    return got
+
+
+@PROPERTIES
+@given(clifford_diagrams())
+def test_exact_matches_the_dense_reference(d):
+    assert_matches_reference(d)
+
+
+def zero_scalar_diagram():
+    d = Diagram()
+    d.add_edge(d.add_z(), d.add_output())
+    d.mul_scalar(ExactScalar.zero())
+    return d
+
+
+def cancelling_diagram():
+    """A Z-spider fed |0> and |1> on two legs: the zero state on the third."""
+    d = Diagram()
+    z = d.add_z()
+    d.add_edge(z, d.add_x(Fraction(0)))
+    d.add_edge(z, d.add_x(Fraction(1)))
+    d.add_edge(z, d.add_output())
+    return d
+
+
+def wire_diagram():
+    d = Diagram()
+    d.add_edge(d.add_input(), d.add_output())
+    return d
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (zero_scalar_diagram, [0, 0]),
+        (cancelling_diagram, [0, 0]),
+        (wire_diagram, [[1, 0], [0, 1]]),
+        (Diagram, 1),
+    ],
+    ids=["zero-scalar", "cancels-to-zero", "boundary-wire", "empty"],
+)
+def test_exact_edge_cases_match_the_dense_reference(build, want):
+    got = assert_matches_reference(build())
+    assert got.shape == np.shape(want)
+    assert all(a == ExactScalar(b) for a, b in zip(got.ravel(), np.ravel(want)))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_shared_vertex_tensors_are_read_only(monkeypatch, mode):
+    ops = tensor._MODES[mode]
+    real, built = ops.vertex, []
+
+    def spy(data, degree):
+        built.append(real(data, degree))
+        return built[-1]
+
+    monkeypatch.setattr(ops, "vertex", staticmethod(spy))
+    d = Diagram()
+    zs = [d.add_z() for _ in range(4)]
+    for a, b in zip(zs, zs[1:]):
+        d.add_edge(a, b)
+    d.add_edge(zs[0], d.add_output())
+    d.add_edge(zs[-1], d.add_output())
+    eval_diagram(d, mode=mode)
+    assert len(built) == 1  # four Z(0) nodes of degree 2 share one tensor
+    arrays = [c for c in built[0][0] if c is not None] if mode == "exact" else [built[0]]
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+
+
+def test_float_phase_does_not_reuse_the_exact_tensor():
+    # Fraction(1, 2) == 0.5 with equal hashes; only the exact phase has an exact tensor.
+    d = Diagram()
+    a, b = d.add_z(Fraction(1, 2)), d.add_z(0.5)
+    d.add_edge(a, d.add_output())
+    d.add_edge(b, d.add_output())
+    with pytest.raises(ValueError, match="requires float mode"):
+        eval_diagram(d, mode="exact")
 
 
 # -- planner against the O(V*E) reference ---------------------------------

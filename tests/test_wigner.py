@@ -156,6 +156,20 @@ def admissible_6j(spins):
     ]
 
 
+def admissible_4jm(legs, channels):
+    """Every (j1, j2, j3, j4, j) with admissible triads (j1 j2 j), (j j3 j4)."""
+    return [
+        (*js, j)
+        for js in product(legs, repeat=4)
+        for j in channels
+        if triangle_ok(js[0], js[1], j) and triangle_ok(j, js[2], js[3])
+    ]
+
+
+LEGS_UP_TO_3_HALVES = [HalfInteger.from_twice(t) for t in (1, 2, 3)]
+CHANNELS_UP_TO_3 = [HalfInteger.from_twice(t) for t in range(7)]
+
+
 class TestClebschGordan:
     def test_known_values(self):
         # <1/2 1/2; 1/2 -1/2 | 0 0> = 1/sqrt(2), with the triplet partner +.
@@ -339,6 +353,19 @@ class TestYutsisMatrices:
         assert m[0][0] == w3jm(H, H, 1, -H, -H, 1)
         assert m[1][1] == w3jm(H, H, 1, -H, H, 0)
         assert m[2][3] == w3jm(H, H, 1, H, H, -1)
+
+    def test_4jm_matrix_entries_equal_w4jm(self):
+        # Rows are (m3, m4), columns (m1, m2), ingoing indices negated.
+        vertices = admissible_4jm(LEGS_UP_TO_3_HALVES, CHANNELS_UP_TO_3)
+        assert len(vertices) == 87
+        for j1, j2, j3, j4, j in vertices:
+            m = yutsis_matrix_4((j1, j2, j3, j4), j, "iioo")
+            want = [
+                [w4jm(j1, j2, j3, j4, -m1, -m2, m3, m4, j)
+                 for m1 in half_integer_range(j1) for m2 in half_integer_range(j2)]
+                for m3 in half_integer_range(j3) for m4 in half_integer_range(j4)
+            ]
+            assert m == want, (j1, j2, j3, j4, j)
 
     def test_4jm_matrix_shape(self):
         m = yutsis_matrix_4((H, H, H, H), 1, "iioo")
