@@ -253,24 +253,29 @@ def _correction_dict(corr: CorrectionFactor) -> dict:
     }
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+    print(f"wrote {path}")
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     d, corr = _build_object(args.kind, args.spins, args.orient)
     doc = serialize(d)
     out = Path(args.out) if args.out else None
     if out is not None:
-        out.write_text(doc + "\n")
-        print(f"wrote {out}")
+        _write(out, doc + "\n")
         if corr is not None:
-            side = out.with_suffix(out.suffix + ".corrections.json")
-            side.write_text(json.dumps(_correction_dict(corr), indent=2) + "\n")
-            print(f"wrote {side}")
+            _write(out.with_suffix(out.suffix + ".corrections.json"),
+                   json.dumps(_correction_dict(corr), indent=2) + "\n")
     else:
         print(doc)
         if corr is not None:
             print(json.dumps(_correction_dict(corr), indent=2))
     if args.dot:
-        Path(args.dot).write_text(to_dot(d))
-        print(f"wrote {args.dot}")
+        _write(Path(args.dot), to_dot(d))
     print(f"vertices: {len(d.vertices)}  edges: {len(d.edges)}  "
           f"inputs: {len(d.inputs)}  outputs: {len(d.outputs)}")
     return EXIT_OK
@@ -312,8 +317,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not path.exists():
         raise CliError(f"no such file: {path}")
     try:
-        d = deserialize(path.read_text())
-    except (ValueError, KeyError, TypeError) as exc:
+        d = deserialize(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot read diagram: {exc}") from None
     if args.plug:
         d = plug_basis(d, _parse_plug(args.plug, d))
@@ -358,14 +363,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _load_manifest(name: str) -> dict:
     p = Path(name)
     if p.exists():
-        text = p.read_text()
+        source = p
     elif name == "paper.json":
-        text = resources.files("spinnet.data").joinpath("paper.json").read_text()
+        source = resources.files("spinnet.data").joinpath("paper.json")
     else:
         raise CliError(f"no such manifest: {name}")
     try:
-        return json.loads(text)
-    except ValueError as exc:
+        return json.loads(source.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # a directory, bad UTF-8 or bad JSON
         raise CliError(f"cannot read manifest {name}: {exc}") from None
 
 
@@ -385,6 +390,14 @@ def _check_fields(case: dict, name: str, accepted: set[str]) -> None:
     extra = sorted(set(case) - _CASE_FIELDS - accepted)
     if extra:
         raise CliError(f"{name} takes no {' or '.join(map(repr, extra))} field")
+
+
+def _tolerance(value) -> float:
+    """A float case's ``tol``: a JSON number, finite and >= 0."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 <= value <= sys.float_info.max):  # NaN fails both comparisons
+        raise CliError(f"tol {value!r} is not a finite number >= 0")
+    return float(value)
 
 
 def _parse_case(case) -> dict:
@@ -412,6 +425,8 @@ def _parse_case(case) -> dict:
             out["expected"] = [[_radical(x) for x in row] for row in case["expected"]]
             if builder == "symmetriser":
                 out["n"] = _int(str(case["n"]), "wire count")
+                if out["n"] < 0:
+                    raise CliError(f"wire count {out['n']} is negative")
             return out
         if kind not in ("6j", "3jm", "4jm", "invariant"):
             raise CliError(f"unknown case kind {kind!r}")
@@ -419,7 +434,10 @@ def _parse_case(case) -> dict:
         if policy not in ("exact", "float"):
             raise CliError(f"unknown policy {policy!r}")
         out["expected"] = _radical(case["expected"])
-        out["tol"] = float(case.get("tol", 1e-8))
+        if policy == "float":
+            out["tol"] = _tolerance(case.get("tol", 1e-8))
+        elif "tol" in case:
+            raise CliError("tol applies only to policy 'float'")
         if kind == "invariant" and case["which"] not in ("loop", "theta"):
             raise CliError(f"unknown invariant {case['which']!r}")
         name = case["which"] if kind == "invariant" else kind

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -569,6 +570,9 @@ def sqrt_rational(q: RationalLike) -> RadicalNumber:
     return RadicalNumber({s: Fraction(c, q.denominator)})
 
 
+_HASH_HALF = pow(2, -1, sys.hash_info.modulus)
+
+
 class HalfInteger:
     """An exact (half-)integer spin or magnetic index, stored as ``2*value``."""
 
@@ -683,7 +687,8 @@ class HalfInteger:
         return self.twice >= o.twice
 
     def __hash__(self) -> int:
-        return hash(Fraction(self.twice, 2))
+        # hash(Fraction(twice, 2)) without building it: 1/2 taken modulo the hash prime.
+        return hash(self.twice * _HASH_HALF)
 
     # -- conversions ------------------------------------------------------
 

@@ -1,15 +1,20 @@
 """Tensor-network evaluation of diagrams.
 
 Every vertex becomes a small tensor (one binary index per incident wire);
-edges are contractions.  Planning and evaluation first split every Z/X
-spider of degree > 3 into a chain of degree-3 spiders of the same colour
-(spider fusion read backwards: exact, no scalar), on a copy.  Fused
-symmetriser towers otherwise leave high-degree nodes on which greedy orders
-are much wider.  A greedy planner then picks a deterministic pairwise
-contraction order that keeps intermediate ranks small.  It is incremental:
-connected node pairs wait in a heap keyed by (merged rank, step cost, node
-keys), and a merge re-scores only the pairs of the merged node, so a step
-costs O(deg log E) rather than a rescan of every node and edge.  Two modes:
+edges are contractions.  :func:`plan_contraction` splits every Z/X spider
+of degree > 3 into a chain of degree-3 spiders of the same colour (spider
+fusion read backwards: exact, no scalar), on a copy; fused symmetriser
+towers otherwise leave high-degree nodes on which greedy orders are much
+wider.  It tabulates the copy's nodes once: each node's vertex, its ports
+and its self-loop count, where a port is an int, the edge index of a wire
+or ``~v`` for the open wire of boundary ``v``.  A greedy search then picks a
+deterministic pairwise contraction order that keeps intermediate ranks
+small.  It is incremental: connected node pairs wait in a heap keyed by
+(merged rank, step cost, node keys), and a merge re-scores only the pairs
+of the merged node, so a step costs O(deg log E) rather than a rescan of
+every node and edge.  The :class:`ContractionPlan` carries the node table
+with the order, and :func:`eval_diagram` contracts that table as it is.
+Two modes:
 
 * ``"exact"`` -- results are numpy object arrays holding
   :class:`ExactScalar`, bit-for-bit reproducible elements of Q(omega),
@@ -27,8 +32,10 @@ costs O(deg log E) rather than a rescan of every node and edge.  Two modes:
 * ``"float"`` -- complex128 arrays (needed for irrational phases).
 
 In both modes :func:`eval_diagram` builds the tensor of each distinct
-(kind, phase, label, degree) once per call and shares it, read-only,
-between the nodes that have it.
+(kind, phase, label, degree, self-loops) once per call and shares it,
+read-only, between the nodes that have it.  A node with self-loops is built
+at its full degree and traced on its trailing axes, which is exact because
+every Z, X and H tensor is symmetric in its legs.
 
 Matrix convention: inputs index columns and outputs index rows; wire 0 is
 the most significant bit on each side.
@@ -217,36 +224,7 @@ def vertex_tensor(data: VertexData, degree: int, mode: str = "exact") -> np.ndar
     raise ValueError(f"unknown mode {mode!r}")
 
 
-# -- node skeleton --------------------------------------------------------
-
-# Port labels: ("e", edge_index) for contracted wires,
-#              ("open", boundary_vertex_id) for dangling boundary wires.
-
-
-def _node_skeleton(d: Diagram) -> dict[int, list[tuple]]:
-    """Map node key -> ordered port labels.
-
-    Node keys: vertex id for spiders/H-boxes; ``-1 - boundary_id`` for the
-    identity node inserted on a wire running between two boundaries.
-    """
-    boundary = {v for v, data in d.vertices.items() if data.kind == B}
-    nodes: dict[int, list[tuple]] = {
-        v: [] for v, data in d.vertices.items() if data.kind != B
-    }
-    for i, (a, b) in enumerate(d.edges):
-        a_b, b_b = a in boundary, b in boundary
-        if a_b and b_b:
-            nodes[-1 - min(a, b)] = [("open", a), ("open", b)]
-        elif a_b:
-            nodes[b].append(("open", a))
-        elif b_b:
-            nodes[a].append(("open", b))
-        elif a == b:
-            nodes[a].extend([("e", i), ("e", i)])
-        else:
-            nodes[a].append(("e", i))
-            nodes[b].append(("e", i))
-    return nodes
+# -- planning -------------------------------------------------------------
 
 
 def _split_spiders(d: Diagram) -> Diagram:
@@ -286,30 +264,62 @@ def _split_spiders(d: Diagram) -> Diagram:
 
 @dataclass
 class ContractionPlan:
-    """A deterministic pairwise merge order with its cost accounting."""
+    """The network to contract and a deterministic pairwise merge order.
 
-    steps: list[tuple[int, int]] = field(default_factory=list)
+    ``nodes`` maps each node key to ``(vertex, ports, self_loops)``.  Keys
+    are vertex ids of the split diagram (see :func:`_split_spiders`), and
+    ``~a`` for the identity node on a wire between boundaries ``a`` and
+    ``b`` (``a < b``).  A port is an int: the edge index of a wire to
+    another node, or ``~v`` for the open wire of boundary ``v``.  A self-loop
+    takes no port; it is counted in ``self_loops``.  ``diagram`` is the
+    diagram the plan was made for, before the split.
+    """
+
+    steps: list[tuple[int, int]] = field(default_factory=list)  # (k1, k2), k1 < k2: k2 folds into k1
     peak_rank: int = 0
     cost: int = 0  # sum over steps of 2**(number of distinct indices involved)
+    nodes: dict[int, tuple[VertexData, tuple[int, ...], int]] = field(default_factory=dict)
+    diagram: Optional[Diagram] = None
+
+
+def _node_table(d: Diagram) -> dict[int, tuple[VertexData, tuple[int, ...], int]]:
+    """The ``nodes`` of a plan for ``d``; see :class:`ContractionPlan`."""
+    ports: dict[int, list[int]] = {v: [] for v, data in d.vertices.items() if data.kind != B}
+    loops: Counter = Counter()
+    for i, (a, b) in enumerate(d.edges):
+        if a == b and a in ports:
+            loops[a] += 1
+        elif a in ports and b in ports:
+            ports[a].append(i)
+            ports[b].append(i)
+        elif a in ports:
+            ports[a].append(~b)
+        elif b in ports:
+            ports[b].append(~a)
+        else:
+            ports[~min(a, b)] = [~a, ~b]
+    # A wire between boundaries is the identity: a 2-legged Z-spider.
+    return {k: (d.vertices[k] if k >= 0 else VertexData(Z), tuple(p), loops[k]) for k, p in ports.items()}
 
 
 def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "exact") -> ContractionPlan:
-    """Greedy pairwise contraction order minimising intermediate rank.
+    """Split ``d``'s spiders once, tabulate its nodes and order their merges.
 
     The plan is made for the diagram with every Z/X spider of degree > 3
-    split into a chain of degree-3 spiders (see :func:`_split_spiders`);
-    :func:`eval_diagram` contracts the same split copy, so its node keys
-    include the chain vertices.  On simplified 6j networks this keeps the
-    peak rank near the unsimplified one (6j(2,1,2,2,1,2): 22 without the
-    split, 14 with it).
+    split into a chain of degree-3 spiders (see :func:`_split_spiders`), and
+    it carries that diagram's node table, which :func:`eval_diagram`
+    contracts as it stands.  On simplified 6j networks the split keeps the
+    peak rank near the unsimplified one (6j(2,1,2,2,1,2): 22 without it, 14
+    with it).
 
     At each step the pair of connected nodes whose merge has the smallest
     resulting rank is chosen (ties: smaller merge cost, then smallest node
     keys); the merged node takes the smaller key.  When no two nodes share
     an edge, the smallest key is merged with the node of least rank (ties:
-    smallest key) as an outer product.  Raises :class:`RankCapExceeded` if
-    the peak rank exceeds the cap, or the port count of a node does with its
-    self-loops (the rank at which :func:`eval_diagram` builds its tensor).
+    smallest key) as an outer product, so a plan leaves one node.  Raises
+    :class:`RankCapExceeded` if the peak rank exceeds the cap, or the port
+    count of a node does with its self-loops (the rank at which
+    :func:`eval_diagram` builds its tensor).
 
     The search is incremental: every connected pair sits in a heap keyed by
     its score, stale entries are dropped when popped, and a merge re-scores
@@ -317,23 +327,18 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     of a scan over every node and edge.
     """
     cap = _rank_cap(mode, rank_cap)
+    plan = ContractionPlan(nodes=_node_table(_split_spiders(d)), diagram=d)
     rank: dict[int, int] = {}
     nbr: dict[int, dict[int, int]] = {}  # node -> {neighbour: shared edges}
-    owner: dict[int, int] = {}  # edge index -> first node seen holding it
+    owner: dict[int, int] = {}  # port -> first node seen holding it
     widest = 0  # eval_diagram builds each vertex tensor before it traces out self-loops
-    for k, ports in _node_skeleton(_split_spiders(d)).items():
-        widest = max(widest, len(ports))
+    for k, (_, ports, loops) in plan.nodes.items():
+        widest = max(widest, len(ports) + 2 * loops)
         rank[k] = len(ports)
         nbr[k] = {}
-        for kind, i in ports:
-            if kind != "e":
-                continue
-            j = owner.pop(i, None)
-            if j is None:
-                owner[i] = k
-            elif j == k:  # a self-loop contracts within its node
-                rank[k] -= 2
-            else:
+        for i in ports:  # an edge index is in two nodes, an open port in one
+            j = owner.setdefault(i, k)
+            if j != k:
                 nbr[k][j] = nbr[j][k] = nbr[k].get(j, 0) + 1
 
     def score(a: int, b: int) -> tuple[int, int, int, int]:
@@ -344,7 +349,6 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     heapq.heapify(heap)
     if widest > cap:
         raise RankCapExceeded(f"initial vertex rank {widest} exceeds cap {cap}")
-    plan = ContractionPlan()
     plan.peak_rank = max(rank.values(), default=0)
     while len(rank) > 1:
         while heap:
@@ -413,24 +417,31 @@ class Tensor:
         return self.data.reshape(()).item() if self.data.shape == () else self.data.item()
 
 
+def _trace_trailing(a: np.ndarray, loops: int) -> np.ndarray:
+    """Trace out ``loops`` self-loops on the trailing axes of ``a``, joining
+    axis ``n + i`` to axis ``n + loops + i``; exact for the Z, X and H
+    tensors, which are symmetric in their legs."""
+    n, side = a.ndim - 2 * loops, 2 ** loops
+    return np.trace(a.reshape(2 ** n, side, side), axis1=1, axis2=2).reshape((2,) * n)
+
+
 class _Exact:
     """Contraction steps over ``_OmegaTensor``; results are ExactScalar."""
 
+    vertex = staticmethod(_omega_vertex)
     tensordot = staticmethod(_omega_tensordot)
 
     @staticmethod
-    def vertex(data: VertexData, degree: int) -> _OmegaTensor:
-        """The vertex tensor, read-only: :func:`eval_diagram` shares it."""
-        t = _omega_vertex(data, degree)
+    def trace(t: _OmegaTensor, loops: int) -> _OmegaTensor:
+        coeffs, den = t
+        return _reduced([None if c is None else _trace_trailing(c, loops) for c in coeffs], den)
+
+    @staticmethod
+    def freeze(t: _OmegaTensor) -> _OmegaTensor:
         for c in t[0]:
             if c is not None:
                 c.flags.writeable = False
         return t
-
-    @staticmethod
-    def trace(t: _OmegaTensor, i: int, j: int) -> _OmegaTensor:
-        coeffs, den = t
-        return _reduced([None if c is None else np.trace(c, axis1=i, axis2=j) for c in coeffs], den)
 
     @staticmethod
     def finish(t: _OmegaTensor, scalar: ExactScalar) -> np.ndarray:
@@ -442,17 +453,16 @@ class _Float:
     """Contraction steps over complex128 arrays."""
 
     tensordot = staticmethod(np.tensordot)
+    trace = staticmethod(_trace_trailing)
 
     @staticmethod
     def vertex(data: VertexData, degree: int) -> np.ndarray:
-        """The vertex tensor, read-only: :func:`eval_diagram` shares it."""
-        t = vertex_tensor(data, degree, "float")
-        t.flags.writeable = False
-        return t
+        return vertex_tensor(data, degree, "float")
 
     @staticmethod
-    def trace(t: np.ndarray, i: int, j: int) -> np.ndarray:
-        return np.asarray(np.trace(t, axis1=i, axis2=j))
+    def freeze(t: np.ndarray) -> np.ndarray:
+        t.flags.writeable = False
+        return t
 
     @staticmethod
     def finish(t: np.ndarray, scalar: ExactScalar) -> np.ndarray:
@@ -470,65 +480,43 @@ def eval_diagram(
 ) -> Tensor:
     """Contract a diagram to its tensor.
 
-    In exact mode the entries are :class:`ExactScalar`; float mode returns
-    complex128.  The result axes are ordered inputs-then-outputs.
+    Contracts ``plan.nodes`` in the order of ``plan.steps``; without a plan,
+    :func:`plan_contraction` makes one for ``d``.  A given plan must have
+    been made for ``d`` itself (raises ValueError otherwise).  In exact mode the entries are :class:`ExactScalar`;
+    float mode returns complex128.  The result axes are ordered
+    inputs-then-outputs.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     ops = _MODES[mode]
-    d = _split_spiders(d)
     if plan is None:
         plan = plan_contraction(d, rank_cap=rank_cap, mode=mode)
+    elif plan.diagram is not d:  # its node table would be contracted in place of d's
+        raise ValueError("the plan was made for another diagram")
     tensors = {}
-    # One tensor per distinct vertex; type(phase) keeps a float phase from
-    # reusing the exact tensor of an equal Fraction, which hashes the same.
+    # One read-only tensor per distinct vertex and self-loop count; type(phase)
+    # keeps a float phase from reusing the exact tensor of an equal Fraction,
+    # which hashes the same.
     built: dict[tuple, object] = {}
-    for k, ports in _node_skeleton(d).items():
-        # k < 0: a boundary-boundary wire, whose identity is a 2-legged Z-spider
-        data = d.vertices[k] if k >= 0 else VertexData(Z)
-        key = (data.kind, type(data.phase), data.phase, data.label, len(ports))
+    for k, (data, ports, loops) in plan.nodes.items():
+        key = (data.kind, type(data.phase), data.phase, data.label, len(ports), loops)
         t = built.get(key)
         if t is None:
-            t = built[key] = ops.vertex(data, len(ports))
-        # Trace out self-loop port pairs.
-        ports = list(ports)
-        while True:
-            dup = None
-            for i, p in enumerate(ports):
-                if p[0] == "e" and p in ports[i + 1:]:
-                    dup = (i, i + 1 + ports[i + 1:].index(p))
-                    break
-            if dup is None:
-                break
-            i, j = dup
-            t = ops.trace(t, i, j)
-            ports = [p for n, p in enumerate(ports) if n not in (i, j)]
+            t = ops.vertex(data, len(ports) + 2 * loops)
+            t = built[key] = ops.freeze(ops.trace(t, loops) if loops else t)
         tensors[k] = (ports, t)
     for k1, k2 in plan.steps:
         ports1, t1 = tensors.pop(k1)
         ports2, t2 = tensors.pop(k2)
-        shared = [p for p in ports1 if p[0] == "e" and p in ports2]
-        # ports may repeat only via self-loops, already traced, so index() is safe
+        shared = [p for p in ports1 if p in ports2]
         axes = ([ports1.index(p) for p in shared], [ports2.index(p) for p in shared])
-        t = ops.tensordot(t1, t2, axes)
         merged = [p for p in ports1 if p not in shared] + [p for p in ports2 if p not in shared]
-        tensors[min(k1, k2)] = (merged, t)
-    # Combine any remaining disconnected components (plan covers them, but a
-    # diagram with zero vertices lands here too).
-    # A diagram with no vertices is the scalar 1: a 0-legged H-box labelled 1.
-    items = [tensors[k] for k in sorted(tensors)] or [
-        ([], ops.vertex(VertexData(H, Fraction(0), ExactScalar.one()), 0))
-    ]
-    ports, t = items[0]
-    for p2, t2 in items[1:]:
-        t = ops.tensordot(t, t2, ([], []))
-        ports = ports + p2
+        tensors[k1] = (merged, ops.tensordot(t1, t2, axes))
+    # A plan leaves one tensor; a diagram with no nodes is a 0-legged H-box labelled 1.
+    (ports, t), = tensors.values() or [((), ops.vertex(VertexData(H, label=ExactScalar.one()), 0))]
     t = ops.finish(t, d.scalar)
     # Reorder open ports to the diagram's boundary order.
-    order = [("open", v) for v in list(d.inputs) + list(d.outputs)]
-    if sorted(map(repr, ports)) != sorted(map(repr, order)):
-        raise ValueError("boundary wires do not match open ports")
-    perm = [ports.index(p) for p in order]
+    perm = [ports.index(~v) for v in (*d.inputs, *d.outputs)]
     t = np.transpose(t, axes=perm) if perm else t
     return Tensor(t, len(d.inputs), len(d.outputs), mode)
 

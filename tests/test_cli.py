@@ -258,6 +258,27 @@ class TestUsageErrors:
     def test_verify_has_no_jobs_option(self, capsys):
         run_usage_error(capsys, "verify", "--jobs", "0")
 
+    @pytest.mark.parametrize("argv, message", [
+        (lambda t: ["verify", str(t)], "cannot read manifest"),
+        (lambda t: ["verify", str(_file(t, b'{"cases": ["\xff"]}'))], "cannot read manifest"),
+        (lambda t: ["eval", str(t)], "cannot read diagram"),
+        (lambda t: ["build", "loop", "1", "--out", str(t)], "cannot write"),
+        (lambda t: ["build", "loop", "1", "--out", str(t / "missing" / "x.json")], "cannot write"),
+        (lambda t: ["build", "loop", "1", "--dot", str(t)], "cannot write"),
+        (lambda t: ["verify", str(_file(t, json.dumps({"cases": [
+            {"id": "s", "kind": "matrix", "builder": "symmetriser", "n": -1, "expected": [["1"]]}
+        ]}).encode()))], "wire count -1 is negative"),
+    ], ids=["verify-directory", "verify-non-utf8", "eval-directory", "build-out-directory",
+            "build-out-missing-directory", "build-dot-directory", "verify-negative-symmetriser"])
+    def test_bad_path_or_size_exits_2(self, capsys, tmp_path, argv, message):
+        assert message in run_usage_error(capsys, *argv(tmp_path))
+
+
+def _file(directory: Path, content: bytes) -> Path:
+    p = directory / "case.json"
+    p.write_bytes(content)
+    return p
+
 
 class TestVerify:
     def test_shipped_manifest_passes(self, capsys):
@@ -368,6 +389,36 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err == f"error: case 'bad-fields': {message}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"tol": "nan"}, "tol 'nan' is not a finite number >= 0"),
+        ({"tol": "inf"}, "tol 'inf' is not a finite number >= 0"),
+        ({"tol": float("nan")}, "tol nan is not a finite number >= 0"),
+        ({"tol": float("inf")}, "tol inf is not a finite number >= 0"),
+        ({"tol": -1e-9}, "tol -1e-09 is not a finite number >= 0"),
+        ({"tol": True}, "tol True is not a finite number >= 0"),
+        ({"policy": "exact", "tol": 1e-8}, "tol applies only to policy 'float'"),
+        ({"policy": None, "tol": 1e-8}, "tol applies only to policy 'float'"),
+    ], ids=["nan-text", "inf-text", "json-nan", "json-infinity", "negative", "boolean",
+            "exact-policy", "default-policy"])
+    def test_bad_tolerance_exits_2_before_any_case_runs(self, capsys, tmp_path, fields, message):
+        case = {"id": "bad-tol", "kind": "6j", "spins": ["1"] * 6, "policy": "float", "expected": "5"}
+        case = {k: v for k, v in {**case, **fields}.items() if v is not None}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"version": 1, "cases": [case]}))  # float("nan") is written as NaN
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == EXIT_USAGE
+        assert err == f"error: case 'bad-tol': {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("tol, code", [(0, EXIT_VERIFY_FAILED), (5, EXIT_OK)])
+    def test_float_tolerance_is_applied(self, capsys, tmp_path, tol, code):
+        # 6j(1,1,1,1,1,1) = 1/6 against an expected 5: inside a tolerance of 5, outside one of 0.
+        case = {"id": "tol", "kind": "6j", "spins": ["1"] * 6, "policy": "float", "expected": "5",
+                "tol": tol}
+        p = tmp_path / "tol.json"
+        p.write_text(json.dumps({"version": 1, "cases": [case]}))
+        assert run(capsys, "verify", str(p))[0] == code
 
     def test_paper_manifest_prints_the_golden_text(self, capsys):
         code, out, _ = run(capsys, "verify", "paper.json")

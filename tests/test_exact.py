@@ -440,6 +440,15 @@ class TestHalfInteger:
         assert h < HalfInteger(1)
         assert abs(HalfInteger(Fraction(-3, 2)).twice) == 3
 
+    def test_hash_equals_the_fraction_hash(self):
+        # Past 2**53 a float of twice / 2 is rounded; the hash must not be.
+        big = [2**60 + 1, 2**61 - 1, 2**61, 2**61 + 1, 2**62 + 3, 10**30 + 1]
+        for twice in [*range(-1000, 1001), *big, *(-t for t in big)]:
+            h = HalfInteger.from_twice(twice)
+            assert hash(h) == hash(Fraction(twice, 2)), twice
+            if twice % 2 == 0:
+                assert hash(h) == hash(twice // 2)
+
     def test_range_decreasing(self):
         ms = half_integer_range(HalfInteger(Fraction(3, 2)))
         assert [m.twice for m in ms] == [3, 1, -1, -3]

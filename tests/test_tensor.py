@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from spinnet import tensor
 from spinnet.exact import ExactScalar, HalfInteger
-from spinnet.graph import Diagram, VertexData, H, X, Z, make_spider, serialize
+from spinnet.graph import B, Diagram, VertexData, H, X, Z, make_spider, serialize
 from spinnet.rewrite import DEFAULT_SIMPLIFY_RULES, simplify
 from spinnet.su2 import network_6j, symmetriser
 from spinnet.tensor import (
     ContractionPlan,
     RankCapExceeded,
-    _node_skeleton,
     _exact_array,
     _omega_tensordot,
     _split_spiders,
@@ -304,6 +303,29 @@ def test_exact_float_agreement_property(d):
 # -- the dense exact backend, kept as the reference -----------------------
 
 
+def _ref_skeleton(d: Diagram) -> dict[int, list[tuple]]:
+    """Map node key -> ordered port labels, self-loops included twice.
+
+    Port labels: ``("e", edge_index)`` for a wire between nodes and
+    ``("open", boundary_id)`` for an open wire.  Node keys: vertex id, and
+    ``-1 - boundary_id`` for the identity node on a wire between two
+    boundaries.  Independent of the node table ``plan_contraction`` builds.
+    """
+    boundary = {v for v, data in d.vertices.items() if data.kind == B}
+    nodes: dict[int, list[tuple]] = {v: [] for v in d.vertices if v not in boundary}
+    for i, (a, b) in enumerate(d.edges):
+        if a in boundary and b in boundary:
+            nodes[-1 - min(a, b)] = [("open", a), ("open", b)]
+        elif a in boundary:
+            nodes[b].append(("open", a))
+        elif b in boundary:
+            nodes[a].append(("open", b))
+        else:
+            nodes[a].append(("e", i))
+            nodes[b].append(("e", i))
+    return nodes
+
+
 def _ref_reduced(coeffs, den):
     """Four dense coefficient arrays over ``den``, gcd divided out."""
     coeffs = [np.asarray(c, dtype=object) for c in coeffs]
@@ -352,7 +374,7 @@ def _ref_eval_exact(d: Diagram) -> np.ndarray:
     every tensor keeps all four omega arrays, built afresh for each node."""
     d = _split_spiders(d)
     tensors = {}
-    for k, ports in _node_skeleton(d).items():
+    for k, ports in _ref_skeleton(d).items():
         t = _ref_vertex(d.vertices[k] if k >= 0 else VertexData(Z), len(ports))
         for p in {p for p in ports if ports.count(p) == 2}:  # self-loops
             i = ports.index(p)
@@ -417,6 +439,28 @@ def wire_diagram():
     return d
 
 
+HALF_PLUS_I = ExactScalar(Fraction(1, 2), 0, 1)
+
+
+def looped_hbox(loops: int):
+    """An H-box labelled 1/2 + i with ``loops`` self-loops and one open leg."""
+    d = Diagram()
+    h = d.add_h(HALF_PLUS_I)
+    for _ in range(loops):
+        d.add_edge(h, h)
+    d.add_edge(h, d.add_output())
+    return d
+
+
+def looped_x_quarter():
+    """An X(1/4) spider with one self-loop and one open leg."""
+    d = Diagram()
+    x = d.add_x(Fraction(1, 4))
+    d.add_edge(x, x)
+    d.add_edge(x, d.add_output())
+    return d
+
+
 @pytest.mark.parametrize(
     "build, want",
     [
@@ -424,13 +468,69 @@ def wire_diagram():
         (cancelling_diagram, [0, 0]),
         (wire_diagram, [[1, 0], [0, 1]]),
         (Diagram, 1),
+        # sum_b h(a, b, b): 1 + 1 at a = 0, 1 + c at a = 1
+        (lambda: looped_hbox(1), [2, 1 + HALF_PLUS_I]),
+        # sum_{b, c} h(a, b, b, c, c): 4 at a = 0, 3 + c at a = 1
+        (lambda: looped_hbox(2), [4, 3 + HALF_PLUS_I]),
+        # 2 (1/sqrt2)^3 (1 +- w) = (1 +- w)/sqrt2 with w = (1 + i)/sqrt2; parity of (a, b, b) is a
+        (looped_x_quarter, [ExactScalar(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
+                            ExactScalar(Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2))]),
     ],
-    ids=["zero-scalar", "cancels-to-zero", "boundary-wire", "empty"],
+    ids=["zero-scalar", "cancels-to-zero", "boundary-wire", "empty", "hbox-one-loop",
+         "hbox-two-loops", "x-quarter-one-loop"],
 )
 def test_exact_edge_cases_match_the_dense_reference(build, want):
+    shape = np.shape(want)
+    want = [b if isinstance(b, ExactScalar) else ExactScalar(b) for b in np.ravel(np.array(want, dtype=object))]
     got = assert_matches_reference(build())
-    assert got.shape == np.shape(want)
-    assert all(a == ExactScalar(b) for a, b in zip(got.ravel(), np.ravel(want)))
+    assert got.shape == shape
+    assert all(a == b for a, b in zip(got.ravel(), want))
+    flt = eval_diagram(build(), mode="float").data
+    assert flt.shape == shape
+    assert np.abs(flt.ravel() - [b.to_complex() for b in want]).max() <= 1e-12
+
+
+def test_plan_carries_the_node_table():
+    d = Diagram()
+    z, h, o = d.add_z(Fraction(1, 2)), d.add_h(HALF_PLUS_I), d.add_output()
+    d.add_edge(z, z)  # edge 0: a self-loop takes no port
+    d.add_edge(z, h)  # edge 1
+    d.add_edge(h, o)  # edge 2: the open wire of o is port ~o
+    a, b = d.add_input(), d.add_output()
+    d.add_edge(a, b)  # edge 3: an identity node keyed ~a
+    plan = plan_contraction(d)
+    assert plan.nodes == {
+        z: (d.vertices[z], (1,), 1),
+        h: (d.vertices[h], (1, ~o), 0),
+        ~a: (VertexData(Z), (~a, ~b), 0),
+    }
+    assert plan.steps == [(z, h), (~a, z)]  # the outer product of the two components comes last
+
+
+def test_eval_splits_the_spiders_once(monkeypatch):
+    calls = []
+    real = tensor._split_spiders
+
+    def count(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(tensor, "_split_spiders", count)
+    d, _ = network_6j(*[HalfInteger(1)] * 6)
+    want = eval_diagram(d, mode="float").scalar_value()
+    assert len(calls) == 1  # inside plan_contraction
+    plan = plan_contraction(d, mode="float")
+    calls.clear()
+    assert eval_diagram(d, mode="float", plan=plan).scalar_value() == want
+    assert calls == []
+
+
+def test_a_plan_for_another_diagram_is_refused():
+    d, _ = network_6j(*[HalfInteger(1)] * 6)
+    plan = plan_contraction(d)
+    for other in (network_6j(*[HalfInteger(1)] * 3, *[HalfInteger(Fraction(1, 2))] * 3)[0], d.copy()):
+        with pytest.raises(ValueError, match="plan was made for another diagram"):
+            eval_diagram(other, plan=plan)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -476,7 +576,7 @@ def reference_plan(d: Diagram, cap: int) -> ContractionPlan:
 
     Kept only to pin ``plan_contraction`` to the same plans and errors.
     """
-    nodes = {k: list(ports) for k, ports in _node_skeleton(d).items()}
+    nodes = _ref_skeleton(d)
     widest = max((len(p) for p in nodes.values()), default=0)  # self-loops included
     if widest > cap:
         raise RankCapExceeded(f"initial vertex rank {widest} exceeds cap {cap}")
