@@ -95,6 +95,17 @@ def _galois(c: tuple, k: int) -> tuple:
     return tuple(out)
 
 
+def _coerced(op):
+    """A binary method: ``op(self, o)``, where ``o`` is the other operand
+    through ``self._coerce``; NotImplemented where that gives None."""
+
+    def method(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else op(self, o)
+
+    return method
+
+
 class ExactScalar:
     """An element ``(c0 + c1*w + c2*w**2 + c3*w**3) / den`` of Q(w), w = e^(i pi/4).
 
@@ -217,17 +228,8 @@ class ExactScalar:
     def __neg__(self):
         return ExactScalar._from_omega(tuple(-x for x in self._c), self._d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    __sub__ = _coerced(lambda a, b: a + (-b))
+    __rsub__ = _coerced(lambda a, b: b + (-a))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -254,17 +256,8 @@ class ExactScalar:
         norm = _fold(c, adj)[0]  # |x|^2 |x(w -> w^3)|^2 > 0; w^1..w^3 vanish
         return ExactScalar._from_omega(tuple(self._d * x for x in adj), norm)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __truediv__ = _coerced(lambda a, b: a * b.inverse())
+    __rtruediv__ = _coerced(lambda a, b: b * a.inverse())
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -427,17 +420,8 @@ class RadicalNumber:
     def __neg__(self):
         return RadicalNumber({s: -q for s, q in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    __sub__ = _coerced(lambda a, b: a + (-b))
+    __rsub__ = _coerced(lambda a, b: b + (-a))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -463,17 +447,8 @@ class RadicalNumber:
             return RadicalNumber({s: Fraction(1, 1) / (q * s)})
         raise NotImplementedError("inverse of multi-term RadicalNumber")
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __truediv__ = _coerced(lambda a, b: a * b.inverse())
+    __rtruediv__ = _coerced(lambda a, b: b * a.inverse())
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -633,58 +608,18 @@ class HalfInteger:
                 return None
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return HalfInteger.from_twice(self.twice + o.twice)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _coerced(lambda a, b: HalfInteger.from_twice(a.twice + b.twice))
 
     def __neg__(self):
         return HalfInteger.from_twice(-self.twice)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return HalfInteger.from_twice(self.twice - o.twice)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return HalfInteger.from_twice(o.twice - self.twice)
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.twice == o.twice
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.twice < o.twice
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.twice <= o.twice
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.twice > o.twice
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.twice >= o.twice
+    __sub__ = _coerced(lambda a, b: HalfInteger.from_twice(a.twice - b.twice))
+    __rsub__ = _coerced(lambda a, b: HalfInteger.from_twice(b.twice - a.twice))
+    __eq__ = _coerced(lambda a, b: a.twice == b.twice)
+    __lt__ = _coerced(lambda a, b: a.twice < b.twice)
+    __le__ = _coerced(lambda a, b: a.twice <= b.twice)
+    __gt__ = _coerced(lambda a, b: a.twice > b.twice)
+    __ge__ = _coerced(lambda a, b: a.twice >= b.twice)
 
     def __hash__(self) -> int:
         # hash(Fraction(twice, 2)) without building it: 1/2 taken modulo the hash prime.

@@ -23,6 +23,7 @@ instead of editing it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -323,27 +324,27 @@ def from_json_dict(obj: dict) -> Diagram:
         raise ValueError(f"unsupported diagram schema version: {obj.get('version')!r}")
     d = Diagram()
     for entry in obj["vertices"]:
-        kind = entry["kind"]
+        kind, v = entry["kind"], entry["id"]
         if kind not in _KINDS:
             raise ValueError(f"unknown vertex kind {kind!r}")
+        if v in d.vertices:
+            raise ValueError(f"vertex id {v!r} appears twice")
         phase: Phase = Fraction(0)
         label = None
         if kind in (Z, X):
             p = entry.get("phase", {"num": 0, "den": 1})
             if "float" in p:
                 phase = float(p["float"])
+                if not math.isfinite(phase):
+                    raise ValueError(f"phase {p!r} is not finite")
             elif p["den"] == 0:
                 raise ValueError(f"phase {p!r} has a zero denominator")
             else:
                 phase = Fraction(p["num"], p["den"])
         elif kind == H:
             label = ExactScalar.deserialize(entry["label"])
-        v = d._add_vertex(VertexData(kind, phase, label))
-        if v != entry["id"]:
-            # Preserve original ids even if non-contiguous.
-            del d.vertices[v]
-            d.vertices[entry["id"]] = VertexData(kind, phase, label)
-            d._next_id = max(d._next_id, entry["id"] + 1)
+        d.vertices[v] = VertexData(kind, phase, label)  # original ids, even if non-contiguous
+        d._next_id = max(d._next_id, v + 1)
     for a, b in obj["edges"]:
         d.add_edge(a, b)
     d.inputs = list(obj["inputs"])

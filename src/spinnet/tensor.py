@@ -13,8 +13,10 @@ small.  It is incremental: connected node pairs wait in a heap keyed by
 (merged rank, step cost, node keys), and a merge re-scores only the pairs
 of the merged node, so a step costs O(deg log E) rather than a rescan of
 every node and edge.  The :class:`ContractionPlan` carries the node table
-with the order, and :func:`eval_diagram` contracts that table as it is.
-Two modes:
+with the order, compiled once into a program: for each step, both
+operands' axis permutations and the (m, s, n) matrix shape, so that
+:func:`eval_diagram` runs a step as ``a.transpose(pa).reshape(m, s) @
+b.transpose(pb).reshape(s, n)`` with no port lookups.  Two modes:
 
 * ``"exact"`` -- results are numpy object arrays holding
   :class:`ExactScalar`, bit-for-bit reproducible elements of Q(omega),
@@ -24,11 +26,12 @@ Two modes:
   ``sum_k A_k * omega^k / D`` in lowest terms.  A slot holds an object
   array of Python ints, or ``None`` where that coefficient is zero in every
   entry; an all-zero tensor keeps one zero array, so its shape survives.
-  Because omega^4 = -1, one pairwise contraction is an integer tensordot
-  for each pair of present slots (at most 16) folded onto four powers,
-  after which all-zero results are dropped and the gcd of ``D`` and every
-  coefficient is divided out.  Python ints do not overflow.  Results
-  become ExactScalar once, at the end of :func:`eval_diagram`.
+  Because omega^4 = -1, one step transposes each present slot of each
+  operand once and makes one integer matmul for each pair of present
+  slots (at most 16), folded onto four powers, after which all-zero
+  results are dropped and the gcd of ``D`` and every coefficient is
+  divided out.  Python ints do not overflow.  Results become ExactScalar
+  once, at the end of :func:`eval_diagram`.
 * ``"float"`` -- complex128 arrays (needed for irrational phases).
 
 In both modes :func:`eval_diagram` builds the tensor of each distinct
@@ -160,10 +163,13 @@ def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
     raise ValueError(f"no tensor for vertex kind {data.kind!r}")
 
 
-def _omega_tensordot(a: _OmegaTensor, b: _OmegaTensor, axes) -> _OmegaTensor:
-    """Contract two tensors: one integer tensordot per pair of present
-    coefficient arrays, folded by omega^4 = -1."""
-    (ca, da), (cb, db) = a, b
+def _omega_contract(a: _OmegaTensor, b: _OmegaTensor, pa: list[int], pb: list[int],
+                    m: int, s: int, n: int, shape: list[int]) -> _OmegaTensor:
+    """One program step (see :data:`_Step`): each present slot of ``a`` and
+    ``b`` transposed and reshaped once, then one integer matmul per pair of
+    present slots, folded by omega^4 = -1, each result reshaped to ``shape``."""
+    ca = [None if c is None else c.transpose(pa).reshape(m, s) for c in a[0]]
+    cb = [None if c is None else c.transpose(pb).reshape(s, n) for c in b[0]]
     out: list = [None] * 4
     for i, x in enumerate(ca):
         if x is None:
@@ -171,7 +177,7 @@ def _omega_tensordot(a: _OmegaTensor, b: _OmegaTensor, axes) -> _OmegaTensor:
         for j, y in enumerate(cb):
             if y is None:
                 continue
-            p = np.tensordot(x, y, axes=axes)
+            p = x @ y
             k, neg = (i + j) % 4, i + j >= 4
             if out[k] is None:
                 out[k] = -p if neg else p
@@ -179,7 +185,7 @@ def _omega_tensordot(a: _OmegaTensor, b: _OmegaTensor, axes) -> _OmegaTensor:
                 out[k] -= p
             else:
                 out[k] += p
-    return _reduced(out, da * db)
+    return _reduced([None if c is None else c.reshape(shape) for c in out], a[1] * b[1])
 
 
 def _exact_array(t: _OmegaTensor) -> np.ndarray:
@@ -262,24 +268,53 @@ def _split_spiders(d: Diagram) -> Diagram:
     return out
 
 
+# One compiled step, [pa, pb, m, s, n, shape], for the step (k1, k2) in the
+# same place of ``ContractionPlan.steps``: k2 folds into k1 as the (m, s) @
+# (s, n) product of k1's axes ordered by pa (free, then shared) and k2's by
+# pb (shared, then free), reshaped to ``shape``.  Lists, not tuples: a compile
+# that made tuples read about 0.4 MB more peak RSS on every benchmark workload,
+# likely because CPython keeps freed tuples of each size on a free list.
+_Step = list
+
+
 @dataclass
 class ContractionPlan:
-    """The network to contract and a deterministic pairwise merge order.
+    """The network to contract, a deterministic pairwise merge order and
+    the program that runs it.
 
     ``nodes`` maps each node key to ``(vertex, ports, self_loops)``.  Keys
     are vertex ids of the split diagram (see :func:`_split_spiders`), and
     ``~a`` for the identity node on a wire between boundaries ``a`` and
     ``b`` (``a < b``).  A port is an int: the edge index of a wire to
     another node, or ``~v`` for the open wire of boundary ``v``.  A self-loop
-    takes no port; it is counted in ``self_loops``.  ``diagram`` is the
-    diagram the plan was made for, before the split.
+    takes no port; it is counted in ``self_loops``.  ``program`` is
+    ``(one _Step per step, perm)``, where ``perm`` puts the last tensor's
+    axes in the diagram's boundary order, inputs then outputs.  ``diagram``
+    is the diagram the plan was made for, before the split.
     """
 
     steps: list[tuple[int, int]] = field(default_factory=list)  # (k1, k2), k1 < k2: k2 folds into k1
     peak_rank: int = 0
     cost: int = 0  # sum over steps of 2**(number of distinct indices involved)
     nodes: dict[int, tuple[VertexData, tuple[int, ...], int]] = field(default_factory=dict)
+    program: tuple[list[_Step], list[int]] = field(default_factory=lambda: ([], []))
     diagram: Optional[Diagram] = None
+
+
+def _compile(plan: ContractionPlan, boundary: tuple[int, ...]) -> tuple[list[_Step], list[int]]:
+    """The ``program`` of ``plan``: its steps with their axes worked out
+    once, then the permutation of the last tensor to ``boundary`` order."""
+    ports = {k: p for k, (_, p, _) in plan.nodes.items()}
+    program = []
+    for k1, k2 in plan.steps:
+        p1, p2 = ports.pop(k1), ports.pop(k2)
+        shared = [p for p in p1 if p in p2]
+        free1, free2 = [p for p in p1 if p not in p2], [p for p in p2 if p not in p1]
+        ports[k1] = merged = free1 + free2
+        program.append([list(map(p1.index, free1 + shared)), list(map(p2.index, shared + free2)),
+                        2 ** len(free1), 2 ** len(shared), 2 ** len(free2), [2] * len(merged)])
+    last = next(iter(ports.values()), ())
+    return program, [last.index(~v) for v in boundary]
 
 
 def _node_table(d: Diagram) -> dict[int, tuple[VertexData, tuple[int, ...], int]]:
@@ -303,14 +338,15 @@ def _node_table(d: Diagram) -> dict[int, tuple[VertexData, tuple[int, ...], int]
 
 
 def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "exact") -> ContractionPlan:
-    """Split ``d``'s spiders once, tabulate its nodes and order their merges.
+    """Split ``d``'s spiders once, tabulate its nodes, order their merges
+    and compile the order into a program.
 
     The plan is made for the diagram with every Z/X spider of degree > 3
     split into a chain of degree-3 spiders (see :func:`_split_spiders`), and
     it carries that diagram's node table, which :func:`eval_diagram`
-    contracts as it stands.  On simplified 6j networks the split keeps the
-    peak rank near the unsimplified one (6j(2,1,2,2,1,2): 22 without it, 14
-    with it).
+    contracts as it stands by running the program.  On simplified 6j
+    networks the split keeps the peak rank near the unsimplified one
+    (6j(2,1,2,2,1,2): 22 without it, 14 with it).
 
     At each step the pair of connected nodes whose merge has the smallest
     resulting rank is chosen (ties: smaller merge cost, then smallest node
@@ -380,6 +416,7 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
                 nbr[k1][j] = nbr[j][k1] = nbr[k1].get(j, 0) + shared
         for j in nbr[k1]:
             heapq.heappush(heap, score(k1, j))
+    plan.program = _compile(plan, (*d.inputs, *d.outputs))
     return plan
 
 
@@ -414,7 +451,7 @@ class Tensor:
     def scalar_value(self):
         if self.n_inputs or self.n_outputs:
             raise ValueError("tensor has open wires")
-        return self.data.reshape(()).item() if self.data.shape == () else self.data.item()
+        return self.data.item()
 
 
 def _trace_trailing(a: np.ndarray, loops: int) -> np.ndarray:
@@ -429,7 +466,7 @@ class _Exact:
     """Contraction steps over ``_OmegaTensor``; results are ExactScalar."""
 
     vertex = staticmethod(_omega_vertex)
-    tensordot = staticmethod(_omega_tensordot)
+    contract = staticmethod(_omega_contract)
 
     @staticmethod
     def trace(t: _OmegaTensor, loops: int) -> _OmegaTensor:
@@ -445,19 +482,24 @@ class _Exact:
 
     @staticmethod
     def finish(t: _OmegaTensor, scalar: ExactScalar) -> np.ndarray:
-        coeffs, den = scalar.omega
-        return _exact_array(_omega_tensordot(t, _reduced(coeffs, den), ([], [])))
+        # t as a column times the scalar as a 1 x 1 matrix
+        shape = next(c for c in t[0] if c is not None).shape
+        s = _reduced(*scalar.omega)
+        return _exact_array(_omega_contract(t, s, list(range(len(shape))), [], -1, 1, 1, shape))
 
 
 class _Float:
     """Contraction steps over complex128 arrays."""
 
-    tensordot = staticmethod(np.tensordot)
     trace = staticmethod(_trace_trailing)
 
     @staticmethod
     def vertex(data: VertexData, degree: int) -> np.ndarray:
         return vertex_tensor(data, degree, "float")
+
+    @staticmethod
+    def contract(a: np.ndarray, b: np.ndarray, pa, pb, m, s, n, shape) -> np.ndarray:
+        return (a.transpose(pa).reshape(m, s) @ b.transpose(pb).reshape(s, n)).reshape(shape)
 
     @staticmethod
     def freeze(t: np.ndarray) -> np.ndarray:
@@ -480,11 +522,14 @@ def eval_diagram(
 ) -> Tensor:
     """Contract a diagram to its tensor.
 
-    Contracts ``plan.nodes`` in the order of ``plan.steps``; without a plan,
-    :func:`plan_contraction` makes one for ``d``.  A given plan must have
-    been made for ``d`` itself (raises ValueError otherwise).  In exact mode the entries are :class:`ExactScalar`;
-    float mode returns complex128.  The result axes are ordered
-    inputs-then-outputs.
+    Builds a tensor for each node of ``plan.nodes`` and runs
+    ``plan.program``: each step is one matrix product of the two operands,
+    transposed and reshaped as the program says (in exact mode, one for
+    each pair of present omega slots), with no port lookups.  Without a
+    plan, :func:`plan_contraction` makes one for ``d``.  A given plan must
+    have been made for ``d`` itself (raises ValueError otherwise).  In exact
+    mode the entries are :class:`ExactScalar`; float mode returns
+    complex128.  The result axes are ordered inputs-then-outputs.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -504,21 +549,15 @@ def eval_diagram(
         if t is None:
             t = ops.vertex(data, len(ports) + 2 * loops)
             t = built[key] = ops.freeze(ops.trace(t, loops) if loops else t)
-        tensors[k] = (ports, t)
-    for k1, k2 in plan.steps:
-        ports1, t1 = tensors.pop(k1)
-        ports2, t2 = tensors.pop(k2)
-        shared = [p for p in ports1 if p in ports2]
-        axes = ([ports1.index(p) for p in shared], [ports2.index(p) for p in shared])
-        merged = [p for p in ports1 if p not in shared] + [p for p in ports2 if p not in shared]
-        tensors[k1] = (merged, ops.tensordot(t1, t2, axes))
+        tensors[k] = t
+    steps, perm = plan.program
+    for (k1, k2), step in zip(plan.steps, steps):
+        t1, t2 = tensors.pop(k1), tensors.pop(k2)
+        tensors[k1] = ops.contract(t1, t2, *step)
     # A plan leaves one tensor; a diagram with no nodes is a 0-legged H-box labelled 1.
-    (ports, t), = tensors.values() or [((), ops.vertex(VertexData(H, label=ExactScalar.one()), 0))]
+    t, = tensors.values() or [ops.vertex(VertexData(H, label=ExactScalar.one()), 0)]
     t = ops.finish(t, d.scalar)
-    # Reorder open ports to the diagram's boundary order.
-    perm = [ports.index(~v) for v in (*d.inputs, *d.outputs)]
-    t = np.transpose(t, axes=perm) if perm else t
-    return Tensor(t, len(d.inputs), len(d.outputs), mode)
+    return Tensor(np.transpose(t, axes=perm) if perm else t, len(d.inputs), len(d.outputs), mode)
 
 
 def to_matrix(d: Diagram, mode: str = "exact", **kw) -> np.ndarray:

@@ -188,6 +188,24 @@ class TestBuildEval:
         path.write_text(json.dumps(obj))
         assert "zero denominator" in run_usage_error(capsys, "eval", str(path))
 
+    def test_eval_duplicate_vertex_id_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        run(capsys, "build", "cswap", "--out", str(path))
+        obj = json.loads(path.read_text())
+        obj["vertices"].append({**next(v for v in obj["vertices"] if v["id"] == 3), "kind": "X"})
+        path.write_text(json.dumps(obj))
+        err = run_usage_error(capsys, "eval", str(path), "--mode", "float")
+        assert err.startswith("error: cannot read diagram: ") and "vertex id 3 appears twice" in err
+
+    @pytest.mark.parametrize("literal", ['"nan"', "1e400"], ids=["nan", "inf"])
+    def test_eval_non_finite_float_phase_exits_2(self, capsys, tmp_path, literal):
+        obj = json.loads(serialize(cswap_gadget()))
+        next(v for v in obj["vertices"] if v["kind"] == "Z")["phase"] = {"float": "PHASE"}
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(obj).replace('"PHASE"', literal))
+        err = run_usage_error(capsys, "eval", str(path), "--mode", "float")
+        assert err.startswith("error: cannot read diagram: ") and "is not finite" in err
+
     def test_eval_non_clifford_phase_in_exact_mode_exits_2(self, capsys, tmp_path):
         d = Diagram()
         for phase in (Fraction(1, 2), 0.3, Fraction(1, 2)):

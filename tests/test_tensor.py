@@ -18,7 +18,7 @@ from spinnet.tensor import (
     ContractionPlan,
     RankCapExceeded,
     _exact_array,
-    _omega_tensordot,
+    _omega_contract,
     _split_spiders,
     eval_diagram,
     plan_contraction,
@@ -260,7 +260,7 @@ class TestOmegaCoefficients:
     @PROPERTIES
     @given(exact_scalars, exact_scalars)
     def test_product_matches_exact_scalar(self, x, y):
-        prod = _omega_tensordot(rank0(x), rank0(y), ([], []))
+        prod = _omega_contract(rank0(x), rank0(y), [], [], 1, 1, 1, [])
         assert _exact_array(prod).item() == x * y
 
     @PROPERTIES
@@ -566,6 +566,88 @@ def test_float_phase_does_not_reuse_the_exact_tensor():
     d.add_edge(b, d.add_output())
     with pytest.raises(ValueError, match="requires float mode"):
         eval_diagram(d, mode="exact")
+
+
+# -- the float step loop the program replaced, kept as the reference ------
+
+
+def _ref_eval_steps(d: Diagram) -> np.ndarray:
+    """``eval_diagram(d, mode="float").data`` by the step loop that scanned
+    each step's ports and called ``np.tensordot``."""
+    plan = plan_contraction(d, mode="float")
+    tensors = {}
+    for k, (data, ports, loops) in plan.nodes.items():
+        t = vertex_tensor(data, len(ports) + 2 * loops, "float")
+        tensors[k] = (ports, tensor._trace_trailing(t, loops) if loops else t)
+    for k1, k2 in plan.steps:
+        ports1, t1 = tensors.pop(k1)
+        ports2, t2 = tensors.pop(k2)
+        shared = [p for p in ports1 if p in ports2]
+        axes = ([ports1.index(p) for p in shared], [ports2.index(p) for p in shared])
+        merged = [p for p in ports1 if p not in shared] + [p for p in ports2 if p not in shared]
+        tensors[k1] = (merged, np.tensordot(t1, t2, axes))
+    (ports, t), = tensors.values() or [((), np.ones((), dtype=complex))]
+    t = t * d.scalar.to_complex()
+    perm = [ports.index(~v) for v in (*d.inputs, *d.outputs)]
+    return np.transpose(t, axes=perm) if perm else t
+
+
+def assert_program_matches_steps(d: Diagram):
+    got, want = eval_diagram(d, mode="float").data, _ref_eval_steps(d)
+    assert np.shape(got) == np.shape(want)
+    assert np.abs(got - want).max(initial=0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0))
+
+
+# The float-6j benchmark's symbols, as twice-spins: 6j(2,2,2,2,2,2) and ten
+# tetrahedral classes spread over size.
+FLOAT_6J = [(4, 4, 4, 4, 4, 4), (0, 2, 2, 0, 2, 2), (2, 2, 2, 2, 2, 4), (0, 0, 0, 4, 4, 4),
+            (2, 2, 4, 4, 4, 2), (2, 4, 4, 2, 4, 4), (1, 1, 2, 1, 1, 2), (1, 1, 2, 3, 3, 2),
+            (0, 3, 3, 2, 3, 3), (2, 2, 4, 3, 3, 3), (1, 3, 4, 3, 3, 4)]
+
+
+class TestProgramMatchesSteps:
+    def test_paper_manifest(self, paper_diagrams):
+        for d, _ in paper_diagrams:
+            assert_program_matches_steps(d)
+
+    @pytest.mark.parametrize("tw", FLOAT_6J, ids=lambda tw: "".join(map(str, tw)))
+    def test_float_6j(self, tw):
+        d, _ = network_6j(*[HalfInteger.from_twice(t) for t in tw])
+        assert_program_matches_steps(d)
+        assert_program_matches_steps(simplify(d, rules=DEFAULT_SIMPLIFY_RULES)[0])
+
+    @PROPERTIES
+    @given(clifford_diagrams())
+    def test_clifford_diagrams(self, d):
+        assert_program_matches_steps(d)
+
+
+def test_the_program_has_one_entry_per_step():
+    d, _ = network_6j(*[HalfInteger(1)] * 6)
+    for diagram in (d, simplify(d, rules=DEFAULT_SIMPLIFY_RULES)[0], wire_diagram(), Diagram()):
+        plan = plan_contraction(diagram)
+        steps, perm = plan.program
+        assert len(steps) == len(plan.steps)
+        rank = {k: len(ports) for k, (_, ports, _) in plan.nodes.items()}
+        for (k1, k2), (pa, pb, m, s, n, shape) in zip(plan.steps, steps):
+            assert sorted(pa) == list(range(rank[k1])) and sorted(pb) == list(range(rank.pop(k2)))
+            assert (m * s, s * n, m * n) == (2 ** len(pa), 2 ** len(pb), 2 ** len(shape))
+            assert set(shape) <= {2}
+            rank[k1] = len(shape)
+        assert sorted(perm) == list(range(len(diagram.inputs) + len(diagram.outputs)))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_eval_never_calls_tensordot(monkeypatch, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.tensordot called")
+
+    d, _ = network_6j(*[HalfInteger(1)] * 6)
+    cases = [d, simplify(d, rules=DEFAULT_SIMPLIFY_RULES)[0], wire_diagram(), looped_hbox(2), Diagram()]
+    want = [eval_diagram(c, mode=mode).data for c in cases]
+    monkeypatch.setattr(np, "tensordot", refuse)
+    for c, w in zip(cases, want):
+        assert np.array_equal(eval_diagram(c, mode=mode).data, w)
 
 
 # -- planner against the O(V*E) reference ---------------------------------
