@@ -17,7 +17,15 @@ Semantics (unnormalised linear-map convention):
 
 Vertex records (:class:`VertexData`) are immutable, so :meth:`Diagram.copy`
 and composition share them between diagrams; a rewrite replaces a record
-instead of editing it.
+instead of editing it.  The JSON loader shares them too: vertices whose
+entries differ only in their id get one record.
+
+The JSON text of :func:`serialize` is exactly ``json.dumps(doc, indent=2)``
+of the schema-1 document (``version``, ``vertices`` sorted by id, ``edges``,
+``inputs``, ``outputs``, ``scalar``).  It is joined from per-vertex and
+per-edge lines, each distinct vertex record's text made once per call,
+because the indenting encoder has no C path.  Vertex ids, edge ends and
+boundary entries are non-negative ints.
 """
 
 from __future__ import annotations
@@ -287,68 +295,122 @@ def compose_par(d1: Diagram, d2: Diagram) -> Diagram:
 # -- serialization --------------------------------------------------------
 
 _SCHEMA_VERSION = 1
+_NO_PHASE = {"num": 0, "den": 1}
 
 
-def to_json_dict(d: Diagram) -> dict:
-    verts = []
-    for v in sorted(d.vertices):
-        data = d.vertices[v]
-        entry: dict = {"id": v, "kind": data.kind}
-        if data.kind in (Z, X):
-            if isinstance(data.phase, Fraction):
-                entry["phase"] = {"num": data.phase.numerator, "den": data.phase.denominator}
-            else:
-                entry["phase"] = {"float": float(data.phase)}
-        elif data.kind == H:
-            entry["label"] = data.label.serialize()
-        verts.append(entry)
-    return {
-        "version": _SCHEMA_VERSION,
-        "vertices": verts,
-        "edges": [[a, b] for a, b in d.edges],
-        "inputs": list(d.inputs),
-        "outputs": list(d.outputs),
-        "scalar": d.scalar.serialize(),
-    }
+def _record_tail(data: VertexData) -> str:
+    """A vertex record's text after its id, from the comma on, indented as
+    an entry of the top-level ``"vertices"`` list."""
+    entry: dict = {"kind": data.kind}
+    if data.kind in (Z, X):
+        if isinstance(data.phase, Fraction):
+            entry["phase"] = {"num": data.phase.numerator, "den": data.phase.denominator}
+        else:
+            entry["phase"] = {"float": float(data.phase)}
+    elif data.kind == H:
+        entry["label"] = data.label.serialize()
+    return "," + json.dumps(entry, indent=2)[1:].replace("\n", "\n    ")
+
+
+def _list(items: list[str]) -> str:
+    """A top-level list of already indented item texts, as ``json.dumps``
+    with ``indent=2`` lays it out."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def serialize(d: Diagram) -> str:
-    """Canonical JSON text for a diagram."""
-    return json.dumps(to_json_dict(d), indent=2)
+    """Canonical JSON text for a diagram: ``json.dumps(doc, indent=2)`` of
+    the schema-1 document (version, vertices by id, edges, inputs, outputs,
+    scalar), byte for byte.
+
+    The text is assembled line by line rather than by the pure-Python
+    indenting encoder: each distinct vertex record's text is made once per
+    call and shared by the vertices that have it.
+    """
+    tails: dict[tuple, str] = {}
+    verts = []
+    for v in sorted(d.vertices):
+        data = d.vertices[v]
+        phase = data.phase
+        # Fraction(1, 2) == 0.5 and 0.0 == -0.0, but their texts differ.
+        key = (data.kind, data.label, type(phase), repr(phase) if type(phase) is float else phase)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _record_tail(data)
+        verts.append(f'    {{\n      "id": {v}{tail}')
+    edges = [f"    [\n      {a},\n      {b}\n    ]" for a, b in d.edges]
+    return (
+        f'{{\n  "version": {_SCHEMA_VERSION},\n  "vertices": {_list(verts)},\n'
+        f'  "edges": {_list(edges)},\n  "inputs": {_list([f"    {v}" for v in d.inputs])},\n'
+        f'  "outputs": {_list([f"    {v}" for v in d.outputs])},\n'
+        f'  "scalar": {json.dumps(d.scalar.serialize())}\n}}'
+    )
+
+
+def _vertex_id(x, what: str) -> int:
+    """``x`` if it is a non-negative int (not a bool), else ValueError.  The
+    planner keys boundary ports ``~v``, so a negative id would collide."""
+    if type(x) is not int or x < 0:
+        raise ValueError(f"{what} {x!r} is not a non-negative integer")
+    return x
+
+
+def _record(key: tuple) -> VertexData:
+    """The vertex record of a loader key: ``(kind, num, den)`` or ``(kind,
+    float.hex())`` for a spider, ``("H", label text)`` or ``("B",)``."""
+    kind, *rest = key
+    if kind == H:
+        return VertexData(H, Fraction(0), ExactScalar.deserialize(rest[0]))
+    if kind == B:
+        return VertexData(B)
+    return VertexData(kind, Fraction(*rest) if len(rest) == 2 else float.fromhex(rest[0]))
 
 
 def from_json_dict(obj: dict) -> Diagram:
+    """The diagram of a parsed schema-1 document; ValueError (or KeyError,
+    TypeError) on malformed input.
+
+    Vertices with the same entry, apart from the id, share one immutable
+    :class:`VertexData`, so each distinct phase or label is parsed once.
+    Vertex ids, edge ends and boundary entries must be non-negative ints.
+    """
     if not isinstance(obj, dict):
         raise ValueError("diagram JSON must be an object")
     if obj.get("version") != _SCHEMA_VERSION:
         raise ValueError(f"unsupported diagram schema version: {obj.get('version')!r}")
     d = Diagram()
+    records: dict[tuple, VertexData] = {}
     for entry in obj["vertices"]:
-        kind, v = entry["kind"], entry["id"]
+        kind, v = entry["kind"], _vertex_id(entry["id"], "vertex id")
         if kind not in _KINDS:
             raise ValueError(f"unknown vertex kind {kind!r}")
         if v in d.vertices:
             raise ValueError(f"vertex id {v!r} appears twice")
-        phase: Phase = Fraction(0)
-        label = None
         if kind in (Z, X):
-            p = entry.get("phase", {"num": 0, "den": 1})
+            p = entry.get("phase", _NO_PHASE)
             if "float" in p:
                 phase = float(p["float"])
                 if not math.isfinite(phase):
                     raise ValueError(f"phase {p!r} is not finite")
+                key: tuple = (kind, phase.hex())  # keeps -0.0 apart from 0.0
             elif p["den"] == 0:
                 raise ValueError(f"phase {p!r} has a zero denominator")
             else:
-                phase = Fraction(p["num"], p["den"])
-        elif kind == H:
-            label = ExactScalar.deserialize(entry["label"])
-        d.vertices[v] = VertexData(kind, phase, label)  # original ids, even if non-contiguous
-        d._next_id = max(d._next_id, v + 1)
+                key = (kind, p["num"], p["den"])
+        else:
+            key = (kind, entry["label"]) if kind == H else (kind,)
+        try:
+            data = records.get(key)
+        except TypeError:  # unhashable: a JSON list or object in the key
+            raise ValueError(f"vertex {v} has a list or object for a phase number or label") from None
+        if data is None:
+            data = records[key] = _record(key)
+        d.vertices[v] = data  # original ids, even if non-contiguous
+    d._next_id = max(d.vertices, default=-1) + 1
     for a, b in obj["edges"]:
-        d.add_edge(a, b)
-    d.inputs = list(obj["inputs"])
-    d.outputs = list(obj["outputs"])
+        d.add_edge(_vertex_id(a, "edge end"), _vertex_id(b, "edge end"))
+    d.inputs = [_vertex_id(v, "boundary entry") for v in obj["inputs"]]
+    d.outputs = [_vertex_id(v, "boundary entry") for v in obj["outputs"]]
     d.scalar = ExactScalar.deserialize(obj["scalar"])
     d.validate()
     return d

@@ -10,13 +10,16 @@ and its self-loop count, where a port is an int, the edge index of a wire
 or ``~v`` for the open wire of boundary ``v``.  A greedy search then picks a
 deterministic pairwise contraction order that keeps intermediate ranks
 small.  It is incremental: connected node pairs wait in a heap keyed by
-(merged rank, step cost, node keys), and a merge re-scores only the pairs
-of the merged node, so a step costs O(deg log E) rather than a rescan of
-every node and edge.  The :class:`ContractionPlan` carries the node table
-with the order, compiled once into a program: for each step, both
-operands' axis permutations and the (m, s, n) matrix shape, so that
+(merged rank, step cost, node keys), each entry stamped with when its two
+nodes last merged; a merge re-scores only the pairs of the merged node, and
+an entry whose stamps have moved is dropped when popped, so a step costs
+O(deg log E) rather than a rescan of every node and edge.  The search keeps
+each node's port list and writes the program as it merges: for each step,
+both operands' axis permutations and the (m, s, n) matrix shape, so that
 :func:`eval_diagram` runs a step as ``a.transpose(pa).reshape(m, s) @
-b.transpose(pb).reshape(s, n)`` with no port lookups.  Two modes:
+b.transpose(pb).reshape(s, n)`` with no port lookups.  The
+:class:`ContractionPlan` carries the node table, the order and that
+program.  Two modes:
 
 * ``"exact"`` -- results are numpy object arrays holding
   :class:`ExactScalar`, bit-for-bit reproducible elements of Q(omega),
@@ -268,11 +271,11 @@ def _split_spiders(d: Diagram) -> Diagram:
     return out
 
 
-# One compiled step, [pa, pb, m, s, n, shape], for the step (k1, k2) in the
+# One program step, [pa, pb, m, s, n, shape], for the step (k1, k2) in the
 # same place of ``ContractionPlan.steps``: k2 folds into k1 as the (m, s) @
 # (s, n) product of k1's axes ordered by pa (free, then shared) and k2's by
-# pb (shared, then free), reshaped to ``shape``.  Lists, not tuples: a compile
-# that made tuples read about 0.4 MB more peak RSS on every benchmark workload,
+# pb (shared, then free), reshaped to ``shape``.  Lists, not tuples: steps
+# made as tuples read about 0.4 MB more peak RSS on every benchmark workload,
 # likely because CPython keeps freed tuples of each size on a free list.
 _Step = list
 
@@ -289,8 +292,9 @@ class ContractionPlan:
     another node, or ``~v`` for the open wire of boundary ``v``.  A self-loop
     takes no port; it is counted in ``self_loops``.  ``program`` is
     ``(one _Step per step, perm)``, where ``perm`` puts the last tensor's
-    axes in the diagram's boundary order, inputs then outputs.  ``diagram``
-    is the diagram the plan was made for, before the split.
+    axes in the diagram's boundary order, inputs then outputs; the search
+    writes each step as it makes the merge.  ``diagram`` is the diagram the
+    plan was made for, before the split.
     """
 
     steps: list[tuple[int, int]] = field(default_factory=list)  # (k1, k2), k1 < k2: k2 folds into k1
@@ -299,22 +303,6 @@ class ContractionPlan:
     nodes: dict[int, tuple[VertexData, tuple[int, ...], int]] = field(default_factory=dict)
     program: tuple[list[_Step], list[int]] = field(default_factory=lambda: ([], []))
     diagram: Optional[Diagram] = None
-
-
-def _compile(plan: ContractionPlan, boundary: tuple[int, ...]) -> tuple[list[_Step], list[int]]:
-    """The ``program`` of ``plan``: its steps with their axes worked out
-    once, then the permutation of the last tensor to ``boundary`` order."""
-    ports = {k: p for k, (_, p, _) in plan.nodes.items()}
-    program = []
-    for k1, k2 in plan.steps:
-        p1, p2 = ports.pop(k1), ports.pop(k2)
-        shared = [p for p in p1 if p in p2]
-        free1, free2 = [p for p in p1 if p not in p2], [p for p in p2 if p not in p1]
-        ports[k1] = merged = free1 + free2
-        program.append([list(map(p1.index, free1 + shared)), list(map(p2.index, shared + free2)),
-                        2 ** len(free1), 2 ** len(shared), 2 ** len(free2), [2] * len(merged)])
-    last = next(iter(ports.values()), ())
-    return program, [last.index(~v) for v in boundary]
 
 
 def _node_table(d: Diagram) -> dict[int, tuple[VertexData, tuple[int, ...], int]]:
@@ -338,8 +326,8 @@ def _node_table(d: Diagram) -> dict[int, tuple[VertexData, tuple[int, ...], int]
 
 
 def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "exact") -> ContractionPlan:
-    """Split ``d``'s spiders once, tabulate its nodes, order their merges
-    and compile the order into a program.
+    """Split ``d``'s spiders once, tabulate its nodes, and order their
+    merges, writing the program step of each merge as it is made.
 
     The plan is made for the diagram with every Z/X spider of degree > 3
     split into a chain of degree-3 spiders (see :func:`_split_spiders`), and
@@ -358,46 +346,57 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     :func:`eval_diagram` builds its tensor).
 
     The search is incremental: every connected pair sits in a heap keyed by
-    its score, stale entries are dropped when popped, and a merge re-scores
-    only the pairs of the merged node.  A step costs O(deg log E) instead
-    of a scan over every node and edge.
+    its score and stamped with the step count at which each of its nodes
+    last merged.  A merge re-scores only the pairs of the merged node, and
+    a popped entry whose stamps have moved is stale and dropped; no other
+    pair's score can have changed, so the chosen pair is the best one.  A
+    step costs O(deg log E) instead of a scan over every node and edge.
+    Each node's port list is kept through the search, so the program step
+    of a merge (axis permutations and matrix shape) is written as the
+    merge is made, and the last node's ports give the boundary permutation.
     """
     cap = _rank_cap(mode, rank_cap)
     plan = ContractionPlan(nodes=_node_table(_split_spiders(d)), diagram=d)
-    rank: dict[int, int] = {}
+    ports: dict[int, list[int]] = {}  # node -> its ports, in its tensor's axis order
     nbr: dict[int, dict[int, int]] = {}  # node -> {neighbour: shared edges}
+    stamp: dict[int, int] = {}  # node -> number of steps made when it last merged
     owner: dict[int, int] = {}  # port -> first node seen holding it
     widest = 0  # eval_diagram builds each vertex tensor before it traces out self-loops
-    for k, (_, ports, loops) in plan.nodes.items():
-        widest = max(widest, len(ports) + 2 * loops)
-        rank[k] = len(ports)
+    for k, (_, p, loops) in plan.nodes.items():
+        widest = max(widest, len(p) + 2 * loops)
+        ports[k] = list(p)
         nbr[k] = {}
-        for i in ports:  # an edge index is in two nodes, an open port in one
+        stamp[k] = 0
+        for i in p:  # an edge index is in two nodes, an open port in one
             j = owner.setdefault(i, k)
             if j != k:
                 nbr[k][j] = nbr[j][k] = nbr[k].get(j, 0) + 1
 
-    def score(a: int, b: int) -> tuple[int, int, int, int]:
-        width, shared = rank[a] + rank[b], nbr[a].get(b, 0)
-        return (width - 2 * shared, 2 ** (width - shared), min(a, b), max(a, b))
+    def entry(a: int, b: int) -> tuple[int, int, int, int, int, int]:
+        """The heap entry of the connected pair ``a``, ``b``: its score, with
+        the smaller key first, then the two stamps it was scored at."""
+        if a > b:
+            a, b = b, a
+        width, shared = len(ports[a]) + len(ports[b]), nbr[a][b]
+        return (width - 2 * shared, 2 ** (width - shared), a, b, stamp[a], stamp[b])
 
-    heap = [score(a, b) for a in nbr for b in nbr[a] if a < b]
+    heap = [entry(a, b) for a in nbr for b in nbr[a] if a < b]
     heapq.heapify(heap)
     if widest > cap:
         raise RankCapExceeded(f"initial vertex rank {widest} exceeds cap {cap}")
-    plan.peak_rank = max(rank.values(), default=0)
-    while len(rank) > 1:
+    plan.peak_rank = max(map(len, ports.values()), default=0)
+    program: list[_Step] = []
+    while len(ports) > 1:
         while heap:
-            best = heapq.heappop(heap)
-            _, _, k1, k2 = best
-            if k2 in nbr.get(k1, ()) and best == score(k1, k2):
+            merged_rank, step_cost, k1, k2, s1, s2 = heapq.heappop(heap)
+            if stamp.get(k1) == s1 and stamp.get(k2) == s2:
                 break
         else:
             # No pair shares an edge: outer products with the smallest key.
-            k1 = min(rank)
-            k2 = min((k for k in rank if k != k1), key=lambda k: (rank[k], k))
-            best = score(k1, k2)
-        merged_rank, step_cost, k1, k2 = best
+            k1 = min(ports)
+            k2 = min((k for k in ports if k != k1), key=lambda k: (len(ports[k]), k))
+            merged_rank = len(ports[k1]) + len(ports[k2])
+            step_cost = 2 ** merged_rank
         if merged_rank > cap:
             raise RankCapExceeded(
                 f"contraction needs intermediate rank {merged_rank} > cap {cap}; "
@@ -406,17 +405,30 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
         plan.steps.append((k1, k2))
         plan.peak_rank = max(plan.peak_rank, merged_rank)
         plan.cost += step_cost
-        # k2 folds into k1.
-        del rank[k2]
-        rank[k1] = merged_rank
+        # k2 folds into k1: k1's free axes, then k2's, in their own orders.
+        p1, at2 = ports[k1], {p: j for j, p in enumerate(ports.pop(k2))}
+        free1, shared1, shared2 = [], [], []
+        for i, p in enumerate(p1):
+            j = at2.pop(p, None)
+            if j is None:
+                free1.append(i)
+            else:
+                shared1.append(i)
+                shared2.append(j)
+        ports[k1] = [p1[i] for i in free1] + list(at2)
+        program.append([free1 + shared1, shared2 + list(at2.values()), 2 ** len(free1),
+                        2 ** len(shared1), 2 ** len(at2), [2] * merged_rank])
+        del stamp[k2]
+        stamp[k1] = len(plan.steps)
         nbr[k1].pop(k2, None)
         for j, shared in nbr.pop(k2).items():
             if j != k1:
                 del nbr[j][k2]
                 nbr[k1][j] = nbr[j][k1] = nbr[k1].get(j, 0) + shared
         for j in nbr[k1]:
-            heapq.heappush(heap, score(k1, j))
-    plan.program = _compile(plan, (*d.inputs, *d.outputs))
+            heapq.heappush(heap, entry(k1, j))
+    last = next(iter(ports.values()), [])
+    plan.program = program, [last.index(~v) for v in (*d.inputs, *d.outputs)]
     return plan
 
 

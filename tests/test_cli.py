@@ -197,6 +197,62 @@ class TestBuildEval:
         err = run_usage_error(capsys, "eval", str(path), "--mode", "float")
         assert err.startswith("error: cannot read diagram: ") and "vertex id 3 appears twice" in err
 
+    @staticmethod
+    def _phase_gate_file(tmp_path, vertex_id: int) -> Path:
+        """A Z(pi) spider between boundaries 1 and 3 and a wire from 0 to 2."""
+        obj = {
+            "version": 1,
+            "vertices": [{"id": vertex_id, "kind": "Z", "phase": {"num": 1, "den": 1}}]
+            + [{"id": b, "kind": "B"} for b in range(4)],
+            "edges": [[1, vertex_id], [vertex_id, 3], [0, 2]],
+            "inputs": [0, 1],
+            "outputs": [2, 3],
+            "scalar": "1/1 + 0/1*r2 + (0/1 + 0/1*r2)*i",
+        }
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_eval_negative_vertex_id_exits_2(self, capsys, tmp_path):
+        # The planner names boundary ports ~v, so id -1 would collide with ~0.
+        err = run_usage_error(capsys, "eval", str(self._phase_gate_file(tmp_path, -1)))
+        assert err == "error: cannot read diagram: vertex id -1 is not a non-negative integer\n"
+        code, out, _ = run(capsys, "eval", str(self._phase_gate_file(tmp_path, 4)))
+        assert code == EXIT_OK and "matrix (4 x 4)" in out
+
+    @pytest.mark.parametrize("where, literal", [
+        ("vertex id", "1.0"), ("vertex id", "true"), ("vertex id", '"1"'),
+        ("edge end", "1.0"), ("edge end", "true"), ("edge end", "-1"),
+        ("boundary entry", "0.0"), ("boundary entry", "false"), ("boundary entry", "-3"),
+    ])
+    def test_eval_non_integer_id_exits_2(self, capsys, tmp_path, where, literal):
+        obj = json.loads(serialize(cswap_gadget()))
+        if where == "vertex id":
+            obj["vertices"][1]["id"] = "ID"
+        elif where == "edge end":
+            obj["edges"][0][1] = "ID"
+        else:
+            obj["inputs"][0] = "ID"
+        path = tmp_path / "bad_id.json"
+        path.write_text(json.dumps(obj).replace('"ID"', literal))
+        value = repr(json.loads(literal))
+        err = run_usage_error(capsys, "eval", str(path), "--mode", "float")
+        assert err == f"error: cannot read diagram: {where} {value} is not a non-negative integer\n"
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("Z", "phase", {"num": [1], "den": 2}), ("Z", "phase", {"num": 1, "den": {}}),
+        ("H", "label", ["1/1 + 0/1*r2 + (0/1 + 0/1*r2)*i"]),
+    ], ids=["num", "den", "label"])
+    def test_eval_container_in_a_vertex_field_exits_2(self, capsys, tmp_path, kind, field, value):
+        obj = json.loads(serialize(cswap_gadget()))
+        vertex = next(v for v in obj["vertices"] if v["kind"] == kind)
+        vertex[field] = value
+        path = tmp_path / "container.json"
+        path.write_text(json.dumps(obj))
+        err = run_usage_error(capsys, "eval", str(path), "--mode", "float")
+        assert err == (f"error: cannot read diagram: vertex {vertex['id']} has a list or object "
+                       "for a phase number or label\n")
+
     @pytest.mark.parametrize("literal", ['"nan"', "1e400"], ids=["nan", "inf"])
     def test_eval_non_finite_float_phase_exits_2(self, capsys, tmp_path, literal):
         obj = json.loads(serialize(cswap_gadget()))

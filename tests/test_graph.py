@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnet.exact import ExactScalar
+from spinnet.exact import ExactScalar, HalfInteger
 from spinnet.graph import (
+    B,
     Diagram,
     H,
+    VertexData,
     X,
     Z,
     compose_par,
@@ -22,6 +24,7 @@ from spinnet.graph import (
     serialize,
     to_dot,
 )
+from spinnet.su2 import network_6j
 from spinnet.tensor import eval_diagram, to_matrix
 
 PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -194,3 +197,136 @@ def test_compose_seq_is_the_matrix_product_property(data):
 @given(open_diagrams(), open_diagrams())
 def test_compose_par_is_the_kronecker_product_property(a, b):
     assert (to_matrix(compose_par(a, b)) == np.kron(to_matrix(a), to_matrix(b))).all()
+
+
+# -- the JSON text, pinned to the encoder it replaced -----------------------
+
+
+def to_json_dict(d: Diagram) -> dict:
+    """The schema-1 document of ``d``; ``serialize`` must equal
+    ``json.dumps(to_json_dict(d), indent=2)``, byte for byte."""
+    verts = []
+    for v in sorted(d.vertices):
+        data = d.vertices[v]
+        entry: dict = {"id": v, "kind": data.kind}
+        if data.kind in (Z, X):
+            if isinstance(data.phase, Fraction):
+                entry["phase"] = {"num": data.phase.numerator, "den": data.phase.denominator}
+            else:
+                entry["phase"] = {"float": float(data.phase)}
+        elif data.kind == H:
+            entry["label"] = data.label.serialize()
+        verts.append(entry)
+    return {
+        "version": 1,
+        "vertices": verts,
+        "edges": [[a, b] for a, b in d.edges],
+        "inputs": list(d.inputs),
+        "outputs": list(d.outputs),
+        "scalar": d.scalar.serialize(),
+    }
+
+
+def reference_text(d: Diagram) -> str:
+    return json.dumps(to_json_dict(d), indent=2)
+
+
+float_phases = st.one_of(
+    st.sampled_from([0.30000000000000004, 0.1, 0.0, -0.0, 1.9999999999999998, 5e-324]),
+    st.floats(-4, 4),
+)
+phases = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8)), float_phases)
+
+
+@st.composite
+def file_diagrams(draw):
+    """Valid diagrams as a file may hold them: exact and float phases (the
+    records built directly, so unreduced and signed-zero phases occur), H
+    labels, ids that skip values in any order, self-loops, multi-edges,
+    wires between boundaries, and possibly no vertices or no boundaries."""
+    n = draw(st.integers(0, 5))
+    legs = draw(st.integers(0, 3)) if n else 0
+    wires = draw(st.integers(0, 2))
+    ids = draw(st.lists(st.integers(0, 999), min_size=n + legs + 2 * wires,
+                        max_size=n + legs + 2 * wires, unique=True))
+    spiders, bounds = ids[:n], ids[n:]
+    d = Diagram()
+    for v in spiders:
+        kind = draw(st.sampled_from([Z, X, H]))
+        d.vertices[v] = VertexData(H, label=draw(exact_scalars)) if kind == H else VertexData(kind, draw(phases))
+    for v in bounds:
+        d.vertices[v] = VertexData(B)
+    for _ in range(draw(st.integers(0, 6)) if n else 0):
+        d.edges.append((draw(st.sampled_from(spiders)), draw(st.sampled_from(spiders))))
+    for b in bounds[:legs]:
+        d.edges.append((b, draw(st.sampled_from(spiders))))
+    for a, b in zip(bounds[legs::2], bounds[legs + 1::2]):
+        d.edges.append((a, b))
+    d.edges = draw(st.permutations(d.edges))
+    for b in draw(st.permutations(bounds)):
+        (d.inputs if draw(st.booleans()) else d.outputs).append(b)
+    d._next_id = max(ids, default=-1) + 1
+    d.mul_scalar(draw(exact_scalars))
+    d.validate()
+    return d
+
+
+def entry_records(text: str, d: Diagram) -> dict[str, set[int]]:
+    """For each distinct vertex entry of ``text`` apart from its id, the ids
+    of the records that ``d``'s vertices with that entry hold."""
+    records: dict[str, set[int]] = {}
+    for entry in json.loads(text)["vertices"]:
+        key = json.dumps({k: v for k, v in entry.items() if k != "id"}, sort_keys=True)
+        records.setdefault(key, set()).add(id(d.vertices[entry["id"]]))
+    return records
+
+
+@PROPERTIES
+@given(file_diagrams())
+def test_serialize_is_the_indent_2_dump_property(d):
+    text = serialize(d)
+    assert text == reference_text(d)
+    d2 = deserialize(text)
+    assert serialize(d2) == text
+    records = entry_records(text, d2)
+    assert all(len(ids) == 1 for ids in records.values())
+    assert len({id(r) for r in d2.vertices.values()}) == len(records)
+
+
+@pytest.mark.parametrize("phase", [0.30000000000000004, -0.0, 0.0, 1e-300])
+def test_float_phase_text_round_trips_exactly(phase):
+    d = Diagram()
+    z = d._add_vertex(VertexData(Z, phase))
+    d.add_edge(z, d.add_output())
+    text = serialize(d)
+    assert text == reference_text(d) and f'"float": {phase!r}' in text
+    got = deserialize(text).vertices[z].phase
+    assert type(got) is float and got.hex() == phase.hex()
+
+
+def test_equal_phases_of_different_types_keep_their_own_text():
+    # Fraction(1, 2) == 0.5 and 0.0 == -0.0 with equal hashes, but each is
+    # written, and read back, as itself.
+    phases = [Fraction(1, 2), 0.5, 0.0, -0.0, Fraction(0), 0.5, -0.0]
+    d = Diagram()
+    for phase in phases:
+        d.add_edge(d._add_vertex(VertexData(X, phase)), d.add_output())
+    text = serialize(d)
+    assert text == reference_text(d)
+    got = [data.phase for data in deserialize(text).vertices.values() if data.kind == X]
+    assert [(type(p), str(p)) for p in got] == [(type(p), str(p)) for p in phases]
+
+
+def test_empty_diagram_text():
+    assert serialize(Diagram()) == reference_text(Diagram())
+    assert '"vertices": [],' in serialize(Diagram())
+
+
+def test_loaded_6j_network_shares_one_record_per_kind_and_phase():
+    d, _ = network_6j(*[HalfInteger(1)] * 6)
+    text = serialize(d)
+    d2 = deserialize(text)
+    records = entry_records(text, d2)
+    assert all(len(ids) == 1 for ids in records.values())
+    assert len({id(r) for r in d2.vertices.values()}) == len(records) < len(d2.vertices) // 10
+    assert d2.vertices == d.vertices and d2.edges == d.edges

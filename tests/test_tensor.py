@@ -592,6 +592,32 @@ def _ref_eval_steps(d: Diagram) -> np.ndarray:
     return np.transpose(t, axes=perm) if perm else t
 
 
+def _ref_compile(plan: ContractionPlan, boundary: tuple[int, ...]) -> tuple[list, list[int]]:
+    """The ``program`` of ``plan`` as a second pass over its steps made it,
+    before the search wrote each step as it merged: the steps with their
+    axes worked out once, then the permutation of the last tensor to
+    ``boundary`` order."""
+    ports = {k: p for k, (_, p, _) in plan.nodes.items()}
+    program = []
+    for k1, k2 in plan.steps:
+        p1, p2 = ports.pop(k1), ports.pop(k2)
+        shared = [p for p in p1 if p in p2]
+        free1, free2 = [p for p in p1 if p not in p2], [p for p in p2 if p not in p1]
+        ports[k1] = merged = free1 + free2
+        program.append([list(map(p1.index, free1 + shared)), list(map(p2.index, shared + free2)),
+                        2 ** len(free1), 2 ** len(shared), 2 ** len(free2), [2] * len(merged)])
+    last = next(iter(ports.values()), ())
+    return program, [last.index(~v) for v in boundary]
+
+
+def checked_planner(d: Diagram, cap: int) -> ContractionPlan:
+    """``plan_contraction(d, rank_cap=cap)``, its program checked against
+    :func:`_ref_compile`."""
+    plan = plan_contraction(d, rank_cap=cap)
+    assert plan.program == _ref_compile(plan, (*d.inputs, *d.outputs))
+    return plan
+
+
 def assert_program_matches_steps(d: Diagram):
     got, want = eval_diagram(d, mode="float").data, _ref_eval_steps(d)
     assert np.shape(got) == np.shape(want)
@@ -607,14 +633,16 @@ FLOAT_6J = [(4, 4, 4, 4, 4, 4), (0, 2, 2, 0, 2, 2), (2, 2, 2, 2, 2, 4), (0, 0, 0
 
 class TestProgramMatchesSteps:
     def test_paper_manifest(self, paper_diagrams):
-        for d, _ in paper_diagrams:
+        for d, cap in paper_diagrams:
             assert_program_matches_steps(d)
+            checked_planner(d, cap)
 
     @pytest.mark.parametrize("tw", FLOAT_6J, ids=lambda tw: "".join(map(str, tw)))
     def test_float_6j(self, tw):
         d, _ = network_6j(*[HalfInteger.from_twice(t) for t in tw])
-        assert_program_matches_steps(d)
-        assert_program_matches_steps(simplify(d, rules=DEFAULT_SIMPLIFY_RULES)[0])
+        for diagram in (d, simplify(d, rules=DEFAULT_SIMPLIFY_RULES)[0]):
+            assert_program_matches_steps(diagram)
+            checked_planner(diagram, 28)
 
     @PROPERTIES
     @given(clifford_diagrams())
@@ -720,8 +748,9 @@ def plan_outcome(planner, d: Diagram, cap: int):
 
 
 def assert_same_plan(d: Diagram, cap: int):
-    """The planner equals the reference run on the split skeleton."""
-    got = plan_outcome(lambda d, cap: plan_contraction(d, rank_cap=cap), d, cap)
+    """The planner equals the reference run on the split skeleton, and its
+    program the reference compile of its steps."""
+    got = plan_outcome(checked_planner, d, cap)
     assert got == plan_outcome(reference_plan, _split_spiders(d), cap)
     return got
 
