@@ -318,7 +318,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError(f"no such file: {path}")
     try:
         d = deserialize(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read diagram: {exc}") from None
     if args.plug:
         d = plug_basis(d, _parse_plug(args.plug, d))

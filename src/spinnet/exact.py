@@ -579,7 +579,8 @@ class HalfInteger:
 
     @staticmethod
     def from_twice(twice: int) -> "HalfInteger":
-        h = HalfInteger(0)
+        """The half-integer ``twice / 2``, made without ``__init__``'s dispatch."""
+        h = object.__new__(HalfInteger)
         object.__setattr__(h, "twice", int(twice))
         return h
 

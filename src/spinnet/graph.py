@@ -55,7 +55,7 @@ __all__ = [
 Phase = Union[Fraction, float]
 
 Z, X, H, B = "Z", "X", "H", "B"
-_KINDS = {Z, X, H, B}
+_KINDS = (Z, X, H, B)  # a tuple: `in` compares, so an unhashable kind is just unknown
 
 
 def normalize_phase(phase: Phase) -> Phase:
@@ -69,7 +69,7 @@ def normalize_phase(phase: Phase) -> Phase:
 
 def phase_is_exact(phase: Phase) -> bool:
     """True if the phase admits an exact tensor in Q(i)[sqrt(2)]."""
-    return isinstance(phase, (Fraction, int)) and (4 * Fraction(phase)).denominator == 1
+    return isinstance(phase, (Fraction, int)) and 4 % phase.denominator == 0
 
 
 @dataclass(frozen=True)
@@ -355,20 +355,46 @@ def _vertex_id(x, what: str) -> int:
     return x
 
 
-def _record(key: tuple) -> VertexData:
+def _field(obj, name: str, where: str):
+    """``obj[name]``, else a ValueError naming ``where``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not an object")
+    if name not in obj:
+        raise ValueError(f'{where} has no "{name}"')
+    return obj[name]
+
+
+def _list_field(obj: dict, name: str) -> list:
+    """The top-level list ``obj[name]``, else ValueError."""
+    x = _field(obj, name, "diagram")
+    if not isinstance(x, list):
+        raise ValueError(f'diagram "{name}" is not a list')
+    return x
+
+
+def _record(key: tuple, v: int) -> VertexData:
     """The vertex record of a loader key: ``(kind, num, den)`` or ``(kind,
-    float.hex())`` for a spider, ``("H", label text)`` or ``("B",)``."""
+    float.hex())`` for a spider, ``("H", label text)`` or ``("B",)``.  ``v``
+    names the first vertex with the key in a ValueError."""
     kind, *rest = key
     if kind == H:
+        if not isinstance(rest[0], str):
+            raise ValueError(f'vertex {v} "label" is not a string')
         return VertexData(H, Fraction(0), ExactScalar.deserialize(rest[0]))
     if kind == B:
         return VertexData(B)
-    return VertexData(kind, Fraction(*rest) if len(rest) == 2 else float.fromhex(rest[0]))
+    if len(rest) == 1:
+        return VertexData(kind, float.fromhex(rest[0]))
+    if not all(type(x) is int for x in rest):
+        raise ValueError(f"vertex {v} phase is not a ratio of integers")
+    if rest[1] == 0:
+        raise ValueError(f"vertex {v} phase {rest[0]}/0 has a zero denominator")
+    return VertexData(kind, Fraction(*rest))
 
 
 def from_json_dict(obj: dict) -> Diagram:
-    """The diagram of a parsed schema-1 document; ValueError (or KeyError,
-    TypeError) on malformed input.
+    """The diagram of a parsed schema-1 document; ValueError, naming the
+    entry at fault, on malformed input.
 
     Vertices with the same entry, apart from the id, share one immutable
     :class:`VertexData`, so each distinct phase or label is parsed once.
@@ -380,38 +406,60 @@ def from_json_dict(obj: dict) -> Diagram:
         raise ValueError(f"unsupported diagram schema version: {obj.get('version')!r}")
     d = Diagram()
     records: dict[tuple, VertexData] = {}
-    for entry in obj["vertices"]:
-        kind, v = entry["kind"], _vertex_id(entry["id"], "vertex id")
+    for n, entry in enumerate(_list_field(obj, "vertices")):
+        try:
+            v, kind = entry["id"], entry["kind"]
+        except (KeyError, TypeError):  # _field raises, naming the entry
+            v = _vertex_id(_field(entry, "id", f"vertex entry {n}"), "vertex id")
+            kind = _field(entry, "kind", f"vertex {v}")
+        v = _vertex_id(v, "vertex id")
         if kind not in _KINDS:
-            raise ValueError(f"unknown vertex kind {kind!r}")
+            raise ValueError(f"vertex {v} has unknown kind {kind!r}")
         if v in d.vertices:
             raise ValueError(f"vertex id {v!r} appears twice")
         if kind in (Z, X):
             p = entry.get("phase", _NO_PHASE)
-            if "float" in p:
-                phase = float(p["float"])
+            if isinstance(p, dict) and "float" in p:
+                try:
+                    phase = float(p["float"])
+                except (TypeError, ValueError):
+                    raise ValueError(f"vertex {v} phase {p!r} is not a number") from None
                 if not math.isfinite(phase):
-                    raise ValueError(f"phase {p!r} is not finite")
+                    raise ValueError(f"vertex {v} phase {p!r} is not finite")
                 key: tuple = (kind, phase.hex())  # keeps -0.0 apart from 0.0
-            elif p["den"] == 0:
-                raise ValueError(f"phase {p!r} has a zero denominator")
             else:
-                key = (kind, p["num"], p["den"])
+                try:
+                    key = (kind, p["num"], p["den"])
+                except (KeyError, TypeError):
+                    where = f"vertex {v} phase"
+                    key = (kind, _field(p, "num", where), _field(p, "den", where))
+        elif kind == H:
+            key = (kind, _field(entry, "label", f"vertex {v}"))
         else:
-            key = (kind, entry["label"]) if kind == H else (kind,)
+            key = (kind,)
         try:
             data = records.get(key)
         except TypeError:  # unhashable: a JSON list or object in the key
             raise ValueError(f"vertex {v} has a list or object for a phase number or label") from None
         if data is None:
-            data = records[key] = _record(key)
+            data = records[key] = _record(key, v)
         d.vertices[v] = data  # original ids, even if non-contiguous
     d._next_id = max(d.vertices, default=-1) + 1
-    for a, b in obj["edges"]:
-        d.add_edge(_vertex_id(a, "edge end"), _vertex_id(b, "edge end"))
-    d.inputs = [_vertex_id(v, "boundary entry") for v in obj["inputs"]]
-    d.outputs = [_vertex_id(v, "boundary entry") for v in obj["outputs"]]
-    d.scalar = ExactScalar.deserialize(obj["scalar"])
+    vertices, edges = d.vertices, d.edges
+    for n, e in enumerate(_list_field(obj, "edges")):
+        try:
+            a, b = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {n} is not a pair of vertex ids") from None
+        if _vertex_id(a, "edge end") not in vertices or _vertex_id(b, "edge end") not in vertices:
+            raise ValueError(f"edge {n} references unknown vertex {b if a in vertices else a}")
+        edges.append((a, b))
+    d.inputs = [_vertex_id(v, "boundary entry") for v in _list_field(obj, "inputs")]
+    d.outputs = [_vertex_id(v, "boundary entry") for v in _list_field(obj, "outputs")]
+    scalar = _field(obj, "scalar", "diagram")
+    if not isinstance(scalar, str):
+        raise ValueError('diagram "scalar" is not a string')
+    d.scalar = ExactScalar.deserialize(scalar)
     d.validate()
     return d
 

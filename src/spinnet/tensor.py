@@ -10,16 +10,16 @@ and its self-loop count, where a port is an int, the edge index of a wire
 or ``~v`` for the open wire of boundary ``v``.  A greedy search then picks a
 deterministic pairwise contraction order that keeps intermediate ranks
 small.  It is incremental: connected node pairs wait in a heap keyed by
-(merged rank, step cost, node keys), each entry stamped with when its two
-nodes last merged; a merge re-scores only the pairs of the merged node, and
-an entry whose stamps have moved is dropped when popped, so a step costs
-O(deg log E) rather than a rescan of every node and edge.  The search keeps
-each node's port list and writes the program as it merges: for each step,
-both operands' axis permutations and the (m, s, n) matrix shape, so that
-:func:`eval_diagram` runs a step as ``a.transpose(pa).reshape(m, s) @
-b.transpose(pb).reshape(s, n)`` with no port lookups.  The
-:class:`ContractionPlan` carries the node table, the order and that
-program.  Two modes:
+(merged rank, cost exponent, node keys).  An entry is checked when popped
+and dropped unless both nodes are alive, still neighbours and scored as
+stored; a merge pushes only the pairs whose score it changed, so a step
+costs O(deg log E) rather than a rescan of every node and edge.  The
+search keeps each node's port list and writes the program as it merges:
+for each step, both operands' axis permutations and the (m, s, n) matrix
+shape, so that :func:`eval_diagram` runs a step as
+``a.transpose(pa).reshape(m, s) @ b.transpose(pb).reshape(s, n)`` with no
+port lookups.  The :class:`ContractionPlan` carries the node table, the
+order and that program.  Two modes:
 
 * ``"exact"`` -- results are numpy object arrays holding
   :class:`ExactScalar`, bit-for-bit reproducible elements of Q(omega),
@@ -35,7 +35,11 @@ program.  Two modes:
   results are dropped and the gcd of ``D`` and every coefficient is
   divided out.  Python ints do not overflow.  Results become ExactScalar
   once, at the end of :func:`eval_diagram`.
-* ``"float"`` -- complex128 arrays (needed for irrational phases).
+* ``"float"`` -- a vertex tensor is float64 when every entry is real and
+  complex128 otherwise (a phase off the pi/4 grid, a complex label); phases
+  on the grid take their factor from the exact root of unity, so 0 and pi
+  give exactly 1 and -1.  A matmul of a real and a complex operand is
+  complex, and the result is complex128.
 
 In both modes :func:`eval_diagram` builds the tensor of each distinct
 (kind, phase, label, degree, self-loops) once per call and shares it,
@@ -49,13 +53,13 @@ the most significant bit on each side.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -132,6 +136,11 @@ def _reduced(coeffs, den: int) -> _OmegaTensor:
     return tuple(kept), den
 
 
+def _quarter_turns(phase) -> int:
+    """``4 * phase`` for a phase on the pi/4 grid (see ``phase_is_exact``)."""
+    return phase.numerator * 4 // phase.denominator
+
+
 def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
     """The vertex tensor built directly over Z[omega]."""
     shape = (2,) * degree
@@ -139,7 +148,7 @@ def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
     if data.kind in (Z, X):
         if not phase_is_exact(data.phase):
             raise ValueError(f"phase {data.phase}*pi requires float mode")
-        ph = ExactScalar.phase_quarter(int(4 * Fraction(data.phase)))
+        ph = ExactScalar.phase_quarter(_quarter_turns(data.phase))
     if data.kind == Z:
         coeffs = [np.zeros(shape, dtype=object) for _ in range(4)]
         coeffs[0][(0,) * degree] += 1
@@ -207,29 +216,50 @@ def _exact_array(t: _OmegaTensor) -> np.ndarray:
     return flat.reshape(shape)
 
 
+# exp(i k pi / 4) for k = 0..7 from the exact roots, so 1, i, -1 and -i are
+# exact, and 1/sqrt(2) rounded once: the float factors of the pi/4 grid.
+_ROOTS_OF_UNITY = tuple(ExactScalar.phase_quarter(k).to_complex() for k in range(8))
+_SQRT_HALF = math.sqrt(0.5)
+
+
 def vertex_tensor(data: VertexData, degree: int, mode: str = "exact") -> np.ndarray:
-    """The tensor of one vertex with the given number of incident wires."""
+    """The tensor of one vertex with the given number of incident wires.
+
+    Exact mode gives an object array of :class:`ExactScalar`.  Float mode
+    gives float64 where every entry is real and complex128 otherwise; a phase
+    on the pi/4 grid takes its factor from the exact root of unity, so
+    phases 0 and pi give exactly 1 and -1.
+    """
     if mode == "exact":
         return _exact_array(_omega_vertex(data, degree))
     if mode == "float":
+        if data.kind == H:
+            c = data.label.to_complex()
+        elif data.kind in (Z, X):
+            if phase_is_exact(data.phase):
+                c = _ROOTS_OF_UNITY[_quarter_turns(data.phase) % 8]
+            else:
+                c = complex(np.exp(1j * np.pi * float(data.phase)))
+        else:
+            raise ValueError(f"no tensor for vertex kind {data.kind!r}")
+        dtype = complex
+        if c.imag == 0:  # every entry is real
+            c, dtype = c.real, float
         shape = (2,) * degree
         if data.kind == Z:
-            t = np.zeros(shape, dtype=complex)
+            t = np.zeros(shape, dtype=dtype)
             t[(0,) * degree] += 1.0
-            t[(1,) * degree] += np.exp(1j * np.pi * float(data.phase))
-            return t
-        if data.kind == X:
-            ph = np.exp(1j * np.pi * float(data.phase))
-            norm = (0.5 ** 0.5) ** degree
-            t = np.empty(shape, dtype=complex)
+            t[(1,) * degree] += c
+        elif data.kind == X:
+            norm = 0.5 ** (degree // 2) * (_SQRT_HALF if degree % 2 else 1.0)
+            even, odd = norm * (1 + c), norm * (1 - c)
+            t = np.empty(shape, dtype=dtype)
             for idx in itertools.product((0, 1), repeat=degree):
-                t[idx] = norm * (1 + ph if sum(idx) % 2 == 0 else 1 - ph)
-            return t
-        if data.kind == H:
-            t = np.ones(shape, dtype=complex)
-            t[(1,) * degree] = data.label.to_complex()
-            return t
-        raise ValueError(f"no tensor for vertex kind {data.kind!r}")
+                t[idx] = odd if sum(idx) % 2 else even
+        else:
+            t = np.ones(shape, dtype=dtype)
+            t[(1,) * degree] = c
+        return t
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -345,12 +375,15 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     count of a node does with its self-loops (the rank at which
     :func:`eval_diagram` builds its tensor).
 
-    The search is incremental: every connected pair sits in a heap keyed by
-    its score and stamped with the step count at which each of its nodes
-    last merged.  A merge re-scores only the pairs of the merged node, and
-    a popped entry whose stamps have moved is stale and dropped; no other
-    pair's score can have changed, so the chosen pair is the best one.  A
-    step costs O(deg log E) instead of a scan over every node and edge.
+    The search is incremental: every connected pair has an entry in a heap
+    keyed by its score, the pair's merged rank and cost exponent.  A popped
+    entry is taken only if both nodes are alive, still share an edge and
+    still have the stored score; otherwise it is stale and dropped.  A merge
+    of k2 into k1 changes only the scores of k1's pairs: all of them if k1's
+    port count changed, else only those with k2's former neighbours, and
+    just those are pushed again.  So every connected pair has an entry at
+    its current score, the first entry to pass the check is the best pair,
+    and a step costs O(deg log E) instead of a scan over every node and edge.
     Each node's port list is kept through the search, so the program step
     of a merge (axis permutations and matrix shape) is written as the
     merge is made, and the last node's ports give the boundary permutation.
@@ -359,44 +392,43 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     plan = ContractionPlan(nodes=_node_table(_split_spiders(d)), diagram=d)
     ports: dict[int, list[int]] = {}  # node -> its ports, in its tensor's axis order
     nbr: dict[int, dict[int, int]] = {}  # node -> {neighbour: shared edges}
-    stamp: dict[int, int] = {}  # node -> number of steps made when it last merged
     owner: dict[int, int] = {}  # port -> first node seen holding it
     widest = 0  # eval_diagram builds each vertex tensor before it traces out self-loops
     for k, (_, p, loops) in plan.nodes.items():
         widest = max(widest, len(p) + 2 * loops)
         ports[k] = list(p)
         nbr[k] = {}
-        stamp[k] = 0
         for i in p:  # an edge index is in two nodes, an open port in one
             j = owner.setdefault(i, k)
             if j != k:
                 nbr[k][j] = nbr[j][k] = nbr[k].get(j, 0) + 1
 
-    def entry(a: int, b: int) -> tuple[int, int, int, int, int, int]:
-        """The heap entry of the connected pair ``a``, ``b``: its score, with
-        the smaller key first, then the two stamps it was scored at."""
-        if a > b:
-            a, b = b, a
-        width, shared = len(ports[a]) + len(ports[b]), nbr[a][b]
-        return (width - 2 * shared, 2 ** (width - shared), a, b, stamp[a], stamp[b])
-
-    heap = [entry(a, b) for a in nbr for b in nbr[a] if a < b]
-    heapq.heapify(heap)
+    # A heap entry is (merged rank, cost exponent, a, b) with a < b; the
+    # exponent counts the distinct indices of the step, which costs 2 ** it.
+    heap = []
+    for a, row in nbr.items():
+        for b, shared in row.items():
+            if a < b:
+                width = len(ports[a]) + len(ports[b])
+                heap.append((width - 2 * shared, width - shared, a, b))
+    heapify(heap)
     if widest > cap:
         raise RankCapExceeded(f"initial vertex rank {widest} exceeds cap {cap}")
     plan.peak_rank = max(map(len, ports.values()), default=0)
     program: list[_Step] = []
     while len(ports) > 1:
         while heap:
-            merged_rank, step_cost, k1, k2, s1, s2 = heapq.heappop(heap)
-            if stamp.get(k1) == s1 and stamp.get(k2) == s2:
-                break
+            merged_rank, exponent, k1, k2 = heappop(heap)
+            shared = nbr[k1].get(k2) if k1 in nbr else None
+            if shared is not None:  # both alive and still neighbours
+                width = len(ports[k1]) + len(ports[k2])
+                if width - 2 * shared == merged_rank and width - shared == exponent:
+                    break
         else:
             # No pair shares an edge: outer products with the smallest key.
             k1 = min(ports)
             k2 = min((k for k in ports if k != k1), key=lambda k: (len(ports[k]), k))
-            merged_rank = len(ports[k1]) + len(ports[k2])
-            step_cost = 2 ** merged_rank
+            merged_rank = exponent = len(ports[k1]) + len(ports[k2])
         if merged_rank > cap:
             raise RankCapExceeded(
                 f"contraction needs intermediate rank {merged_rank} > cap {cap}; "
@@ -404,7 +436,7 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
             )
         plan.steps.append((k1, k2))
         plan.peak_rank = max(plan.peak_rank, merged_rank)
-        plan.cost += step_cost
+        plan.cost += 2 ** exponent
         # k2 folds into k1: k1's free axes, then k2's, in their own orders.
         p1, at2 = ports[k1], {p: j for j, p in enumerate(ports.pop(k2))}
         free1, shared1, shared2 = [], [], []
@@ -418,15 +450,21 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
         ports[k1] = [p1[i] for i in free1] + list(at2)
         program.append([free1 + shared1, shared2 + list(at2.values()), 2 ** len(free1),
                         2 ** len(shared1), 2 ** len(at2), [2] * merged_rank])
-        del stamp[k2]
-        stamp[k1] = len(plan.steps)
-        nbr[k1].pop(k2, None)
-        for j, shared in nbr.pop(k2).items():
-            if j != k1:
-                del nbr[j][k2]
-                nbr[k1][j] = nbr[j][k1] = nbr[k1].get(j, 0) + shared
-        for j in nbr[k1]:
-            heapq.heappush(heap, entry(k1, j))
+        row = nbr[k1]
+        row.pop(k2, None)
+        moved = nbr.pop(k2)
+        moved.pop(k1, None)
+        for j, shared in moved.items():
+            del nbr[j][k2]
+            row[j] = nbr[j][k1] = row.get(j, 0) + shared
+        # Only pairs of k1 can have a new score: all of them if k1's port
+        # count changed, else only those whose shared count did.
+        n1 = len(ports[k1])
+        for j in row if n1 != len(p1) else moved:
+            shared = row[j]
+            width = n1 + len(ports[j])
+            a, b = (k1, j) if k1 < j else (j, k1)
+            heappush(heap, (width - 2 * shared, width - shared, a, b))
     last = next(iter(ports.values()), [])
     plan.program = program, [last.index(~v) for v in (*d.inputs, *d.outputs)]
     return plan
@@ -501,7 +539,8 @@ class _Exact:
 
 
 class _Float:
-    """Contraction steps over complex128 arrays."""
+    """Contraction steps over float64 and complex128 arrays; the result is
+    complex128."""
 
     trace = staticmethod(_trace_trailing)
 

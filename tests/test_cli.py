@@ -253,6 +253,37 @@ class TestBuildEval:
         assert err == (f"error: cannot read diagram: vertex {vertex['id']} has a list or object "
                        "for a phase number or label\n")
 
+    @staticmethod
+    def _drop_kind(obj) -> str:
+        vertex = obj["vertices"][3]
+        del vertex["kind"]
+        return f'vertex {vertex["id"]} has no "kind"'
+
+    @staticmethod
+    def _stray_edge(obj) -> str:
+        obj["edges"].append([obj["edges"][0][0], 99999])
+        return f"edge {len(obj['edges']) - 1} references unknown vertex 99999"
+
+    @staticmethod
+    def _drop_edges(obj) -> str:
+        del obj["edges"]
+        return 'diagram has no "edges"'
+
+    @staticmethod
+    def _list_vertex(obj) -> str:
+        obj["vertices"][0] = list(obj["vertices"][0].values())
+        return "vertex entry 0 is not an object"
+
+    @pytest.mark.parametrize("edit", [_drop_kind, _stray_edge, _drop_edges, _list_vertex],
+                             ids=["no-kind", "unknown-end", "no-edges", "list-vertex"])
+    def test_eval_malformed_entry_names_it(self, capsys, tmp_path, edit):
+        obj = json.loads(serialize(cswap_gadget()))
+        message = edit(obj)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        err = run_usage_error(capsys, "eval", str(path))
+        assert err == f"error: cannot read diagram: {message}\n"
+
     @pytest.mark.parametrize("literal", ['"nan"', "1e400"], ids=["nan", "inf"])
     def test_eval_non_finite_float_phase_exits_2(self, capsys, tmp_path, literal):
         obj = json.loads(serialize(cswap_gadget()))

@@ -449,6 +449,18 @@ class TestHalfInteger:
             if twice % 2 == 0:
                 assert hash(h) == hash(twice // 2)
 
+    def test_from_twice_is_the_half_integer(self):
+        made = [HalfInteger.from_twice(t) for t in range(-9, 10)]
+        wanted = [HalfInteger(Fraction(t, 2)) for t in range(-9, 10)]
+        for h, w in zip(made, wanted):
+            assert type(h) is HalfInteger and h == w and hash(h) == hash(w) and str(h) == str(w)
+            with pytest.raises(AttributeError):
+                h.twice = 0
+        for a, b in zip(made, made[::-1]):
+            x, y = HalfInteger(Fraction(a.twice, 2)), HalfInteger(Fraction(b.twice, 2))
+            assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+        assert sorted(reversed(made)) == made
+
     def test_range_decreasing(self):
         ms = half_integer_range(HalfInteger(Fraction(3, 2)))
         assert [m.twice for m in ms] == [3, 1, -1, -3]

@@ -1,5 +1,6 @@
 """Diagram data structure: construction, composition, serialization."""
 
+import copy
 import json
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from spinnet.graph import (
     compose_par,
     compose_seq,
     deserialize,
+    from_json_dict,
     identity_diagram,
     make_hbox,
     make_spider,
@@ -330,3 +332,46 @@ def test_loaded_6j_network_shares_one_record_per_kind_and_phase():
     assert all(len(ids) == 1 for ids in records.values())
     assert len({id(r) for r in d2.vertices.values()}) == len(records) < len(d2.vertices) // 10
     assert d2.vertices == d.vertices and d2.edges == d.edges
+
+
+def _json_paths(obj, prefix=()):
+    """Every path to a value inside a parsed JSON document."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield from _json_paths(v, (*prefix, k))
+
+
+def _small_document() -> dict:
+    d = Diagram()
+    d.add_edge(d.add_z(Fraction(1, 2)), d.add_output())
+    d.add_edge(d.add_h(), d.add_input())
+    d.add_edge(d.add_x(0.3), d.add_output())
+    return json.loads(serialize(d))
+
+
+json_junk = st.sampled_from([
+    None, True, 0, -1, 5, 1.5, "x", "1/2", [], [1], [1, 2], {}, {"num": 1},
+    {"float": "a"}, {"num": 1, "den": "2"}, "1/1 + 0/1*r2 + (0/1 + 0/1*r2)*i",
+])
+
+
+@PROPERTIES
+@given(st.data())
+def test_malformed_documents_raise_only_value_error(data):
+    # spinnet eval turns a ValueError into one "cannot read diagram" line
+    # and exit code 2; any other exception would be a traceback.
+    obj = _small_document()
+    for _ in range(data.draw(st.integers(1, 2))):
+        *parent, key = data.draw(st.sampled_from(list(_json_paths(obj))[1:]))
+        container = obj
+        for k in parent:
+            container = container[k]
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(data.draw(json_junk))  # sampled values are shared
+    try:
+        from_json_dict(obj)
+    except ValueError:
+        pass

@@ -73,6 +73,55 @@ class TestVertexTensors:
             assert np.abs(ce - tf.reshape(-1)).max() < 1e-12
 
 
+class TestFloatDtypes:
+    """Float mode builds real vertices as float64 and returns complex128."""
+
+    @pytest.mark.parametrize("data, degree", [
+        (VertexData(Z, Fraction(1)), 3), (VertexData(X, Fraction(1)), 3),
+        (VertexData(H, label=ExactScalar(-1)), 2), (VertexData(Z), 0), (VertexData(X), 1),
+    ], ids=["Z(1)", "X(1)", "H(-1)", "Z(0)-scalar", "X(0)"])
+    def test_real_vertices_are_exact_float64(self, data, degree):
+        t = vertex_tensor(data, degree, "float")
+        want = np.array([x.to_complex().real for x in vertex_tensor(data, degree, "exact").reshape(-1)])
+        assert t.dtype == np.float64 and t.shape == (2,) * degree
+        # the exact tensor's entries, each rounded once
+        assert t.reshape(-1).tolist() == want.tolist()
+
+    def test_pi_phase_is_exactly_minus_one(self):
+        assert vertex_tensor(VertexData(Z, Fraction(1)), 2, "float")[1, 1] == -1.0
+        assert vertex_tensor(VertexData(X, Fraction(1)), 2, "float").tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("phase", [Fraction(1, 4), Fraction(1, 2), 0.3])
+    def test_complex_phases_stay_complex(self, phase):
+        t = vertex_tensor(VertexData(Z, phase), 2, "float")
+        assert t.dtype == np.complex128
+        assert abs(t[1, 1] - np.exp(1j * np.pi * float(phase))) < 1e-15
+
+    def test_results_are_complex128(self):
+        scalar_only = Diagram()
+        scalar_only.mul_scalar(ExactScalar(0, 1))
+        real, complex_ = make_spider(Z, Fraction(1), 1, 2), make_spider(Z, Fraction(1, 4), 1, 1)
+        for d in (real, complex_, Diagram(), scalar_only):
+            assert eval_diagram(d, mode="float").data.dtype == np.complex128
+
+    def test_mixed_network_matches_exact(self):
+        # Real Z spiders, X(1) and an H-box next to X(1/4) and X(1/2): float64
+        # and complex128 tensors meet in the products.
+        d = Diagram()
+        zs = [d.add_z(Fraction(k)) for k in (0, 1, 0)]
+        xs = [d.add_x(Fraction(p)) for p in (1, Fraction(1, 4), Fraction(1, 2))]
+        h = d.add_h()
+        for z, x in zip(zs, xs):
+            d.add_edge(z, x)
+            d.add_edge(x, h)
+            d.add_edge(z, d.add_output())
+        d.add_edge(zs[0], zs[1])
+        d.add_edge(d.add_input(), zs[2])
+        got = eval_diagram(d, mode="float").data
+        assert got.dtype == np.complex128
+        assert np.abs(got - eval_diagram(d, mode="exact").to_numpy()).max() < 1e-12
+
+
 class TestPlanner:
     def test_plan_covers_all_nodes(self):
         d = make_spider(Z, Fraction(0), 2, 2)
@@ -773,6 +822,52 @@ class TestPlannerMatchesReference:
         # Too small a cap fails at the same step with the same message.
         assert "intermediate rank" in assert_same_plan(d, peak - 1)
         assert "initial vertex rank" in assert_same_plan(d, 1)
+
+
+class TestPlannerHeap:
+    """Cases that exercise the heap's re-scoring, each against the reference."""
+
+    def test_chain_of_degree_two_nodes(self):
+        # Each merge leaves the merged node with two ports, so only the pair
+        # it gains from the folded node is re-scored.
+        d = Diagram()
+        prev = d.add_input()
+        chain = []
+        for _ in range(6):
+            chain.append(d.add_z())
+            d.add_edge(prev, chain[-1])
+            prev = chain[-1]
+        d.add_edge(prev, d.add_output())
+        assert assert_same_plan(d, 28)[:2] == ([(chain[0], v) for v in chain[1:]], 2)
+
+    def test_score_that_returns_revives_an_old_entry(self):
+        # a has wires to l, p and q and one open wire.  Folding the leaf l
+        # drops a to 3 ports and folding p (two open wires) brings it back
+        # to 4, so (a, q) is scored (6, 7), then (5, 6), then (6, 7) again,
+        # and its first entry is current once more.
+        d = Diagram()
+        a, l, p, q = (d.add_h() for _ in range(4))
+        for v in (l, p, q):
+            d.add_edge(a, v)
+        d.add_edge(a, d.add_output())
+        for v, wires in ((p, 2), (q, 3)):
+            for _ in range(wires):
+                d.add_edge(v, d.add_output())
+        steps, peak, _ = assert_same_plan(d, 28)
+        assert (steps, peak) == ([(a, l), (a, p), (a, q)], 6)
+
+    def test_disconnected_parts_after_only_stale_entries(self):
+        # Two triangles and a lone spider: each triangle leaves stale entries
+        # behind, so the outer products come after the heap is drained.
+        d = Diagram()
+        for _ in range(2):
+            tri = [d.add_h() for _ in range(3)]
+            for u, v in itertools.combinations(tri, 2):
+                d.add_edge(u, v)
+            d.add_edge(tri[0], d.add_output())
+        d.add_edge(d.add_z(), d.add_output())
+        steps = assert_same_plan(d, 28)[0]
+        assert len(steps) == 6
 
 
 @st.composite
