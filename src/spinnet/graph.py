@@ -127,7 +127,7 @@ class Diagram:
 
     def add_edge(self, u: int, v: int) -> None:
         if u not in self.vertices or v not in self.vertices:
-            raise KeyError(f"edge references unknown vertex: ({u}, {v})")
+            raise KeyError(f"unknown vertex {v if u in self.vertices else u}")
         self.edges.append((u, v))
 
     def mul_scalar(self, s: ExactScalar) -> None:
@@ -373,9 +373,11 @@ def _list_field(obj: dict, name: str) -> list:
 
 
 def _record(key: tuple, v: int) -> VertexData:
-    """The vertex record of a loader key: ``(kind, num, den)`` or ``(kind,
-    float.hex())`` for a spider, ``("H", label text)`` or ``("B",)``.  ``v``
-    names the first vertex with the key in a ValueError."""
+    """The vertex record of a loader key: ``(kind, num, den, type(num),
+    type(den))`` or ``(kind, float.hex())`` for a spider, ``("H", label
+    text)`` or ``("B",)``.  ``v`` names the first vertex with the key in a
+    ValueError; the types in the key keep ``1.0`` or ``true`` from sharing
+    the record of ``1``, so every entry is checked alike."""
     kind, *rest = key
     if kind == H:
         if not isinstance(rest[0], str):
@@ -385,11 +387,12 @@ def _record(key: tuple, v: int) -> VertexData:
         return VertexData(B)
     if len(rest) == 1:
         return VertexData(kind, float.fromhex(rest[0]))
-    if not all(type(x) is int for x in rest):
+    num, den, *types = rest
+    if types != [int, int]:
         raise ValueError(f"vertex {v} phase is not a ratio of integers")
-    if rest[1] == 0:
-        raise ValueError(f"vertex {v} phase {rest[0]}/0 has a zero denominator")
-    return VertexData(kind, Fraction(*rest))
+    if den == 0:
+        raise ValueError(f"vertex {v} phase {num}/0 has a zero denominator")
+    return VertexData(kind, Fraction(num, den))
 
 
 def from_json_dict(obj: dict) -> Diagram:
@@ -407,9 +410,11 @@ def from_json_dict(obj: dict) -> Diagram:
     d = Diagram()
     records: dict[tuple, VertexData] = {}
     for n, entry in enumerate(_list_field(obj, "vertices")):
+        # Direct indexing first: _field on every entry makes loading about
+        # 1.5 times slower.  On a miss, _field raises, naming the entry.
         try:
             v, kind = entry["id"], entry["kind"]
-        except (KeyError, TypeError):  # _field raises, naming the entry
+        except (KeyError, TypeError):
             v = _vertex_id(_field(entry, "id", f"vertex entry {n}"), "vertex id")
             kind = _field(entry, "kind", f"vertex {v}")
         v = _vertex_id(v, "vertex id")
@@ -429,10 +434,10 @@ def from_json_dict(obj: dict) -> Diagram:
                 key: tuple = (kind, phase.hex())  # keeps -0.0 apart from 0.0
             else:
                 try:
-                    key = (kind, p["num"], p["den"])
+                    num, den = p["num"], p["den"]
                 except (KeyError, TypeError):
-                    where = f"vertex {v} phase"
-                    key = (kind, _field(p, "num", where), _field(p, "den", where))
+                    num, den = (_field(p, x, f"vertex {v} phase") for x in ("num", "den"))
+                key = (kind, num, den, type(num), type(den))
         elif kind == H:
             key = (kind, _field(entry, "label", f"vertex {v}"))
         else:
@@ -445,15 +450,15 @@ def from_json_dict(obj: dict) -> Diagram:
             data = records[key] = _record(key, v)
         d.vertices[v] = data  # original ids, even if non-contiguous
     d._next_id = max(d.vertices, default=-1) + 1
-    vertices, edges = d.vertices, d.edges
     for n, e in enumerate(_list_field(obj, "edges")):
         try:
             a, b = e
         except (TypeError, ValueError):
             raise ValueError(f"edge {n} is not a pair of vertex ids") from None
-        if _vertex_id(a, "edge end") not in vertices or _vertex_id(b, "edge end") not in vertices:
-            raise ValueError(f"edge {n} references unknown vertex {b if a in vertices else a}")
-        edges.append((a, b))
+        try:
+            d.add_edge(_vertex_id(a, "edge end"), _vertex_id(b, "edge end"))
+        except KeyError as exc:
+            raise ValueError(f"edge {n} references {exc.args[0]}") from None
     d.inputs = [_vertex_id(v, "boundary entry") for v in _list_field(obj, "inputs")]
     d.outputs = [_vertex_id(v, "boundary entry") for v in _list_field(obj, "outputs")]
     scalar = _field(obj, "scalar", "diagram")

@@ -188,6 +188,19 @@ class TestBuildEval:
         path.write_text(json.dumps(obj))
         assert "zero denominator" in run_usage_error(capsys, "eval", str(path))
 
+    @pytest.mark.parametrize("literal", ["1.0", "true"])
+    def test_eval_non_integer_phase_after_an_equal_one_exits_2(self, capsys, tmp_path, literal):
+        # {"num": 1.0, "den": 2} equals the earlier {"num": 1, "den": 2}; it
+        # is rejected all the same, whichever entry comes first.
+        obj = json.loads(serialize(cswap_gadget()))
+        first, second = [v for v in obj["vertices"] if v["kind"] == "Z"][:2]
+        first["phase"] = {"num": 1, "den": 2}
+        second["phase"] = {"num": "NUM", "den": 2}
+        path = tmp_path / "non_integer_phase.json"
+        path.write_text(json.dumps(obj).replace('"NUM"', literal))
+        err = run_usage_error(capsys, "eval", str(path), "--mode", "float")
+        assert err == f"error: cannot read diagram: vertex {second['id']} phase is not a ratio of integers\n"
+
     def test_eval_duplicate_vertex_id_exits_2(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         run(capsys, "build", "cswap", "--out", str(path))
