@@ -3,9 +3,8 @@
 Subcommands:
 
 * ``symbol``  -- print an exact Wigner symbol from the closed-form oracle.
-* ``build``   -- build a diagram (symmetriser, cswap, crown, link, 3jm,
-  4jm, 6j, theta, loop) and write it as JSON, with a correction-factor
-  sidecar and optional DOT export.
+* ``build``   -- build a gadget or a recoupling network and write it as
+  JSON, with a correction-factor sidecar and optional DOT export.
 * ``eval``    -- contract a diagram file (exact or float mode), optionally
   plugging basis states and simplifying first.
 * ``verify``  -- run a manifest of cases, each built diagrammatically,
@@ -215,11 +214,32 @@ def cmd_symbol(args: argparse.Namespace) -> int:
 # -- build ----------------------------------------------------------------
 
 
-def _int(text: str, what: str) -> int:
+def _count(text: str, what: str) -> int:
+    """A non-negative int, called ``what`` in messages."""
     try:
-        return int(text)
+        n = int(text)
     except ValueError:
         raise CliError(f"{what} {text!r} is not an integer") from None
+    if n < 0:
+        raise CliError(f"{what} {n} is negative")
+    return n
+
+
+class _Gadget(NamedTuple):
+    """A diagram with no correction factor; ``build`` as in :class:`_Symbol`."""
+
+    what: Optional[str]  # what its one argument is; None if it takes none
+    parse: Optional[Callable[[str, str], object]]  # (text, what); raises CliError
+    fields: Optional[tuple[str, ...]]  # of a matrix case; None if verify does not take it
+    build: Callable[..., Diagram]
+
+
+_GADGETS = {
+    "symmetriser": _Gadget("wire count", _count, ("n",), lambda n: symmetriser(n)),
+    "cswap": _Gadget(None, None, (), lambda: cswap_gadget()),
+    "crown": _Gadget("stage number", _count, None, lambda stage: crown(stage)),
+    "link": _Gadget("spin", lambda text, what: _spin(text), None, lambda j: yutsis_link(j)),
+}
 
 
 def _build_object(kind: str, spins: list[str], orient: Optional[str]):
@@ -228,29 +248,18 @@ def _build_object(kind: str, spins: list[str], orient: Optional[str]):
         raise CliError(f"{kind} takes no --orient")
     if kind in _SYMBOLS:
         return _SYMBOLS[kind].build(_line_args(kind, spins, with_ms=False, orient=orient))
-    if kind == "cswap":
-        if spins:
-            raise CliError("cswap takes no arguments")
-        return cswap_gadget(), None
-    what = {"symmetriser": "wire count", "crown": "stage number", "link": "spin"}[kind]
-    if len(spins) != 1:
-        raise CliError(f"{kind} needs one {what}")
+    g = _GADGETS[kind]
+    if len(spins) != (g.what is not None):
+        raise CliError(f"{kind} needs one {g.what}" if g.what else f"{kind} takes no arguments")
     try:
-        if kind == "link":
-            return yutsis_link(_spin(spins[0])), None
-        return (symmetriser if kind == "symmetriser" else crown)(_int(spins[0], what)), None
+        return g.build(*(g.parse(t, g.what) for t in spins)), None
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _correction_dict(corr: CorrectionFactor) -> dict:
-    return {
-        "lambdas": corr.lambdas.serialize(),
-        "norms": corr.norms.serialize(),
-        "plug_norm": corr.plug_norm.serialize(),
-        "value": corr.value.serialize(),
-        "notes": list(corr.notes),
-    }
+def _correction_text(corr: CorrectionFactor) -> str:
+    doc = {k: getattr(corr, k).serialize() for k in ("lambdas", "norms", "plug_norm", "value")}
+    return json.dumps(doc | {"notes": list(corr.notes)}, indent=2)
 
 
 def _write(path: Path, text: str) -> None:
@@ -263,17 +272,13 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_build(args: argparse.Namespace) -> int:
     d, corr = _build_object(args.kind, args.spins, args.orient)
-    doc = serialize(d)
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        _write(out, doc + "\n")
-        if corr is not None:
-            _write(out.with_suffix(out.suffix + ".corrections.json"),
-                   json.dumps(_correction_dict(corr), indent=2) + "\n")
+    texts = [serialize(d)] + ([] if corr is None else [_correction_text(corr)])
+    if args.out:  # the diagram, then its corrections in a sidecar file
+        out = Path(args.out)
+        for path, text in zip((out, out.with_suffix(out.suffix + ".corrections.json")), texts):
+            _write(path, text + "\n")
     else:
-        print(doc)
-        if corr is not None:
-            print(json.dumps(_correction_dict(corr), indent=2))
+        print("\n".join(texts))
     if args.dot:
         _write(Path(args.dot), to_dot(d))
     print(f"vertices: {len(d.vertices)}  edges: {len(d.edges)}  "
@@ -308,6 +313,8 @@ def _parse_plug(spec: str, d: Diagram) -> dict[int, int]:
             raise CliError(f"plug position {pos} out of range (diagram has {len(order)} wires)")
         if bit not in (0, 1):
             raise CliError(f"plug bit must be 0 or 1, got {bit}")
+        if order[pos] in assignment:
+            raise CliError(f"plug position {pos} is given twice")
         assignment[order[pos]] = bit
     return assignment
 
@@ -381,8 +388,6 @@ def _radical(text) -> RadicalNumber:
 
 
 _CASE_FIELDS = {"id", "kind", "source", "expected"}
-# Matrix builders outside _SYMBOLS, with the fields each takes.
-_PLAIN_MATRIX_BUILDERS = {"symmetriser": {"n"}, "cswap": set()}
 
 
 def _check_fields(case: dict, name: str, accepted: set[str]) -> None:
@@ -401,9 +406,9 @@ def _tolerance(value) -> float:
 
 
 def _parse_case(case) -> dict:
-    """A copy of ``case`` with its n, tol, expected value(s) and recoupling
-    ``args`` parsed, after checking its kind, policy, invariant or matrix
-    builder, and that it has no field they do not take.
+    """A copy of ``case`` with its tol, expected value(s) and ``args`` (of a
+    recoupling object or a gadget) parsed, after checking its kind, policy,
+    invariant or matrix builder, and that it has no field they do not take.
 
     Raises CliError naming the case on malformed input, so that a bad
     manifest is a usage error and never a failed case.
@@ -418,15 +423,13 @@ def _parse_case(case) -> dict:
             if builder in _SYMBOLS and _SYMBOLS[builder].matrix is not None:
                 _check_fields(case, builder, _fields(builder, False) | {"builder"})
                 out["args"] = _parse_args(builder, case, with_ms=False)
-            elif builder in _PLAIN_MATRIX_BUILDERS:
-                _check_fields(case, builder, _PLAIN_MATRIX_BUILDERS[builder] | {"builder"})
+            elif builder in _GADGETS and _GADGETS[builder].fields is not None:
+                g = _GADGETS[builder]
+                _check_fields(case, builder, {"builder", *g.fields})
+                out["args"] = tuple(g.parse(str(case[f]), g.what) for f in g.fields)
             else:
                 raise CliError(f"unknown matrix builder {builder!r}")
             out["expected"] = [[_radical(x) for x in row] for row in case["expected"]]
-            if builder == "symmetriser":
-                out["n"] = _int(str(case["n"]), "wire count")
-                if out["n"] < 0:
-                    raise CliError(f"wire count {out['n']} is negative")
             return out
         if kind not in ("6j", "3jm", "4jm", "invariant"):
             raise CliError(f"unknown case kind {kind!r}")
@@ -452,13 +455,11 @@ def _parse_case(case) -> dict:
 
 
 def _matrix_case(case: dict) -> tuple[bool, str]:
-    builder = case["builder"]
-    if builder == "symmetriser":
-        got, oracle = exact_matrix(symmetriser(case["n"])), None
-    elif builder == "cswap":
-        got, oracle = exact_matrix(cswap_gadget()), None
+    builder, a = case["builder"], case["args"]
+    if builder in _GADGETS:
+        got, oracle = exact_matrix(_GADGETS[builder].build(*a)), None
     else:
-        a, sym = case["args"], _SYMBOLS[builder]
+        sym = _SYMBOLS[builder]
         (d, corr), oracle = sym.build(a), sym.matrix(a)
         got = corrected_spin_matrix(
             d, corr, *([j for j, o in zip(a.spins, a.orient) if o == side] for side in "io"))
@@ -549,9 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_symbol)
 
     pb = sub.add_parser("build", help="build a diagram and write it as JSON")
-    pb.add_argument("kind", choices=[
-        "symmetriser", "cswap", "crown", "link", "3jm", "4jm", "6j", "theta", "loop"
-    ])
+    pb.add_argument("kind", choices=[*_GADGETS, *_SYMBOLS])
     pb.add_argument("spins", nargs="*")
     pb.add_argument("--orient", help="leg orientation string, e.g. iio")
     pb.add_argument("--out", help="output diagram JSON file")

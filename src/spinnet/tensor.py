@@ -1,13 +1,15 @@
 """Tensor-network evaluation of diagrams.
 
 Every vertex becomes a small tensor (one binary index per incident wire);
-edges are contractions.  :func:`plan_contraction` splits every Z/X spider
-of degree > 3 into a chain of degree-3 spiders of the same colour (spider
-fusion read backwards: exact, no scalar), on a copy; fused symmetriser
-towers otherwise leave high-degree nodes on which greedy orders are much
-wider.  It tabulates the copy's nodes once: each node's vertex, its ports
-and its self-loop count, where a port is an int, the edge index of a wire
-or ``~v`` for the open wire of boundary ``v``.  A greedy search then picks a
+edges are contractions.  Both modes below evaluate one definition of the
+Z, X and H tensors, for any number type (:func:`_vertex_entries`).
+:func:`plan_contraction` splits every Z/X spider of degree > 3 into a chain
+of degree-3 spiders of the same colour (spider fusion read backwards:
+exact, no scalar), on a copy; fused symmetriser towers otherwise leave
+high-degree nodes on which greedy orders are much wider.  It tabulates the
+copy's nodes once: each node's vertex, its ports and its self-loop count,
+where a port is an int, the edge index of a wire or ``~v`` for the open
+wire of boundary ``v``.  A greedy search then picks a
 deterministic pairwise contraction order that keeps intermediate ranks
 small.  It is incremental: connected node pairs wait in a heap keyed by
 (merged rank, cost exponent, node keys).  An entry is checked when popped
@@ -35,11 +37,11 @@ order and that program.  Two modes:
   results are dropped and the gcd of ``D`` and every coefficient is
   divided out.  Python ints do not overflow.  Results become ExactScalar
   once, at the end of :func:`eval_diagram`.
-* ``"float"`` -- a vertex tensor is float64 when every entry is real and
-  complex128 otherwise (a phase off the pi/4 grid, a complex label); phases
-  on the grid take their factor from the exact root of unity, so 0 and pi
-  give exactly 1 and -1.  A matmul of a real and a complex operand is
-  complex, and the result is complex128.
+* ``"float"`` -- an H-box or a spider phase on the pi/4 grid gives the
+  exact tensor with each entry rounded once (phases 0 and pi give exactly 1
+  and -1); a phase off the grid gives a complex factor.  A vertex tensor is
+  float64 when every entry is real and complex128 otherwise; the result is
+  complex128.
 
 In both modes :func:`eval_diagram` builds the tensor of each distinct
 (kind, phase, label, degree, self-loops) once per call and shares it,
@@ -136,43 +138,61 @@ def _reduced(coeffs, den: int) -> _OmegaTensor:
     return tuple(kept), den
 
 
-def _quarter_turns(phase) -> int:
-    """``4 * phase`` for a phase on the pi/4 grid (see ``phase_is_exact``)."""
-    return phase.numerator * 4 // phase.denominator
+def _exact_factor(data: VertexData) -> Optional[ExactScalar]:
+    """An H-box's label, e^(i pi phase) on the pi/4 grid, else None."""
+    if data.kind == H:
+        return data.label
+    if phase_is_exact(data.phase):
+        return ExactScalar.phase_quarter(data.phase.numerator * 4 // data.phase.denominator)
+    return None
+
+
+def _inv_sqrt2_power(n: int) -> ExactScalar:
+    """(1/sqrt2)^n: 1/2^(n/2), or sqrt2/2^((n+1)/2) with sqrt2 = w - w^3."""
+    if n % 2:
+        return ExactScalar._from_omega((0, 1, 0, -1), 2 ** (n // 2 + 1))
+    return ExactScalar._from_omega((1, 0, 0, 0), 2 ** (n // 2))
+
+
+# The parities of 0..15, which begin the Thue-Morse sequence.
+_PARITY = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0], dtype=np.intp)
+_PARITY.flags.writeable = False
+
+
+def _vertex_entries(kind: str, degree: int, c, s) -> tuple[list, np.ndarray]:
+    """The distinct entry values of a Z, X or H tensor (as in
+    :mod:`spinnet.graph`) and its index pattern: entry ``i`` of the flattened
+    tensor is ``values[pattern[i]]``.  ``c`` is an H-box's label or a
+    spider's e^(i pi phase) and ``s`` the X normalisation (1/sqrt2)^degree,
+    of any number type that adds to and multiplies ints."""
+    if kind == X:
+        pattern = _PARITY[: 2 ** degree]
+        for _ in range(degree - 4):  # one more leading wire per pass
+            pattern = np.concatenate((pattern, 1 - pattern))
+        return [s * (1 + c), s * (1 - c)], pattern
+    pattern = np.zeros(2 ** degree, dtype=np.intp)
+    if kind == Z:
+        # origin + 2 * corner: at degree 0 the one entry is both, 1 + c
+        pattern[0] = 1
+        pattern[-1] += 2
+        return [0, 1, c, 1 + c] if degree == 0 else [0, 1, c], pattern
+    if kind == H:
+        pattern[-1] = 1
+        return [1, c], pattern
+    raise ValueError(f"no tensor for vertex kind {kind!r}")
 
 
 def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
-    """The vertex tensor built directly over Z[omega]."""
-    shape = (2,) * degree
-    ones = (1,) * degree
-    if data.kind in (Z, X):
-        if not phase_is_exact(data.phase):
-            raise ValueError(f"phase {data.phase}*pi requires float mode")
-        ph = ExactScalar.phase_quarter(_quarter_turns(data.phase))
-    if data.kind == Z:
-        coeffs = [np.zeros(shape, dtype=object) for _ in range(4)]
-        coeffs[0][(0,) * degree] += 1
-        for k, c in enumerate(ph.omega[0]):
-            coeffs[k][ones] += c
-        return _reduced(coeffs, 1)
-    if data.kind == X:
-        # (1/sqrt2)^deg (1 +- e^(i alpha pi)) by parity, over one denominator
-        norm = ExactScalar.inv_sqrt2() ** degree
-        (even, d_even), (odd, d_odd) = (norm * (1 + ph)).omega, (norm * (1 - ph)).omega
-        den = math.lcm(d_even, d_odd)
-        odd_parity = np.indices(shape).sum(axis=0) % 2 == 1
-        coeffs = [
-            np.where(odd_parity, odd[k] * (den // d_odd), even[k] * (den // d_even)).astype(object)
-            for k in range(4)
-        ]
-        return _reduced(coeffs, den)
-    if data.kind == H:
-        label, den = data.label.omega
-        coeffs = [np.full(shape, den if k == 0 else 0, dtype=object) for k in range(4)]
-        for k in range(4):
-            coeffs[k][ones] = label[k]
-        return _reduced(coeffs, den)
-    raise ValueError(f"no tensor for vertex kind {data.kind!r}")
+    """The vertex tensor over Z[omega]: the exact values' coefficient tables,
+    over one denominator, indexed by the pattern."""
+    c = _exact_factor(data)
+    if c is None:
+        raise ValueError(f"phase {data.phase}*pi requires float mode")
+    values, pattern = _vertex_entries(data.kind, degree, c, _inv_sqrt2_power(degree))
+    forms = [ExactScalar._coerce(v).omega for v in values]
+    den = math.lcm(*(d for _, d in forms))
+    table = np.array([[a[k] * (den // d) for a, d in forms] for k in range(4)], dtype=object)
+    return _reduced(list(table[:, pattern].reshape((4,) + (2,) * degree)), den)
 
 
 def _omega_contract(a: _OmegaTensor, b: _OmegaTensor, pa: list[int], pb: list[int],
@@ -216,50 +236,31 @@ def _exact_array(t: _OmegaTensor) -> np.ndarray:
     return flat.reshape(shape)
 
 
-# exp(i k pi / 4) for k = 0..7 from the exact roots, so 1, i, -1 and -i are
-# exact, and 1/sqrt(2) rounded once: the float factors of the pi/4 grid.
-_ROOTS_OF_UNITY = tuple(ExactScalar.phase_quarter(k).to_complex() for k in range(8))
-_SQRT_HALF = math.sqrt(0.5)
+def _float_vertex(data: VertexData, degree: int) -> np.ndarray:
+    """The vertex tensor in floats: the exact values each rounded once, or
+    off the pi/4 grid those of a complex ``c`` and a float ``s``."""
+    c, s = _exact_factor(data), _inv_sqrt2_power(degree)
+    if c is None:
+        c, s = complex(np.exp(1j * np.pi * float(data.phase))), s.to_complex().real
+    values, pattern = _vertex_entries(data.kind, degree, c, s)
+    values = [complex(v) for v in values]
+    if all(v.imag == 0 for v in values):
+        values = [v.real for v in values]
+    return np.array(values)[pattern].reshape((2,) * degree)
 
 
 def vertex_tensor(data: VertexData, degree: int, mode: str = "exact") -> np.ndarray:
     """The tensor of one vertex with the given number of incident wires.
 
     Exact mode gives an object array of :class:`ExactScalar`.  Float mode
-    gives float64 where every entry is real and complex128 otherwise; a phase
-    on the pi/4 grid takes its factor from the exact root of unity, so
-    phases 0 and pi give exactly 1 and -1.
+    gives float64 where every entry is real and complex128 otherwise; for an
+    H-box or a phase on the pi/4 grid it is the exact tensor with each entry
+    rounded once, so phases 0 and pi give exactly 1 and -1.
     """
     if mode == "exact":
         return _exact_array(_omega_vertex(data, degree))
     if mode == "float":
-        if data.kind == H:
-            c = data.label.to_complex()
-        elif data.kind in (Z, X):
-            if phase_is_exact(data.phase):
-                c = _ROOTS_OF_UNITY[_quarter_turns(data.phase) % 8]
-            else:
-                c = complex(np.exp(1j * np.pi * float(data.phase)))
-        else:
-            raise ValueError(f"no tensor for vertex kind {data.kind!r}")
-        dtype = complex
-        if c.imag == 0:  # every entry is real
-            c, dtype = c.real, float
-        shape = (2,) * degree
-        if data.kind == Z:
-            t = np.zeros(shape, dtype=dtype)
-            t[(0,) * degree] += 1.0
-            t[(1,) * degree] += c
-        elif data.kind == X:
-            norm = 0.5 ** (degree // 2) * (_SQRT_HALF if degree % 2 else 1.0)
-            even, odd = norm * (1 + c), norm * (1 - c)
-            t = np.empty(shape, dtype=dtype)
-            for idx in itertools.product((0, 1), repeat=degree):
-                t[idx] = odd if sum(idx) % 2 else even
-        else:
-            t = np.ones(shape, dtype=dtype)
-            t[(1,) * degree] = c
-        return t
+        return _float_vertex(data, degree)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -542,11 +543,8 @@ class _Float:
     """Contraction steps over float64 and complex128 arrays; the result is
     complex128."""
 
+    vertex = staticmethod(_float_vertex)
     trace = staticmethod(_trace_trailing)
-
-    @staticmethod
-    def vertex(data: VertexData, degree: int) -> np.ndarray:
-        return vertex_tensor(data, degree, "float")
 
     @staticmethod
     def contract(a: np.ndarray, b: np.ndarray, pa, pb, m, s, n, shape) -> np.ndarray:

@@ -131,6 +131,22 @@ def cg(
     return _sign_pow(_hi(j1) - _hi(j2) + m) * sqrt_rational(_hi(j).twice + 1) * w
 
 
+def _sum_4jm(
+    w3: Callable[..., RadicalNumber], j1, j2, j3, j4, m1, m2, m3, m4, j: HalfInteger
+) -> RadicalNumber:
+    """The 4jm sum of :func:`w4jm` with ``w3`` as its 3jm symbol."""
+    total = RadicalNumber.zero()
+    for m in half_integer_range(j):
+        a = w3(j1, j2, j, m1, m2, m)
+        if a.is_zero():
+            continue
+        b = w3(j, j3, j4, -m, m3, m4)
+        if b.is_zero():
+            continue
+        total = total + _sign_pow(j - m) * a * b
+    return total
+
+
 def w4jm(
     j1: SpinLike,
     j2: SpinLike,
@@ -146,17 +162,7 @@ def w4jm(
 
     Sum over m of (-1)^(j-m) (j1 j2 j; m1 m2 m)(j j3 j4; -m m3 m4).
     """
-    j = _hi(j)
-    total = RadicalNumber.zero()
-    for m in half_integer_range(j):
-        a = w3jm(j1, j2, j, m1, m2, m)
-        if a.is_zero():
-            continue
-        b = w3jm(j, j3, j4, -m, m3, m4)
-        if b.is_zero():
-            continue
-        total = total + _sign_pow(j - m) * a * b
-    return total
+    return _sum_4jm(w3jm, j1, j2, j3, j4, m1, m2, m3, m4, _hi(j))
 
 
 def w6j(
@@ -255,19 +261,7 @@ def yutsis_matrix_4(
             x = factors[key] = w3jm(*args)
         return x
 
-    def entry(js: list[HalfInteger], ms: list[HalfInteger]) -> RadicalNumber:
-        total = RadicalNumber.zero()
-        for m in half_integer_range(j):
-            a = w3(js[0], js[1], j, ms[0], ms[1], m)
-            if a.is_zero():
-                continue
-            b = w3(j, js[2], js[3], -m, ms[2], ms[3])
-            if b.is_zero():
-                continue
-            total = total + _sign_pow(j - m) * a * b
-        return total
-
-    return _leg_matrix(spins, orientation, "iioo", entry)
+    return _leg_matrix(spins, orientation, "iioo", lambda js, ms: _sum_4jm(w3, *js, *ms, j))
 
 
 # -- closed invariants (oracle self-checks) -------------------------------

@@ -373,6 +373,18 @@ class TestUsageErrors:
         assert code == EXIT_RANK_CAP
         assert "exceeds cap 0" in err
 
+    @pytest.mark.parametrize("plug, message", [
+        ("0=1,0=0", "plug position 0 is given twice"),
+        ("3=0, 3=0", "plug position 3 is given twice"),
+        ("0", "bad plug entry '0'; expected pos=bit"),
+        ("4=0", "plug position 4 out of range (diagram has 4 wires)"),
+        ("0=2", "plug bit must be 0 or 1, got 2"),
+    ], ids=["repeated", "repeated-same-bit", "malformed", "out-of-range", "bit"])
+    def test_bad_plug_exits_2(self, capsys, tmp_path, plug, message):
+        path = tmp_path / "s2.json"
+        run(capsys, "build", "symmetriser", "2", "--out", str(path))
+        assert run_usage_error(capsys, "eval", str(path), "--plug", plug) == f"error: {message}\n"
+
     def test_verify_has_no_jobs_option(self, capsys):
         run_usage_error(capsys, "verify", "--jobs", "0")
 
@@ -481,6 +493,16 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(p))
         assert code == EXIT_USAGE
         assert err == f"error: case 'bad-args': {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("builder", ["crown", "link", "6j", "theta", "loop", "symbol"])
+    def test_only_matrix_builders_are_accepted(self, capsys, tmp_path, builder):
+        case = {"id": "bad-builder", "kind": "matrix", "builder": builder, "expected": [["1"]]}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"version": 1, "cases": [case]}))
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == EXIT_USAGE
+        assert err == f"error: case 'bad-builder': unknown matrix builder {builder!r}\n"
         assert out == ""
 
     @pytest.mark.parametrize("case, message", [

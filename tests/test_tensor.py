@@ -70,7 +70,63 @@ class TestVertexTensors:
             te = vertex_tensor(VertexData(kind, ph), deg, "exact")
             tf = vertex_tensor(VertexData(kind, ph), deg, "float")
             ce = np.array([x.to_complex() for x in te.reshape(-1)])
-            assert np.abs(ce - tf.reshape(-1)).max() < 1e-12
+            assert (ce == tf.reshape(-1)).all()
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("kind", ["Q", B])
+    def test_unknown_kind_raises(self, mode, kind):
+        with pytest.raises(ValueError, match=f"no tensor for vertex kind {kind!r}"):
+            vertex_tensor(VertexData(kind), 2, mode)
+
+
+def assert_exact_rounded_once(data: VertexData, degree: int):
+    """The float tensor of ``data`` is, bit for bit, its exact tensor with
+    each entry rounded once, and float64 when every entry is real."""
+    exact = vertex_tensor(data, degree, "exact")
+    want = np.array([x.to_complex() for x in exact.reshape(-1)]).reshape(exact.shape)
+    if not want.imag.any():
+        want = want.real
+    got = vertex_tensor(data, degree, "float")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+GRID_SPIDERS = [(kind, Fraction(k, 4), degree)
+                for kind in (Z, X) for k in range(8) for degree in range(7)]
+HBOX_LABELS = [
+    ExactScalar(-1), ExactScalar(Fraction(1, 2), 0, 1), ExactScalar(0, 1),
+    ExactScalar(10 ** 99 + 7, Fraction(3, 10 ** 99 + 1), -(10 ** 99 + 3), 10 ** 99),
+]
+
+
+class TestOneDefinition:
+    """Float mode evaluates the exact definition: on the pi/4 grid and for
+    every H-box a float tensor is the exact tensor rounded once."""
+
+    @pytest.mark.parametrize("kind, phase, degree", GRID_SPIDERS,
+                             ids=[f"{k}({p})-{d}" for k, p, d in GRID_SPIDERS])
+    def test_grid_spiders_are_the_exact_tensor_rounded(self, kind, phase, degree):
+        assert_exact_rounded_once(VertexData(kind, phase), degree)
+
+    @pytest.mark.parametrize("label", HBOX_LABELS, ids=["-1", "1/2+i", "sqrt2", "100-digit"])
+    @pytest.mark.parametrize("degree", range(5))
+    def test_hboxes_are_the_exact_tensor_rounded(self, label, degree):
+        assert_exact_rounded_once(VertexData(H, label=label), degree)
+
+    @pytest.mark.parametrize("kind", [Z, X])
+    @pytest.mark.parametrize("phase", [0.3, -0.7])
+    @pytest.mark.parametrize("degree", range(5))
+    def test_off_grid_spiders_match_the_closed_form(self, kind, phase, degree):
+        c = np.exp(1j * np.pi * phase)
+        want = np.empty((2,) * degree, dtype=complex)
+        for idx in itertools.product((0, 1), repeat=degree):
+            if kind == Z:
+                want[idx] = (0 if any(idx) else 1) + (c if all(idx) else 0)
+            else:
+                want[idx] = math.sqrt(0.5) ** degree * (1 - c if sum(idx) % 2 else 1 + c)
+        got = vertex_tensor(VertexData(kind, phase), degree, "float")
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
 
 
 class TestFloatDtypes:
