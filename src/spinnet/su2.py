@@ -1,7 +1,10 @@
 """Diagram builders for SU(2) recoupling objects.
 
-The construction realises spin-j systems as symmetrised bundles of 2j
-qubit wires:
+The construction realises a spin-j wire as a symmetrised bundle of 2j
+qubit wires.  One primitive, :func:`_add_bundle`, builds every bundle: the
+symmetriser over the wires, with an optional Z(pi) metric or X(pi) arrow
+on each wire before or after it.  One helper, :func:`_add_boundaries`,
+joins ports to new boundary wires.
 
 * :func:`cswap_gadget` -- a Fredkin gate with the control post-selected.
 * :func:`crown` -- the control-state gadget steering one symmetrisation
@@ -10,10 +13,13 @@ qubit wires:
 * :func:`symmetriser` -- the projector onto the symmetric subspace of n
   qubit wires, built from crowns and CSWAPs; evaluates exactly to S_n.
 * :func:`yutsis_link` -- the edge operator
-  sum_m (-1)^(j-m) |j m><j m| on a 2j-wire bundle.
+  sum_m (-1)^(j-m) |j m><j m|: a bundle with a Z(pi) on every output wire.
 * :func:`vertex_3jm`, :func:`vertex_4jm`, :func:`assemble_network`,
   :func:`network_6j`, :func:`theta_network`, :func:`loop_network` --
-  intertwiner vertices and closed recoupling networks.
+  intertwiner vertices and closed recoupling networks.  Every network
+  goes through :func:`assemble_network`, which checks the whole
+  :class:`NetworkSpec` in one pass before it adds a vertex; every internal
+  edge and open leg is then one bundle.
 * :func:`invariance_defect` -- the exact SU(2)-invariance certificate: the
   generators J_x and J_z of su(2) act on a diagram's exact matrix from the
   output and the input side, and the count of entries where the two
@@ -26,15 +32,15 @@ unnormalised diagrammatic value, together with a :class:`CorrectionFactor`
 basis-plug norms) that rescales raw values to Wigner-symbol conventions.
 
 Every open leg of a vertex ends in a symmetriser, so its spin basis is the
-Dicke basis |j m> = |D_k> / sqrt(C(2j, k)), k = j - m ones.  One helper,
-:func:`_dicke_basis`, gives the weight class of each bit string and the
-class amplitudes; both spin-basis steps go through it:
+Dicke basis |j m> = |D_k> / sqrt(C(2j, k)), k = j - m ones:
 
-* :func:`plug_vertex_arguments` plugs |j m> as one product state with k
-  ones, which is exact behind the symmetriser (<D_k| = C(2j, k) <b| there),
-  with plug norm sqrt(C(2j, k) / 2^(2j));
+* :func:`plug_vertex_arguments` plugs |j m> as the one product state
+  (1 << k) - 1 (wire 0 most significant), which is exact behind the
+  symmetriser (<D_k| = C(2j, k) <b| there for every b of weight k), with
+  plug norm sqrt(C(2j, k) / 2^(2j));
 * :func:`project_to_spin_basis` sums the qubit-matrix entries of each
-  (row class, column class) pair and scales the sum by the amplitudes.
+  (row class, column class) pair of :func:`_dicke_basis` and scales the sum
+  by the class amplitudes.
 """
 
 from __future__ import annotations
@@ -152,6 +158,10 @@ class OpenLegSpec:
     spin: SpinLike
     orientation: str = "o"
 
+    def __post_init__(self) -> None:
+        if self.orientation not in ("i", "o"):
+            raise ValueError(f"orientation {self.orientation!r} is not 'i' or 'o'")
+
 
 @dataclass
 class NetworkSpec:
@@ -175,12 +185,18 @@ def lambda_n(n: int) -> RadicalNumber:
         return RadicalNumber.one()
     e = n * (n - 1) // 2  # one sqrt(2) per CSWAP
     beta = 1 if n >= 3 else 0
-    halves = beta + sum(2 ** math.ceil(math.log2(i)) - 1 for i in range(4, n + 1))
+    halves = beta + sum(2 ** _crown_width(i) - 1 for i in range(4, n + 1))
     q = Fraction(2 ** (e // 2), factorial(n) * 2 ** halves)
     out = RadicalNumber.from_rational(q)
     if e % 2:
         out = out * RadicalNumber({2: 1})
     return out
+
+
+def _crown_width(stage: int) -> int:
+    """Top wires of the crown of a stage >= 4, ceil(log2(stage)); the crown
+    has one H-box, and a factor 1/2 in lambda_n, per nonzero top pattern."""
+    return (stage - 1).bit_length()
 
 
 def binor_N(j1: SpinLike, j2: SpinLike, j3: SpinLike) -> RadicalNumber:
@@ -277,11 +293,10 @@ def _add_crown(d: Diagram, stage: int) -> list[int]:
         d.add_edge(zb, h)
         d.add_edge(tap, h)
         return [za, zb]
-    k = math.ceil(math.log2(stage))
+    k = _crown_width(stage)
     tops = [d.add_z() for _ in range(k)]
     controls: list[int] = []
-    patterns = list(range(1, 2 ** k))
-    for g in patterns:
+    for g in range(1, 2 ** k):
         hbox = d.add_h()
         for t in range(k):
             bit = (g >> (k - 1 - t)) & 1
@@ -299,9 +314,9 @@ def _add_crown(d: Diagram, stage: int) -> list[int]:
 
 
 def _add_symmetriser(d: Diagram, ports: list[int]) -> list[int]:
-    """Symmetriser structure over the given wire ports (calibration scalars
-    folded in by :func:`_add_cswap`; the lambda_n factor is NOT included)."""
-    ports = list(ports)
+    """Symmetriser structure over the given wire ports, which it rewrites in
+    place (calibration scalars folded in by :func:`_add_cswap`; the
+    lambda_n factor is NOT included)."""
     n = len(ports)
     for stage in range(2, n + 1):
         controls = _add_crown(d, stage)
@@ -310,18 +325,42 @@ def _add_symmetriser(d: Diagram, ports: list[int]) -> list[int]:
     return ports
 
 
-def _add_wire_op(d: Diagram, port: int, kind: str, phase: Fraction) -> int:
-    v = d.add_z(phase) if kind == Z else d.add_x(phase)
+def _pi_on(d: Diagram, port: int, kind: Optional[str]) -> int:
+    """The wire at ``port`` continued through a Z(pi) or X(pi) spider, or
+    ``port`` itself if ``kind`` is None."""
+    if kind is None:
+        return port
+    v = d.add_z(_PI) if kind == Z else d.add_x(_PI)
     d.add_edge(port, v)
     return v
 
 
-def _add_cup(d: Diagram) -> tuple[int, int]:
-    """A singlet pair |10> - |01>: the first returned port carries the |1>."""
-    x = d.add_x(_PI)
-    z = d.add_z(_PI)
-    d.add_edge(x, z)
-    return x, z
+def _add_bundle(
+    d: Diagram, ports: Sequence[int], before: Optional[str] = None, after: Optional[str] = None
+) -> list[int]:
+    """A spin bundle over ``ports``: the symmetriser, with a pi spider of
+    kind ``before`` / ``after`` (Z, X or None) on every wire before / after
+    it.  Returns the outgoing ports; lambda_n is left to the caller."""
+    ports = _add_symmetriser(d, [_pi_on(d, p, before) for p in ports])
+    return [_pi_on(d, p, after) for p in ports]
+
+
+def _add_boundaries(d: Diagram, ports: Sequence[int], side: list[int], pi: Optional[str] = None) -> None:
+    """Joins each port, through its own pi spider of kind ``pi`` if given,
+    to a new boundary appended to ``side`` (``d.inputs`` or ``d.outputs``)."""
+    for p in ports:
+        p = _pi_on(d, p, pi)
+        b = d.add_boundary()
+        side.append(b)
+        d.add_edge(p, b)
+
+
+def _wire_count(j: SpinLike) -> int:
+    """The 2j wires of a spin-j bundle."""
+    jh = _hi(j)
+    if jh.twice < 0:
+        raise ValueError(f"spin {jh} is negative")
+    return jh.twice
 
 
 # -- public gadgets -------------------------------------------------------
@@ -331,10 +370,7 @@ def cswap_gadget() -> Diagram:
     """Postselected Fredkin gate: 3 inputs (control, t1, t2), 2 outputs."""
     d = Diagram()
     c, t1, t2 = d.add_input(), d.add_input(), d.add_input()
-    o1, o2 = _add_cswap(d, c, t1, t2)
-    b1, b2 = d.add_output(), d.add_output()
-    d.add_edge(o1, b1)
-    d.add_edge(o2, b2)
+    _add_boundaries(d, _add_cswap(d, c, t1, t2), d.outputs)
     return d
 
 
@@ -342,9 +378,7 @@ def crown(stage: int) -> Diagram:
     """The stage-th control-state gadget as a standalone diagram with
     stage-1 output wires."""
     d = Diagram()
-    for p in _add_crown(d, stage):
-        b = d.add_output()
-        d.add_edge(p, b)
+    _add_boundaries(d, _add_crown(d, stage), d.outputs)
     return d
 
 
@@ -353,38 +387,22 @@ def symmetriser(n: int) -> Diagram:
     if n < 0:
         raise ValueError("n must be nonnegative")
     d = Diagram()
-    ports = [d.add_input() for _ in range(n)]
-    ports = _add_symmetriser(d, ports)
-    for p in ports:
-        b = d.add_output()
-        d.add_edge(p, b)
+    _add_boundaries(d, _add_bundle(d, [d.add_input() for _ in range(n)]), d.outputs)
     d.mul_scalar(lambda_n(n).to_exact_scalar())
     return d
 
 
 def yutsis_link(j: SpinLike) -> Diagram:
-    """The edge operator sum_m (-1)^(j-m) |j m><j m| on a 2j-wire bundle."""
-    tj = _hi(j).twice
+    """The edge operator sum_m (-1)^(j-m) |j m><j m| on a 2j-wire bundle,
+    with the Z(pi) metric on every output wire."""
+    n = _wire_count(j)
     d = Diagram()
-    ports = [d.add_input() for _ in range(tj)]
-    ports = _add_symmetriser(d, ports)
-    for p in ports:
-        zp = _add_wire_op(d, p, Z, _PI)
-        b = d.add_output()
-        d.add_edge(zp, b)
-    d.mul_scalar(lambda_n(tj).to_exact_scalar())
+    _add_boundaries(d, _add_bundle(d, [d.add_input() for _ in range(n)]), d.outputs, pi=Z)
+    d.mul_scalar(lambda_n(n).to_exact_scalar())
     return d
 
 
 # -- vertices -------------------------------------------------------------
-
-
-def _strand_counts(js: Sequence[HalfInteger]) -> tuple[int, int, int]:
-    t1, t2, t3 = (j.twice for j in js)
-    n12 = (t1 + t2 - t3) // 2
-    n13 = (t1 + t3 - t2) // 2
-    n23 = (t2 + t3 - t1) // 2
-    return n12, n13, n23
 
 
 def _vertex_sign(js: Sequence[HalfInteger]) -> int:
@@ -400,56 +418,22 @@ def _vertex_sign(js: Sequence[HalfInteger]) -> int:
 
 
 def _add_vertex_core(d: Diagram, js: Sequence[HalfInteger]) -> list[list[int]]:
-    """Singlet cups realising a bare 3-valent vertex; returns per-leg ports
-    (2j_k ports for leg k)."""
-    if not triangle_ok(*js):
-        raise ValueError(f"inadmissible spin triad {tuple(str(j) for j in js)}")
-    n12, n13, n23 = _strand_counts(js)
-    legs: list[list[Optional[int]]] = [
-        [None] * (n12 + n13),
-        [None] * (n12 + n23),
-        [None] * (n13 + n23),
-    ]
-    # Pairing layout: leg1 = [12-strands | 13-strands], leg2 = [12 | 23],
-    # leg3 = [13 | 23].  The lower-numbered leg takes the |1> cup end.
-    for k in range(n12):
-        a, b = _add_cup(d)
-        legs[0][k] = a
-        legs[1][k] = b
-    for k in range(n13):
-        a, b = _add_cup(d)
-        legs[0][n12 + k] = a
-        legs[2][k] = b
-    for k in range(n23):
-        a, b = _add_cup(d)
-        legs[1][n12 + k] = a
-        legs[2][n13 + k] = b
-    return [list(leg) for leg in legs]
+    """Singlet cups |10> - |01> realising a bare 3-valent vertex of an
+    admissible triad; returns per-leg ports (2j_k ports for leg k).
 
-
-def _finish_open_leg(
-    d: Diagram, ports: list[int], ingoing: bool
-) -> list[int]:
-    """Symmetrise a leg's cup ports and wrap ingoing legs with X(pi)."""
-    ports = _add_symmetriser(d, ports)
-    if ingoing:
-        ports = [_add_wire_op(d, p, X, _PI) for p in ports]
-    boundaries = []
-    for p in ports:
-        b = d.add_boundary()
-        d.add_edge(p, b)
-        boundaries.append(b)
-    return boundaries
-
-
-def _connect_internal_edge(d: Diagram, tail_ports: list[int], head_ports: list[int]) -> None:
-    """Summed edge between two vertex cores: Z(pi) metric per wire, one
-    symmetriser, X(pi) arrow per wire on the head side."""
-    ports = [_add_wire_op(d, p, Z, _PI) for p in tail_ports]
-    ports = _add_symmetriser(d, ports)
-    ports = [_add_wire_op(d, p, X, _PI) for p in ports]
-    for p, h in zip(ports, head_ports):
-        d.add_edge(p, h)
+    Legs a and b share (2j_a + 2j_b - 2j_c) / 2 cups.  Pairing layout:
+    leg1 = [12-strands | 13-strands], leg2 = [12 | 23], leg3 = [13 | 23].
+    The lower-numbered leg takes the |1> cup end, its X(pi) spider.
+    """
+    t = [j.twice for j in js]
+    legs: list[list[int]] = [[], [], []]
+    for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        for _ in range((t[a] + t[b] - t[c]) // 2):
+            x, z = d.add_x(_PI), d.add_z(_PI)
+            d.add_edge(x, z)
+            legs[a].append(x)
+            legs[b].append(z)
+    return legs
 
 
 def vertex_3jm(spec: VertexSpec) -> tuple[Diagram, CorrectionFactor]:
@@ -495,57 +479,63 @@ def vertex_4jm(
     return assemble_network(spec)
 
 
+def _claim(nodes: list[list[HalfInteger]], used: set, ref: tuple[int, int], spin: SpinLike) -> None:
+    """Marks leg ``ref`` = (node, leg) as used.  It must exist, be unused
+    and carry ``spin``."""
+    n, l = ref
+    if not (isinstance(n, int) and isinstance(l, int) and 0 <= n < len(nodes) and 0 <= l < 3):
+        raise ValueError(f"leg {ref} does not exist")
+    if ref in used:
+        raise ValueError(f"leg {ref} used twice")
+    used.add(ref)
+    if nodes[n][l].twice != _hi(spin).twice:
+        raise ValueError(f"spin {spin} does not match leg {ref} of spin {nodes[n][l]}")
+
+
 def assemble_network(spec: NetworkSpec) -> tuple[Diagram, CorrectionFactor]:
     """Assemble 3-valent vertex cores, summed internal edges and open legs
     into one diagram.
 
+    The whole spec is checked before a vertex is added: every node triad
+    is admissible, and edge ends and open legs claim every leg exactly
+    once with its spin.  An internal edge is a bundle with a Z(pi) metric
+    on the tail side and an X(pi) arrow on the head side; an open leg is a
+    bundle, behind an X(pi) arrow if ingoing, joined to new boundaries.
     Boundary wires follow the order of ``spec.open_legs``.  The correction
     collects one lambda per edge (internal or open), 1/N per vertex, and
     nothing else.
     """
+    nodes = [[_hi(x) for x in node.spins] for node in spec.nodes]
+    for js in nodes:
+        if not triangle_ok(*js):
+            raise ValueError(f"inadmissible spin triad {tuple(str(j) for j in js)}")
+    used: set[tuple[int, int]] = set()
+    for e in spec.edges:
+        _claim(nodes, used, tuple(e.tail), e.spin)
+        _claim(nodes, used, tuple(e.head), e.spin)
+    for leg in spec.open_legs:
+        _claim(nodes, used, (leg.node, leg.leg), leg.spin)
+    for n in range(len(nodes)):
+        for l in range(3):
+            if (n, l) not in used:
+                raise ValueError(f"leg ({n}, {l}) of node {n} left unconnected")
     d = Diagram()
     corr = CorrectionFactor()
-    cores: list[list[list[int]]] = []
-    used: set[tuple[int, int]] = set()
-    for node in spec.nodes:
-        js = [_hi(x) for x in node.spins]
+    cores = []
+    for js in nodes:
         cores.append(_add_vertex_core(d, js))
         d.mul_scalar(ExactScalar(_vertex_sign(js)))
         corr.times_inv_norm(*js)
     for e in spec.edges:
-        tn, tl = e.tail
-        hn, hl = e.head
-        for ref in (e.tail, e.head):
-            if ref in used:
-                raise ValueError(f"leg {ref} used twice")
-            used.add(ref)
-        jc = _hi(e.spin)
-        if (
-            _hi(spec.nodes[tn].spins[tl]).twice != jc.twice
-            or _hi(spec.nodes[hn].spins[hl]).twice != jc.twice
-        ):
-            raise ValueError(f"edge spin {e.spin} does not match node legs")
-        _connect_internal_edge(d, cores[tn][tl], cores[hn][hl])
-        corr.times_lambda(jc, f"lambda(edge {e.tail}->{e.head})")
-    ins: list[int] = []
-    outs: list[int] = []
+        (tn, tl), (hn, hl) = e.tail, e.head
+        for p, h in zip(_add_bundle(d, cores[tn][tl], before=Z, after=X), cores[hn][hl]):
+            d.add_edge(p, h)
+        corr.times_lambda(e.spin, f"lambda(edge {e.tail}->{e.head})")
     for leg in spec.open_legs:
-        ref = (leg.node, leg.leg)
-        if ref in used:
-            raise ValueError(f"leg {ref} used twice")
-        used.add(ref)
-        jl = _hi(leg.spin)
-        if _hi(spec.nodes[leg.node].spins[leg.leg]).twice != jl.twice:
-            raise ValueError(f"open leg spin {leg.spin} does not match node")
-        bounds = _finish_open_leg(d, cores[leg.node][leg.leg], ingoing=(leg.orientation == "i"))
-        (ins if leg.orientation == "i" else outs).extend(bounds)
-        corr.times_lambda(jl, f"lambda(open leg {ref})")
-    for n, node in enumerate(spec.nodes):
-        for l in range(3):
-            if (n, l) not in used:
-                raise ValueError(f"leg ({n}, {l}) of node {n} left unconnected")
-    d.inputs = ins
-    d.outputs = outs
+        ingoing = leg.orientation == "i"
+        ports = _add_bundle(d, cores[leg.node][leg.leg], after=X if ingoing else None)
+        _add_boundaries(d, ports, d.inputs if ingoing else d.outputs)
+        corr.times_lambda(leg.spin, f"lambda(open leg {(leg.node, leg.leg)})")
     return d, corr
 
 
@@ -597,42 +587,14 @@ def loop_network(j: SpinLike) -> tuple[Diagram, CorrectionFactor]:
     The two half-edge decorations of a loop cancel pairwise, leaving the
     trace of the bundle symmetriser.
     """
-    tj = _hi(j).twice
+    n = _wire_count(j)
     d = Diagram()
-    junctions = [d.add_z() for _ in range(tj)]
-    ports = _add_symmetriser(d, list(junctions))
-    for p, start in zip(ports, junctions):
+    junctions = [d.add_z() for _ in range(n)]
+    for p, start in zip(_add_bundle(d, junctions), junctions):
         d.add_edge(p, start)
     corr = CorrectionFactor()
     corr.times_lambda(j, f"lambda(loop {j})")
     return d, corr
-
-
-# -- basis plugs ----------------------------------------------------------
-
-
-def _plug_leg(
-    d: Diagram, boundaries: Sequence[int], j: SpinLike, m: SpinLike, corr: CorrectionFactor
-) -> Diagram:
-    """Plug |j m> into a leg's 2j boundary wires, which end in a symmetriser.
-
-    On the symmetric subspace <D_k| = C(2j, k) <b| for any bit string b of
-    weight k = j - m, so the leg takes one product state b.  plug_basis
-    plugs sqrt(2)^(2j) <b|, hence the plug norm sqrt(C(2j, k) / 2^(2j)).
-    """
-    jh, mh = _hi(j), _hi(m)
-    n = jh.twice
-    if len(boundaries) != n:
-        raise ValueError(f"leg of spin {jh} needs {n} wires")
-    if abs(mh.twice) > n or (n + mh.twice) % 2:
-        raise ValueError(f"m={mh} is not a magnetic index for j={jh}")
-    k = (n - mh.twice) // 2
-    classes, amps = _dicke_basis([jh])
-    b = classes.index(k)  # the first bit string of weight k
-    out = plug_basis(d, {w: (b >> (n - 1 - i)) & 1 for i, w in enumerate(boundaries)})
-    corr.plug_norm = corr.plug_norm * sqrt_rational(Fraction(1, 2 ** n)) / amps[k]
-    corr.notes.append(f"plug |{jh},{mh}>")
-    return out
 
 
 # -- exact matrix helpers -------------------------------------------------
@@ -679,23 +641,33 @@ def plug_vertex_arguments(
 
     An ingoing leg with argument m receives the dual state |j, -m>, an
     outgoing leg receives |j, m>; the closed diagram's corrected value is
-    then the symbol at (m1, ..., mk).  Plug norms accumulate on ``corr``.
-    Every open leg of a diagram from :func:`assemble_network` (and so of
-    :func:`vertex_3jm` and :func:`vertex_4jm`) ends in a symmetriser, which
-    makes the one-product-state plug of each leg exact.
+    then the symbol at (m1, ..., mk).  Every open leg of a diagram from
+    :func:`assemble_network` (and so of :func:`vertex_3jm` and
+    :func:`vertex_4jm`) ends in a symmetriser, so each leg takes the one
+    product state (1 << k) - 1, k = j - m, as the module docstring says.
+    :func:`~spinnet.tensor.plug_basis` plugs sqrt(2)^(2j) <b|, hence the
+    plug norm sqrt(C(2j, k) / 2^(2j)) per leg, which accumulates on ``corr``.
     """
     ins, outs = list(d.inputs), list(d.outputs)
+    bits: dict[int, int] = {}
     for j, m, o in zip(spins, ms, orientation):
-        tw = _hi(j).twice
-        if o == "i":
-            bounds, ins = ins[:tw], ins[tw:]
-            d = _plug_leg(d, bounds, j, -_hi(m), corr)
-        else:
-            bounds, outs = outs[:tw], outs[tw:]
-            d = _plug_leg(d, bounds, j, m, corr)
+        jh, mh = _hi(j), (-_hi(m) if o == "i" else _hi(m))
+        n = jh.twice
+        side = ins if o == "i" else outs
+        wires = side[:n]
+        del side[:n]
+        if len(wires) != n:
+            raise ValueError(f"leg of spin {jh} needs {n} wires")
+        if abs(mh.twice) > n or (n + mh.twice) % 2:
+            raise ValueError(f"m={mh} is not a magnetic index for j={jh}")
+        k = (n - mh.twice) // 2
+        b = (1 << k) - 1
+        bits.update((w, (b >> (n - 1 - i)) & 1) for i, w in enumerate(wires))
+        corr.plug_norm = corr.plug_norm * sqrt_rational(Fraction(math.comb(n, k), 2 ** n))
+        corr.notes.append(f"plug |{jh},{mh}>")
     if ins or outs:
         raise ValueError("leg spins do not cover all boundary wires")
-    return d
+    return plug_basis(d, bits)
 
 
 def corrected_spin_matrix(

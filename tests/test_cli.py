@@ -345,6 +345,10 @@ class TestUsageErrors:
     def test_build_negative_symmetriser(self, capsys):
         run_usage_error(capsys, "build", "symmetriser", "--", "-1")
 
+    @pytest.mark.parametrize("spin", ["-1", "-1/2"])
+    def test_build_link_names_a_negative_spin(self, capsys, spin):
+        assert run_usage_error(capsys, "build", "link", "--", spin) == f"error: spin {spin} is negative\n"
+
     @pytest.mark.parametrize("command", ["eval", "verify"])
     def test_malformed_rank_cap_env(self, capsys, tmp_path, monkeypatch, command):
         path = tmp_path / "s2.json"

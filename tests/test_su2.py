@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, half_integer_range, sqrt_rational
 from spinnet.graph import VertexData, X, Z
 from spinnet.su2 import (
+    EdgeSpec,
     NetworkSpec,
     NodeSpec,
     OpenLegSpec,
@@ -369,6 +370,30 @@ class TestNetworks:
         )
         with pytest.raises(ValueError):
             assemble_network(spec)
+
+    def test_assemble_rejects_a_node_out_of_range(self):
+        spec = NetworkSpec(nodes=[NodeSpec((1, H, H))], edges=[EdgeSpec((0, 0), (3, 0), 1)])
+        with pytest.raises(ValueError, match=r"leg \(3, 0\) does not exist"):
+            assemble_network(spec)
+
+    @pytest.mark.parametrize("node, leg", [(-1, 2), (0, -1), (0, 3), (1, 0)])
+    def test_assemble_rejects_an_open_leg_that_does_not_exist(self, node, leg):
+        # (-1, 2) and (0, -1) would alias real legs if used as list indices.
+        legs = [OpenLegSpec(0, k, j, "o") for k, j in enumerate((H, H, 1))]
+        spec = NetworkSpec(nodes=[NodeSpec((H, H, 1))], edges=[],
+                           open_legs=legs + [OpenLegSpec(node, leg, 1, "o")])
+        with pytest.raises(ValueError, match=rf"leg \({node}, {leg}\) does not exist"):
+            assemble_network(spec)
+
+    def test_open_leg_orientation_is_checked(self):
+        with pytest.raises(ValueError, match="orientation 'x'"):
+            OpenLegSpec(0, 0, H, "x")
+
+    @pytest.mark.parametrize("build", [yutsis_link, loop_network])
+    @pytest.mark.parametrize("j", [-1, Fraction(-1, 2)])
+    def test_negative_spin_is_named(self, build, j):
+        with pytest.raises(ValueError, match=f"^spin {j} is negative$"):
+            build(j)
 
 
 def _twice(spins):
