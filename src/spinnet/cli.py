@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -72,7 +71,7 @@ class CliError(Exception):
 def _spin(text: str) -> HalfInteger:
     try:
         return HalfInteger(text)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise CliError(f"invalid spin {text!r}: {exc}") from None
 
 
@@ -540,11 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    # Let arguments like "-1/2" pass as negative spins, not option flags.
-    spin_matcher = re.compile(r"^-\d+(/\d+|\.\d+)?$")
-
     ps = sub.add_parser("symbol", help="print an exact Wigner symbol")
-    ps._negative_number_matcher = spin_matcher
+    # Let arguments like "-1/2" pass as negative spins, not option flags.
+    ps._negative_number_matcher = HalfInteger._LITERAL
     ps.add_argument("kind", choices=["3jm", "4jm", "6j"])
     ps.add_argument("spins", nargs="+")
     ps.set_defaults(func=cmd_symbol)

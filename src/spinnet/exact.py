@@ -13,8 +13,13 @@ oracle need:
   squarefree positive integers, ``sum_s q_s * sqrt(s)``.  Wigner symbols and
   normalisation factors live here.
 
+Both derive subtraction, division, powers, truth value, text forms and
+immutability from one private base, ``_Field``, so each type writes only
+its own ``+``, ``-x``, ``*``, ``inverse`` and serialization.
+
 :class:`HalfInteger` represents (half-)integer spins exactly via twice their
-value.
+value.  Its constructor is the one conversion of a spin: an int, or a float,
+Fraction or decimal/fraction literal read exactly through Fraction.
 """
 
 from __future__ import annotations
@@ -106,7 +111,46 @@ def _coerced(op):
     return method
 
 
-class ExactScalar:
+class _Field:
+    """The operators of a field type that follow from its own ``_coerce``,
+    ``+``, unary ``-``, ``*``, ``inverse``, ``one``, ``is_zero`` and
+    ``serialize``; instances are immutable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __sub__ = _coerced(lambda a, b: a + (-b))
+    __rsub__ = _coerced(lambda a, b: b + (-a))
+    __truediv__ = _coerced(lambda a, b: a * b.inverse())
+    __rtruediv__ = _coerced(lambda a, b: b * a.inverse())
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.serialize()!r})"
+
+    def __str__(self) -> str:
+        return self.serialize()
+
+
+class ExactScalar(_Field):
     """An element ``(c0 + c1*w + c2*w**2 + c3*w**3) / den`` of Q(w), w = e^(i pi/4).
 
     The coefficients ``c0..c3`` and ``den`` are Python ints, ``den > 0``
@@ -148,9 +192,6 @@ class ExactScalar:
             den //= g
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_d", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("ExactScalar is immutable")
 
     @staticmethod
     def _from_omega(c: tuple, den: int) -> "ExactScalar":
@@ -228,9 +269,6 @@ class ExactScalar:
     def __neg__(self):
         return ExactScalar._from_omega(tuple(-x for x in self._c), self._d)
 
-    __sub__ = _coerced(lambda a, b: a + (-b))
-    __rsub__ = _coerced(lambda a, b: b + (-a))
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -256,23 +294,6 @@ class ExactScalar:
         norm = _fold(c, adj)[0]  # |x|^2 |x(w -> w^3)|^2 > 0; w^1..w^3 vanish
         return ExactScalar._from_omega(tuple(self._d * x for x in adj), norm)
 
-    __truediv__ = _coerced(lambda a, b: a * b.inverse())
-    __rtruediv__ = _coerced(lambda a, b: b * a.inverse())
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ExactScalar.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- predicates / conversions ----------------------------------------
 
     def is_zero(self) -> bool:
@@ -281,9 +302,6 @@ class ExactScalar:
     def is_real(self) -> bool:
         c = self._c
         return c[2] == 0 and c[1] + c[3] == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -345,14 +363,8 @@ class ExactScalar:
             raise ValueError(f"malformed ExactScalar literal: {text!r}")
         return ExactScalar(*(Fraction(n, d) for n, d in zip(g[::2], g[1::2])))
 
-    def __repr__(self) -> str:
-        return f"ExactScalar({self.serialize()!r})"
 
-    def __str__(self) -> str:
-        return self.serialize()
-
-
-class RadicalNumber:
+class RadicalNumber(_Field):
     """A finite sum ``sum_s q_s * sqrt(s)`` over squarefree positive ints s.
 
     The key ``s == 1`` holds the rational part.  Closed under addition and
@@ -377,9 +389,6 @@ class RadicalNumber:
                     if not canonical[sf]:
                         del canonical[sf]
         object.__setattr__(self, "terms", canonical)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("RadicalNumber is immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -420,9 +429,6 @@ class RadicalNumber:
     def __neg__(self):
         return RadicalNumber({s: -q for s, q in self.terms.items()})
 
-    __sub__ = _coerced(lambda a, b: a + (-b))
-    __rsub__ = _coerced(lambda a, b: b + (-a))
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -447,26 +453,10 @@ class RadicalNumber:
             return RadicalNumber({s: Fraction(1, 1) / (q * s)})
         raise NotImplementedError("inverse of multi-term RadicalNumber")
 
-    __truediv__ = _coerced(lambda a, b: a * b.inverse())
-    __rtruediv__ = _coerced(lambda a, b: b * a.inverse())
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = RadicalNumber.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- predicates / conversions ----------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -524,12 +514,6 @@ class RadicalNumber:
             out[s] = out.get(s, Fraction(0)) + q
         return RadicalNumber(out)
 
-    def __repr__(self) -> str:
-        return f"RadicalNumber({self.serialize()!r})"
-
-    def __str__(self) -> str:
-        return self.serialize()
-
 
 def sqrt_rational(q: RationalLike) -> RadicalNumber:
     """Exact square root of a nonnegative rational, as a RadicalNumber.
@@ -549,29 +533,38 @@ _HASH_HALF = pow(2, -1, sys.hash_info.modulus)
 
 
 class HalfInteger:
-    """An exact (half-)integer spin or magnetic index, stored as ``2*value``."""
+    """An exact (half-)integer spin or magnetic index, stored as ``2*value``.
+
+    Made from a HalfInteger, an int, a float, a Fraction or a literal that
+    matches ``_LITERAL`` (``"3"``, ``"-1/2"``, ``" 1.5 "``), each read
+    exactly.  A bool or any other type raises TypeError; a malformed
+    literal, ``"1/0"``, a non-finite float or a value that is not a
+    half-integer raises ValueError.
+    """
 
     __slots__ = ("twice",)
+
+    # Optional whitespace, an optional sign, digits, then optionally
+    # /digits or .digits; ASCII only, so no "1_0", "1e3" or non-ASCII digits.
+    _LITERAL = re.compile(r"\s*[+-]?\d+(?:/\d+|\.\d+)?\s*\Z", re.ASCII)
 
     def __init__(self, value: "HalfInteger | RationalLike | float | str") -> None:
         if isinstance(value, HalfInteger):
             tw = value.twice
-        elif isinstance(value, str):
-            tw = HalfInteger.parse(value).twice
+        elif isinstance(value, bool) or not isinstance(value, (int, str, float, Fraction)):
+            raise TypeError(f"cannot make HalfInteger from {value!r}")
         elif isinstance(value, int):
             tw = 2 * value
-        elif isinstance(value, Fraction):
-            tw = value * 2
-            if tw.denominator != 1:
-                raise ValueError(f"not a half-integer: {value}")
-            tw = tw.numerator
-        elif isinstance(value, float):
-            tw = value * 2
-            if tw != int(tw):
-                raise ValueError(f"not a half-integer: {value}")
-            tw = int(tw)
         else:
-            raise TypeError(f"cannot make HalfInteger from {value!r}")
+            tw = None
+            if not isinstance(value, str) or HalfInteger._LITERAL.match(value):
+                try:
+                    tw = 2 * Fraction(value)
+                except (ValueError, OverflowError, ZeroDivisionError):  # NaN, an infinity, "1/0"
+                    pass
+            if tw is None or tw.denominator != 1:
+                raise ValueError(f"not a half-integer: {value!r}")
+            tw = tw.numerator
         object.__setattr__(self, "twice", tw)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -584,25 +577,12 @@ class HalfInteger:
         object.__setattr__(h, "twice", int(twice))
         return h
 
-    @staticmethod
-    def parse(text: str) -> "HalfInteger":
-        """Parse ``"1/2"``, ``"0.5"``, ``"3"``, ``"-3/2"``."""
-        text = text.strip()
-        try:
-            if "/" in text:
-                return HalfInteger(Fraction(text))
-            if "." in text:
-                return HalfInteger(float(text))
-            return HalfInteger(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed half-integer literal: {text!r}") from exc
-
     # -- arithmetic / ordering -------------------------------------------
 
     def _coerce(self, other) -> "HalfInteger | None":
         if isinstance(other, HalfInteger):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             try:
                 return HalfInteger(other)
             except ValueError:

@@ -43,6 +43,10 @@ def run_usage_error(capsys, *argv):
     return err
 
 
+# Spins that are not exact half-integer literals, or not finite: each is a usage error.
+BAD_SPIN_LITERALS = ["1.0e400", "0.50000000000000001", "1_0", "\u0661", "1.5e0", "1/0", "nan"]
+
+
 class TestSymbol:
     def test_6j(self, capsys):
         code, out, _ = run(capsys, "symbol", "6j", "2", "1", "1", "1", "1", "1")
@@ -349,6 +353,14 @@ class TestUsageErrors:
     def test_build_link_names_a_negative_spin(self, capsys, spin):
         assert run_usage_error(capsys, "build", "link", "--", spin) == f"error: spin {spin} is negative\n"
 
+    @pytest.mark.parametrize("literal", BAD_SPIN_LITERALS)
+    @pytest.mark.parametrize("command", [
+        ["symbol", "3jm", "{}", "1", "1", "0", "0", "0"], ["build", "link", "{}"],
+    ], ids=["symbol", "build"])
+    def test_bad_spin_literal_exits_2(self, capsys, command, literal):
+        err = run_usage_error(capsys, *(w.format(literal) for w in command))
+        assert err.startswith(f"error: invalid spin {literal!r}: "), err
+
     @pytest.mark.parametrize("command", ["eval", "verify"])
     def test_malformed_rank_cap_env(self, capsys, tmp_path, monkeypatch, command):
         path = tmp_path / "s2.json"
@@ -451,6 +463,7 @@ class TestVerify:
         ("expected", "1/0", "malformed RadicalNumber literal: '1/0'"),
         ("kind", "7j", "unknown case kind '7j'"),
         ("spins", ["-1"], "spin -1 is negative"),
+        *(("spins", [literal], f"invalid spin {literal!r}: ") for literal in BAD_SPIN_LITERALS),
     ])
     def test_malformed_case_exits_2_before_any_case_runs(self, capsys, tmp_path, field, value, message):
         good = {"id": "good-loop", "kind": "invariant", "which": "loop",
@@ -462,6 +475,20 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err.startswith("error: case 'bad-case': ") and err.count("\n") == 1, err
         assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["1e400", '"1.0e400"', "true"], ids=["json-infinity", "string", "bool"])
+    @pytest.mark.parametrize("case", [
+        '{"id": "bad", "kind": "invariant", "which": "loop", "spins": [%s], "expected": "3"}',
+        '{"id": "bad", "kind": "3jm", "spins": ["1", "1", "1"], "ms": [%s, "0", "0"], "expected": "0"}',
+        '{"id": "bad", "kind": "4jm", "spins": ["1", "1", "1", "1"], "j": %s, "ms": ["0", "0", "0", "0"],'
+        ' "expected": "0"}',
+    ], ids=["loop-spins", "3jm-ms", "4jm-j"])
+    def test_non_finite_or_boolean_spin_exits_2(self, capsys, tmp_path, case, value):
+        p = _file(tmp_path, ('{"version": 1, "cases": [%s]}' % (case % value)).encode())
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: case 'bad': invalid spin ") and err.count("\n") == 1, err
         assert out == ""
 
     @pytest.mark.parametrize("case", [

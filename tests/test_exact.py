@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -400,6 +401,29 @@ class TestRadicalNumber:
             sqrt_rational(3).to_exact_scalar()
 
 
+# 12 = 4 * 3, so the constructor folds it into the sqrt(3) term.
+radicals = st.dictionaries(st.sampled_from([1, 2, 3, 5, 6, 12]), rationals, max_size=4).map(RadicalNumber)
+single_terms = st.builds(lambda s, q: RadicalNumber({s: q}), st.sampled_from([1, 2, 3, 5, 6]),
+                         rationals.filter(bool))
+
+
+class TestRadicalNumberProperties:
+    """The operators RadicalNumber takes from its own +, unary -, *, inverse and one."""
+
+    @PROPERTIES
+    @given(radicals, radicals, single_terms, st.integers(0, 6), rationals)
+    def test_derived_operators(self, a, b, t, n, q):
+        assert a - b == a + (-b)
+        assert q - a == RadicalNumber.from_rational(q) + (-a)
+        product = RadicalNumber.one()
+        for _ in range(n):
+            product = product * a
+        assert a ** n == product
+        assert (a * t) / t == a
+        assert q / t == RadicalNumber.from_rational(q) * t.inverse()
+        assert t ** -n == (t ** n).inverse()
+
+
 class TestSquarefree:
     def test_decompose(self):
         assert squarefree_decompose(1) == (1, 1)
@@ -432,6 +456,41 @@ class TestHalfInteger:
         assert HalfInteger(2).twice == 4
         with pytest.raises(ValueError):
             HalfInteger("1/3")
+
+    @pytest.mark.parametrize("literal, twice", [
+        ("3", 6), ("-3/2", -3), ("+1/2", 1), (" 0.5 ", 1), ("\t2.0\n", 4), ("-0", 0), ("10/4", 5),
+        ("1.50", 3), ("10000000000000000000000.5", 20000000000000000000001),
+    ])
+    def test_good_literal(self, literal, twice):
+        assert HalfInteger(literal).twice == twice
+
+    @pytest.mark.parametrize("value", [
+        "0.50000000000000001", "1_0", "\u0661", "1.5e0", "1/0", "nan", "1.0e400",
+        "1/3", "0.25", "", "-", "1.", ".5", "1 / 2", "--1", "inf", "0x1", "1/2/2",
+        math.inf, -math.inf, math.nan, 0.25, Fraction(1, 3),
+    ])
+    def test_bad_value(self, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            HalfInteger(value)
+
+    @PROPERTIES
+    @given(st.sampled_from(["", "+", "-"]), st.integers(0, 10**20),
+           st.one_of(st.integers(1, 12).map("/{}".format), st.from_regex(r"\.[0-9]{1,20}", fullmatch=True)))
+    def test_literal_is_read_exactly(self, sign, n, tail):
+        literal = f"{sign}{n}{tail}"
+        twice = 2 * Fraction(literal)
+        if twice.denominator == 1:
+            assert HalfInteger(literal).twice == twice
+        else:
+            with pytest.raises(ValueError, match="not a half-integer"):
+                HalfInteger(literal)
+
+    def test_bool_or_other_type_is_a_type_error(self):
+        for value in (True, False, None, [1]):
+            with pytest.raises(TypeError):
+                HalfInteger(value)
+        assert HalfInteger(1).__eq__(True) is NotImplemented and HalfInteger(1) != True
+        assert HalfInteger(0).__eq__(False) is NotImplemented
 
     def test_arithmetic_and_order(self):
         h = HalfInteger(Fraction(1, 2))
