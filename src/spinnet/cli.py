@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact import HalfInteger, RadicalNumber
+from .exact import HalfInteger, RadicalNumber, parse_int
 from .graph import Diagram, deserialize, serialize, to_dot
 from .rewrite import DEFAULT_SIMPLIFY_RULES, simplify
 from .tensor import RankCapExceeded, _rank_cap, eval_diagram, plan_contraction, plug_basis
@@ -214,9 +214,9 @@ def cmd_symbol(args: argparse.Namespace) -> int:
 
 
 def _count(text: str, what: str) -> int:
-    """A non-negative int, called ``what`` in messages."""
+    """A non-negative int literal (see :func:`~spinnet.exact.parse_int`), called ``what``."""
     try:
-        n = int(text)
+        n = parse_int(text)
     except ValueError:
         raise CliError(f"{what} {text!r} is not an integer") from None
     if n < 0:
@@ -288,9 +288,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 # -- eval -----------------------------------------------------------------
 
 
-def _resolve_rank_cap(mode: str, rank_cap: Optional[int] = None) -> int:
+def _resolve_rank_cap(mode: str, text: Optional[str] = None) -> int:
+    """The ``--rank-cap`` literal ``text``, else as :func:`~spinnet.tensor._rank_cap` says."""
     try:
-        return _rank_cap(mode, rank_cap)
+        return _rank_cap(mode, None if text is None else _count(text, "rank cap"))
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -305,7 +306,7 @@ def _parse_plug(spec: str, d: Diagram) -> dict[int, int]:
             continue
         try:
             pos_s, bit_s = part.split("=")
-            pos, bit = int(pos_s), int(bit_s)
+            pos, bit = parse_int(pos_s), parse_int(bit_s)
         except ValueError:
             raise CliError(f"bad plug entry {part!r}; expected pos=bit") from None
         if not 0 <= pos < len(order):
@@ -319,6 +320,7 @@ def _parse_plug(spec: str, d: Diagram) -> dict[int, int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    cap = _resolve_rank_cap(args.mode, args.rank_cap)
     path = Path(args.file)
     if not path.exists():
         raise CliError(f"no such file: {path}")
@@ -336,7 +338,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "vertices_before": before,
             "vertices_after": len(d.vertices),
         }))
-    plan = plan_contraction(d, rank_cap=_resolve_rank_cap(args.mode, args.rank_cap), mode=args.mode)
+    plan = plan_contraction(d, rank_cap=cap, mode=args.mode)
     print(f"peak rank: {plan.peak_rank}  steps: {len(plan.steps)}  cost: {plan.cost}")
     try:
         t = eval_diagram(d, mode=args.mode, plan=plan)
@@ -428,7 +430,11 @@ def _parse_case(case) -> dict:
                 out["args"] = tuple(g.parse(str(case[f]), g.what) for f in g.fields)
             else:
                 raise CliError(f"unknown matrix builder {builder!r}")
-            out["expected"] = [[_radical(x) for x in row] for row in case["expected"]]
+            rows = case["expected"]
+            if not (isinstance(rows, list) and rows and all(
+                    isinstance(r, list) and r and len(r) == len(rows[0]) for r in rows)):
+                raise CliError(f"expected matrix {rows!r} is not a non-empty rectangular list of lists")
+            out["expected"] = [[_radical(x) for x in row] for row in rows]
             return out
         if kind not in ("6j", "3jm", "4jm", "invariant"):
             raise CliError(f"unknown case kind {kind!r}")
@@ -558,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("file")
     pe.add_argument("--mode", choices=["exact", "float"], default="exact")
     pe.add_argument("--plug", help="basis plugs, e.g. '0=1,1=0' (wire positions)")
-    pe.add_argument("--rank-cap", type=int, default=None)
+    pe.add_argument("--rank-cap")
     pe.add_argument("--simplify", action="store_true")
     pe.set_defaults(func=cmd_eval)
 

@@ -547,6 +547,8 @@ class HalfInteger:
     # Optional whitespace, an optional sign, digits, then optionally
     # /digits or .digits; ASCII only, so no "1_0", "1e3" or non-ASCII digits.
     _LITERAL = re.compile(r"\s*[+-]?\d+(?:/\d+|\.\d+)?\s*\Z", re.ASCII)
+    # The same without the fraction part: the literal of parse_int.
+    _INTEGER = re.compile(r"\s*[+-]?\d+\s*\Z", re.ASCII)
 
     def __init__(self, value: "HalfInteger | RationalLike | float | str") -> None:
         if isinstance(value, HalfInteger):
@@ -621,6 +623,14 @@ class HalfInteger:
 
     def __repr__(self) -> str:
         return f"HalfInteger({str(self)!r})"
+
+
+def parse_int(text: str) -> int:
+    """The int of a literal matching ``HalfInteger._INTEGER``; ValueError for
+    anything else, such as the "1_0" or non-ASCII digits that int() takes."""
+    if not HalfInteger._INTEGER.match(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def half_integer_range(j: HalfInteger) -> list[HalfInteger]:

@@ -15,6 +15,12 @@ Semantics (unnormalised linear-map convention):
   The default label -1 on a 2-legged box gives sqrt(2) times the Hadamard
   gate.
 
+Spider kinds and exact phases are decided here alone: every Z or X spider
+is made by :meth:`Diagram.add_spider`, and :func:`pi_quarters` says which
+phases have an exact factor omega^k (an int or Fraction on the pi/4 grid;
+any other needs float mode).  :func:`serialize` writes every int or
+Fraction phase as ``num``/``den``, so it stays exact through JSON.
+
 Vertex records (:class:`VertexData`) are immutable, so :meth:`Diagram.copy`
 and composition share them between diagrams; a rewrite replaces a record
 instead of editing it.  The JSON loader shares them too: vertices whose
@@ -67,9 +73,12 @@ def normalize_phase(phase: Phase) -> Phase:
     return float(phase) % 2.0
 
 
-def phase_is_exact(phase: Phase) -> bool:
-    """True if the phase admits an exact tensor in Q(i)[sqrt(2)]."""
-    return isinstance(phase, (Fraction, int)) and 4 % phase.denominator == 0
+def pi_quarters(phase: Phase) -> Optional[int]:
+    """k in 0..7 if an int or Fraction phase is k/4 mod 2, so its factor
+    e^(i pi phase) = omega^k is exact; None for a float or any other phase."""
+    if not isinstance(phase, (Fraction, int)) or 4 % phase.denominator:
+        return None
+    return phase.numerator * (4 // phase.denominator) % 8
 
 
 @dataclass(frozen=True)
@@ -101,11 +110,17 @@ class Diagram:
         self.vertices[v] = data
         return v
 
+    def add_spider(self, kind: str, phase: Phase = Fraction(0)) -> int:
+        """A Z or X spider, its phase reduced mod 2; ValueError for another kind."""
+        if kind != Z and kind != X:
+            raise ValueError(f"unknown spider kind {kind!r}")
+        return self._add_vertex(VertexData(kind, normalize_phase(phase)))
+
     def add_z(self, phase: Phase = Fraction(0)) -> int:
-        return self._add_vertex(VertexData(Z, normalize_phase(phase)))
+        return self.add_spider(Z, phase)
 
     def add_x(self, phase: Phase = Fraction(0)) -> int:
-        return self._add_vertex(VertexData(X, normalize_phase(phase)))
+        return self.add_spider(X, phase)
 
     def add_h(self, label: Optional[ExactScalar] = None) -> int:
         if label is None:
@@ -194,16 +209,10 @@ class Diagram:
 # -- generators -----------------------------------------------------------
 
 
-def make_spider(color: str, phase: Phase, n_in: int, n_out: int) -> Diagram:
-    """A single Z ('green') or X ('red') spider with boundary wires."""
-    if color in ("Z", "green"):
-        kind = Z
-    elif color in ("X", "red"):
-        kind = X
-    else:
-        raise ValueError(f"unknown spider color {color!r}")
+def make_spider(kind: str, phase: Phase, n_in: int, n_out: int) -> Diagram:
+    """A single Z or X spider with boundary wires."""
     d = Diagram()
-    s = d.add_z(phase) if kind == Z else d.add_x(phase)
+    s = d.add_spider(kind, phase)
     for _ in range(n_in):
         d.add_edge(d.add_input(), s)
     for _ in range(n_out):
@@ -303,7 +312,7 @@ def _record_tail(data: VertexData) -> str:
     an entry of the top-level ``"vertices"`` list."""
     entry: dict = {"kind": data.kind}
     if data.kind in (Z, X):
-        if isinstance(data.phase, Fraction):
+        if isinstance(data.phase, (Fraction, int)):  # the types pi_quarters reads exactly
             entry["phase"] = {"num": data.phase.numerator, "den": data.phase.denominator}
         else:
             entry["phase"] = {"float": float(data.phase)}
@@ -483,10 +492,9 @@ def to_dot(d: Diagram) -> str:
     lines = ["graph zxh {", "  node [fontsize=10];"]
     for v in sorted(d.vertices):
         data = d.vertices[v]
-        if data.kind == Z:
-            attrs = f'shape=circle style=filled fillcolor="#ccffcc" label="{data.phase}"'
-        elif data.kind == X:
-            attrs = f'shape=circle style=filled fillcolor="#ffcccc" label="{data.phase}"'
+        if data.kind in (Z, X):
+            fill = "#ccffcc" if data.kind == Z else "#ffcccc"
+            attrs = f'shape=circle style=filled fillcolor="{fill}" label="{data.phase}"'
         elif data.kind == H:
             attrs = 'shape=box style=filled fillcolor="#ffffcc" label="H"'
         else:

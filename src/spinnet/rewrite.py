@@ -21,7 +21,7 @@ Shipped rules (names are stable API):
 * ``hopf``          -- disconnect a doubly-connected Z/X pair (x1/2).
 * ``copy``          -- copy a basis state through an opposite-colour spider.
 * ``pi-copy``       -- push an arity-2 pi-spider through an opposite-colour
-  spider, negating its phase.
+  spider whose phase is on the pi/4 grid, negating that phase.
 * ``bialgebra``     -- replace a connected phase-free Z/X pair by the
   complete bipartite form.
 * ``color-change``  -- turn an X spider into a Z spider with an H-box on
@@ -61,7 +61,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .exact import ExactScalar
-from .graph import Diagram, H, VertexData, X, Z, compose_par, normalize_phase
+from .graph import Diagram, H, VertexData, X, Z, compose_par, normalize_phase, pi_quarters
 from .tensor import eval_diagram
 
 __all__ = [
@@ -192,7 +192,7 @@ class _Work:
         return v
 
     def add_spider(self, kind: str, phase=Fraction(0)) -> int:
-        return self._register(_add_spider(self.diagram, kind, phase))
+        return self._register(self.diagram.add_spider(kind, phase))
 
     def add_h(self) -> int:
         return self._register(self.diagram.add_h())
@@ -252,16 +252,6 @@ class _Work:
 _OTHER = {Z: X, X: Z}
 
 
-def _pi_multiple(phase) -> Optional[int]:
-    """0 or 1 for an exact phase that is an even or odd multiple of pi,
-    None for any other phase."""
-    if isinstance(phase, Fraction):
-        return phase.numerator % 2 if phase.denominator == 1 else None
-    if isinstance(phase, int):
-        return phase % 2
-    return None
-
-
 def _plain_hadamard_box(w: _Work, v: int) -> bool:
     """An arity-2 H-box labelled -1."""
     data = w.vertices[v]
@@ -274,10 +264,6 @@ def _sole_neighbour(w: _Work, v: int) -> Optional[int]:
         return None
     (n,) = w.inc[v].values()
     return n
-
-
-def _add_spider(d: Diagram, kind: str, phase=Fraction(0)) -> int:
-    return d.add_z(phase) if kind == Z else d.add_x(phase)
 
 
 def _add_outputs(d: Diagram, v: int, legs: int) -> None:
@@ -318,7 +304,7 @@ def _lhs_fuse(kind: str, p1, p2, links: int, a_ends: tuple, b_ends: tuple) -> tu
     """Two spiders joined by ``links`` edges; each flag of ``a_ends`` and
     ``b_ends`` adds a leg to an output (True) or an input (False)."""
     d = Diagram()
-    a, b = _add_spider(d, kind, p1), _add_spider(d, kind, p2)
+    a, b = d.add_spider(kind, p1), d.add_spider(kind, p2)
     for _ in range(links):
         d.add_edge(a, b)
     for v, ends in ((a, a_ends), (b, b_ends)):
@@ -350,7 +336,7 @@ def _a_remove_wire(w: _Work, site: tuple) -> None:
 
 def _lhs_remove_wire(kind: str, ph, legs: int) -> tuple[Diagram, tuple]:
     d = Diagram()
-    v = _add_spider(d, kind, ph)
+    v = d.add_spider(kind, ph)
     d.add_edge(v, v)
     _add_outputs(d, v, legs)
     return d, (0, v)
@@ -367,12 +353,7 @@ def _sample_kind_phase_legs(rng: random.Random) -> tuple:
 def _m_identity(w: _Work, v: int) -> list[tuple]:
     data = w.vertices[v]
     # Two incidence entries at degree 2 means no self-loop.
-    if (
-        data.kind in _SPIDERS
-        and w.deg[v] == 2
-        and len(w.inc[v]) == 2
-        and _pi_multiple(data.phase) == 0
-    ):
+    if data.kind in _SPIDERS and w.deg[v] == 2 and len(w.inc[v]) == 2 and pi_quarters(data.phase) == 0:
         return [(v,)]
     return []
 
@@ -386,7 +367,7 @@ def _a_identity(w: _Work, site: tuple) -> None:
 
 def _lhs_identity(kind: str) -> tuple[Diagram, tuple]:
     d = Diagram()
-    v = _add_spider(d, kind)
+    v = d.add_spider(kind)
     d.add_edge(v, d.add_input())
     d.add_edge(v, d.add_output())
     return d, (v,)
@@ -477,18 +458,13 @@ def _sample_hopf(rng: random.Random) -> tuple:
 
 def _m_copy(w: _Work, v: int) -> list[tuple]:
     data = w.vertices[v]
-    if data.kind not in _SPIDERS or _pi_multiple(data.phase) is None:
+    if data.kind not in _SPIDERS or pi_quarters(data.phase) not in (0, 4):
         return []
     n = _sole_neighbour(w, v)
     if n is None:
         return []
     nd = w.vertices[n]
-    if (
-        nd.kind in _SPIDERS
-        and nd.kind != data.kind
-        and _pi_multiple(nd.phase) == 0
-        and not w.looped(n)
-    ):
+    if nd.kind in _SPIDERS and nd.kind != data.kind and pi_quarters(nd.phase) == 0 and not w.looped(n):
         return [(v, n)]
     return []
 
@@ -507,8 +483,8 @@ def _a_copy(w: _Work, site: tuple) -> tuple:
 
 def _lhs_copy(kind: str, ph, legs: int) -> tuple[Diagram, tuple]:
     d = Diagram()
-    s = _add_spider(d, kind, ph)
-    t = _add_spider(d, _OTHER[kind])
+    s = d.add_spider(kind, ph)
+    t = d.add_spider(_OTHER[kind])
     d.add_edge(s, t)
     _add_outputs(d, t, legs)
     return d, (s, t)
@@ -523,7 +499,7 @@ def _sample_copy(rng: random.Random) -> tuple:
 
 def _m_pi_copy(w: _Work, v: int) -> list[tuple]:
     data = w.vertices[v]
-    if data.kind not in _SPIDERS or w.deg[v] != 2 or _pi_multiple(data.phase) != 1:
+    if data.kind not in _SPIDERS or w.deg[v] != 2 or pi_quarters(data.phase) != 4:
         return []
     ends = list(w.inc[v].values())
     if len(ends) != 2 or ends[0] == ends[1]:
@@ -534,7 +510,7 @@ def _m_pi_copy(w: _Work, v: int) -> list[tuple]:
         if (
             nd.kind in _SPIDERS
             and nd.kind != data.kind
-            and isinstance(nd.phase, (int, Fraction))
+            and pi_quarters(nd.phase) is not None  # the scalar depends on it, so it must be exact
             and not w.looped(n)
         ):
             out.append((v, n))
@@ -560,8 +536,8 @@ def _a_pi_copy(w: _Work, site: tuple) -> tuple:
 
 def _lhs_pi_copy(kind: str, ph, legs: int) -> tuple[Diagram, tuple]:
     d = Diagram()
-    pi_sp = _add_spider(d, kind, _PI)
-    sp = _add_spider(d, _OTHER[kind], ph)
+    pi_sp = d.add_spider(kind, _PI)
+    sp = d.add_spider(_OTHER[kind], ph)
     d.add_edge(d.add_input(), pi_sp)
     d.add_edge(pi_sp, sp)
     _add_outputs(d, sp, legs)
@@ -575,12 +551,12 @@ def _m_bialgebra(w: _Work, z: int) -> list[tuple]:
     # Anchored at the Z spider; self-loops on the pair are left to
     # remove-wire.
     data = w.vertices[z]
-    if data.kind != Z or _pi_multiple(data.phase) != 0 or w.looped(z):
+    if data.kind != Z or pi_quarters(data.phase) != 0 or w.looped(z):
         return []
     out = []
     for x, n in Counter(w.inc[z].values()).items():
         xd = w.vertices[x]
-        if n == 1 and xd.kind == X and _pi_multiple(xd.phase) == 0 and not w.looped(x):
+        if n == 1 and xd.kind == X and pi_quarters(xd.phase) == 0 and not w.looped(x):
             out.append((z, x))
     return out
 
@@ -638,8 +614,8 @@ def _a_color_change(w: _Work, site: tuple) -> tuple:
         h = w.add_h()
         w.add_edge(z, h)
         w.add_edge(h, nb)
-    # The phase stays on the spider: a float phase shares the scalar of 0.
-    key_ph = Fraction(ph) % 2 if isinstance(ph, (int, Fraction)) else Fraction(0)
+    # The phase stays on the spider: one off the pi/4 grid shares the scalar of 0.
+    key_ph = Fraction(ph) % 2 if pi_quarters(ph) is not None else Fraction(0)
     return ("color-change", key_ph, len(ends))
 
 
@@ -662,7 +638,7 @@ def _m_absorb(w: _Work, v: int) -> list[tuple]:
     # (label kept); X(0) = sqrt(2)|0> selects the all-ones-free slice
     # (label becomes 1).
     data = w.vertices[v]
-    if data.kind != X or _pi_multiple(data.phase) is None:
+    if data.kind != X or pi_quarters(data.phase) not in (0, 4):
         return []
     n = _sole_neighbour(w, v)
     return [(v, n)] if n is not None and w.vertices[n].kind == H else []
@@ -701,7 +677,7 @@ def _m_explode(w: _Work, v: int) -> list[tuple]:
     data = w.vertices[v]
     if data.kind == H:
         return [(-1, v)] if data.label == _ONE and not w.looped(v) else []
-    if data.kind != Z or _pi_multiple(data.phase) != 0:
+    if data.kind != Z or pi_quarters(data.phase) != 0:
         return []
     n = _sole_neighbour(w, v)
     return [(v, n)] if n is not None and w.vertices[n].kind == H else []
@@ -918,7 +894,7 @@ def _random_host(rng: random.Random) -> Diagram:
     spiders = []
     for _ in range(rng.randrange(0, 4)):
         kind = rng.choice((Z, X))
-        spiders.append(_add_spider(d, kind, Fraction(rng.randrange(4), 2)))
+        spiders.append(d.add_spider(kind, Fraction(rng.randrange(4), 2)))
     for v in spiders:
         for _ in range(rng.randrange(0, 3)):
             if spiders and rng.random() < 0.5:

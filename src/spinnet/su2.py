@@ -330,7 +330,7 @@ def _pi_on(d: Diagram, port: int, kind: Optional[str]) -> int:
     ``port`` itself if ``kind`` is None."""
     if kind is None:
         return port
-    v = d.add_z(_PI) if kind == Z else d.add_x(_PI)
+    v = d.add_spider(kind, _PI)
     d.add_edge(port, v)
     return v
 

@@ -66,8 +66,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import ExactScalar
-from .graph import B, Diagram, H, VertexData, X, Z, phase_is_exact
+from .exact import ExactScalar, parse_int
+from .graph import B, Diagram, H, VertexData, X, Z, pi_quarters
 
 __all__ = [
     "Tensor",
@@ -101,7 +101,7 @@ def _rank_cap(mode: str, rank_cap: Optional[int]) -> int:
     env = os.environ.get("SPINNET_RANK_CAP")
     if env:
         try:
-            cap = int(env)
+            cap = parse_int(env)
         except ValueError:
             raise ValueError(f"SPINNET_RANK_CAP={env!r} is not an integer") from None
         if cap < 0:
@@ -142,9 +142,8 @@ def _exact_factor(data: VertexData) -> Optional[ExactScalar]:
     """An H-box's label, e^(i pi phase) on the pi/4 grid, else None."""
     if data.kind == H:
         return data.label
-    if phase_is_exact(data.phase):
-        return ExactScalar.phase_quarter(data.phase.numerator * 4 // data.phase.denominator)
-    return None
+    k = pi_quarters(data.phase)
+    return None if k is None else ExactScalar.phase_quarter(k)
 
 
 def _inv_sqrt2_power(n: int) -> ExactScalar:
@@ -290,11 +289,10 @@ def _split_spiders(d: Diagram) -> Diagram:
             ends[b].append((i, 1))
     out = d.copy()
     for v, es in ends.items():
-        add = out.add_z if d.vertices[v].kind == Z else out.add_x
-        prev = v
+        kind, prev = d.vertices[v].kind, v
         for n, (i, side) in enumerate(es[2:], start=3):
             if n < len(es):  # every end but the last opens a new link
-                w = add()
+                w = out.add_spider(kind)
                 out.edges.append((prev, w))
                 prev = w
             a, b = out.edges[i]

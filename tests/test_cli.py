@@ -45,6 +45,8 @@ def run_usage_error(capsys, *argv):
 
 # Spins that are not exact half-integer literals, or not finite: each is a usage error.
 BAD_SPIN_LITERALS = ["1.0e400", "0.50000000000000001", "1_0", "\u0661", "1.5e0", "1/0", "nan"]
+# Counts that int() reads but the ASCII integer literal does not: each is a usage error.
+BAD_COUNT_LITERALS = ["1_0", "\u0663", " \u0663 ", "\u00a03", "3.0", "1e1", "x"]
 
 
 class TestSymbol:
@@ -361,13 +363,39 @@ class TestUsageErrors:
         err = run_usage_error(capsys, *(w.format(literal) for w in command))
         assert err.startswith(f"error: invalid spin {literal!r}: "), err
 
-    @pytest.mark.parametrize("command", ["eval", "verify"])
-    def test_malformed_rank_cap_env(self, capsys, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("command, value", [
+        pytest.param("eval", "abc", id="eval"),
+        pytest.param("verify", "abc", id="verify"),
+        *(pytest.param(c, v, id=f"{c}-{name}") for c in ("eval", "verify")
+          for v, name in (("1_0", "underscore"), (" \u0663 ", "non-ascii-digit"), ("\u00a05", "nbsp"))),
+    ])
+    def test_malformed_rank_cap_env(self, capsys, tmp_path, monkeypatch, command, value):
         path = tmp_path / "s2.json"
         run(capsys, "build", "symmetriser", "2", "--out", str(path))
-        monkeypatch.setenv("SPINNET_RANK_CAP", "abc")
+        monkeypatch.setenv("SPINNET_RANK_CAP", value)
         target = str(path) if command == "eval" else "paper.json"
-        assert "SPINNET_RANK_CAP" in run_usage_error(capsys, command, target)
+        err = run_usage_error(capsys, command, target)
+        assert f"SPINNET_RANK_CAP={value!r} is not an integer" in err
+
+    @pytest.mark.parametrize("literal", BAD_COUNT_LITERALS)
+    @pytest.mark.parametrize("argv, what", [
+        (["build", "symmetriser"], "wire count"), (["build", "crown"], "stage number"),
+    ], ids=["symmetriser", "crown"])
+    def test_bad_count_literal_exits_2(self, capsys, argv, what, literal):
+        err = run_usage_error(capsys, *argv, literal)
+        assert err == f"error: {what} {literal!r} is not an integer\n"
+
+    @pytest.mark.parametrize("literal", BAD_COUNT_LITERALS)
+    def test_bad_rank_cap_literal_exits_2(self, capsys, tmp_path, literal):
+        path = tmp_path / "s2.json"
+        run(capsys, "build", "symmetriser", "2", "--out", str(path))
+        err = run_usage_error(capsys, "eval", str(path), "--rank-cap", literal)
+        assert err == f"error: rank cap {literal!r} is not an integer\n"
+
+    @pytest.mark.parametrize("literal", [" 3 ", "+3", "03"])
+    def test_count_literal_takes_spaces_sign_and_zeros(self, capsys, literal):
+        code, out, _ = run(capsys, "build", "symmetriser", literal)
+        assert code == EXIT_OK and "inputs: 3  outputs: 3" in out
 
     def test_negative_rank_cap_option(self, capsys, tmp_path):
         path = tmp_path / "s2.json"
@@ -395,7 +423,11 @@ class TestUsageErrors:
         ("0", "bad plug entry '0'; expected pos=bit"),
         ("4=0", "plug position 4 out of range (diagram has 4 wires)"),
         ("0=2", "plug bit must be 0 or 1, got 2"),
-    ], ids=["repeated", "repeated-same-bit", "malformed", "out-of-range", "bit"])
+        ("0_0=1", "bad plug entry '0_0=1'; expected pos=bit"),
+        ("\u0660=\u0661", "bad plug entry '\u0660=\u0661'; expected pos=bit"),
+        ("0=1_0", "bad plug entry '0=1_0'; expected pos=bit"),
+    ], ids=["repeated", "repeated-same-bit", "malformed", "out-of-range", "bit",
+            "underscore-position", "non-ascii-digits", "underscore-bit"])
     def test_bad_plug_exits_2(self, capsys, tmp_path, plug, message):
         path = tmp_path / "s2.json"
         run(capsys, "build", "symmetriser", "2", "--out", str(path))
@@ -476,6 +508,22 @@ class TestVerify:
         assert err.startswith("error: case 'bad-case': ") and err.count("\n") == 1, err
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("bad, message", [
+        *(({"builder": "cswap", "expected": e}, f"expected matrix {e!r} is not a non-empty rectangular list of lists")
+          for e in (["10", "01"], [["1", "0"], "01"], [["1"], 1], [["1", "0"], ["0"]], [], [[]], "1")),
+        *(({"builder": "symmetriser", "n": n, "expected": [["1"]]}, f"wire count {n!r} is not an integer")
+          for n in ("1_0", "\u0663", " \u0663 ")),
+    ], ids=["string-rows", "string-row", "int-row", "ragged", "empty", "empty-row", "string",
+            "n-underscore", "n-non-ascii-digit", "n-padded-non-ascii-digit"])
+    def test_malformed_matrix_case_exits_2_before_any_case_runs(self, capsys, tmp_path, bad, message):
+        good = {"id": "good-loop", "kind": "invariant", "which": "loop",
+                "spins": ["1/2"], "policy": "exact", "expected": "2"}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"version": 1, "cases": [good, {"id": "bad-matrix", "kind": "matrix", **bad}]}))
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: case 'bad-matrix': {message}\n"
 
     @pytest.mark.parametrize("value", ["1e400", '"1.0e400"', "true"], ids=["json-infinity", "string", "bool"])
     @pytest.mark.parametrize("case", [

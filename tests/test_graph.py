@@ -23,6 +23,7 @@ from spinnet.graph import (
     identity_diagram,
     make_hbox,
     make_spider,
+    pi_quarters,
     serialize,
     to_dot,
 )
@@ -166,7 +167,7 @@ def open_diagrams(draw, n_in=None, n_out=None):
             vs.append(d.add_h(draw(exact_scalars)))
         else:
             phase = Fraction(draw(st.integers(0, 7)), 4)
-            vs.append(d.add_z(phase) if kind == Z else d.add_x(phase))
+            vs.append(d.add_spider(kind, phase))
     # The wires of one side end on distinct vertices, so their order matters.
     for b, v in zip(ins, draw(st.permutations(vs))):
         d.add_edge(b, v)
@@ -212,7 +213,7 @@ def to_json_dict(d: Diagram) -> dict:
         data = d.vertices[v]
         entry: dict = {"id": v, "kind": data.kind}
         if data.kind in (Z, X):
-            if isinstance(data.phase, Fraction):
+            if isinstance(data.phase, (Fraction, int)):
                 entry["phase"] = {"num": data.phase.numerator, "den": data.phase.denominator}
             else:
                 entry["phase"] = {"float": float(data.phase)}
@@ -375,3 +376,63 @@ def test_malformed_documents_raise_only_value_error(data):
         from_json_dict(obj)
     except ValueError:
         pass
+
+
+# -- the exact-phase rule and the spider constructor ------------------------
+
+phase_cases = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 16)),  # built unreduced, either sign
+    st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.75, 2.0, -1.0]), st.floats(-4, 4)),
+)
+
+
+def _one_spider(kind: str, phase) -> Diagram:
+    """A record of the given phase as it is, not normalised, on three legs."""
+    d = Diagram()
+    s = d._add_vertex(VertexData(kind, phase))
+    d.add_edge(d.add_input(), s)
+    for _ in range(2):
+        d.add_edge(s, d.add_output())
+    return d
+
+
+@PROPERTIES
+@given(phase_cases)
+def test_exact_phase_rule_property(phase):
+    # An int or Fraction phase p is on the pi/4 grid exactly when 4p is an
+    # integer k, and then pi_quarters(p) is k mod 8; a float never is.
+    quarters = None if isinstance(phase, float) else Fraction(phase) * 4
+    want = None if quarters is None or quarters.denominator != 1 else int(quarters) % 8
+    assert pi_quarters(phase) == want
+    for kind in (Z, X):
+        d = _one_spider(kind, phase)
+        text = serialize(d)
+        assert text == reference_text(d)
+        loaded = deserialize(text)
+        flt = eval_diagram(d, mode="float").data
+        assert np.array_equal(eval_diagram(loaded, mode="float").data, flt)
+        if want is None:
+            for diagram in (d, loaded):
+                with pytest.raises(ValueError, match="requires float mode"):
+                    eval_diagram(diagram, mode="exact")
+            continue
+        exact = eval_diagram(d, mode="exact")
+        assert np.abs(exact.to_numpy() - flt).max() <= 1e-12
+        assert (eval_diagram(loaded, mode="exact").data == exact.data).all()
+
+
+@pytest.mark.parametrize("kind", [H, B, "green", "red", "z", None])
+def test_add_spider_takes_only_z_or_x(kind):
+    with pytest.raises(ValueError, match="unknown spider kind"):
+        Diagram().add_spider(kind)
+    with pytest.raises(ValueError, match="unknown spider kind"):
+        make_spider(kind, Fraction(0), 1, 1)
+
+
+def test_add_spider_reduces_the_phase():
+    d = Diagram()
+    z, x = d.add_spider(Z, 5), d.add_spider(X, Fraction(-1, 4))
+    assert d.vertices[z] == VertexData(Z, Fraction(1)) and d.vertices[x] == VertexData(X, Fraction(7, 4))
+    assert d.vertices[d.add_spider(Z, -0.5)].phase == 1.5
+

@@ -332,6 +332,11 @@ def _ref_copy(d: Diagram) -> list[tuple]:
     return sorted(out)
 
 
+def _ref_on_grid(phase) -> bool:
+    """An int or Fraction phase with an exact tensor: a multiple of pi/4."""
+    return isinstance(phase, (int, Fraction)) and (Fraction(phase) * 4).denominator == 1
+
+
 def _ref_pi_copy(d: Diagram) -> list[tuple]:
     out = []
     for v, data in d.vertices.items():
@@ -345,7 +350,7 @@ def _ref_pi_copy(d: Diagram) -> list[tuple]:
                 w != v
                 and wd.kind in (Z, X)
                 and wd.kind != data.kind
-                and isinstance(wd.phase, (int, Fraction))
+                and _ref_on_grid(wd.phase)
                 and sum(1 for a, b in d.edges if {a, b} == {v, w}) == 1
                 and not any(a == b == w for a, b in d.edges)
             ):
@@ -564,7 +569,7 @@ def _ref_a_copy(d: Diagram, site: tuple) -> Diagram:
     legs = len(others)
     out.edges = [(a, b) for a, b in out.edges if v not in (a, b) and w not in (a, b)]
     for _i, n in others:
-        s = out.add_z(ph) if kind == Z else out.add_x(ph)
+        s = out.add_spider(kind, ph)
         out.add_edge(s, n)
     del out.vertices[v]
     del out.vertices[w]
@@ -586,7 +591,7 @@ def _ref_a_pi_copy(d: Diagram, site: tuple) -> Diagram:
     sp2 = out.add_x(-ph) if kind == Z else out.add_z(-ph)
     out.add_edge(n_outer, sp2)
     for _i, n in others:
-        p = out.add_z(rw._PI) if kind == Z else out.add_x(rw._PI)
+        p = out.add_spider(kind, rw._PI)
         out.add_edge(sp2, p)
         out.add_edge(p, n)
     del out.vertices[v]
@@ -636,7 +641,7 @@ def _ref_a_color_change(d: Diagram, site: tuple) -> Diagram:
         out.add_edge(z, h)
         out.add_edge(h, nb)
     del out.vertices[v]
-    key_ph = Fraction(ph) % 2 if isinstance(ph, (int, Fraction)) else Fraction(0)
+    key_ph = Fraction(ph) % 2 if _ref_on_grid(ph) else Fraction(0)
     out.mul_scalar(_scalar("color-change", key_ph, len(inc)))
     return out
 
@@ -833,8 +838,7 @@ def _pair(kind_a, phase_a, kind_b, phase_b, links=1, loop_on_b=False, legs=1, st
     """Spider a -- spider b (``links`` parallel edges), one input on a unless
     a is a ``state``, and ``legs`` outputs on b; optionally a self-loop on b."""
     d = Diagram()
-    a = d.add_z(phase_a) if kind_a == Z else d.add_x(phase_a)
-    b = d.add_z(phase_b) if kind_b == Z else d.add_x(phase_b)
+    a, b = d.add_spider(kind_a, phase_a), d.add_spider(kind_b, phase_b)
     if not state:
         d.add_edge(d.add_input(), a)
     for _ in range(links):
@@ -856,8 +860,10 @@ def _pair(kind_a, phase_a, kind_b, phase_b, links=1, loop_on_b=False, legs=1, st
     _pair(Z, Fraction(2), X, Fraction(-2), legs=3),  # unnormalised even phases
     _pair(Z, Fraction(1), X, Fraction(0), loop_on_b=True, state=True),  # copy onto a looped spider
     _pair(Z, Fraction(1), X, 0.0, legs=2, state=True),  # copy onto a float phase
+    _pair(Z, Fraction(1), X, Fraction(1, 3), legs=2),  # pi-copy onto a phase off the pi/4 grid
+    _pair(X, Fraction(1, 3), Z, Fraction(1, 6), legs=2),  # color-change of a phase off the grid
 ], ids=["pi-copy-float", "pi-copy-loop", "pi-copy-double", "float-zero", "triple-link",
-        "hopf-loop", "unnormalised", "copy-loop", "copy-float"])
+        "hopf-loop", "unnormalised", "copy-loop", "copy-float", "pi-copy-off-grid", "color-change-off-grid"])
 def test_matcher_guards_match_reference(d):
     assert_matchers_agree(d)
     assert_appliers_agree(d)
@@ -882,8 +888,7 @@ def zxh_diagrams(draw):
         if kind == H:
             d.add_h(draw(st.sampled_from(_LABELS)))
         else:
-            phase = draw(st.sampled_from(_PHASES))
-            d.add_z(phase) if kind == Z else d.add_x(phase)
+            d.add_spider(kind, draw(st.sampled_from(_PHASES)))
     rng = draw(st.randoms(use_true_random=False))
     for rule in draw(st.lists(st.sampled_from(sorted(RULES)), min_size=1, max_size=3)):
         r = RULES[rule]
@@ -934,3 +939,14 @@ def test_editing_a_copy_leaves_the_original():
     del c.edges[0]
     c.add_z()
     assert serialize(d) == text
+
+
+@pytest.mark.parametrize("phase", [Fraction(1, 3), Fraction(-5, 6), 0.3])
+def test_rules_at_a_phase_off_the_grid(phase):
+    # pi-copy's scalar depends on the other spider's phase, so that phase
+    # must be exact; color-change's does not, so it rewrites any X spider.
+    assert find_matches(_pair(Z, Fraction(1), X, phase, legs=2), "pi-copy") == []
+    d = _pair(X, phase, Z, Fraction(1, 2), legs=2)
+    got = apply_rule(d, "color-change", (0,))
+    assert np.abs(to_matrix(got, mode="float") - to_matrix(d, mode="float")).max() <= 1e-12
+

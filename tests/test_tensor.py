@@ -388,7 +388,7 @@ def clifford_diagrams(draw):
             vs.append(d.add_h(draw(exact_scalars)))
         else:
             phase = Fraction(draw(st.integers(0, 3)), 2)
-            vs.append(d.add_z(phase) if kind == Z else d.add_x(phase))
+            vs.append(d.add_spider(kind, phase))
     for _ in range(draw(st.integers(0, 8))):
         a = draw(st.sampled_from(vs))
         b = draw(st.sampled_from(vs + [None]))
