@@ -416,6 +416,9 @@ def _parse_case(case) -> dict:
     """
     if not isinstance(case, dict):
         raise CliError(f"manifest case {case!r} is not an object")
+    for name in ("id", "source"):  # both are printed as text
+        if not isinstance(case.get(name, ""), str):
+            raise CliError(f"case {case.get('id', '?')!r}: {name} {case[name]!r} is not a string")
     out = dict(case)
     kind = case.get("kind")
     try:

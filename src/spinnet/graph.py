@@ -383,10 +383,11 @@ def _list_field(obj: dict, name: str) -> list:
 
 def _record(key: tuple, v: int) -> VertexData:
     """The vertex record of a loader key: ``(kind, num, den, type(num),
-    type(den))`` or ``(kind, float.hex())`` for a spider, ``("H", label
-    text)`` or ``("B",)``.  ``v`` names the first vertex with the key in a
-    ValueError; the types in the key keep ``1.0`` or ``true`` from sharing
-    the record of ``1``, so every entry is checked alike."""
+    type(den))`` or ``(kind, x, type(x), has num or den)`` for a spider, a
+    float ``x`` as its ``hex()``, ``("H", label text)`` or ``("B",)``.  ``v``
+    names the first vertex with the key in a ValueError; the types in the
+    key keep ``1.0`` or ``true`` from sharing the record of ``1``, so every
+    entry is checked alike."""
     kind, *rest = key
     if kind == H:
         if not isinstance(rest[0], str):
@@ -394,8 +395,19 @@ def _record(key: tuple, v: int) -> VertexData:
         return VertexData(H, Fraction(0), ExactScalar.deserialize(rest[0]))
     if kind == B:
         return VertexData(B)
-    if len(rest) == 1:
-        return VertexData(kind, float.fromhex(rest[0]))
+    if len(rest) == 3:
+        x, t, exact_too = rest
+        if exact_too:
+            raise ValueError(f'vertex {v} phase has both "float" and "num"/"den"')
+        if t is not float and t is not int:  # a bool's type is bool
+            raise ValueError(f"vertex {v} float phase {x!r} is not a JSON number")
+        try:
+            phase = float.fromhex(x) if t is float else float(x)
+        except OverflowError:
+            phase = math.inf
+        if not math.isfinite(phase):
+            raise ValueError(f"vertex {v} phase {phase} is not finite")
+        return VertexData(kind, phase)
     num, den, *types = rest
     if types != [int, int]:
         raise ValueError(f"vertex {v} phase is not a ratio of integers")
@@ -410,7 +422,8 @@ def from_json_dict(obj: dict) -> Diagram:
 
     Vertices with the same entry, apart from the id, share one immutable
     :class:`VertexData`, so each distinct phase or label is parsed once.
-    Vertex ids, edge ends and boundary entries must be non-negative ints.
+    Vertex ids, edge ends and boundary entries must be non-negative ints; a
+    ``float`` phase, a JSON number (not a bool) with no ``num`` or ``den``.
     """
     if not isinstance(obj, dict):
         raise ValueError("diagram JSON must be an object")
@@ -434,13 +447,9 @@ def from_json_dict(obj: dict) -> Diagram:
         if kind in (Z, X):
             p = entry.get("phase", _NO_PHASE)
             if isinstance(p, dict) and "float" in p:
-                try:
-                    phase = float(p["float"])
-                except (TypeError, ValueError):
-                    raise ValueError(f"vertex {v} phase {p!r} is not a number") from None
-                if not math.isfinite(phase):
-                    raise ValueError(f"vertex {v} phase {p!r} is not finite")
-                key: tuple = (kind, phase.hex())  # keeps -0.0 apart from 0.0
+                x = p["float"]
+                # float.hex() keeps -0.0 apart from 0.0
+                key: tuple = (kind, x.hex() if type(x) is float else x, type(x), "num" in p or "den" in p)
             else:
                 try:
                     num, den = p["num"], p["den"]

@@ -44,10 +44,10 @@ order and that program.  Two modes:
   complex128.
 
 In both modes :func:`eval_diagram` builds the tensor of each distinct
-(kind, phase, label, degree, self-loops) once per call and shares it,
-read-only, between the nodes that have it.  A node with self-loops is built
-at its full degree and traced on its trailing axes, which is exact because
-every Z, X and H tensor is symmetric in its legs.
+(kind, phase, label, ports, self-loops) once per call, at its port count,
+and shares it, read-only, between the nodes that have it.  Self-loops obey
+the loop identities: one drops from a Z or X spider with no scalar, and k
+on an H-box labelled c give 2^k, and 2^k - 1 + c at the all-ones corner.
 
 Matrix convention: inputs index columns and outputs index rows; wire 0 is
 the most significant bit on each side.
@@ -158,12 +158,15 @@ _PARITY = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0], dtype=np.in
 _PARITY.flags.writeable = False
 
 
-def _vertex_entries(kind: str, degree: int, c, s) -> tuple[list, np.ndarray]:
+def _vertex_entries(kind: str, degree: int, c, s, loops: int = 0) -> tuple[list, np.ndarray]:
     """The distinct entry values of a Z, X or H tensor (as in
-    :mod:`spinnet.graph`) and its index pattern: entry ``i`` of the flattened
-    tensor is ``values[pattern[i]]``.  ``c`` is an H-box's label or a
-    spider's e^(i pi phase) and ``s`` the X normalisation (1/sqrt2)^degree,
-    of any number type that adds to and multiplies ints."""
+    :mod:`spinnet.graph`) with ``degree`` legs and ``loops`` self-loops, and
+    its index pattern: entry ``i`` of the flattened tensor is
+    ``values[pattern[i]]``.  ``c`` is an H-box's label or a spider's
+    e^(i pi phase) and ``s`` the X normalisation (1/sqrt2)^degree, of any
+    number type that adds to and multiplies ints.  A self-loop drops from a
+    Z or X spider with no scalar (X: the trace's 2 cancels (1/sqrt2)^2); k
+    loops on an H-box sum 2^k entries, so its all-ones corner is 2^k - 1 + c."""
     if kind == X:
         pattern = _PARITY[: 2 ** degree]
         for _ in range(degree - 4):  # one more leading wire per pass
@@ -177,17 +180,17 @@ def _vertex_entries(kind: str, degree: int, c, s) -> tuple[list, np.ndarray]:
         return [0, 1, c, 1 + c] if degree == 0 else [0, 1, c], pattern
     if kind == H:
         pattern[-1] = 1
-        return [1, c], pattern
+        return [2 ** loops, 2 ** loops - 1 + c], pattern
     raise ValueError(f"no tensor for vertex kind {kind!r}")
 
 
-def _omega_vertex(data: VertexData, degree: int) -> _OmegaTensor:
+def _omega_vertex(data: VertexData, degree: int, loops: int = 0) -> _OmegaTensor:
     """The vertex tensor over Z[omega]: the exact values' coefficient tables,
     over one denominator, indexed by the pattern."""
     c = _exact_factor(data)
     if c is None:
         raise ValueError(f"phase {data.phase}*pi requires float mode")
-    values, pattern = _vertex_entries(data.kind, degree, c, _inv_sqrt2_power(degree))
+    values, pattern = _vertex_entries(data.kind, degree, c, _inv_sqrt2_power(degree), loops)
     forms = [ExactScalar._coerce(v).omega for v in values]
     den = math.lcm(*(d for _, d in forms))
     table = np.array([[a[k] * (den // d) for a, d in forms] for k in range(4)], dtype=object)
@@ -235,13 +238,13 @@ def _exact_array(t: _OmegaTensor) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def _float_vertex(data: VertexData, degree: int) -> np.ndarray:
+def _float_vertex(data: VertexData, degree: int, loops: int = 0) -> np.ndarray:
     """The vertex tensor in floats: the exact values each rounded once, or
     off the pi/4 grid those of a complex ``c`` and a float ``s``."""
     c, s = _exact_factor(data), _inv_sqrt2_power(degree)
     if c is None:
         c, s = complex(np.exp(1j * np.pi * float(data.phase))), s.to_complex().real
-    values, pattern = _vertex_entries(data.kind, degree, c, s)
+    values, pattern = _vertex_entries(data.kind, degree, c, s, loops)
     values = [complex(v) for v in values]
     if all(v.imag == 0 for v in values):
         values = [v.real for v in values]
@@ -319,11 +322,12 @@ class ContractionPlan:
     ``~a`` for the identity node on a wire between boundaries ``a`` and
     ``b`` (``a < b``).  A port is an int: the edge index of a wire to
     another node, or ``~v`` for the open wire of boundary ``v``.  A self-loop
-    takes no port; it is counted in ``self_loops``.  ``program`` is
-    ``(one _Step per step, perm)``, where ``perm`` puts the last tensor's
-    axes in the diagram's boundary order, inputs then outputs; the search
-    writes each step as it makes the merge.  ``diagram`` is the diagram the
-    plan was made for, before the split.
+    takes no port and adds no rank; it is counted in ``self_loops``, as
+    every tensor is built at its port count (see :func:`_vertex_entries`).
+    ``program`` is ``(one _Step per step, perm)``, where ``perm`` puts the
+    last tensor's axes in the diagram's boundary order, inputs then outputs;
+    the search writes each step as it makes the merge.  ``diagram`` is the
+    diagram the plan was made for, before the split.
     """
 
     steps: list[tuple[int, int]] = field(default_factory=list)  # (k1, k2), k1 < k2: k2 folds into k1
@@ -370,9 +374,9 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     keys); the merged node takes the smaller key.  When no two nodes share
     an edge, the smallest key is merged with the node of least rank (ties:
     smallest key) as an outer product, so a plan leaves one node.  Raises
-    :class:`RankCapExceeded` if the peak rank exceeds the cap, or the port
-    count of a node does with its self-loops (the rank at which
-    :func:`eval_diagram` builds its tensor).
+    :class:`RankCapExceeded` if the peak rank exceeds the cap, as one node's
+    port count may already do.  Self-loops add no rank: each node's tensor
+    is built at its port count (see :func:`_vertex_entries`).
 
     The search is incremental: every connected pair has an entry in a heap
     keyed by its score, the pair's merged rank and cost exponent.  A popped
@@ -392,9 +396,7 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     ports: dict[int, list[int]] = {}  # node -> its ports, in its tensor's axis order
     nbr: dict[int, dict[int, int]] = {}  # node -> {neighbour: shared edges}
     owner: dict[int, int] = {}  # port -> first node seen holding it
-    widest = 0  # eval_diagram builds each vertex tensor before it traces out self-loops
-    for k, (_, p, loops) in plan.nodes.items():
-        widest = max(widest, len(p) + 2 * loops)
+    for k, (_, p, _) in plan.nodes.items():
         ports[k] = list(p)
         nbr[k] = {}
         for i in p:  # an edge index is in two nodes, an open port in one
@@ -411,9 +413,9 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
                 width = len(ports[a]) + len(ports[b])
                 heap.append((width - 2 * shared, width - shared, a, b))
     heapify(heap)
-    if widest > cap:
-        raise RankCapExceeded(f"initial vertex rank {widest} exceeds cap {cap}")
     plan.peak_rank = max(map(len, ports.values()), default=0)
+    if plan.peak_rank > cap:
+        raise RankCapExceeded(f"initial vertex rank {plan.peak_rank} exceeds cap {cap}")
     program: list[_Step] = []
     while len(ports) > 1:
         while heap:
@@ -503,24 +505,11 @@ class Tensor:
         return self.data.item()
 
 
-def _trace_trailing(a: np.ndarray, loops: int) -> np.ndarray:
-    """Trace out ``loops`` self-loops on the trailing axes of ``a``, joining
-    axis ``n + i`` to axis ``n + loops + i``; exact for the Z, X and H
-    tensors, which are symmetric in their legs."""
-    n, side = a.ndim - 2 * loops, 2 ** loops
-    return np.trace(a.reshape(2 ** n, side, side), axis1=1, axis2=2).reshape((2,) * n)
-
-
 class _Exact:
     """Contraction steps over ``_OmegaTensor``; results are ExactScalar."""
 
     vertex = staticmethod(_omega_vertex)
     contract = staticmethod(_omega_contract)
-
-    @staticmethod
-    def trace(t: _OmegaTensor, loops: int) -> _OmegaTensor:
-        coeffs, den = t
-        return _reduced([None if c is None else _trace_trailing(c, loops) for c in coeffs], den)
 
     @staticmethod
     def freeze(t: _OmegaTensor) -> _OmegaTensor:
@@ -542,7 +531,6 @@ class _Float:
     complex128."""
 
     vertex = staticmethod(_float_vertex)
-    trace = staticmethod(_trace_trailing)
 
     @staticmethod
     def contract(a: np.ndarray, b: np.ndarray, pa, pb, m, s, n, shape) -> np.ndarray:
@@ -594,8 +582,7 @@ def eval_diagram(
         key = (data.kind, type(data.phase), data.phase, data.label, len(ports), loops)
         t = built.get(key)
         if t is None:
-            t = ops.vertex(data, len(ports) + 2 * loops)
-            t = built[key] = ops.freeze(ops.trace(t, loops) if loops else t)
+            t = built[key] = ops.freeze(ops.vertex(data, len(ports), loops))
         tensors[k] = t
     steps, perm = plan.program
     for (k1, k2), step in zip(plan.steps, steps):

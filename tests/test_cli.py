@@ -303,7 +303,7 @@ class TestBuildEval:
         err = run_usage_error(capsys, "eval", str(path))
         assert err == f"error: cannot read diagram: {message}\n"
 
-    @pytest.mark.parametrize("literal", ['"nan"', "1e400"], ids=["nan", "inf"])
+    @pytest.mark.parametrize("literal", ["NaN", "1e400"], ids=["nan", "inf"])
     def test_eval_non_finite_float_phase_exits_2(self, capsys, tmp_path, literal):
         obj = json.loads(serialize(cswap_gadget()))
         next(v for v in obj["vertices"] if v["kind"] == "Z")["phase"] = {"float": "PHASE"}
@@ -311,6 +311,38 @@ class TestBuildEval:
         path.write_text(json.dumps(obj).replace('"PHASE"', literal))
         err = run_usage_error(capsys, "eval", str(path), "--mode", "float")
         assert err.startswith("error: cannot read diagram: ") and "is not finite" in err
+
+    @pytest.mark.parametrize("phase, message", [
+        ({"float": True}, "float phase True is not a JSON number"),
+        ({"float": "1_0"}, "float phase '1_0' is not a JSON number"),
+        ({"float": " 0.5 "}, "float phase ' 0.5 ' is not a JSON number"),
+        ({"num": 1, "den": 2, "float": 0.3}, 'phase has both "float" and "num"/"den"'),
+    ], ids=["bool", "underscore-string", "padded-string", "float-and-ratio"])
+    def test_eval_float_phase_must_be_a_lone_json_number(self, capsys, tmp_path, phase, message):
+        obj = json.loads(serialize(cswap_gadget()))
+        vertex = next(v for v in obj["vertices"] if v["kind"] == "Z")
+        vertex["phase"] = phase
+        path = tmp_path / "bad_float.json"
+        path.write_text(json.dumps(obj))
+        err = run_usage_error(capsys, "eval", str(path), "--mode", "float")
+        assert err == f"error: cannot read diagram: vertex {vertex['id']} {message}\n"
+
+    def test_eval_hbox_with_thirty_self_loops(self, capsys, tmp_path):
+        # Self-loops add no rank: 2^30 and 2^30 - 1 + (-1), under the default cap.
+        d = Diagram()
+        h = d.add_h()
+        for _ in range(30):
+            d.add_edge(h, h)
+        d.add_edge(h, d.add_output())
+        path = tmp_path / "looped_hbox.json"
+        path.write_text(serialize(d))
+        code, out, _ = run(capsys, "eval", str(path))
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [
+            "matrix (2 x 1), rows = outputs, cols = inputs:",
+            "  [1073741824/1 + 0/1*r2 + (0/1 + 0/1*r2)*i]",
+            "  [1073741822/1 + 0/1*r2 + (0/1 + 0/1*r2)*i]",
+        ]
 
     def test_eval_non_clifford_phase_in_exact_mode_exits_2(self, capsys, tmp_path):
         d = Diagram()
@@ -496,16 +528,20 @@ class TestVerify:
         ("kind", "7j", "unknown case kind '7j'"),
         ("spins", ["-1"], "spin -1 is negative"),
         *(("spins", [literal], f"invalid spin {literal!r}: ") for literal in BAD_SPIN_LITERALS),
+        ("id", 5, "id 5 is not a string"),
+        ("id", ["x"], "id ['x'] is not a string"),
+        ("source", 5, "source 5 is not a string"),
+        ("source", None, "source None is not a string"),
     ])
     def test_malformed_case_exits_2_before_any_case_runs(self, capsys, tmp_path, field, value, message):
         good = {"id": "good-loop", "kind": "invariant", "which": "loop",
                 "spins": ["1/2"], "policy": "exact", "expected": "2"}
-        bad = dict(good, id="bad-case", **{field: value})
+        bad = {**good, "id": "bad-case", field: value}
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"version": 1, "cases": [good, bad]}))
         code, out, err = run(capsys, "verify", str(p))
         assert code == EXIT_USAGE
-        assert err.startswith("error: case 'bad-case': ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: case {bad['id']!r}: ") and err.count("\n") == 1, err
         assert message in err
         assert out == ""
 

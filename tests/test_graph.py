@@ -353,7 +353,8 @@ def _small_document() -> dict:
 
 json_junk = st.sampled_from([
     None, True, 0, -1, 5, 1.5, "x", "1/2", [], [1], [1, 2], {}, {"num": 1},
-    {"float": "a"}, {"num": 1, "den": "2"}, "1/1 + 0/1*r2 + (0/1 + 0/1*r2)*i",
+    {"float": "a"}, {"float": True}, {"num": 1, "den": 2, "float": 0.5}, {"num": 1, "den": "2"},
+    "1/1 + 0/1*r2 + (0/1 + 0/1*r2)*i",
 ])
 
 

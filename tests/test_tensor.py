@@ -197,24 +197,17 @@ class TestPlanner:
         plan = plan_contraction(d, rank_cap=6)
         assert plan.peak_rank <= 6
 
-    def test_rank_cap_counts_self_loops(self, monkeypatch):
-        # eval_diagram builds a vertex tensor before tracing its self-loops,
-        # so an H-box with 5 self-loops and one wire needs rank 11, not 1.
+    def test_self_loops_add_no_rank(self):
+        # Every tensor is built at its port count: an H-box with 5 self-loops
+        # and one wire is rank 1, its entries 2^5 and 2^5 - 1 + (-1).
         d = Diagram()
         h = d.add_h()
         for _ in range(5):
             d.add_edge(h, h)
         d.add_edge(h, d.add_output())
-        with pytest.raises(RankCapExceeded, match="initial vertex rank 11 exceeds cap 4"):
-            plan_contraction(d, rank_cap=4)
-
-        def no_tensor(*args):
-            raise AssertionError("vertex tensor built over the cap")
-
-        monkeypatch.setattr(tensor._Exact, "vertex", staticmethod(no_tensor))
-        with pytest.raises(RankCapExceeded):
-            eval_diagram(d, rank_cap=4)
-        assert plan_contraction(d, rank_cap=11).peak_rank == 1
+        assert plan_contraction(d, rank_cap=1).peak_rank == 1
+        got = eval_diagram(d, rank_cap=1).data
+        assert got.shape == (2,) and list(got) == [ExactScalar(32), ExactScalar(30)]
 
     def test_env_rank_cap(self, monkeypatch):
         d = Diagram()
@@ -595,6 +588,61 @@ def test_exact_edge_cases_match_the_dense_reference(build, want):
     assert np.abs(flt.ravel() - [b.to_complex() for b in want]).max() <= 1e-12
 
 
+@st.composite
+def looped_diagrams(draw):
+    """One to three Z/X/H nodes, each with 0-4 open legs and 1-3 self-loops,
+    perhaps wired together: phases on the pi/4 grid or float phases off it,
+    random H labels."""
+    d = Diagram()
+    vs = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from([Z, X, H]))
+        if kind == H:
+            v = d.add_h(draw(exact_scalars))
+        else:
+            grid = st.builds(Fraction, st.integers(0, 7), st.just(4))
+            v = d.add_spider(kind, draw(st.one_of(grid, st.floats(-2, 2))))
+        for _ in range(draw(st.integers(1, 3))):
+            d.add_edge(v, v)
+        for _ in range(draw(st.integers(0, 4))):
+            d.add_edge(v, d.add_output())
+        vs.append(v)
+    for _ in range(draw(st.integers(0, 2))):
+        d.add_edge(draw(st.sampled_from(vs)), draw(st.sampled_from(vs)))
+    return d
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@PROPERTIES
+@given(d=looped_diagrams())
+def test_self_loops_match_the_dense_trace(mode, d):
+    # The references build each vertex with its self-loops as legs and
+    # trace them; eval_diagram builds no tensor wider than its node's ports.
+    ops, built = tensor._MODES[mode], []
+    real = ops.vertex
+
+    def spy(data, degree, loops=0):
+        t = real(data, degree, loops)
+        legs = next(c for c in t[0] if c is not None).ndim if mode == "exact" else t.ndim
+        built.append((data, degree, loops, legs))
+        return t
+
+    if mode == "exact" and any(type(data.phase) is float for data in d.vertices.values()):
+        with pytest.raises(ValueError, match="requires float mode"):
+            eval_diagram(d, mode="exact")
+        return
+    nodes = list(plan_contraction(d, mode=mode).nodes.values())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "vertex", staticmethod(spy))
+        if mode == "float":
+            assert_program_matches_steps(d)
+        else:
+            assert_matches_reference(d)
+    assert built
+    for data, degree, loops, legs in built:
+        assert legs == degree and any(n == data and len(p) == degree and k == loops for n, p, k in nodes)
+
+
 def test_plan_carries_the_node_table():
     d = Diagram()
     z, h, o = d.add_z(Fraction(1, 2)), d.add_h(HALF_PLUS_I), d.add_output()
@@ -643,8 +691,8 @@ def test_shared_vertex_tensors_are_read_only(monkeypatch, mode):
     ops = tensor._MODES[mode]
     real, built = ops.vertex, []
 
-    def spy(data, degree):
-        built.append(real(data, degree))
+    def spy(*args):
+        built.append(real(*args))
         return built[-1]
 
     monkeypatch.setattr(ops, "vertex", staticmethod(spy))
@@ -678,12 +726,15 @@ def test_float_phase_does_not_reuse_the_exact_tensor():
 
 def _ref_eval_steps(d: Diagram) -> np.ndarray:
     """``eval_diagram(d, mode="float").data`` by the step loop that scanned
-    each step's ports and called ``np.tensordot``."""
+    each step's ports and called ``np.tensordot``, each vertex tensor built
+    with its self-loops as legs and traced."""
     plan = plan_contraction(d, mode="float")
     tensors = {}
     for k, (data, ports, loops) in plan.nodes.items():
         t = vertex_tensor(data, len(ports) + 2 * loops, "float")
-        tensors[k] = (ports, tensor._trace_trailing(t, loops) if loops else t)
+        for _ in range(loops):  # join the last two axes
+            t = np.trace(t, axis1=-2, axis2=-1)
+        tensors[k] = (ports, t)
     for k1, k2 in plan.steps:
         ports1, t1 = tensors.pop(k1)
         ports2, t2 = tensors.pop(k2)
@@ -792,9 +843,6 @@ def reference_plan(d: Diagram, cap: int) -> ContractionPlan:
     Kept only to pin ``plan_contraction`` to the same plans and errors.
     """
     nodes = _ref_skeleton(d)
-    widest = max((len(p) for p in nodes.values()), default=0)  # self-loops included
-    if widest > cap:
-        raise RankCapExceeded(f"initial vertex rank {widest} exceeds cap {cap}")
     for k, ports in nodes.items():
         seen: dict[tuple, int] = {}
         for p in list(ports):
@@ -803,8 +851,11 @@ def reference_plan(d: Diagram, cap: int) -> ContractionPlan:
         for p, cnt in seen.items():
             if cnt == 2:
                 nodes[k] = [q for q in nodes[k] if q != p]
+    widest = max((len(p) for p in nodes.values()), default=0)  # ports, not self-loop ends
+    if widest > cap:
+        raise RankCapExceeded(f"initial vertex rank {widest} exceeds cap {cap}")
     plan = ContractionPlan()
-    plan.peak_rank = max((len(p) for p in nodes.values()), default=0)
+    plan.peak_rank = widest
     while len(nodes) > 1:
         best = None
         keys = sorted(nodes)
