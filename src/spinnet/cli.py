@@ -424,10 +424,11 @@ def _parse_case(case) -> dict:
     try:
         if kind == "matrix":
             builder = case.get("builder")
-            if builder in _SYMBOLS and _SYMBOLS[builder].matrix is not None:
+            named = isinstance(builder, str)  # a list or an object would not hash
+            if named and builder in _SYMBOLS and _SYMBOLS[builder].matrix is not None:
                 _check_fields(case, builder, _fields(builder, False) | {"builder"})
                 out["args"] = _parse_args(builder, case, with_ms=False)
-            elif builder in _GADGETS and _GADGETS[builder].fields is not None:
+            elif named and builder in _GADGETS and _GADGETS[builder].fields is not None:
                 g = _GADGETS[builder]
                 _check_fields(case, builder, {"builder", *g.fields})
                 out["args"] = tuple(g.parse(str(case[f]), g.what) for f in g.fields)
@@ -549,13 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("symbol", help="print an exact Wigner symbol")
-    # Let arguments like "-1/2" pass as negative spins, not option flags.
-    ps._negative_number_matcher = HalfInteger._LITERAL
     ps.add_argument("kind", choices=["3jm", "4jm", "6j"])
     ps.add_argument("spins", nargs="+")
     ps.set_defaults(func=cmd_symbol)
 
     pb = sub.add_parser("build", help="build a diagram and write it as JSON")
+    # Let arguments like "-1/2" pass as negative spins, not option flags.
+    for spun in (ps, pb):
+        spun._negative_number_matcher = HalfInteger._LITERAL
     pb.add_argument("kind", choices=[*_GADGETS, *_SYMBOLS])
     pb.add_argument("spins", nargs="*")
     pb.add_argument("--orient", help="leg orientation string, e.g. iio")

@@ -3,15 +3,16 @@
 Every vertex becomes a small tensor (one binary index per incident wire);
 edges are contractions.  Both modes below evaluate one definition of the
 Z, X and H tensors, for any number type (:func:`_vertex_entries`).
-:func:`plan_contraction` splits every Z/X spider of degree > 3 into a chain
-of degree-3 spiders of the same colour (spider fusion read backwards:
-exact, no scalar), on a copy; fused symmetriser towers otherwise leave
-high-degree nodes on which greedy orders are much wider.  It tabulates the
-copy's nodes once: each node's vertex, its ports and its self-loop count,
-where a port is an int, the edge index of a wire or ``~v`` for the open
-wire of boundary ``v``.  A greedy search then picks a
-deterministic pairwise contraction order that keeps intermediate ranks
-small.  It is incremental: connected node pairs wait in a heap keyed by
+:func:`plan_contraction` tabulates the diagram's nodes once: each node's
+vertex, its ports and its self-loop count, where a port is an int, the edge
+index of a wire or ``~v`` for the open wire of boundary ``v``.  In that
+table every Z/X spider of more than 3 ports is a chain of 3-port nodes of
+the same colour (spider fusion read backwards: exact, no scalar; its
+self-loops stay on the first node); fused symmetriser towers otherwise leave
+high-degree nodes on which greedy orders are much wider.  No copy of the
+diagram is made.  A greedy search then picks a deterministic pairwise
+contraction order that keeps intermediate ranks small.  It is
+incremental: connected node pairs wait in a heap keyed by
 (merged rank, cost exponent, node keys).  An entry is checked when popped
 and dropped unless both nodes are alive, still neighbours and scored as
 stored; a merge pushes only the pairs whose score it changed, so a step
@@ -269,40 +270,6 @@ def vertex_tensor(data: VertexData, degree: int, mode: str = "exact") -> np.ndar
 # -- planning -------------------------------------------------------------
 
 
-def _split_spiders(d: Diagram) -> Diagram:
-    """A copy of ``d`` in which every Z/X spider of degree > 3 is a chain of
-    degree-3 spiders of the same colour; ``d`` itself if there is none.
-
-    This is spider fusion read backwards, so the value is unchanged and no
-    scalar is added: the X normalisation (1/sqrt2)^degree cancels along each
-    link.  The original vertex keeps its phase and its first two wire ends;
-    each new phase-0 vertex takes the next end and the last one the final
-    two, in edge order.  ``d`` is never mutated.
-    """
-    degree = Counter(itertools.chain.from_iterable(d.edges))
-    ends: dict[int, list[tuple[int, int]]] = {  # spider -> [(edge index, side)]
-        v: [] for v, n in degree.items() if n > 3 and d.vertices[v].kind in (Z, X)
-    }
-    if not ends:
-        return d
-    for i, (a, b) in enumerate(d.edges):
-        if a in ends:
-            ends[a].append((i, 0))
-        if b in ends:
-            ends[b].append((i, 1))
-    out = d.copy()
-    for v, es in ends.items():
-        kind, prev = d.vertices[v].kind, v
-        for n, (i, side) in enumerate(es[2:], start=3):
-            if n < len(es):  # every end but the last opens a new link
-                w = out.add_spider(kind)
-                out.edges.append((prev, w))
-                prev = w
-            a, b = out.edges[i]
-            out.edges[i] = (prev, b) if side == 0 else (a, prev)
-    return out
-
-
 # One program step, [pa, pb, m, s, n, shape], for the step (k1, k2) in the
 # same place of ``ContractionPlan.steps``: k2 folds into k1 as the (m, s) @
 # (s, n) product of k1's axes ordered by pa (free, then shared) and k2's by
@@ -318,16 +285,23 @@ class ContractionPlan:
     the program that runs it.
 
     ``nodes`` maps each node key to ``(vertex, ports, self_loops)``.  Keys
-    are vertex ids of the split diagram (see :func:`_split_spiders`), and
-    ``~a`` for the identity node on a wire between boundaries ``a`` and
-    ``b`` (``a < b``).  A port is an int: the edge index of a wire to
-    another node, or ``~v`` for the open wire of boundary ``v``.  A self-loop
-    takes no port and adds no rank; it is counted in ``self_loops``, as
-    every tensor is built at its port count (see :func:`_vertex_entries`).
+    are vertex ids, ``~a`` for the identity node on a wire between
+    boundaries ``a`` and ``b`` (``a < b``), and fresh ids from
+    ``d._next_id`` up for chain nodes.  A port is an int: the edge index of a
+    wire to another node, a fresh index from ``len(d.edges)`` up for a chain
+    link, or ``~v`` for the open wire of boundary ``v``.  Each Z/X spider
+    with more than 3 ports, taken in the order of its first port, is a chain
+    (spider fusion read backwards: exact, as the X normalisation cancels
+    along each link): it keeps its record, its self-loops and its first two
+    ports plus a link; each new phase-0 node of its colour takes the next
+    port and two links, the last one the final two ports and a link.  A
+    self-loop takes no port, adds no rank and is never chained; it is
+    counted in ``self_loops``, as every tensor is built at its port count
+    (see :func:`_vertex_entries`).
     ``program`` is ``(one _Step per step, perm)``, where ``perm`` puts the
     last tensor's axes in the diagram's boundary order, inputs then outputs;
     the search writes each step as it makes the merge.  ``diagram`` is the
-    diagram the plan was made for, before the split.
+    diagram the plan was made for.
     """
 
     steps: list[tuple[int, int]] = field(default_factory=list)  # (k1, k2), k1 < k2: k2 folds into k1
@@ -355,17 +329,30 @@ def _node_table(d: Diagram) -> dict[int, tuple[VertexData, tuple[int, ...], int]
         else:
             ports[~min(a, b)] = [~a, ~b]
     # A wire between boundaries is the identity: a 2-legged Z-spider.
-    return {k: (d.vertices[k] if k >= 0 else VertexData(Z), tuple(p), loops[k]) for k, p in ports.items()}
+    nodes = {k: (d.vertices[k] if k >= 0 else VertexData(Z), tuple(p), loops[k]) for k, p in ports.items()}
+    # Chain each Z/X spider of more than 3 ports, in the order of first ports.
+    wide = {k for k, p in ports.items() if len(p) > 3 and d.vertices[k].kind in (Z, X)}
+    if not wide:
+        return nodes
+    key, link = d._next_id, len(d.edges)
+    for v in dict.fromkeys(u for a, b in d.edges if a != b for u in (a, b) if u in wide):
+        data, p, n = nodes[v]
+        spider = VertexData(data.kind)
+        nodes[v] = data, (p[0], p[1], link), n
+        for q in p[2:-2]:
+            nodes[key] = spider, (q, link, link + 1), 0
+            key, link = key + 1, link + 1
+        nodes[key] = spider, (p[-2], p[-1], link), 0
+        key, link = key + 1, link + 1
+    return nodes
 
 
 def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "exact") -> ContractionPlan:
-    """Split ``d``'s spiders once, tabulate its nodes, and order their
-    merges, writing the program step of each merge as it is made.
-
-    The plan is made for the diagram with every Z/X spider of degree > 3
-    split into a chain of degree-3 spiders (see :func:`_split_spiders`), and
-    it carries that diagram's node table, which :func:`eval_diagram`
-    contracts as it stands by running the program.  On simplified 6j
+    """Tabulate ``d``'s nodes once, with every Z/X spider of more than 3
+    ports split into a chain of 3-port nodes (see :class:`ContractionPlan`),
+    and order their merges, writing the program step of each merge as it is
+    made.  :func:`eval_diagram` contracts that node table as it stands by
+    running the program; no copy of ``d`` is made.  On simplified 6j
     networks the split keeps the peak rank near the unsimplified one
     (6j(2,1,2,2,1,2): 22 without it, 14 with it).
 
@@ -392,7 +379,7 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     merge is made, and the last node's ports give the boundary permutation.
     """
     cap = _rank_cap(mode, rank_cap)
-    plan = ContractionPlan(nodes=_node_table(_split_spiders(d)), diagram=d)
+    plan = ContractionPlan(nodes=_node_table(d), diagram=d)
     ports: dict[int, list[int]] = {}  # node -> its ports, in its tensor's axis order
     nbr: dict[int, dict[int, int]] = {}  # node -> {neighbour: shared edges}
     owner: dict[int, int] = {}  # port -> first node seen holding it

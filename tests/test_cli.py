@@ -387,6 +387,11 @@ class TestUsageErrors:
     def test_build_link_names_a_negative_spin(self, capsys, spin):
         assert run_usage_error(capsys, "build", "link", "--", spin) == f"error: spin {spin} is negative\n"
 
+    @pytest.mark.parametrize("argv", [["3jm", "-1/2", "1/2", "1"], ["link", "-1/2"], ["link", "-1"]],
+                             ids=["3jm", "link-half", "link-whole"])
+    def test_build_takes_a_negative_spin_without_a_separator(self, capsys, argv):
+        assert run_usage_error(capsys, "build", *argv) == f"error: spin {argv[1]} is negative\n"
+
     @pytest.mark.parametrize("literal", BAD_SPIN_LITERALS)
     @pytest.mark.parametrize("command", [
         ["symbol", "3jm", "{}", "1", "1", "0", "0", "0"], ["build", "link", "{}"],
@@ -550,8 +555,9 @@ class TestVerify:
           for e in (["10", "01"], [["1", "0"], "01"], [["1"], 1], [["1", "0"], ["0"]], [], [[]], "1")),
         *(({"builder": "symmetriser", "n": n, "expected": [["1"]]}, f"wire count {n!r} is not an integer")
           for n in ("1_0", "\u0663", " \u0663 ")),
+        ({"builder": ["x"], "expected": [["1"]]}, "unknown matrix builder ['x']"),
     ], ids=["string-rows", "string-row", "int-row", "ragged", "empty", "empty-row", "string",
-            "n-underscore", "n-non-ascii-digit", "n-padded-non-ascii-digit"])
+            "n-underscore", "n-non-ascii-digit", "n-padded-non-ascii-digit", "builder-list"])
     def test_malformed_matrix_case_exits_2_before_any_case_runs(self, capsys, tmp_path, bad, message):
         good = {"id": "good-loop", "kind": "invariant", "which": "loop",
                 "spins": ["1/2"], "policy": "exact", "expected": "2"}

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from spinnet.tensor import (
     RankCapExceeded,
     _exact_array,
     _omega_contract,
-    _split_spiders,
     eval_diagram,
     plan_contraction,
     plug_basis,
@@ -424,6 +424,52 @@ def _ref_skeleton(d: Diagram) -> dict[int, list[tuple]]:
     return nodes
 
 
+def _ref_split_spiders(d: Diagram) -> Diagram:
+    """A copy of ``d`` in which every Z/X spider of more than 3 wire ends,
+    self-loops not counted, is a chain of degree-3 spiders of the same
+    colour; ``d`` itself if there is none.
+
+    Spider fusion read backwards: the original vertex keeps its phase, its
+    self-loops and its first two wire ends; each new phase-0 vertex takes the
+    next end and the last one the final two, in edge order.  Kept only to pin
+    the chains of the node table.
+    """
+    degree = Counter(itertools.chain.from_iterable((a, b) for a, b in d.edges if a != b))
+    ends: dict[int, list[tuple[int, int]]] = {  # spider -> [(edge index, side)]
+        v: [] for v, n in degree.items() if n > 3 and d.vertices[v].kind in (Z, X)
+    }
+    if not ends:
+        return d
+    for i, (a, b) in enumerate(d.edges):
+        if a == b:
+            continue  # a self-loop is never chained
+        if a in ends:
+            ends[a].append((i, 0))
+        if b in ends:
+            ends[b].append((i, 1))
+    out = d.copy()
+    for v, es in ends.items():
+        kind, prev = d.vertices[v].kind, v
+        for n, (i, side) in enumerate(es[2:], start=3):
+            if n < len(es):  # every end but the last opens a new link
+                w = out.add_spider(kind)
+                out.edges.append((prev, w))
+                prev = w
+            a, b = out.edges[i]
+            out.edges[i] = (prev, b) if side == 0 else (a, prev)
+    return out
+
+
+def _ref_table(d: Diagram) -> dict:
+    """``d``'s node table read off :func:`_ref_skeleton`, with nothing split."""
+    table = {}
+    for k, ports in _ref_skeleton(d).items():
+        loops = {p for p in ports if ports.count(p) == 2}
+        table[k] = (d.vertices[k] if k >= 0 else VertexData(Z),
+                    tuple(p[1] if p[0] == "e" else ~p[1] for p in ports if p not in loops), len(loops))
+    return table
+
+
 def _ref_reduced(coeffs, den):
     """Four dense coefficient arrays over ``den``, gcd divided out."""
     coeffs = [np.asarray(c, dtype=object) for c in coeffs]
@@ -470,7 +516,7 @@ def _ref_tensordot(a, b, axes):
 def _ref_eval_exact(d: Diagram) -> np.ndarray:
     """``eval_diagram(d, mode="exact").data`` by the dense contraction:
     every tensor keeps all four omega arrays, built afresh for each node."""
-    d = _split_spiders(d)
+    d = _ref_split_spiders(d)
     tensors = {}
     for k, ports in _ref_skeleton(d).items():
         t = _ref_vertex(d.vertices[k] if k >= 0 else VertexData(Z), len(ports))
@@ -662,16 +708,16 @@ def test_plan_carries_the_node_table():
 
 def test_eval_splits_the_spiders_once(monkeypatch):
     calls = []
-    real = tensor._split_spiders
+    real = tensor._node_table
 
     def count(d):
         calls.append(d)
         return real(d)
 
-    monkeypatch.setattr(tensor, "_split_spiders", count)
+    monkeypatch.setattr(tensor, "_node_table", count)
     d, _ = network_6j(*[HalfInteger(1)] * 6)
     want = eval_diagram(d, mode="float").scalar_value()
-    assert len(calls) == 1  # inside plan_contraction
+    assert calls == [d]  # inside plan_contraction, on d itself
     plan = plan_contraction(d, mode="float")
     calls.clear()
     assert eval_diagram(d, mode="float", plan=plan).scalar_value() == want
@@ -904,10 +950,13 @@ def plan_outcome(planner, d: Diagram, cap: int):
 
 
 def assert_same_plan(d: Diagram, cap: int):
-    """The planner equals the reference run on the split skeleton, and its
-    program the reference compile of its steps."""
+    """The planner equals the reference run on the reference split, its
+    program the reference compile of its steps, and its node table the
+    reference split's."""
+    split = _ref_split_spiders(d)
     got = plan_outcome(checked_planner, d, cap)
-    assert got == plan_outcome(reference_plan, _split_spiders(d), cap)
+    assert got == plan_outcome(reference_plan, split, cap)
+    assert tensor._node_table(d) == _ref_table(split)
     return got
 
 
@@ -1034,13 +1083,20 @@ def fusable_spiders(draw):
     return d, VertexData(kind, phase % 2), len(d.inputs) + len(d.outputs)
 
 
-def max_spider_degree(d: Diagram) -> int:
-    """The largest degree of a Z/X spider in ``d``, 0 if there is none."""
-    degree = dict.fromkeys(d.vertices, 0)
+def max_spider_ports(d: Diagram) -> int:
+    """The most wires, self-loops not counted, on a Z/X spider of ``d``; 0
+    if there is none."""
+    ports = dict.fromkeys(d.vertices, 0)
     for a, b in d.edges:
-        degree[a] += 1
-        degree[b] += 1
-    return max((n for v, n in degree.items() if d.vertices[v].kind in (Z, X)), default=0)
+        if a != b:
+            ports[a] += 1
+            ports[b] += 1
+    return max((n for v, n in ports.items() if d.vertices[v].kind in (Z, X)), default=0)
+
+
+def chain_keys(d: Diagram, plan: ContractionPlan) -> set[int]:
+    """The keys of ``plan.nodes`` that are neither vertices nor boundary wires."""
+    return {k for k in plan.nodes if k >= 0 and k not in d.vertices}
 
 
 class TestSplitSpiders:
@@ -1062,22 +1118,53 @@ class TestSplitSpiders:
     def test_split_leaves_the_input_alone(self, case):
         d = case[0]
         before = serialize(d)
-        split = _split_spiders(d)
+        plan = plan_contraction(d)
         assert serialize(d) == before
-        assert split is not d
-        assert max_spider_degree(split) == 3
+        assert all(len(p) <= 3 for data, p, _ in plan.nodes.values() if data.kind in (Z, X))
+        assert bool(chain_keys(d, plan)) == (max_spider_ports(d) > 3)
 
     @PROPERTIES
     @given(clifford_diagrams())
-    def test_nothing_to_split_returns_the_input(self, d):
-        assert (_split_spiders(d) is d) == (max_spider_degree(d) <= 3)
+    def test_nothing_to_split_adds_no_node(self, d):
+        assert (chain_keys(d, plan_contraction(d)) == set()) == (max_spider_ports(d) <= 3)
+
+    def test_planning_builds_no_diagram(self, monkeypatch):
+        d = simplify(symmetriser(5), rules=DEFAULT_SIMPLIFY_RULES)[0]
+        assert max_spider_ports(d) > 3
+
+        def refuse(self):
+            raise AssertionError("a Diagram was built")
+
+        monkeypatch.setattr(Diagram, "__init__", refuse)
+        assert chain_keys(d, plan_contraction(d))
 
     def test_hboxes_are_not_split(self):
         d = Diagram()
         h = d.add_h()
         for _ in range(5):
             d.add_edge(h, d.add_output())
-        assert _split_spiders(d) is d
+        assert list(plan_contraction(d).nodes) == [h]
+
+    @pytest.mark.parametrize("kind, loops, wires", [(Z, 3, 1), (X, 2, 2)])
+    def test_self_loops_are_not_chained(self, kind, loops, wires):
+        # 4 wire ends but at most 2 ports: one node, as the loop identity
+        # drops every loop; a chain would turn the loops into real wires.
+        d = Diagram()
+        v = d.add_spider(kind)
+        for _ in range(loops):
+            d.add_edge(v, v)
+        for _ in range(wires):
+            d.add_edge(v, d.add_output())
+        plan = plan_contraction(d)
+        assert (list(plan.nodes), plan.steps, plan.peak_rank, plan.cost) == ([v], [], wires, 0)
+        got = assert_matches_reference(d)
+        assert list(got.ravel()) == list(vertex_tensor(VertexData(kind), wires).ravel())
+
+
+@PROPERTIES
+@given(st.one_of(multigraphs(), looped_diagrams(), fusable_spiders().map(lambda case: case[0])))
+def test_plan_nodes_match_the_reference_split(d):
+    assert plan_contraction(d, rank_cap=99, mode="float").nodes == _ref_table(_ref_split_spiders(d))
 
 
 class TestSplitPlans:
