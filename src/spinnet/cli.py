@@ -68,11 +68,14 @@ class CliError(Exception):
     """Domain/usage error; reported with exit code 2."""
 
 
-def _spin(text: str) -> HalfInteger:
+def _spin(value: str | int | float) -> HalfInteger:
+    """A spin from a command-line literal or a manifest's JSON value itself."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CliError(f"invalid spin {json.dumps(value)}: not a string or a number")
     try:
-        return HalfInteger(text)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"invalid spin {text!r}: {exc}") from None
+        return HalfInteger(value)
+    except ValueError as exc:
+        raise CliError(f"invalid spin {value!r}: {exc}") from None
 
 
 def _spin_list(value, count: int) -> list[HalfInteger]:
@@ -213,12 +216,16 @@ def cmd_symbol(args: argparse.Namespace) -> int:
 # -- build ----------------------------------------------------------------
 
 
-def _count(text: str, what: str) -> int:
-    """A non-negative int literal (see :func:`~spinnet.exact.parse_int`), called ``what``."""
+def _count(value: str | int, what: str) -> int:
+    """A non-negative int, given as an int literal (see
+    :func:`~spinnet.exact.parse_int`) or as a manifest's JSON integer, called
+    ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise CliError(f"{what} {json.dumps(value)} is not a string or an integer")
     try:
-        n = parse_int(text)
+        n = value if isinstance(value, int) else parse_int(value)
     except ValueError:
-        raise CliError(f"{what} {text!r} is not an integer") from None
+        raise CliError(f"{what} {value!r} is not an integer") from None
     if n < 0:
         raise CliError(f"{what} {n} is negative")
     return n
@@ -228,7 +235,7 @@ class _Gadget(NamedTuple):
     """A diagram with no correction factor; ``build`` as in :class:`_Symbol`."""
 
     what: Optional[str]  # what its one argument is; None if it takes none
-    parse: Optional[Callable[[str, str], object]]  # (text, what); raises CliError
+    parse: Optional[Callable[[object, str], object]]  # (text or JSON value, what); raises CliError
     fields: Optional[tuple[str, ...]]  # of a matrix case; None if verify does not take it
     build: Callable[..., Diagram]
 
@@ -431,7 +438,7 @@ def _parse_case(case) -> dict:
             elif named and builder in _GADGETS and _GADGETS[builder].fields is not None:
                 g = _GADGETS[builder]
                 _check_fields(case, builder, {"builder", *g.fields})
-                out["args"] = tuple(g.parse(str(case[f]), g.what) for f in g.fields)
+                out["args"] = tuple(g.parse(case[f], g.what) for f in g.fields)
             else:
                 raise CliError(f"unknown matrix builder {builder!r}")
             rows = case["expected"]

@@ -256,7 +256,11 @@ class ExactScalar(_Field):
             return ExactScalar._from_omega((other.numerator, 0, 0, 0), other.denominator)
         return None
 
+    # An int operand (not a bool) skips _coerce and the lcm; same results.
     def __add__(self, other):
+        if type(other) is int:
+            c0, c1, c2, c3 = self._c
+            return ExactScalar._from_omega((c0 + other * self._d, c1, c2, c3), self._d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -270,6 +274,8 @@ class ExactScalar(_Field):
         return ExactScalar._from_omega(tuple(-x for x in self._c), self._d)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return ExactScalar._from_omega(tuple(other * x for x in self._c), self._d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -38,9 +38,10 @@ Dicke basis |j m> = |D_k> / sqrt(C(2j, k)), k = j - m ones:
   (1 << k) - 1 (wire 0 most significant), which is exact behind the
   symmetriser (<D_k| = C(2j, k) <b| there for every b of weight k), with
   plug norm sqrt(C(2j, k) / 2^(2j));
-* :func:`project_to_spin_basis` sums the qubit-matrix entries of each
-  (row class, column class) pair of :func:`_dicke_basis` and scales the sum
-  by the class amplitudes.
+* :func:`corrected_spin_matrix` sums each (row class, column class) block
+  of the exact contraction's omega-slot int arrays with one integer matmul
+  per slot and makes one RadicalNumber per spin entry, none per qubit entry;
+  :func:`project_to_spin_basis` does the same for a given qubit matrix.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .exact import (
     ExactScalar,
     HalfInteger,
@@ -58,7 +61,7 @@ from .exact import (
     sqrt_rational,
 )
 from .graph import Diagram, X, Z
-from .tensor import eval_diagram, plug_basis
+from .tensor import _contracted, eval_diagram, plug_basis
 from .wigner import SpinLike, _hi, triangle_ok
 
 __all__ = [
@@ -89,6 +92,7 @@ __all__ = [
 
 _PI = Fraction(1)
 _INV_SQRT2 = ExactScalar.inv_sqrt2()
+_HALF_SQRT2 = sqrt_rational(Fraction(1, 2))
 
 
 # -- bookkeeping ----------------------------------------------------------
@@ -216,21 +220,53 @@ def binor_N(j1: SpinLike, j2: SpinLike, j3: SpinLike) -> RadicalNumber:
     return sqrt_rational(Fraction(num, den))
 
 
-def _dicke_basis(spins: Sequence[SpinLike]) -> tuple[list[int], list[RadicalNumber]]:
-    """The Dicke weight classes of a run of legs (see the module docstring).
-
-    Returns the class of every bit string over the legs' wires (wire 0 most
-    significant), which is its spin-basis index: legs in order, each leg
-    counting k = 0 .. 2j ones (m = j .. -j).  Also returns the amplitude
-    prod 1/sqrt(C(2j, k)) of every class; |D_k> sums the weight-k strings.
-    """
-    classes, amps = [0], [RadicalNumber.one()]
+def _weight_classes(spins: Sequence[SpinLike]) -> tuple[np.ndarray, list[int]]:
+    """The Dicke weight classes of a run of legs (see the module docstring):
+    the 0/1 membership matrix (classes x bit strings over the legs' wires,
+    wire 0 most significant) and each class's size prod C(2j, k).  A class
+    is a spin-basis index: legs in order, each counting k = 0 .. 2j ones
+    (m = j .. -j); |D_k> sums the weight-k strings."""
+    classes, sizes = [0], [1]
     for j in spins:
         n = _hi(j).twice
-        leg = [sqrt_rational(Fraction(1, math.comb(n, k))) for k in range(n + 1)]
         classes = [c * (n + 1) + bin(bits).count("1") for c in classes for bits in range(2 ** n)]
-        amps = [a * b for a in amps for b in leg]
-    return classes, amps
+        sizes = [a * math.comb(n, k) for a in sizes for k in range(n + 1)]
+    member = np.zeros((len(sizes), len(classes)), dtype=object)
+    member[classes, range(len(classes))] = 1
+    return member, sizes
+
+
+def _spin_matrix(coeffs: Sequence[Optional[np.ndarray]], den: int, in_spins: Sequence[SpinLike],
+                 out_spins: Sequence[SpinLike], scale: RadicalNumber) -> list[list[RadicalNumber]]:
+    """``scale`` times P_out . M . P_in^T for the qubit matrix (outputs x
+    inputs) M = sum_k coeffs[k] * omega^k / den, ``None`` for a zero slot:
+    one integer matmul R . A . C^T per slot over the class matrices of
+    :func:`_weight_classes`, then one RadicalNumber per spin entry, its sum
+    over ``den`` times sqrt(1/(C_r C_c)) and ``scale`` (ValueError if not real)."""
+    rows, row_sizes = _weight_classes(out_spins)
+    cols, col_sizes = _weight_classes(in_spins)
+    if any(c is not None and c.shape != (rows.shape[1], cols.shape[1]) for c in coeffs):
+        raise ValueError("isometry dimensions do not match the matrix")
+    zero = np.zeros((len(row_sizes), len(col_sizes)), dtype=object)
+    slots = [(zero if c is None else rows @ c @ cols.T).tolist() for c in coeffs]
+    # C_r C_c -> the terms of k = sqrt(1/(C_r C_c)) * scale / den and of k * sqrt(2)/2
+    factors: dict[int, tuple] = {}
+    out = []
+    for cr, *slot_rows in zip(row_sizes, *slots):
+        out.append(row := [])
+        for cc, c0, c1, c2, c3 in zip(col_sizes, *slot_rows):
+            if c2 or c1 + c3:
+                raise ValueError(f"not a real number: {ExactScalar._from_omega((c0, c1, c2, c3), den)}")
+            terms: dict[int, Fraction] = {}
+            if c0 or c1 - c3:  # the value is (c0 + (c1 - c3) * sqrt(2)/2) / den
+                if cr * cc not in factors:
+                    k = sqrt_rational(Fraction(1, cr * cc)) * scale / den
+                    factors[cr * cc] = k.terms, (k * _HALF_SQRT2).terms
+                for x, part in zip((c0, c1 - c3), factors[cr * cc]):
+                    for rad, q in part.items():
+                        terms[rad] = terms.get(rad, 0) + q * x
+            row.append(RadicalNumber(terms))
+    return out
 
 
 # -- in-place construction helpers ---------------------------------------
@@ -611,23 +647,24 @@ def project_to_spin_basis(
     in_spins: Sequence[SpinLike],
     out_spins: Sequence[SpinLike],
 ) -> list[list[RadicalNumber]]:
-    """The spin-basis matrix P_out . M . P_in^T of a qubit-wire matrix with
-    real entries (RadicalNumber or ExactScalar).
-
-    The isometries P are Dicke weight classes (see :func:`_dicke_basis`),
-    so each spin entry is the sum of the qubit entries in its (row class,
-    column class) pair, times the product of the two class amplitudes.
-    """
-    row_class, row_amp = _dicke_basis(out_spins)
-    col_class, col_amp = _dicke_basis(in_spins)
-    if len(qubit_matrix) != len(row_class) or any(len(row) != len(col_class) for row in qubit_matrix):
+    """The spin-basis matrix P_out . M . P_in^T of a qubit-wire matrix of
+    ExactScalar or RadicalNumber entries (ValueError naming an entry outside
+    Q(sqrt(2))), from their :attr:`ExactScalar.omega` forms; it must be real."""
+    n_out, n_in = (2 ** sum(_hi(j).twice for j in side) for side in (out_spins, in_spins))
+    if len(qubit_matrix) != n_out or any(len(row) != n_in for row in qubit_matrix):
         raise ValueError("isometry dimensions do not match the matrix")
-    sums: list[list] = [[None] * len(col_amp) for _ in row_amp]
-    for r, row in zip(row_class, qubit_matrix):
-        acc = sums[r]
-        for c, x in zip(col_class, row):
-            acc[c] = x if acc[c] is None else acc[c] + x
-    return [[ra * ca * x for ca, x in zip(col_amp, acc)] for ra, acc in zip(row_amp, sums)]
+    forms = []
+    for r, row in enumerate(qubit_matrix):
+        for c, x in enumerate(row):
+            if isinstance(x, RadicalNumber) and set(x.terms) <= {1, 2}:
+                x = x.to_exact_scalar()
+            if not isinstance(x, ExactScalar):
+                raise ValueError(f"qubit entry ({r}, {c}) {row[c]} is not in Q(sqrt(2))")
+            forms.append(x.omega)
+    den = math.lcm(*(d for _, d in forms))
+    coeffs = [np.array([a[k] * (den // d) for a, d in forms], dtype=object).reshape(n_out, n_in)
+              for k in range(4)]
+    return _spin_matrix(coeffs, den, in_spins, out_spins, RadicalNumber.one())
 
 
 def plug_vertex_arguments(
@@ -676,13 +713,13 @@ def corrected_spin_matrix(
     in_spins: Sequence[SpinLike],
     out_spins: Sequence[SpinLike],
 ) -> list[list[RadicalNumber]]:
-    """Exact spin-basis matrix of a vertex diagram: the exact qubit-wire
-    matrix projected onto the spin basis and scaled by the correction.
+    """Exact spin-basis matrix of a vertex diagram: the exact contraction's
+    integer form projected onto the spin basis and scaled by the correction.
     Matches :func:`spinnet.wigner.yutsis_matrix_3` / ``yutsis_matrix_4``."""
-    q = eval_diagram(d, mode="exact").to_matrix()
-    m = project_to_spin_basis(q, in_spins, out_spins)
-    c = corr.value
-    return [[c * x for x in row] for row in m]
+    coeffs, den = _contracted(d, "exact")
+    n_in = 2 ** len(d.inputs)
+    matrices = [None if c is None else c.reshape(n_in, -1).T for c in coeffs]
+    return _spin_matrix(matrices, den, in_spins, out_spins, corr.value)
 
 
 # -- SU(2) invariance -----------------------------------------------------

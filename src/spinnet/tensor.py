@@ -36,8 +36,10 @@ order and that program.  Two modes:
   operand once and makes one integer matmul for each pair of present
   slots (at most 16), folded onto four powers, after which all-zero
   results are dropped and the gcd of ``D`` and every coefficient is
-  divided out.  Python ints do not overflow.  Results become ExactScalar
-  once, at the end of :func:`eval_diagram`.
+  divided out.  Python ints do not overflow.  ``_contracted`` returns
+  that form as the program leaves it (scalar folded in, axes in boundary
+  order); :func:`eval_diagram` turns it into ExactScalar once, at the end,
+  and :func:`spinnet.su2.corrected_spin_matrix` reads it as it is.
 * ``"float"`` -- an H-box or a spider phase on the pi/4 grid gives the
   exact tensor with each entry rounded once (phases 0 and pi give exactly 1
   and -1); a phase off the grid gives a complex factor.  A vertex tensor is
@@ -506,11 +508,10 @@ class _Exact:
         return t
 
     @staticmethod
-    def finish(t: _OmegaTensor, scalar: ExactScalar) -> np.ndarray:
-        # t as a column times the scalar as a 1 x 1 matrix
+    def finish(t: _OmegaTensor, scalar: ExactScalar, perm: list[int]) -> _OmegaTensor:
+        # t, its axes in the order perm, as a column times the scalar as a 1 x 1 matrix
         shape = next(c for c in t[0] if c is not None).shape
-        s = _reduced(*scalar.omega)
-        return _exact_array(_omega_contract(t, s, list(range(len(shape))), [], -1, 1, 1, shape))
+        return _omega_contract(t, _reduced(*scalar.omega), perm, [], -1, 1, 1, shape)
 
 
 class _Float:
@@ -529,30 +530,20 @@ class _Float:
         return t
 
     @staticmethod
-    def finish(t: np.ndarray, scalar: ExactScalar) -> np.ndarray:
-        return t * scalar.to_complex()
+    def finish(t: np.ndarray, scalar: ExactScalar, perm: list[int]) -> np.ndarray:
+        t = t * scalar.to_complex()
+        return np.transpose(t, axes=perm) if perm else t
 
 
 _MODES = {"exact": _Exact, "float": _Float}
 
 
-def eval_diagram(
-    d: Diagram,
-    mode: str = "exact",
-    plan: Optional[ContractionPlan] = None,
-    rank_cap: Optional[int] = None,
-) -> Tensor:
-    """Contract a diagram to its tensor.
-
-    Builds a tensor for each node of ``plan.nodes`` and runs
-    ``plan.program``: each step is one matrix product of the two operands,
-    transposed and reshaped as the program says (in exact mode, one for
-    each pair of present omega slots), with no port lookups.  Without a
-    plan, :func:`plan_contraction` makes one for ``d``.  A given plan must
-    have been made for ``d`` itself (raises ValueError otherwise).  In exact
-    mode the entries are :class:`ExactScalar`; float mode returns
-    complex128.  The result axes are ordered inputs-then-outputs.
-    """
+def _contracted(d: Diagram, mode: str, plan: Optional[ContractionPlan] = None,
+                rank_cap: Optional[int] = None):
+    """The tensor of ``d`` as the program leaves it, with the diagram scalar
+    folded in and the axes in boundary order: an ``_OmegaTensor`` in exact
+    mode, a complex128 array in float mode.  Arguments as in
+    :func:`eval_diagram`."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     ops = _MODES[mode]
@@ -577,8 +568,28 @@ def eval_diagram(
         tensors[k1] = ops.contract(t1, t2, *step)
     # A plan leaves one tensor; a diagram with no nodes is a 0-legged H-box labelled 1.
     t, = tensors.values() or [ops.vertex(VertexData(H, label=ExactScalar.one()), 0)]
-    t = ops.finish(t, d.scalar)
-    return Tensor(np.transpose(t, axes=perm) if perm else t, len(d.inputs), len(d.outputs), mode)
+    return ops.finish(t, d.scalar, perm)
+
+
+def eval_diagram(
+    d: Diagram,
+    mode: str = "exact",
+    plan: Optional[ContractionPlan] = None,
+    rank_cap: Optional[int] = None,
+) -> Tensor:
+    """Contract a diagram to its tensor.
+
+    Builds a tensor for each node of ``plan.nodes`` and runs
+    ``plan.program``: each step is one matrix product of the two operands,
+    transposed and reshaped as the program says (in exact mode, one for
+    each pair of present omega slots), with no port lookups.  Without a
+    plan, :func:`plan_contraction` makes one for ``d``.  A given plan must
+    have been made for ``d`` itself (raises ValueError otherwise).  In exact
+    mode the entries are :class:`ExactScalar`; float mode returns
+    complex128.  The result axes are ordered inputs-then-outputs.
+    """
+    t = _contracted(d, mode, plan, rank_cap)
+    return Tensor(_exact_array(t) if mode == "exact" else t, len(d.inputs), len(d.outputs), mode)
 
 
 def to_matrix(d: Diagram, mode: str = "exact", **kw) -> np.ndarray:

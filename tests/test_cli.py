@@ -567,6 +567,22 @@ class TestVerify:
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: case 'bad-matrix': {message}\n"
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"builder": "symmetriser", "n": [2]}, "wire count [2] is not a string or an integer"),
+        ({"builder": "symmetriser", "n": True}, "wire count true is not a string or an integer"),
+        ({"builder": "symmetriser", "n": None}, "wire count null is not a string or an integer"),
+        ({"builder": "symmetriser", "n": 2.0}, "wire count 2.0 is not a string or an integer"),
+        ({"builder": "3jm", "spins": [[2], "1", "1"]}, "invalid spin [2]: not a string or a number"),
+        ({"builder": "3jm", "spins": [{"j": 1}, "1", "1"]}, 'invalid spin {"j": 1}: not a string or a number'),
+    ], ids=["n-list", "n-bool", "n-null", "n-float", "spin-list", "spin-object"])
+    def test_matrix_case_field_of_another_json_type_exits_2(self, capsys, tmp_path, bad, message):
+        # The JSON value itself is checked, and shown as JSON, not through str().
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"version": 1, "cases": [{"id": "bad", "kind": "matrix", "expected": [["1"]], **bad}]}))
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: case 'bad': {message}\n"
+
     @pytest.mark.parametrize("value", ["1e400", '"1.0e400"', "true"], ids=["json-infinity", "string", "bool"])
     @pytest.mark.parametrize("case", [
         '{"id": "bad", "kind": "invariant", "which": "loop", "spins": [%s], "expected": "3"}',

@@ -351,6 +351,17 @@ class TestMatchesReference:
         if n >= 0:
             same(x ** n, ref_x ** n)
 
+    @PROPERTIES
+    @given(scalar_parts(), st.one_of(st.just(0), st.integers(-6, 6), st.integers(-2 ** 100, 2 ** 100)))
+    def test_int_operands_on_both_sides(self, p, n):
+        # Sums and products with a plain int equal those with the int as an
+        # ExactScalar, form for form, and the reference's text.
+        x, ref_x, as_scalar = ExactScalar(*p), _RefExactScalar(*p), ExactScalar(n)
+        for got, general, ref in ((x + n, x + as_scalar, ref_x + n), (n + x, as_scalar + x, n + ref_x),
+                                  (x * n, x * as_scalar, ref_x * n), (n * x, as_scalar * x, n * ref_x)):
+            assert got.omega == general.omega
+            assert got.serialize() == ref.serialize()
+
 
 class TestRadicalNumber:
     def test_sqrt_products_reduce(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinnet import tensor
 from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, half_integer_range, sqrt_rational
 from spinnet.graph import VertexData, X, Z
 from spinnet.su2 import (
@@ -329,6 +330,58 @@ def test_project_to_spin_basis_matches_dense_route(in_spins, out_spins, data):
     want = _ref_project_to_spin_basis(radical, in_spins, out_spins)
     assert project_to_spin_basis(exact, in_spins, out_spins) == want
     assert project_to_spin_basis(radical, in_spins, out_spins) == want
+
+
+def test_project_to_spin_basis_rejects_an_entry_outside_q_sqrt2():
+    m = [[RadicalNumber.one(), RadicalNumber.zero()], [RadicalNumber.zero(), sqrt_rational(3)]]
+    with pytest.raises(ValueError, match=r"qubit entry \(1, 1\) 1\*sqrt\(3\)"):
+        project_to_spin_basis(m, [H], [H])
+
+
+def test_project_to_spin_basis_rejects_a_non_real_entry():
+    m = [[ExactScalar.one(), ExactScalar.zero()], [ExactScalar.zero(), ExactScalar(0, 0, 1)]]
+    with pytest.raises(ValueError, match="not a real number"):
+        project_to_spin_basis(m, [H], [H])
+
+
+@st.composite
+def open_vertices(draw):
+    """An admissible 3jm or 4jm vertex with spins <= 1 in a random
+    orientation: (diagram, correction, ingoing spins, outgoing spins)."""
+    spin = st.sampled_from([HalfInteger.from_twice(t) for t in range(3)])
+    if draw(st.booleans()):
+        js = draw(st.tuples(spin, spin, spin).filter(lambda t: triangle_ok(*t)))
+        orient = "".join(draw(st.lists(st.sampled_from("io"), min_size=3, max_size=3)))
+        d, corr = vertex_3jm(VertexSpec(js, orient))
+    else:
+        js, j = draw(st.tuples(st.tuples(spin, spin, spin, spin), spin).filter(
+            lambda v: triangle_ok(v[0][0], v[0][1], v[1]) and triangle_ok(v[1], v[0][2], v[0][3])))
+        orient = "".join(draw(st.lists(st.sampled_from("io"), min_size=4, max_size=4)))
+        d, corr = vertex_4jm(js, j, orient)
+    ins = [x for x, o in zip(js, orient) if o == "i"]
+    outs = [x for x, o in zip(js, orient) if o == "o"]
+    return d, corr, ins, outs
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(open_vertices())
+def test_corrected_spin_matrix_matches_dense_route(vertex):
+    d, corr, ins, outs = vertex
+    c = corr.value
+    want = [[c * x for x in row] for row in _ref_project_to_spin_basis(exact_matrix(d), ins, outs)]
+    assert corrected_spin_matrix(d, corr, ins, outs) == want
+
+
+def test_corrected_spin_matrix_builds_no_exact_scalar_per_entry(monkeypatch):
+    d, corr = vertex_4jm((1, 1, H, H), 1, "ioio")
+
+    def refuse(t):
+        raise AssertionError("an ExactScalar array was built")
+
+    monkeypatch.setattr(tensor, "_exact_array", refuse)
+    with pytest.raises(AssertionError):
+        eval_diagram(d)  # the patch is the one eval_diagram uses
+    assert corrected_spin_matrix(d, corr, [1, H], [1, H]) == yutsis_matrix_4((1, 1, H, H), 1, "ioio")
 
 
 class TestNetworks:
