@@ -21,10 +21,10 @@ joins ports to new boundary wires.
   :class:`NetworkSpec` in one pass before it adds a vertex; every internal
   edge and open leg is then one bundle.
 * :func:`invariance_defect` -- the exact SU(2)-invariance certificate: the
-  generators J_x and J_z of su(2) act on a diagram's exact matrix from the
-  output and the input side, and the count of entries where the two
-  differ is 0 exactly when the matrix is invariant (no sampling, no
-  tolerance).
+  generators J_x and J_z of su(2) act on the omega-slot int arrays of a
+  diagram's exact matrix from the output and the input side, and the count
+  of entries where the two differ is 0 exactly when the matrix is
+  invariant (no sampling, no tolerance).
 
 Builders return raw diagrams whose exact evaluation matches the
 unnormalised diagrammatic value, together with a :class:`CorrectionFactor`
@@ -41,7 +41,10 @@ Dicke basis |j m> = |D_k> / sqrt(C(2j, k)), k = j - m ones:
 * :func:`corrected_spin_matrix` sums each (row class, column class) block
   of the exact contraction's omega-slot int arrays with one integer matmul
   per slot and makes one RadicalNumber per spin entry, none per qubit entry;
-  :func:`project_to_spin_basis` does the same for a given qubit matrix.
+  :func:`project_to_spin_basis` does the same for the omega forms of a given
+  qubit matrix.  :func:`exact_matrix` reads the same arrays, so all four
+  exact read-outs use the omega-slot form, and :meth:`ExactScalar.to_radical`
+  is their one omega-to-RadicalNumber conversion.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .exact import (
     sqrt_rational,
 )
 from .graph import Diagram, X, Z
+# eval_diagram is not called here; bench/tracer.py wraps it as su2.eval_diagram.
 from .tensor import _contracted, eval_diagram, plug_basis
 from .wigner import SpinLike, _hi, triangle_ok
 
@@ -92,7 +96,6 @@ __all__ = [
 
 _PI = Fraction(1)
 _INV_SQRT2 = ExactScalar.inv_sqrt2()
-_HALF_SQRT2 = sqrt_rational(Fraction(1, 2))
 
 
 # -- bookkeeping ----------------------------------------------------------
@@ -241,31 +244,32 @@ def _spin_matrix(coeffs: Sequence[Optional[np.ndarray]], den: int, in_spins: Seq
     """``scale`` times P_out . M . P_in^T for the qubit matrix (outputs x
     inputs) M = sum_k coeffs[k] * omega^k / den, ``None`` for a zero slot:
     one integer matmul R . A . C^T per slot over the class matrices of
-    :func:`_weight_classes`, then one RadicalNumber per spin entry, its sum
-    over ``den`` times sqrt(1/(C_r C_c)) and ``scale`` (ValueError if not real)."""
+    :func:`_weight_classes`, then the entries of :func:`_radicals`."""
     rows, row_sizes = _weight_classes(out_spins)
     cols, col_sizes = _weight_classes(in_spins)
     if any(c is not None and c.shape != (rows.shape[1], cols.shape[1]) for c in coeffs):
         raise ValueError("isometry dimensions do not match the matrix")
-    zero = np.zeros((len(row_sizes), len(col_sizes)), dtype=object)
-    slots = [(zero if c is None else rows @ c @ cols.T).tolist() for c in coeffs]
-    # C_r C_c -> the terms of k = sqrt(1/(C_r C_c)) * scale / den and of k * sqrt(2)/2
-    factors: dict[int, tuple] = {}
+    slots = [None if c is None else rows @ c @ cols.T for c in coeffs]
+    return _radicals(slots, den, row_sizes, col_sizes, scale)
+
+
+def _radicals(slots: Sequence[Optional[np.ndarray]], den: int, row_sizes: Sequence[int],
+              col_sizes: Sequence[int], scale: RadicalNumber) -> list[list[RadicalNumber]]:
+    """The real matrix sum_k slots[k] * omega^k / den (``None`` for a zero slot), entry
+    (r, c) times sqrt(1/(C_r C_c)) and ``scale``: one :meth:`ExactScalar.to_radical`
+    per distinct (C_r C_c, omega form), shared by equal entries (ValueError if not real)."""
+    zero = [[0] * len(col_sizes)] * len(row_sizes)
+    slot_rows = [zero if s is None else s.tolist() for s in slots]
+    made: dict[tuple, RadicalNumber] = {}
     out = []
-    for cr, *slot_rows in zip(row_sizes, *slots):
+    for cr, *forms in zip(row_sizes, *slot_rows):
         out.append(row := [])
-        for cc, c0, c1, c2, c3 in zip(col_sizes, *slot_rows):
-            if c2 or c1 + c3:
-                raise ValueError(f"not a real number: {ExactScalar._from_omega((c0, c1, c2, c3), den)}")
-            terms: dict[int, Fraction] = {}
-            if c0 or c1 - c3:  # the value is (c0 + (c1 - c3) * sqrt(2)/2) / den
-                if cr * cc not in factors:
-                    k = sqrt_rational(Fraction(1, cr * cc)) * scale / den
-                    factors[cr * cc] = k.terms, (k * _HALF_SQRT2).terms
-                for x, part in zip((c0, c1 - c3), factors[cr * cc]):
-                    for rad, q in part.items():
-                        terms[rad] = terms.get(rad, 0) + q * x
-            row.append(RadicalNumber(terms))
+        for key in zip((cr * cc for cc in col_sizes), *forms):
+            x = made.get(key)
+            if x is None:
+                x = ExactScalar._from_omega(key[1:], den).to_radical()
+                x = made[key] = x * sqrt_rational(Fraction(1, key[0])) * scale
+            row.append(x)
     return out
 
 
@@ -636,10 +640,18 @@ def loop_network(j: SpinLike) -> tuple[Diagram, CorrectionFactor]:
 # -- exact matrix helpers -------------------------------------------------
 
 
+def _matrix_slots(d: Diagram) -> tuple[list[Optional[np.ndarray]], int]:
+    """The exact contraction of ``d`` as its (outputs x inputs) omega-slot
+    int matrices, ``None`` for a zero slot, and their denominator."""
+    coeffs, den = _contracted(d, "exact")
+    n_in = 2 ** len(d.inputs)
+    return [None if c is None else c.reshape(n_in, -1).T for c in coeffs], den
+
+
 def exact_matrix(d: Diagram) -> list[list[RadicalNumber]]:
     """Exact (outputs x inputs) matrix of a diagram with real entries."""
-    m = eval_diagram(d, mode="exact").to_matrix()
-    return [[x.to_radical() for x in row] for row in m]
+    sizes = [1] * 2 ** len(d.outputs), [1] * 2 ** len(d.inputs)  # one class per qubit index
+    return _radicals(*_matrix_slots(d), *sizes, RadicalNumber.one())
 
 
 def project_to_spin_basis(
@@ -683,10 +695,14 @@ def plug_vertex_arguments(
     :func:`vertex_4jm`) ends in a symmetriser, so each leg takes the one
     product state (1 << k) - 1, k = j - m, as the module docstring says.
     :func:`~spinnet.tensor.plug_basis` plugs sqrt(2)^(2j) <b|, hence the
-    plug norm sqrt(C(2j, k) / 2^(2j)) per leg, which accumulates on ``corr``.
+    plug norm sqrt(C(2j, k) / 2^(2j)) per leg, which accumulates on ``corr``
+    only once every leg has been checked: a ValueError leaves ``corr`` as it was.
     """
+    if not len(spins) == len(ms) == len(orientation) or set(orientation) - {"i", "o"}:
+        raise ValueError("need one spin, one m and one orientation letter ('i' or 'o') per leg")
     ins, outs = list(d.inputs), list(d.outputs)
     bits: dict[int, int] = {}
+    plugs = []
     for j, m, o in zip(spins, ms, orientation):
         jh, mh = _hi(j), (-_hi(m) if o == "i" else _hi(m))
         n = jh.twice
@@ -700,11 +716,14 @@ def plug_vertex_arguments(
         k = (n - mh.twice) // 2
         b = (1 << k) - 1
         bits.update((w, (b >> (n - 1 - i)) & 1) for i, w in enumerate(wires))
-        corr.plug_norm = corr.plug_norm * sqrt_rational(Fraction(math.comb(n, k), 2 ** n))
-        corr.notes.append(f"plug |{jh},{mh}>")
+        plugs.append((sqrt_rational(Fraction(math.comb(n, k), 2 ** n)), f"plug |{jh},{mh}>"))
     if ins or outs:
         raise ValueError("leg spins do not cover all boundary wires")
-    return plug_basis(d, bits)
+    plugged = plug_basis(d, bits)
+    for norm, note in plugs:
+        corr.plug_norm = corr.plug_norm * norm
+        corr.notes.append(note)
+    return plugged
 
 
 def corrected_spin_matrix(
@@ -716,10 +735,7 @@ def corrected_spin_matrix(
     """Exact spin-basis matrix of a vertex diagram: the exact contraction's
     integer form projected onto the spin basis and scaled by the correction.
     Matches :func:`spinnet.wigner.yutsis_matrix_3` / ``yutsis_matrix_4``."""
-    coeffs, den = _contracted(d, "exact")
-    n_in = 2 ** len(d.inputs)
-    matrices = [None if c is None else c.reshape(n_in, -1).T for c in coeffs]
-    return _spin_matrix(matrices, den, in_spins, out_spins, corr.value)
+    return _spin_matrix(*_matrix_slots(d), in_spins, out_spins, corr.value)
 
 
 # -- SU(2) invariance -----------------------------------------------------
@@ -739,14 +755,13 @@ def invariance_defect(d: Diagram, dual_inputs: bool) -> int:
     exact arithmetic, no sampling and no tolerance.  J_x flips one bit of
     an index; J_z multiplies it by (#zeros - #ones).
     """
-    m = eval_diagram(d, mode="exact").to_matrix().tolist()
+    a = np.array([x for x in _matrix_slots(d)[0] if x is not None])  # (slot, row, column)
     n_out, n_in = len(d.outputs), len(d.inputs)
     s = -1 if dual_inputs else 1
-    defect = 0
-    for r, row in enumerate(m):
-        for c, x in enumerate(row):
-            jx_out = sum(m[r ^ 1 << w][c] for w in range(n_out))  # (J_x^out M)[r, c]
-            jx_in = sum(row[c ^ 1 << w] for w in range(n_in))  # (M J_x^in)[r, c]
-            jz = n_out - 2 * bin(r).count("1") - n_in + 2 * bin(c).count("1")  # z_out(r) - z_in(c)
-            defect += bool(jx_out - s * jx_in) + bool(jz and x)
-    return defect
+    rows, cols = np.arange(2 ** n_out), np.arange(2 ** n_in)
+    ones = [np.array([bin(i).count("1") for i in side]) for side in (rows, cols)]
+    jz = (n_out - 2 * ones[0])[:, None] - (n_in - 2 * ones[1])  # z_out(r) - z_in(c)
+    jx_out = sum(a[:, rows ^ 1 << w] for w in range(n_out))  # J_x^out M
+    jx_in = sum(a[:, :, cols ^ 1 << w] for w in range(n_in))  # M J_x^in
+    differ = np.any(jx_out - s * jx_in != 0, axis=0)  # an entry is 0 when all its slots are
+    return int(np.count_nonzero(differ) + np.count_nonzero(np.any(a != 0, axis=0) & (jz != 0)))

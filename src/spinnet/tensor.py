@@ -39,7 +39,7 @@ order and that program.  Two modes:
   divided out.  Python ints do not overflow.  ``_contracted`` returns
   that form as the program leaves it (scalar folded in, axes in boundary
   order); :func:`eval_diagram` turns it into ExactScalar once, at the end,
-  and :func:`spinnet.su2.corrected_spin_matrix` reads it as it is.
+  and the exact read-outs of :mod:`spinnet.su2` read it as it is.
 * ``"float"`` -- an H-box or a spider phase on the pi/4 grid gives the
   exact tensor with each entry rounded once (phases 0 and pi give exactly 1
   and -1); a phase off the grid gives a complex factor.  A vertex tensor is

@@ -1,6 +1,7 @@
 """SU(2) recoupling builders: symmetrisers, links, vertices, networks."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from spinnet import tensor
 from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, half_integer_range, sqrt_rational
-from spinnet.graph import VertexData, X, Z
+from spinnet.graph import Diagram, VertexData, X, Z, compose_par
+from spinnet.rewrite import _random_host
 from spinnet.su2 import (
     EdgeSpec,
     NetworkSpec,
@@ -263,6 +265,24 @@ class TestVertices:
         with pytest.raises(ValueError, match="not a magnetic index"):
             plug_vertex_arguments(d, corr, (1, 1, 1), (1, H, 0), "iio")
 
+    @pytest.mark.parametrize("spins,ms,orient,match", [
+        ((1, 1, 1), (1, 0), "iio", "one spin, one m and one orientation letter"),
+        ((1, 1, 1), (1, 0, -1), "io", "one spin, one m and one orientation letter"),
+        ((1, 1, 1), (1, 0, -1), "iiz", "one spin, one m and one orientation letter"),
+        ((1, 1, 1), (1, 0, -1), "oio", "needs 2 wires"),
+        ((1, 1, 1), (1, 0, 2), "iio", "not a magnetic index"),
+        ((H, H, 1), (H, H, -1), "iio", "do not cover all boundary wires"),
+    ], ids=["ms-short", "orientation-short", "letter-z", "oio-on-iio", "bad-m", "spins-short-of-wires"])
+    def test_a_failed_plug_leaves_the_correction_as_it_was(self, spins, ms, orient, match):
+        d, corr = vertex_3jm(VertexSpec((1, 1, 1), "iio"))
+        before = (corr.value, list(corr.notes))
+        with pytest.raises(ValueError, match=match):
+            plug_vertex_arguments(d, corr, spins, ms, orient)
+        assert (corr.value, corr.notes) == before
+        # The same correction then serves a valid plug.
+        d = plug_vertex_arguments(d, corr, (1, 1, 1), (1, 0, -1), "iio")
+        assert eval_diagram(d).scalar_value().to_radical() * corr.value == w3jm(1, 1, 1, 1, 0, -1)
+
 
 def _ref_symmetric_isometry(j):
     """The (2j+1) x 2^(2j) isometry from qubit wires to the spin-j space.
@@ -363,17 +383,52 @@ def open_vertices(draw):
     return d, corr, ins, outs
 
 
+def _ref_exact_matrix(d):
+    """The (outputs x inputs) matrix through ExactScalar entries: one
+    :meth:`ExactScalar.to_radical` per qubit entry of :func:`eval_diagram`."""
+    return [[x.to_radical() for x in row] for row in eval_diagram(d).to_matrix()]
+
+
+def _exact_matrix_cases():
+    """Diagrams with real exact matrices: symmetrisers 0-4, links, the
+    cswap gadget, crowns, 3jm vertices and an open 4jm vertex."""
+    cases = [pytest.param(lambda n=n: symmetriser(n), id=f"symmetriser-{n}") for n in range(5)]
+    cases += [pytest.param(lambda j=j: yutsis_link(j), id=f"link-{j}") for j in (H, 1, Fraction(3, 2))]
+    cases += [pytest.param(cswap_gadget, id="cswap")]
+    cases += [pytest.param(lambda s=s: crown(s), id=f"crown-{s}") for s in (2, 3, 4, 5)]
+    cases += [pytest.param(lambda o=o: vertex_3jm(VertexSpec((1, H, H), o))[0], id=f"3jm-{o}")
+              for o in ("iio", "ioo", "iii", "ooo")]
+    cases += [pytest.param(lambda: vertex_4jm((1, 1, H, H), 1, "ioio")[0], id="4jm-ioio")]
+    return cases
+
+
+@pytest.mark.parametrize("build", _exact_matrix_cases())
+def test_exact_matrix_matches_the_exact_scalar_route(build):
+    d = build()
+    assert exact_matrix(d) == _ref_exact_matrix(d)
+
+
+def test_exact_matrix_rejects_a_non_real_entry():
+    d = crown(2)
+    d.mul_scalar(ExactScalar.phase_quarter(2))  # times i
+    with pytest.raises(ValueError, match="not a real number"):
+        _ref_exact_matrix(d)
+    with pytest.raises(ValueError, match="not a real number"):
+        exact_matrix(d)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(open_vertices())
 def test_corrected_spin_matrix_matches_dense_route(vertex):
     d, corr, ins, outs = vertex
     c = corr.value
-    want = [[c * x for x in row] for row in _ref_project_to_spin_basis(exact_matrix(d), ins, outs)]
+    want = [[c * x for x in row] for row in _ref_project_to_spin_basis(_ref_exact_matrix(d), ins, outs)]
     assert corrected_spin_matrix(d, corr, ins, outs) == want
 
 
-def test_corrected_spin_matrix_builds_no_exact_scalar_per_entry(monkeypatch):
+def test_exact_read_outs_build_no_exact_scalar_per_entry(monkeypatch):
     d, corr = vertex_4jm((1, 1, H, H), 1, "ioio")
+    want_matrix, want_defect = _ref_exact_matrix(d), _ref_invariance_defect(d, True)
 
     def refuse(t):
         raise AssertionError("an ExactScalar array was built")
@@ -382,6 +437,9 @@ def test_corrected_spin_matrix_builds_no_exact_scalar_per_entry(monkeypatch):
     with pytest.raises(AssertionError):
         eval_diagram(d)  # the patch is the one eval_diagram uses
     assert corrected_spin_matrix(d, corr, [1, H], [1, H]) == yutsis_matrix_4((1, 1, H, H), 1, "ioio")
+    assert exact_matrix(d) == want_matrix
+    assert invariance_defect(d, dual_inputs=True) == want_defect == 0
+    assert invariance_defect(cswap_gadget(), dual_inputs=False) == 16
 
 
 class TestNetworks:
@@ -449,6 +507,22 @@ class TestNetworks:
             build(j)
 
 
+def _ref_invariance_defect(d, dual_inputs):
+    """:func:`invariance_defect` entry by entry over the ExactScalar matrix
+    of :func:`eval_diagram`."""
+    m = eval_diagram(d, mode="exact").to_matrix().tolist()
+    n_out, n_in = len(d.outputs), len(d.inputs)
+    s = -1 if dual_inputs else 1
+    defect = 0
+    for r, row in enumerate(m):
+        for c, x in enumerate(row):
+            jx_out = sum(m[r ^ 1 << w][c] for w in range(n_out))  # (J_x^out M)[r, c]
+            jx_in = sum(row[c ^ 1 << w] for w in range(n_in))  # (M J_x^in)[r, c]
+            jz = n_out - 2 * bin(r).count("1") - n_in + 2 * bin(c).count("1")  # z_out(r) - z_in(c)
+            defect += bool(jx_out - s * jx_in) + bool(jz and x)
+    return defect
+
+
 def _twice(spins):
     return "2j=" + ",".join(str(j.twice) for j in spins)
 
@@ -492,8 +566,9 @@ class TestInvariance:
         assert invariance_defect(symmetriser(n), dual_inputs=False) == 0
 
     def test_cswap_has_a_defect(self):
-        assert invariance_defect(cswap_gadget(), dual_inputs=False) == 16
-        assert invariance_defect(cswap_gadget(), dual_inputs=True) == 32
+        for dual_inputs, count in ((False, 16), (True, 32)):
+            assert invariance_defect(cswap_gadget(), dual_inputs) == count
+            assert _ref_invariance_defect(cswap_gadget(), dual_inputs) == count
 
     def test_vertex_without_an_arrow_has_a_defect(self):
         # Replace the X(pi) arrow on input wire 0 by a plain wire, Z(0).
@@ -503,3 +578,27 @@ class TestInvariance:
         assert d.vertices[arrow] == VertexData(X, Fraction(1))
         d.vertices[arrow] = VertexData(Z)
         assert invariance_defect(d, dual_inputs=True) == 12
+        assert _ref_invariance_defect(d, dual_inputs=True) == 12
+        assert _ref_invariance_defect(d, dual_inputs=True) == 12
+
+    @pytest.mark.parametrize("build,dual_inputs,count", [
+        (lambda: crown(4), False, 11),
+        (lambda: yutsis_link(1), True, 0),  # the Z(pi) metric maps V to its dual
+        (lambda: yutsis_link(1), False, 8),
+    ], ids=["crown-4", "link-1-dual", "link-1"])
+    def test_gadget_defect_matches_the_entrywise_reference(self, build, dual_inputs, count):
+        d = build()
+        assert _ref_invariance_defect(d, dual_inputs) == count
+        assert invariance_defect(d, dual_inputs) == count
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(0, 5), st.booleans())
+    def test_defect_of_a_random_diagram_matches_the_entrywise_reference(self, seed, hosts, n_in, dual_inputs):
+        # Random hosts of rewrite's soundness checker side by side, the first
+        # n_in boundaries read as inputs.
+        rng = random.Random(seed)
+        d = Diagram()
+        for _ in range(hosts):
+            d = compose_par(d, _random_host(rng))
+        d.inputs, d.outputs = d.outputs[:n_in], d.outputs[n_in:]
+        assert invariance_defect(d, dual_inputs) == _ref_invariance_defect(d, dual_inputs)
