@@ -11,7 +11,7 @@ import numpy as np
 from spinnet.exact import ExactScalar
 from spinnet.rewrite import simplify
 from spinnet.su2 import cswap_gadget
-from spinnet.tensor import plug_basis, to_matrix
+from spinnet.tensor import eval_diagram, plug_basis
 
 # The default rules plus those that move the plugged control through the
 # gadget (absorb, explode, copy, hopf, pi-copy).
@@ -26,9 +26,9 @@ for bit, name in ((0, "identity"), (1, "swap")):
     s, trace = simplify(d, rules=FREDKIN_RULES)
     print(f"control |{bit}>: {len(d.vertices)} -> {len(s.vertices)} vertices "
           f"in {len(trace)} rewrites ({', '.join(r for r, _ in trace.steps)})")
-    m = to_matrix(s)
+    m = eval_diagram(s).to_matrix()
     for row in m:
         print("   ", [x.serialize() if x != ExactScalar.zero() else "0" for x in row])
-    assert bool(np.all(to_matrix(s) == to_matrix(d))), "rewrites preserve the tensor"
+    assert bool(np.all(m == eval_diagram(d).to_matrix())), "rewrites preserve the tensor"
     print(f"  -> exact {name} matrix, tensor preserved at every step")
     print()

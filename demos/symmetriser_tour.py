@@ -9,13 +9,13 @@ import numpy as np
 
 from spinnet.exact import ExactScalar
 from spinnet.su2 import lambda_n, symmetriser
-from spinnet.tensor import to_matrix
+from spinnet.tensor import eval_diagram
 
 for n in (2, 3):
     d = symmetriser(n)
     print(f"symmetriser({n}): {len(d.vertices)} vertices, {len(d.edges)} edges")
     print(f"  bundle normalisation lambda_{n} = {lambda_n(n).serialize()}")
-    s = to_matrix(d)
+    s = eval_diagram(d).to_matrix()
     print(f"  exact {2**n} x {2**n} matrix:")
     for row in s:
         print("   ", [x.to_radical().serialize() for x in row])

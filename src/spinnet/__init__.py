@@ -3,7 +3,7 @@ recoupling networks (Wigner 3jm / 4jm / 6j symbols)."""
 
 from .exact import ExactScalar, HalfInteger, RadicalNumber, sqrt_rational
 from .graph import Diagram, compose_par, compose_seq, deserialize, serialize
-from .tensor import Tensor, eval_diagram, plan_contraction, plug_basis, to_matrix
+from .tensor import Tensor, eval_diagram, plan_contraction, plug_basis
 
 __all__ = [
     "ExactScalar",
@@ -19,7 +19,6 @@ __all__ = [
     "eval_diagram",
     "plan_contraction",
     "plug_basis",
-    "to_matrix",
 ]
 
 __version__ = "0.1.0"

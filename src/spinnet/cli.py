@@ -385,7 +385,7 @@ def _load_manifest(name: str) -> dict:
         raise CliError(f"no such manifest: {name}")
     try:
         return json.loads(source.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # a directory, bad UTF-8 or bad JSON
+    except (OSError, ValueError, RecursionError) as exc:  # a directory, bad UTF-8, bad or too deep JSON
         raise CliError(f"cannot read manifest {name}: {exc}") from None
 
 

@@ -51,10 +51,16 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
+_TRIAL_LIMIT = 10 ** 6
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write a positive integer as ``c**2 * s`` with ``s`` squarefree.
 
-    Returns ``(c, s)``.
+    Returns ``(c, s)``.  Trial division stops at 10^6, so a cofactor left
+    over has only larger prime factors: below 10^18 it is 1, p, p^2 or pq,
+    and :func:`math.isqrt` tells p^2 apart.  A larger one is not factored:
+    ValueError, naming ``n``.
     """
     if n <= 0:
         raise ValueError("expected a positive integer")
@@ -62,6 +68,14 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     d = 2
     m = n
     while d * d <= m:
+        if d > _TRIAL_LIMIT:
+            if m >= _TRIAL_LIMIT ** 3:
+                raise ValueError(f"cannot factor the radicand {n}: a cofactor of at least 10^18 "
+                                 "has no prime factor below 10^6")
+            r = math.isqrt(m)
+            if r * r == m:
+                return c * r, s
+            break
         exp = 0
         while m % d == 0:
             m //= d

@@ -491,7 +491,7 @@ def deserialize(text: str) -> Diagram:
     """Parse a diagram from its JSON text (ValueError on malformed input)."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
     return from_json_dict(obj)
 

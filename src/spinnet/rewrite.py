@@ -856,14 +856,19 @@ class _Sites:
 def simplify(
     d: Diagram,
     rules: Optional[tuple[str, ...]] = None,
-    max_steps: int = 10000,
+    max_steps: Optional[int] = None,
 ) -> tuple[Diagram, RewriteTrace]:
     """Greedy fixpoint rewriting with the given ruleset (default: the
     terminating set fuse / remove-wire / identity / hh-cancel).  Each step
     applies the first site of the first rule in ``rules`` that has one; the
-    input is left untouched."""
+    input is left untouched.  RuntimeError if no fixpoint is reached within
+    ``max_steps`` rounds, each of which applies a step or finds none.  The
+    default budget is |V| + |E| + 1 of the input: each default rule removes
+    a vertex or an edge, so it reaches its fixpoint within that."""
     if rules is None:
         rules = DEFAULT_SIMPLIFY_RULES
+    if max_steps is None:
+        max_steps = len(d.vertices) + len(d.edges) + 1
     w = _Work(d)
     tables = [_Sites(_rule(r), w) for r in rules]
     trace = RewriteTrace()

@@ -65,7 +65,7 @@ from .exact import (
 )
 from .graph import Diagram, X, Z
 # eval_diagram is not called here; bench/tracer.py wraps it as su2.eval_diagram.
-from .tensor import _contracted, eval_diagram, plug_basis
+from .tensor import _contracted, _omega_table, eval_diagram, plug_basis
 from .wigner import SpinLike, _hi, triangle_ok
 
 __all__ = [
@@ -665,18 +665,16 @@ def project_to_spin_basis(
     n_out, n_in = (2 ** sum(_hi(j).twice for j in side) for side in (out_spins, in_spins))
     if len(qubit_matrix) != n_out or any(len(row) != n_in for row in qubit_matrix):
         raise ValueError("isometry dimensions do not match the matrix")
-    forms = []
+    entries = []
     for r, row in enumerate(qubit_matrix):
         for c, x in enumerate(row):
             if isinstance(x, RadicalNumber) and set(x.terms) <= {1, 2}:
                 x = x.to_exact_scalar()
             if not isinstance(x, ExactScalar):
                 raise ValueError(f"qubit entry ({r}, {c}) {row[c]} is not in Q(sqrt(2))")
-            forms.append(x.omega)
-    den = math.lcm(*(d for _, d in forms))
-    coeffs = [np.array([a[k] * (den // d) for a, d in forms], dtype=object).reshape(n_out, n_in)
-              for k in range(4)]
-    return _spin_matrix(coeffs, den, in_spins, out_spins, RadicalNumber.one())
+            entries.append(x)
+    table, den = _omega_table(entries)
+    return _spin_matrix(list(table.reshape(4, n_out, n_in)), den, in_spins, out_spins, RadicalNumber.one())
 
 
 def plug_vertex_arguments(

@@ -76,10 +76,8 @@ __all__ = [
     "Tensor",
     "ContractionPlan",
     "RankCapExceeded",
-    "vertex_tensor",
     "plan_contraction",
     "eval_diagram",
-    "to_matrix",
     "plug_basis",
 ]
 
@@ -187,6 +185,15 @@ def _vertex_entries(kind: str, degree: int, c, s, loops: int = 0) -> tuple[list,
     raise ValueError(f"no tensor for vertex kind {kind!r}")
 
 
+def _omega_table(values) -> tuple[np.ndarray, int]:
+    """The :attr:`ExactScalar.omega` forms of ``values`` over one
+    denominator: a (4, len(values)) object array of ints, whose row k holds
+    the omega^k coefficients, and that denominator."""
+    forms = [x.omega for x in values]
+    den = math.lcm(*(d for _, d in forms))
+    return np.array([[a[k] * (den // d) for a, d in forms] for k in range(4)], dtype=object), den
+
+
 def _omega_vertex(data: VertexData, degree: int, loops: int = 0) -> _OmegaTensor:
     """The vertex tensor over Z[omega]: the exact values' coefficient tables,
     over one denominator, indexed by the pattern."""
@@ -194,9 +201,7 @@ def _omega_vertex(data: VertexData, degree: int, loops: int = 0) -> _OmegaTensor
     if c is None:
         raise ValueError(f"phase {data.phase}*pi requires float mode")
     values, pattern = _vertex_entries(data.kind, degree, c, _inv_sqrt2_power(degree), loops)
-    forms = [ExactScalar._coerce(v).omega for v in values]
-    den = math.lcm(*(d for _, d in forms))
-    table = np.array([[a[k] * (den // d) for a, d in forms] for k in range(4)], dtype=object)
+    table, den = _omega_table(map(ExactScalar._coerce, values))
     return _reduced(list(table[:, pattern].reshape((4,) + (2,) * degree)), den)
 
 
@@ -252,21 +257,6 @@ def _float_vertex(data: VertexData, degree: int, loops: int = 0) -> np.ndarray:
     if all(v.imag == 0 for v in values):
         values = [v.real for v in values]
     return np.array(values)[pattern].reshape((2,) * degree)
-
-
-def vertex_tensor(data: VertexData, degree: int, mode: str = "exact") -> np.ndarray:
-    """The tensor of one vertex with the given number of incident wires.
-
-    Exact mode gives an object array of :class:`ExactScalar`.  Float mode
-    gives float64 where every entry is real and complex128 otherwise; for an
-    H-box or a phase on the pi/4 grid it is the exact tensor with each entry
-    rounded once, so phases 0 and pi give exactly 1 and -1.
-    """
-    if mode == "exact":
-        return _exact_array(_omega_vertex(data, degree))
-    if mode == "float":
-        return _float_vertex(data, degree)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # -- planning -------------------------------------------------------------
@@ -472,16 +462,6 @@ class Tensor:
     n_outputs: int
     mode: str
 
-    def to_numpy(self) -> np.ndarray:
-        """complex128 view of the data."""
-        if self.mode == "float":
-            return self.data
-        flat = np.array(
-            [x.to_complex() if isinstance(x, ExactScalar) else complex(x) for x in self.data.reshape(-1)],
-            dtype=complex,
-        )
-        return flat.reshape(self.data.shape)
-
     def to_matrix(self) -> np.ndarray:
         """Matrix with rows indexed by outputs, columns by inputs (wire 0 = MSB)."""
         ni, no = self.n_inputs, self.n_outputs
@@ -538,8 +518,7 @@ class _Float:
 _MODES = {"exact": _Exact, "float": _Float}
 
 
-def _contracted(d: Diagram, mode: str, plan: Optional[ContractionPlan] = None,
-                rank_cap: Optional[int] = None):
+def _contracted(d: Diagram, mode: str, plan: Optional[ContractionPlan] = None):
     """The tensor of ``d`` as the program leaves it, with the diagram scalar
     folded in and the axes in boundary order: an ``_OmegaTensor`` in exact
     mode, a complex128 array in float mode.  Arguments as in
@@ -548,7 +527,7 @@ def _contracted(d: Diagram, mode: str, plan: Optional[ContractionPlan] = None,
         raise ValueError(f"unknown mode {mode!r}")
     ops = _MODES[mode]
     if plan is None:
-        plan = plan_contraction(d, rank_cap=rank_cap, mode=mode)
+        plan = plan_contraction(d, mode=mode)
     elif plan.diagram is not d:  # its node table would be contracted in place of d's
         raise ValueError("the plan was made for another diagram")
     tensors = {}
@@ -571,30 +550,22 @@ def _contracted(d: Diagram, mode: str, plan: Optional[ContractionPlan] = None,
     return ops.finish(t, d.scalar, perm)
 
 
-def eval_diagram(
-    d: Diagram,
-    mode: str = "exact",
-    plan: Optional[ContractionPlan] = None,
-    rank_cap: Optional[int] = None,
-) -> Tensor:
+def eval_diagram(d: Diagram, mode: str = "exact", plan: Optional[ContractionPlan] = None) -> Tensor:
     """Contract a diagram to its tensor.
 
     Builds a tensor for each node of ``plan.nodes`` and runs
     ``plan.program``: each step is one matrix product of the two operands,
     transposed and reshaped as the program says (in exact mode, one for
     each pair of present omega slots), with no port lookups.  Without a
-    plan, :func:`plan_contraction` makes one for ``d``.  A given plan must
+    plan, :func:`plan_contraction` makes one for ``d`` under the default
+    cap; a plan is the one place a rank cap is given.  A given plan must
     have been made for ``d`` itself (raises ValueError otherwise).  In exact
-    mode the entries are :class:`ExactScalar`; float mode returns
-    complex128.  The result axes are ordered inputs-then-outputs.
+    mode the entries are :class:`ExactScalar`, and ``.data.astype(complex)``
+    rounds them; float mode returns complex128.  The result axes are
+    ordered inputs-then-outputs.
     """
-    t = _contracted(d, mode, plan, rank_cap)
+    t = _contracted(d, mode, plan)
     return Tensor(_exact_array(t) if mode == "exact" else t, len(d.inputs), len(d.outputs), mode)
-
-
-def to_matrix(d: Diagram, mode: str = "exact", **kw) -> np.ndarray:
-    """Evaluate and reshape to the (outputs x inputs) matrix."""
-    return eval_diagram(d, mode=mode, **kw).to_matrix()
 
 
 # -- basis plugging -------------------------------------------------------

@@ -37,7 +37,7 @@ from spinnet.su2 import (
     vertex_3jm,
     vertex_4jm,
 )
-from spinnet.tensor import eval_diagram, plug_basis, to_matrix
+from spinnet.tensor import eval_diagram, plug_basis
 from spinnet.wigner import (
     invariant_loop,
     invariant_theta,
@@ -94,7 +94,7 @@ def test_symmetriser_scalars_formula_and_projector():
     for n in (2, 3, 4):
         d = symmetriser(n)
         d.mul_scalar(lambda_n(n).to_exact_scalar().inverse())
-        t = to_matrix(d)
+        t = eval_diagram(d).to_matrix()
         c = t[0, 0]
         assert bool(np.all(t.dot(t) == c * t))
         assert c.inverse().to_radical() == frozen[n]
@@ -123,7 +123,7 @@ def permutation_matrix(n, perm):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_symmetriser_laws_exact(n):
-    s = to_matrix(symmetriser(n))
+    s = eval_diagram(symmetriser(n)).to_matrix()
     assert bool(np.all(s.dot(s) == s))
     assert bool(np.all(s.T == s))
     for perm in permutations(range(n)):
@@ -335,7 +335,7 @@ def test_simplify_reproduces_control_branches():
     assert len(tr0) > 0
     assert all(data.kind == "B" for data in s0.vertices.values())
     eye = np.where(np.eye(4) == 1, ExactScalar.one(), ExactScalar.zero())
-    assert bool(np.all(to_matrix(s0) == eye))
+    assert bool(np.all(eval_diagram(s0).to_matrix() == eye))
     # Control |1>: simplification shrinks the diagram and the exact matrix
     # stays the swap, with unit coefficient.
     g = cswap_gadget()
@@ -344,7 +344,7 @@ def test_simplify_reproduces_control_branches():
     assert len(tr1) > 0 and len(s1.vertices) < len(d1.vertices)
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     want = np.where(swap == 1, ExactScalar.one(), ExactScalar.zero())
-    assert bool(np.all(to_matrix(s1) == want))
+    assert bool(np.all(eval_diagram(s1).to_matrix() == want))
 
 
 # -- 13. oracle property suite ------------------------------------------------

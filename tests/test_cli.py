@@ -144,6 +144,22 @@ class TestBuildEval:
         assert report["vertices_after"] < report["vertices_before"]
         assert len(report["rewrite_trace"]) > 0
 
+    def test_eval_simplify_takes_more_than_ten_thousand_steps(self, capsys, tmp_path):
+        # An input, 10,001 Z(0) spiders in a row, an output: 10,001 steps.
+        d = Diagram()
+        prev = d.add_input()
+        for _ in range(10_001):
+            z = d.add_z()
+            d.add_edge(prev, z)
+            prev = z
+        d.add_edge(prev, d.add_output())
+        path = tmp_path / "chain.json"
+        path.write_text(serialize(d))
+        code, out, _ = run(capsys, "eval", str(path), "--simplify")
+        assert code == EXIT_OK
+        report = json.loads(out.splitlines()[0])
+        assert (len(report["rewrite_trace"]), report["vertices_after"]) == (10_001, 2)
+
     def test_eval_rank_cap_exit_3(self, capsys, tmp_path):
         out_file = tmp_path / "s3.json"
         run(capsys, "build", "symmetriser", "3", "--out", str(out_file))
@@ -483,8 +499,11 @@ class TestUsageErrors:
         (lambda t: ["verify", str(_file(t, json.dumps({"cases": [
             {"id": "s", "kind": "matrix", "builder": "symmetriser", "n": -1, "expected": [["1"]]}
         ]}).encode()))], "wire count -1 is negative"),
+        (lambda t: ["eval", str(_file(t, b"[" * 100_000))], "cannot read diagram"),
+        (lambda t: ["verify", str(_file(t, b"[" * 100_000))], "cannot read manifest"),
     ], ids=["verify-directory", "verify-non-utf8", "eval-directory", "build-out-directory",
-            "build-out-missing-directory", "build-dot-directory", "verify-negative-symmetriser"])
+            "build-out-missing-directory", "build-dot-directory", "verify-negative-symmetriser",
+            "eval-deep-json", "verify-deep-json"])
     def test_bad_path_or_size_exits_2(self, capsys, tmp_path, argv, message):
         assert message in run_usage_error(capsys, *argv(tmp_path))
 
@@ -537,6 +556,8 @@ class TestVerify:
         ("id", ["x"], "id ['x'] is not a string"),
         ("source", 5, "source 5 is not a string"),
         ("source", None, "source None is not a string"),
+        # at least 10^18 with no prime factor below 10^6: not factored
+        ("expected", f"1*sqrt({1000003 ** 3})", f"cannot factor the radicand {1000003 ** 3}"),
     ])
     def test_malformed_case_exits_2_before_any_case_runs(self, capsys, tmp_path, field, value, message):
         good = {"id": "good-loop", "kind": "invariant", "which": "loop",

@@ -451,6 +451,16 @@ class TestSquarefree:
             for p in range(2, 40):
                 assert s % (p * p) != 0
 
+    def test_prime_factors_above_the_trial_bound(self):
+        # Past 10^6 a cofactor below 10^18 is p, p^2 or pq; a larger one raises.
+        p, q = 1000003, 1000033
+        assert squarefree_decompose(12 * p * p) == (2 * p, 3)
+        assert squarefree_decompose(p * q) == (1, p * q)
+        assert squarefree_decompose(4 * p) == (2, p)
+        for n in (p ** 3, p * q * 1000037):
+            with pytest.raises(ValueError, match=f"cannot factor the radicand {n}"):
+                squarefree_decompose(n)
+
     def test_factorial(self):
         assert factorial(0) == 1
         assert factorial(6) == 720

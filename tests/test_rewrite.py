@@ -24,7 +24,7 @@ from spinnet.rewrite import (
     simplify,
 )
 from spinnet.su2 import cswap_gadget, network_6j, symmetriser
-from spinnet.tensor import plug_basis, to_matrix
+from spinnet.tensor import eval_diagram, plug_basis
 
 # The default rules plus absorb, explode, copy, hopf and pi-copy: enough to
 # reduce a plugged Fredkin gadget, but with no fixpoint on larger diagrams.
@@ -91,9 +91,9 @@ def test_negative_control_detects_wrong_scalar():
     good = apply_rule(d, "hh-cancel")
     bad = good.copy()
     bad.mul_scalar(ExactScalar(Fraction(1, 2)))  # undo the derived scalar
-    before = to_matrix(d)
-    assert bool(np.all(to_matrix(good) == before))
-    assert not bool(np.all(to_matrix(bad) == before))
+    before = eval_diagram(d).to_matrix()
+    assert bool(np.all(eval_diagram(good).to_matrix() == before))
+    assert not bool(np.all(eval_diagram(bad).to_matrix() == before))
 
 
 def test_derived_scalars_are_cached_and_exact():
@@ -163,6 +163,13 @@ def test_simplify_max_steps_contract(n):
     assert serialize(d) == text
 
 
+def test_simplify_default_budget_fits_the_input():
+    # 10,001 steps: past the old fixed budget of 10,000.
+    out, trace = simplify(_chain(10_001))
+    assert len(trace) == 10_001
+    assert [data.kind for data in out.vertices.values()] == ["B", "B"]
+
+
 def test_apply_rule_rejects_bad_site():
     d = Diagram()
     a = d.add_z()
@@ -189,13 +196,13 @@ def test_zh_relations_skips_a_self_looped_h_box():
 
 def test_simplify_reaches_fixpoint_and_preserves_tensor():
     d = symmetriser(3)
-    before = to_matrix(d)
+    before = eval_diagram(d).to_matrix()
     sd, trace = simplify(d)
     assert len(trace) > 0
     assert len(sd.vertices) < len(d.vertices)
     for rule in DEFAULT_SIMPLIFY_RULES:
         assert find_matches(sd, rule) == []
-    assert bool(np.all(to_matrix(sd) == before))
+    assert bool(np.all(eval_diagram(sd).to_matrix() == before))
 
 
 def test_simplify_trace_records_rules():
@@ -216,20 +223,20 @@ class TestCswapDerivations:
     def test_control_zero_collapses_to_wires(self):
         g = cswap_gadget()
         d = plug_basis(g, {g.inputs[0]: 0})
-        before = to_matrix(d)
+        before = eval_diagram(d).to_matrix()
         sd, trace = simplify(d, rules=FULL_RULES)
         # Everything cancels: only the four boundary vertices remain.
         assert all(data.kind == "B" for data in sd.vertices.values())
         assert len(trace) > 5
         identity = np.eye(4, dtype=object)
         want = np.where(identity == 1, ExactScalar.one(), ExactScalar.zero())
-        assert bool(np.all(to_matrix(sd) == want))
+        assert bool(np.all(eval_diagram(sd).to_matrix() == want))
         assert bool(np.all(before == want))
 
     def test_control_one_gives_swap(self):
         g = cswap_gadget()
         d = plug_basis(g, {g.inputs[0]: 1})
-        before = to_matrix(d)
+        before = eval_diagram(d).to_matrix()
         sd, trace = simplify(d, rules=FULL_RULES)
         assert len(trace) > 0
         assert len(sd.vertices) < len(d.vertices)
@@ -237,7 +244,7 @@ class TestCswapDerivations:
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=object
         )
         want = np.where(swap == 1, ExactScalar.one(), ExactScalar.zero())
-        assert bool(np.all(to_matrix(sd) == want))
+        assert bool(np.all(eval_diagram(sd).to_matrix() == want))
         assert bool(np.all(before == want))
 
 
@@ -948,5 +955,6 @@ def test_rules_at_a_phase_off_the_grid(phase):
     assert find_matches(_pair(Z, Fraction(1), X, phase, legs=2), "pi-copy") == []
     d = _pair(X, phase, Z, Fraction(1, 2), legs=2)
     got = apply_rule(d, "color-change", (0,))
-    assert np.abs(to_matrix(got, mode="float") - to_matrix(d, mode="float")).max() <= 1e-12
+    before, after = (eval_diagram(x, mode="float").to_matrix() for x in (d, got))
+    assert np.abs(after - before).max() <= 1e-12
 

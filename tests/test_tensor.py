@@ -1,5 +1,6 @@
 """Tensor engine: spider semantics, planning, exact/float agreement."""
 
+import inspect
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinnet
 from spinnet import tensor
 from spinnet.exact import ExactScalar, HalfInteger
 from spinnet.graph import B, Diagram, VertexData, H, X, Z, make_spider, serialize
@@ -19,12 +21,12 @@ from spinnet.tensor import (
     ContractionPlan,
     RankCapExceeded,
     _exact_array,
+    _float_vertex,
     _omega_contract,
+    _omega_vertex,
     eval_diagram,
     plan_contraction,
     plug_basis,
-    to_matrix,
-    vertex_tensor,
 )
 from spinnet.wigner import w6j
 
@@ -37,14 +39,14 @@ exact_scalars = st.builds(ExactScalar, rationals, rationals, rationals, rational
 
 class TestVertexTensors:
     def test_z_spider_entries(self):
-        t = vertex_tensor(VertexData(Z, Fraction(1, 2)), 3, "exact")
+        t = _exact_array(_omega_vertex(VertexData(Z, Fraction(1, 2)), 3))
         assert t[0, 0, 0] == ExactScalar.one()
         assert t[1, 1, 1] == ExactScalar.phase_quarter(2)  # e^{i pi/2} = i
         assert t[0, 1, 0] == ExactScalar.zero()
 
     def test_x_spider_entries(self):
         # X_d(alpha) entry at parity p: (1/sqrt2)^d (1 + (-1)^p e^{i alpha pi})
-        t = vertex_tensor(VertexData(X, Fraction(1)), 2, "exact")
+        t = _exact_array(_omega_vertex(VertexData(X, Fraction(1)), 2))
         half = ExactScalar(Fraction(1, 2))
         assert t[0, 0] == (ExactScalar.one() + ExactScalar(-1)) * half  # 0
         assert t[0, 1] == (ExactScalar.one() - ExactScalar(-1)) * half  # 1
@@ -52,12 +54,12 @@ class TestVertexTensors:
 
     def test_hbox_entries(self):
         label = ExactScalar(0, 1)  # sqrt(2)
-        t = vertex_tensor(VertexData(H, Fraction(0), label), 2, "exact")
+        t = _exact_array(_omega_vertex(VertexData(H, Fraction(0), label), 2))
         assert t[0, 0] == t[0, 1] == t[1, 0] == ExactScalar.one()
         assert t[1, 1] == label
 
     def test_hadamard_is_default_hbox(self):
-        t = vertex_tensor(VertexData(H, Fraction(0), ExactScalar(-1)), 2, "float")
+        t = _float_vertex(VertexData(H, Fraction(0), ExactScalar(-1)), 2)
         had = np.array([[1, 1], [1, -1]], dtype=complex)
         assert np.abs(t - had).max() < 1e-12
 
@@ -67,8 +69,8 @@ class TestVertexTensors:
             kind = rng.choice([Z, X])
             ph = Fraction(rng.randrange(8), 4)
             deg = rng.randrange(1, 5)
-            te = vertex_tensor(VertexData(kind, ph), deg, "exact")
-            tf = vertex_tensor(VertexData(kind, ph), deg, "float")
+            te = _exact_array(_omega_vertex(VertexData(kind, ph), deg))
+            tf = _float_vertex(VertexData(kind, ph), deg)
             ce = np.array([x.to_complex() for x in te.reshape(-1)])
             assert (ce == tf.reshape(-1)).all()
 
@@ -76,17 +78,17 @@ class TestVertexTensors:
     @pytest.mark.parametrize("kind", ["Q", B])
     def test_unknown_kind_raises(self, mode, kind):
         with pytest.raises(ValueError, match=f"no tensor for vertex kind {kind!r}"):
-            vertex_tensor(VertexData(kind), 2, mode)
+            {"exact": _omega_vertex, "float": _float_vertex}[mode](VertexData(kind), 2)
 
 
 def assert_exact_rounded_once(data: VertexData, degree: int):
     """The float tensor of ``data`` is, bit for bit, its exact tensor with
     each entry rounded once, and float64 when every entry is real."""
-    exact = vertex_tensor(data, degree, "exact")
+    exact = _exact_array(_omega_vertex(data, degree))
     want = np.array([x.to_complex() for x in exact.reshape(-1)]).reshape(exact.shape)
     if not want.imag.any():
         want = want.real
-    got = vertex_tensor(data, degree, "float")
+    got = _float_vertex(data, degree)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -124,7 +126,7 @@ class TestOneDefinition:
                 want[idx] = (0 if any(idx) else 1) + (c if all(idx) else 0)
             else:
                 want[idx] = math.sqrt(0.5) ** degree * (1 - c if sum(idx) % 2 else 1 + c)
-        got = vertex_tensor(VertexData(kind, phase), degree, "float")
+        got = _float_vertex(VertexData(kind, phase), degree)
         assert got.dtype == np.complex128 and got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15
 
@@ -137,19 +139,19 @@ class TestFloatDtypes:
         (VertexData(H, label=ExactScalar(-1)), 2), (VertexData(Z), 0), (VertexData(X), 1),
     ], ids=["Z(1)", "X(1)", "H(-1)", "Z(0)-scalar", "X(0)"])
     def test_real_vertices_are_exact_float64(self, data, degree):
-        t = vertex_tensor(data, degree, "float")
-        want = np.array([x.to_complex().real for x in vertex_tensor(data, degree, "exact").reshape(-1)])
+        t = _float_vertex(data, degree)
+        want = np.array([x.to_complex().real for x in _exact_array(_omega_vertex(data, degree)).reshape(-1)])
         assert t.dtype == np.float64 and t.shape == (2,) * degree
         # the exact tensor's entries, each rounded once
         assert t.reshape(-1).tolist() == want.tolist()
 
     def test_pi_phase_is_exactly_minus_one(self):
-        assert vertex_tensor(VertexData(Z, Fraction(1)), 2, "float")[1, 1] == -1.0
-        assert vertex_tensor(VertexData(X, Fraction(1)), 2, "float").tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert _float_vertex(VertexData(Z, Fraction(1)), 2)[1, 1] == -1.0
+        assert _float_vertex(VertexData(X, Fraction(1)), 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     @pytest.mark.parametrize("phase", [Fraction(1, 4), Fraction(1, 2), 0.3])
     def test_complex_phases_stay_complex(self, phase):
-        t = vertex_tensor(VertexData(Z, phase), 2, "float")
+        t = _float_vertex(VertexData(Z, phase), 2)
         assert t.dtype == np.complex128
         assert abs(t[1, 1] - np.exp(1j * np.pi * float(phase))) < 1e-15
 
@@ -175,7 +177,7 @@ class TestFloatDtypes:
         d.add_edge(d.add_input(), zs[2])
         got = eval_diagram(d, mode="float").data
         assert got.dtype == np.complex128
-        assert np.abs(got - eval_diagram(d, mode="exact").to_numpy()).max() < 1e-12
+        assert np.abs(got - eval_diagram(d, mode="exact").data.astype(complex)).max() < 1e-12
 
 
 class TestPlanner:
@@ -206,7 +208,7 @@ class TestPlanner:
             d.add_edge(h, h)
         d.add_edge(h, d.add_output())
         assert plan_contraction(d, rank_cap=1).peak_rank == 1
-        got = eval_diagram(d, rank_cap=1).data
+        got = eval_diagram(d, plan=plan_contraction(d, rank_cap=1)).data
         assert got.shape == (2,) and list(got) == [ExactScalar(32), ExactScalar(30)]
 
     def test_env_rank_cap(self, monkeypatch):
@@ -256,6 +258,15 @@ def random_clifford_diagram(rng, n_vertices):
     return d
 
 
+def test_one_evaluator():
+    # A rank cap is given to plan_contraction only; eval_diagram evaluates.
+    assert list(inspect.signature(eval_diagram).parameters) == ["d", "mode", "plan"]
+    assert sorted(tensor.__all__) == ["ContractionPlan", "RankCapExceeded", "Tensor",
+                                      "eval_diagram", "plan_contraction", "plug_basis"]
+    assert len(spinnet.__all__) == 13 and "to_matrix" not in spinnet.__all__
+    assert not hasattr(tensor.Tensor, "to_numpy")
+
+
 class TestEvaluation:
     def test_bell_state(self):
         d = Diagram()
@@ -289,7 +300,7 @@ class TestEvaluation:
             d = random_clifford_diagram(rng, rng.randrange(1, 10))
             te = eval_diagram(d, mode="exact")
             tf = eval_diagram(d, mode="float")
-            ce = te.to_numpy()
+            ce = te.data.astype(complex)
             assert np.abs(ce - tf.data).max() < 1e-12
 
     def test_scalar_diagram(self):
@@ -300,7 +311,7 @@ class TestEvaluation:
     def test_boundary_to_boundary_wire(self):
         d = Diagram()
         d.add_edge(d.add_input(), d.add_output())
-        m = to_matrix(d)
+        m = eval_diagram(d).to_matrix()
         assert m[0, 0] == ExactScalar.one()
         assert m[1, 1] == ExactScalar.one()
         assert m[0, 1] == m[1, 0] == ExactScalar.zero()
@@ -364,7 +375,7 @@ class TestOmegaCoefficients:
     @PROPERTIES
     @given(exact_scalars, st.integers(0, 3))
     def test_hbox_label_round_trip(self, label, degree):
-        t = vertex_tensor(VertexData(H, Fraction(0), label), degree, "exact")
+        t = _exact_array(_omega_vertex(VertexData(H, Fraction(0), label), degree))
         ones = (1,) * degree
         assert t[ones] == label
         assert all(x == ExactScalar.one() for idx, x in np.ndenumerate(t) if idx != ones)
@@ -393,7 +404,7 @@ def clifford_diagrams(draw):
 @PROPERTIES
 @given(clifford_diagrams())
 def test_exact_float_agreement_property(d):
-    exact = eval_diagram(d, mode="exact").to_numpy()
+    exact = eval_diagram(d, mode="exact").data.astype(complex)
     flt = eval_diagram(d, mode="float").data
     assert np.abs(exact - flt).max() <= 1e-9 * max(1.0, np.abs(flt).max())
 
@@ -777,7 +788,7 @@ def _ref_eval_steps(d: Diagram) -> np.ndarray:
     plan = plan_contraction(d, mode="float")
     tensors = {}
     for k, (data, ports, loops) in plan.nodes.items():
-        t = vertex_tensor(data, len(ports) + 2 * loops, "float")
+        t = _float_vertex(data, len(ports) + 2 * loops)
         for _ in range(loops):  # join the last two axes
             t = np.trace(t, axis1=-2, axis2=-1)
         tensors[k] = (ports, t)
@@ -1106,11 +1117,11 @@ class TestSplitSpiders:
         d, fused, legs = case
         scale = d.scalar
         exact = eval_diagram(d, mode="exact").data
-        want = np.asarray(vertex_tensor(fused, legs, "exact") * scale, dtype=object)
+        want = np.asarray(_exact_array(_omega_vertex(fused, legs)) * scale, dtype=object)
         assert exact.shape == want.shape
         assert all(a == b for a, b in zip(exact.ravel(), want.ravel()))
         flt = eval_diagram(d, mode="float").data
-        want_f = vertex_tensor(fused, legs, "float") * scale.to_complex()
+        want_f = _float_vertex(fused, legs) * scale.to_complex()
         assert np.abs(flt - want_f).max() <= 1e-12
 
     @PROPERTIES
@@ -1158,7 +1169,7 @@ class TestSplitSpiders:
         plan = plan_contraction(d)
         assert (list(plan.nodes), plan.steps, plan.peak_rank, plan.cost) == ([v], [], wires, 0)
         got = assert_matches_reference(d)
-        assert list(got.ravel()) == list(vertex_tensor(VertexData(kind), wires).ravel())
+        assert list(got.ravel()) == list(_exact_array(_omega_vertex(VertexData(kind), wires)).ravel())
 
 
 @PROPERTIES
