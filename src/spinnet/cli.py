@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .exact import HalfInteger, RadicalNumber, parse_int
 from .graph import Diagram, deserialize, serialize, to_dot
 from .rewrite import DEFAULT_SIMPLIFY_RULES, simplify
-from .tensor import RankCapExceeded, _rank_cap, eval_diagram, plan_contraction, plug_basis
+from .tensor import RankCapExceeded, eval_diagram, plan_contraction, plug_basis
 from .su2 import (
     CorrectionFactor,
     VertexSpec,
@@ -295,14 +295,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 # -- eval -----------------------------------------------------------------
 
 
-def _resolve_rank_cap(mode: str, text: Optional[str] = None) -> int:
-    """The ``--rank-cap`` literal ``text``, else as :func:`~spinnet.tensor._rank_cap` says."""
-    try:
-        return _rank_cap(mode, None if text is None else _count(text, "rank cap"))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _parse_plug(spec: str, d: Diagram) -> dict[int, int]:
     """'pos=bit,...' where pos indexes the boundary order inputs-then-outputs."""
     order = list(d.inputs) + list(d.outputs)
@@ -327,7 +319,7 @@ def _parse_plug(spec: str, d: Diagram) -> dict[int, int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cap = _resolve_rank_cap(args.mode, args.rank_cap)
+    cap = None if args.rank_cap is None else _count(args.rank_cap, "rank cap")
     path = Path(args.file)
     if not path.exists():
         raise CliError(f"no such file: {path}")
@@ -529,7 +521,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cases = [c for c in cases if c["kind"] == args.only]
     if not cases:
         raise CliError("manifest has no (matching) cases")
-    _resolve_rank_cap("exact")  # a malformed SPINNET_RANK_CAP is a usage error, not a failed case
     failures = 0
     for case in cases:
         ok, detail = _run_case(case)

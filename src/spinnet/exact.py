@@ -353,7 +353,7 @@ class ExactScalar(_Field):
             terms[1] = self.re_rat
         if c1 != c3:
             terms[2] = self.re_sqrt2
-        return RadicalNumber(terms)
+        return RadicalNumber._of(terms)
 
     # -- serialization ----------------------------------------------------
 
@@ -395,22 +395,22 @@ class RadicalNumber(_Field):
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None) -> None:
         canonical: dict[int, Fraction] = {}
-        if terms:
-            for s, q in terms.items():
-                if s == 1:
-                    sf, qq = 1, _frac(q)
-                else:
-                    if s <= 0:
-                        raise ValueError("radicand must be positive")
-                    c, sf = squarefree_decompose(s)
-                    qq = _frac(q) * c
-                if qq:
-                    canonical[sf] = canonical.get(sf, Fraction(0)) + qq
-                    if not canonical[sf]:
-                        del canonical[sf]
-        object.__setattr__(self, "terms", canonical)
+        for s, q in (terms or {}).items():
+            if s <= 0:
+                raise ValueError("radicand must be positive")
+            c, sf = squarefree_decompose(s)
+            canonical[sf] = canonical.get(sf, Fraction(0)) + _frac(q) * c
+        object.__setattr__(self, "terms", {s: q for s, q in canonical.items() if q})
 
     # -- constructors -----------------------------------------------------
+
+    @staticmethod
+    def _of(terms: Mapping[int, Fraction]) -> "RadicalNumber":
+        """From squarefree int keys with Fraction values, zeros dropped; the
+        arithmetic's constructor, which factors nothing."""
+        x = object.__new__(RadicalNumber)
+        object.__setattr__(x, "terms", {s: q for s, q in terms.items() if q})
+        return x
 
     @staticmethod
     def zero() -> "RadicalNumber":
@@ -418,11 +418,11 @@ class RadicalNumber(_Field):
 
     @staticmethod
     def one() -> "RadicalNumber":
-        return RadicalNumber({1: 1})
+        return RadicalNumber._of({1: Fraction(1)})
 
     @staticmethod
     def from_rational(q: RationalLike) -> "RadicalNumber":
-        return RadicalNumber({1: q})
+        return RadicalNumber._of({1: _frac(q)})
 
     # -- arithmetic -------------------------------------------------------
 
@@ -430,7 +430,7 @@ class RadicalNumber(_Field):
         if isinstance(other, RadicalNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return RadicalNumber({1: other})
+            return RadicalNumber._of({1: _frac(other)})
         if isinstance(other, ExactScalar):
             return other.to_radical()
         return None
@@ -442,12 +442,12 @@ class RadicalNumber(_Field):
         out = dict(self.terms)
         for s, q in o.terms.items():
             out[s] = out.get(s, Fraction(0)) + q
-        return RadicalNumber(out)
+        return RadicalNumber._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RadicalNumber({s: -q for s, q in self.terms.items()})
+        return RadicalNumber._of({s: -q for s, q in self.terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -456,11 +456,10 @@ class RadicalNumber(_Field):
         out: dict[int, Fraction] = {}
         for s1, q1 in self.terms.items():
             for s2, q2 in o.terms.items():
-                g = math.gcd(s1, s2)
+                g = math.gcd(s1, s2)  # (s1/g)(s2/g) of squarefree s1, s2 is squarefree
                 s = (s1 // g) * (s2 // g)
-                q = q1 * q2 * g
-                out[s] = out.get(s, Fraction(0)) + q
-        return RadicalNumber(out)
+                out[s] = out.get(s, Fraction(0)) + q1 * q2 * g
+        return RadicalNumber._of(out)
 
     __rmul__ = __mul__
 
@@ -470,7 +469,7 @@ class RadicalNumber(_Field):
         if len(self.terms) == 1:
             ((s, q),) = self.terms.items()
             # 1/(q*sqrt(s)) = (1/(q*s)) * sqrt(s)
-            return RadicalNumber({s: Fraction(1, 1) / (q * s)})
+            return RadicalNumber._of({s: 1 / (q * s)})
         raise NotImplementedError("inverse of multi-term RadicalNumber")
 
     # -- predicates / conversions ----------------------------------------
@@ -546,7 +545,7 @@ def sqrt_rational(q: RationalLike) -> RadicalNumber:
     if q == 0:
         return RadicalNumber.zero()
     c, s = squarefree_decompose(q.numerator * q.denominator)
-    return RadicalNumber({s: Fraction(c, q.denominator)})
+    return RadicalNumber._of({s: Fraction(c, q.denominator)})
 
 
 _HASH_HALF = pow(2, -1, sys.hash_info.modulus)

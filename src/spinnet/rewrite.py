@@ -115,7 +115,7 @@ def _derive_scalar(rule: RewriteRule, key: tuple) -> ExactScalar:
         return _SCALAR_CACHE[key]
     lhs, site = rule.lhs(*key[1:])
     w = _Work(lhs)
-    if site not in _all_sites(w, rule):
+    if site not in _Sites(rule, w).valid:
         raise ValueError(f"cannot derive scalar for {key}: {site} is not a {rule.name!r} site of its instance")
     reported = rule.apply_at(w, site)
     if reported != key:
@@ -782,16 +782,10 @@ def _rule(name: str) -> RewriteRule:
     return RULES[name]
 
 
-def _all_sites(w: _Work, rule: RewriteRule) -> list[tuple]:
-    """Every site of a rule, sorted.  On a freshly built working form edge
-    ids are edge-list indices, so the sites are the public ones."""
-    match_at = rule.match_at
-    return sorted(s for v in w.vertices for s in match_at(w, v))
-
-
 def find_matches(d: Diagram, rule: str) -> list[tuple]:
-    """All match sites of a rule, deterministically ordered."""
-    return _all_sites(_Work(d), _rule(rule))
+    """All match sites of a rule, sorted.  On a freshly built working form
+    edge ids are edge-list indices, so the sites are the public ones."""
+    return sorted(_Sites(_rule(rule), _Work(d)).valid)
 
 
 def _apply(w: _Work, rule: RewriteRule, site: tuple) -> None:
@@ -805,12 +799,12 @@ def apply_rule(d: Diagram, rule: str, site: Optional[tuple] = None) -> Diagram:
     """Apply one rule instance (first match if no site given)."""
     r = _rule(rule)
     w = _Work(d)
-    matches = _all_sites(w, r)
+    sites = _Sites(r, w)
     if site is None:
-        if not matches:
+        site = sites.first()
+        if site is None:
             raise ValueError(f"no match for rule {rule!r}")
-        site = matches[0]
-    elif site not in matches:
+    elif site not in sites.valid:
         raise ValueError(f"{site} is not a valid match site for {rule!r}")
     _apply(w, r, site)
     return w.export()

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,7 +68,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import ExactScalar, parse_int
+from .exact import ExactScalar
 from .graph import B, Diagram, H, VertexData, X, Z, pi_quarters
 
 __all__ = [
@@ -81,34 +80,8 @@ __all__ = [
     "plug_basis",
 ]
 
-DEFAULT_RANK_CAP_EXACT = 24
-DEFAULT_RANK_CAP_FLOAT = 28
-
-
 class RankCapExceeded(RuntimeError):
     """Raised when no contraction order stays under the rank cap."""
-
-
-def _rank_cap(mode: str, rank_cap: Optional[int]) -> int:
-    """The explicit cap, else ``SPINNET_RANK_CAP``, else the mode default.
-
-    Raises ValueError, naming where the cap came from, if the environment
-    variable is not an integer or the cap is negative.
-    """
-    if rank_cap is not None:
-        if rank_cap < 0:
-            raise ValueError(f"rank cap {rank_cap} is negative")
-        return rank_cap
-    env = os.environ.get("SPINNET_RANK_CAP")
-    if env:
-        try:
-            cap = parse_int(env)
-        except ValueError:
-            raise ValueError(f"SPINNET_RANK_CAP={env!r} is not an integer") from None
-        if cap < 0:
-            raise ValueError(f"SPINNET_RANK_CAP={env!r} is negative")
-        return cap
-    return DEFAULT_RANK_CAP_EXACT if mode == "exact" else DEFAULT_RANK_CAP_FLOAT
 
 
 # -- exact tensors over Z[omega] ------------------------------------------
@@ -354,8 +327,10 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     an edge, the smallest key is merged with the node of least rank (ties:
     smallest key) as an outer product, so a plan leaves one node.  Raises
     :class:`RankCapExceeded` if the peak rank exceeds the cap, as one node's
-    port count may already do.  Self-loops add no rank: each node's tensor
-    is built at its port count (see :func:`_vertex_entries`).
+    port count may already do; the cap is ``rank_cap``, else the mode's
+    ``rank_cap`` in ``_MODES`` (24 exact, 28 float).  An unknown mode or a
+    negative cap raises ValueError.  Self-loops add no rank: each node's
+    tensor is built at its port count (see :func:`_vertex_entries`).
 
     The search is incremental: every connected pair has an entry in a heap
     keyed by its score, the pair's merged rank and cost exponent.  A popped
@@ -370,7 +345,11 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
     of a merge (axis permutations and matrix shape) is written as the
     merge is made, and the last node's ports give the boundary permutation.
     """
-    cap = _rank_cap(mode, rank_cap)
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    cap = _MODES[mode].rank_cap if rank_cap is None else rank_cap
+    if cap < 0:
+        raise ValueError(f"rank cap {cap} is negative")
     plan = ContractionPlan(nodes=_node_table(d), diagram=d)
     ports: dict[int, list[int]] = {}  # node -> its ports, in its tensor's axis order
     nbr: dict[int, dict[int, int]] = {}  # node -> {neighbour: shared edges}
@@ -412,7 +391,7 @@ def plan_contraction(d: Diagram, rank_cap: Optional[int] = None, mode: str = "ex
         if merged_rank > cap:
             raise RankCapExceeded(
                 f"contraction needs intermediate rank {merged_rank} > cap {cap}; "
-                "raise the cap (SPINNET_RANK_CAP) or simplify the diagram first"
+                "raise the cap (--rank-cap) or simplify the diagram first"
             )
         plan.steps.append((k1, k2))
         plan.peak_rank = max(plan.peak_rank, merged_rank)
@@ -477,6 +456,7 @@ class Tensor:
 class _Exact:
     """Contraction steps over ``_OmegaTensor``; results are ExactScalar."""
 
+    rank_cap = 24
     vertex = staticmethod(_omega_vertex)
     contract = staticmethod(_omega_contract)
 
@@ -498,6 +478,7 @@ class _Float:
     """Contraction steps over float64 and complex128 arrays; the result is
     complex128."""
 
+    rank_cap = 28
     vertex = staticmethod(_float_vertex)
 
     @staticmethod

@@ -12,7 +12,7 @@ def paper_diagrams():
     real = tensor.plan_contraction
 
     def record(d, rank_cap=None, mode="exact"):
-        seen.append((d.copy(), tensor._rank_cap(mode, rank_cap)))
+        seen.append((d.copy(), tensor._MODES[mode].rank_cap if rank_cap is None else rank_cap))
         return real(d, rank_cap=rank_cap, mode=mode)
 
     with pytest.MonkeyPatch.context() as mp:

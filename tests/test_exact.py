@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from spinnet import exact
 from spinnet.exact import (
     ExactScalar,
     HalfInteger,
@@ -405,6 +406,12 @@ class TestRadicalNumber:
         y = sqrt_rational(Fraction(1, 3)) * sqrt_rational(Fraction(1, 6))
         assert y == RadicalNumber({2: Fraction(1, 6)})  # sqrt(2)/6
 
+    def test_products_are_not_factored_again(self):
+        # Each factor is squarefree, so is their product; factoring it again
+        # would meet a cofactor above 10^18 with no prime factor below 10^6.
+        x = sqrt_rational(1000003) * sqrt_rational(1000033) * sqrt_rational(1000037)
+        assert x.serialize() == "1*sqrt(1000073001431003663)"
+
     def test_to_exact_scalar(self):
         x = RadicalNumber({1: Fraction(1, 2), 2: 3})
         assert x.to_exact_scalar() == ExactScalar(Fraction(1, 2), 3)
@@ -416,6 +423,7 @@ class TestRadicalNumber:
 radicals = st.dictionaries(st.sampled_from([1, 2, 3, 5, 6, 12]), rationals, max_size=4).map(RadicalNumber)
 single_terms = st.builds(lambda s, q: RadicalNumber({s: q}), st.sampled_from([1, 2, 3, 5, 6]),
                          rationals.filter(bool))
+sums = st.lists(single_terms, max_size=4).map(lambda ts: sum(ts, RadicalNumber.zero()))
 
 
 class TestRadicalNumberProperties:
@@ -433,6 +441,21 @@ class TestRadicalNumberProperties:
         assert (a * t) / t == a
         assert q / t == RadicalNumber.from_rational(q) * t.inverse()
         assert t ** -n == (t ** n).inverse()
+
+    @PROPERTIES
+    @given(sums, sums, single_terms, rationals, real_scalars)
+    def test_arithmetic_factors_nothing(self, a, b, t, q, e):
+        # The arithmetic keeps its keys squarefree without factoring them:
+        # the constructor, which factors, leaves each result's terms as they are.
+        def no_factoring(n):
+            raise AssertionError(f"factored {n}")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "squarefree_decompose", no_factoring)
+            results = [a + b, -a, a * b, t.inverse(), a + q, q * a, RadicalNumber.one(),
+                       RadicalNumber.from_rational(q), e.to_radical()]
+        for x in results:
+            assert x.terms == RadicalNumber(x.terms).terms
 
 
 class TestSquarefree:

@@ -211,14 +211,11 @@ class TestPlanner:
         got = eval_diagram(d, plan=plan_contraction(d, rank_cap=1)).data
         assert got.shape == (2,) and list(got) == [ExactScalar(32), ExactScalar(30)]
 
-    def test_env_rank_cap(self, monkeypatch):
+    def test_unknown_mode_raises(self):
         d = Diagram()
-        z = d.add_z()
-        for _ in range(6):
-            d.add_edge(z, d.add_output())
-        monkeypatch.setenv("SPINNET_RANK_CAP", "5")
-        with pytest.raises(RankCapExceeded):
-            plan_contraction(d)
+        d.add_edge(d.add_z(), d.add_output())
+        with pytest.raises(ValueError, match="unknown mode 'Exact'"):
+            plan_contraction(d, mode="Exact")
 
     def test_deterministic(self):
         rng = random.Random(5)
@@ -942,7 +939,7 @@ def reference_plan(d: Diagram, cap: int) -> ContractionPlan:
         if len(merged) > cap:
             raise RankCapExceeded(
                 f"contraction needs intermediate rank {len(merged)} > cap {cap}; "
-                "raise the cap (SPINNET_RANK_CAP) or simplify the diagram first"
+                "raise the cap (--rank-cap) or simplify the diagram first"
             )
         nodes[min(k1, k2)] = merged
         plan.steps.append((min(k1, k2), max(k1, k2)))
