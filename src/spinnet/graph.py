@@ -67,7 +67,7 @@ _KINDS = (Z, X, H, B)  # a tuple: `in` compares, so an unhashable kind is just u
 def normalize_phase(phase: Phase) -> Phase:
     """Reduce a phase (in units of pi) modulo 2."""
     if isinstance(phase, Fraction):
-        return phase % 2
+        return phase if 0 <= phase.numerator < 2 * phase.denominator else phase % 2
     if isinstance(phase, int):
         return Fraction(phase) % 2
     return float(phase) % 2.0

@@ -47,8 +47,9 @@ order and that program.  Two modes:
   complex128.
 
 In both modes :func:`eval_diagram` builds the tensor of each distinct
-(kind, phase, label, ports, self-loops) once per call, at its port count,
-and shares it, read-only, between the nodes that have it.  Self-loops obey
+(kind, phase, label, ports, self-loops) at its port count and shares it,
+read-only, between the nodes that have it: once per process, for tensors of
+at most 3 ports, and once per call for wider H-boxes.  Self-loops obey
 the loop identities: one drops from a Z or X spider with no scalar, and k
 on an H-box labelled c give 2^k, and 2^k - 1 + c at the all-ones corner.
 
@@ -95,17 +96,14 @@ def _reduced(coeffs, den: int) -> _OmegaTensor:
     """Drop all-zero coefficient arrays and divide the gcd of ``den`` and
     every coefficient out of both.  ``coeffs`` holds at least one array."""
     # Ufuncs return 0-d object arrays as bare ints; asarray undoes that.
+    # A slot's gcd is 0 exactly when every entry is 0, and feeds the gcd with den.
     arrays = [None if c is None else np.asarray(c, dtype=object) for c in coeffs]
-    kept = [c if c is not None and c.any() else None for c in arrays]
-    if not any(c is not None for c in kept):
+    gcds = [0 if c is None else math.gcd(*c.ravel().tolist()) for c in arrays]
+    kept = [c if g else None for c, g in zip(arrays, gcds)]
+    if not any(gcds):
         shape = next(c for c in arrays if c is not None).shape
         return (np.zeros(shape, dtype=object), None, None, None), 1
-    g = den
-    for c in kept:
-        if g == 1:
-            break
-        if c is not None:
-            g = math.gcd(g, *c.ravel().tolist())
+    g = math.gcd(den, *gcds)
     if g > 1:
         kept = [None if c is None else np.asarray(c // g, dtype=object) for c in kept]
         den //= g
@@ -498,6 +496,11 @@ class _Float:
 
 _MODES = {"exact": _Exact, "float": _Float}
 
+# Read-only vertex tensors of at most 3 ports (8 entries), shared by every
+# contraction in the process; see _contracted.
+_VERTEX_CACHE: dict[tuple, object] = {}
+_VERTEX_CACHE_MAX = 1024
+
 
 def _contracted(d: Diagram, mode: str, plan: Optional[ContractionPlan] = None):
     """The tensor of ``d`` as the program leaves it, with the diagram scalar
@@ -512,15 +515,20 @@ def _contracted(d: Diagram, mode: str, plan: Optional[ContractionPlan] = None):
     elif plan.diagram is not d:  # its node table would be contracted in place of d's
         raise ValueError("the plan was made for another diagram")
     tensors = {}
-    # One read-only tensor per distinct vertex and self-loop count; type(phase)
-    # keeps a float phase from reusing the exact tensor of an equal Fraction,
-    # which hashes the same.
+    # One read-only tensor per distinct mode, vertex, port count and self-loop
+    # count; type(phase) keeps a float phase from reusing the exact tensor of
+    # an equal Fraction, which hashes the same.  Tensors of at most 3 ports
+    # (every Z/X node and every Hadamard) are kept for the process, wider
+    # H-boxes for this call; a full cache is cleared.
     built: dict[tuple, object] = {}
     for k, (data, ports, loops) in plan.nodes.items():
-        key = (data.kind, type(data.phase), data.phase, data.label, len(ports), loops)
-        t = built.get(key)
+        key = (mode, data.kind, type(data.phase), data.phase, data.label, len(ports), loops)
+        cache = _VERTEX_CACHE if len(ports) <= 3 else built
+        t = cache.get(key)
         if t is None:
-            t = built[key] = ops.freeze(ops.vertex(data, len(ports), loops))
+            if len(cache) >= _VERTEX_CACHE_MAX:
+                cache.clear()
+            t = cache[key] = ops.freeze(ops.vertex(data, len(ports), loops))
         tensors[k] = t
     steps, perm = plan.program
     for (k1, k2), step in zip(plan.steps, steps):

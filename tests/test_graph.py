@@ -23,6 +23,7 @@ from spinnet.graph import (
     identity_diagram,
     make_hbox,
     make_spider,
+    normalize_phase,
     pi_quarters,
     serialize,
     to_dot,
@@ -445,3 +446,15 @@ def test_add_spider_reduces_the_phase():
     assert d.vertices[z] == VertexData(Z, Fraction(1)) and d.vertices[x] == VertexData(X, Fraction(7, 4))
     assert d.vertices[d.add_spider(Z, -0.5)].phase == 1.5
 
+
+
+@PROPERTIES
+@given(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                 st.builds(Fraction, st.integers(-40, 40), st.integers(1, 16)),
+                 st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3))))
+def test_normalize_phase_is_phase_mod_2(phase):
+    # ints and Fractions of either sign, in [0, 2) and out of it
+    got = normalize_phase(phase)
+    assert type(got) is Fraction and got == phase % 2 and 0 <= got < 2
+    if isinstance(phase, Fraction) and 0 <= phase < 2:
+        assert got is phase  # returned as it is

@@ -687,6 +687,7 @@ def test_self_loops_match_the_dense_trace(mode, d):
         return
     nodes = list(plan_contraction(d, mode=mode).nodes.values())
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_VERTEX_CACHE", {})  # so that the spy sees every build
         mp.setattr(ops, "vertex", staticmethod(spy))
         if mode == "float":
             assert_program_matches_steps(d)
@@ -749,6 +750,7 @@ def test_shared_vertex_tensors_are_read_only(monkeypatch, mode):
         built.append(real(*args))
         return built[-1]
 
+    monkeypatch.setattr(tensor, "_VERTEX_CACHE", {})  # so that the spy sees every build
     monkeypatch.setattr(ops, "vertex", staticmethod(spy))
     d = Diagram()
     zs = [d.add_z() for _ in range(4)]
@@ -773,6 +775,135 @@ def test_float_phase_does_not_reuse_the_exact_tensor():
     d.add_edge(b, d.add_output())
     with pytest.raises(ValueError, match="requires float mode"):
         eval_diagram(d, mode="exact")
+
+
+def _vertex_spy(monkeypatch, mode) -> list:
+    """Start ``mode`` from an empty vertex-tensor cache and record the
+    arguments of every tensor it builds."""
+    ops, built = tensor._MODES[mode], []
+    real = ops.vertex
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tensor, "_VERTEX_CACHE", {})
+    monkeypatch.setattr(ops, "vertex", staticmethod(spy))
+    return built
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_vertex_tensors_are_built_once_per_process(monkeypatch, mode):
+    built = _vertex_spy(monkeypatch, mode)
+    d, _ = network_6j(*map(HalfInteger, (1, 1, 1, 1, 1, 1)))
+    first = eval_diagram(d, mode=mode).data
+    cached = dict(tensor._VERTEX_CACHE)
+    assert built and len(cached) == len(built)
+    second = eval_diagram(d, mode=mode).data
+    assert len(built) == len(cached)  # the second evaluation builds nothing
+    assert tensor._VERTEX_CACHE.keys() == cached.keys()
+    assert all(tensor._VERTEX_CACHE[k] is t for k, t in cached.items())
+    assert np.array_equal(first, second)
+    for t in cached.values():
+        for a in [c for c in t[0] if c is not None] if mode == "exact" else [t]:
+            assert not a.flags.writeable
+
+
+def test_cached_exact_tensor_serves_neither_a_float_phase_nor_float_mode(monkeypatch):
+    # Fraction(1, 2) == 0.5 with equal hashes, across calls as within one.
+    built = {mode: _vertex_spy(monkeypatch, mode) for mode in ("exact", "float")}
+
+    def z(phase):
+        d = Diagram()
+        d.add_edge(d.add_z(phase), d.add_output())
+        return d
+
+    eval_diagram(z(Fraction(1, 2)), mode="exact")
+    assert [type(args[0].phase) for args in built["exact"]] == [Fraction]
+    with pytest.raises(ValueError, match="requires float mode"):
+        eval_diagram(z(0.5), mode="exact")
+    # float mode builds its own tensor of each
+    assert np.array_equal(eval_diagram(z(0.5), mode="float").data, [1, np.exp(0.5j * np.pi)])
+    assert np.array_equal(eval_diagram(z(Fraction(1, 2)), mode="float").data, [1, 1j])
+    assert [type(args[0].phase) for args in built["float"]] == [float, Fraction]
+    assert len(tensor._VERTEX_CACHE) == 3
+
+
+def test_vertex_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(tensor, "_VERTEX_CACHE", {})
+    bound = tensor._VERTEX_CACHE_MAX
+    for n in range(bound + 10):  # one distinct key each: an H-box with label n
+        d = Diagram()
+        d.add_edge(d.add_h(ExactScalar(n)), d.add_output())
+        assert list(eval_diagram(d).data) == [ExactScalar.one(), ExactScalar(n)]
+        assert len(tensor._VERTEX_CACHE) <= bound
+    # Past the bound in one call: every node keeps its own tensor.
+    monkeypatch.setattr(tensor, "_VERTEX_CACHE_MAX", 2)
+    d = Diagram()
+    for k in range(8):
+        d.add_edge(d.add_z(Fraction(k, 4)), d.add_output())
+    assert len(tensor._VERTEX_CACHE) > 2
+    assert_matches_reference(d)
+    assert len(tensor._VERTEX_CACHE) <= 2
+
+
+def _ref_reduced_by_any(coeffs, den):
+    """``_reduced`` as it was when each slot's zero test was ``c.any()`` and
+    the gcd scan stopped at 1."""
+    arrays = [None if c is None else np.asarray(c, dtype=object) for c in coeffs]
+    kept = [c if c is not None and c.any() else None for c in arrays]
+    if not any(c is not None for c in kept):
+        shape = next(c for c in arrays if c is not None).shape
+        return (np.zeros(shape, dtype=object), None, None, None), 1
+    g = den
+    for c in kept:
+        if g == 1:
+            break
+        if c is not None:
+            g = math.gcd(g, *c.ravel().tolist())
+    if g > 1:
+        kept = [None if c is None else np.asarray(c // g, dtype=object) for c in kept]
+        den //= g
+    return tuple(kept), den
+
+
+@st.composite
+def omega_slots(draw):
+    """Four slots (``None``, all zero or object arrays of ints up to 200
+    bits, all of one shape; at least one not ``None``, a 0-d slot sometimes a
+    bare int) sharing a random factor, and a positive denominator."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    bits = draw(st.integers(0, 200))
+    factor = draw(st.sampled_from([1, 2, 3, 4, 6, 2 ** bits]))
+    ints = st.integers(-(2 ** bits), 2 ** bits)
+    slots = []
+    for _ in range(4):
+        kind = draw(st.sampled_from(["none", "zero", "ints"]))
+        if kind == "none":
+            slots.append(None)
+            continue
+        values = [0] * math.prod(shape) if kind == "zero" else [
+            factor * x for x in draw(st.lists(ints, min_size=math.prod(shape), max_size=math.prod(shape)))]
+        a = np.empty(len(values), dtype=object)
+        a[:] = values
+        slots.append(values[0] if not shape and draw(st.booleans()) else a.reshape(shape))
+    if all(c is None for c in slots):
+        slots[draw(st.integers(0, 3))] = np.zeros(shape, dtype=object)
+    return slots, factor * draw(st.integers(1, 2 ** bits))
+
+
+@PROPERTIES
+@given(omega_slots())
+def test_reduced_matches_the_any_form(case):
+    coeffs, den = case
+    (got, got_den), (want, want_den) = tensor._reduced(coeffs, den), _ref_reduced_by_any(coeffs, den)
+    assert got_den == want_den
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.dtype == object and g.shape == w.shape
+            assert g.ravel().tolist() == w.ravel().tolist()
+            assert all(type(x) is int for x in g.ravel().tolist())
 
 
 # -- the float step loop the program replaced, kept as the reference ------
