@@ -25,6 +25,7 @@ Fraction or decimal/fraction literal read exactly through Fraction.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -593,9 +594,14 @@ class HalfInteger:
 
     @staticmethod
     def from_twice(twice: int) -> "HalfInteger":
-        """The half-integer ``twice / 2``, made without ``__init__``'s dispatch."""
+        """The half-integer ``twice / 2``, made without ``__init__``'s dispatch.
+        ``twice`` is an int or has ``__index__``; a bool or anything else is a TypeError."""
+        if type(twice) is not int:
+            if isinstance(twice, bool):
+                raise TypeError(f"cannot make HalfInteger from twice={twice!r}")
+            twice = operator.index(twice)
         h = object.__new__(HalfInteger)
-        object.__setattr__(h, "twice", int(twice))
+        object.__setattr__(h, "twice", twice)
         return h
 
     # -- arithmetic / ordering -------------------------------------------

@@ -836,9 +836,10 @@ class _Sites:
             if new:
                 at[v] = new
                 valid.update(new)
-                for s in new:
-                    if s not in old:
-                        heapq.heappush(heap, s)
+                # v's old sites are in the heap already.  One set difference
+                # keeps a spider with n self-loops quadratic in n, not cubic.
+                for s in set(new).difference(old) if old else new:
+                    heapq.heappush(heap, s)
 
     def first(self) -> Optional[tuple]:
         heap, valid = self.heap, self.valid

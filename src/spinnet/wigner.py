@@ -11,20 +11,26 @@ each one integer factorial sum over a common denominator times one square
 root of a rational; Clebsch-Gordan coefficients follow from the 3jm symbol by
 the standard relation; the 4jm symbol couples (j1 j2) and (j3 j4) through an
 intermediate spin j with a (-1)^(j-m) metric.
+
+Selection rule: a 3jm symbol vanishes unless m1 + m2 + m3 = 0 (Edmonds,
+section 3.7).  So the 4jm symbol's sum over the intermediate m has a single
+term, at m = m3 + m4, and a vertex matrix computes only the entries whose
+magnetic indices sum to 0; all others are the one shared zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from itertools import product
+from math import gcd, prod
 from typing import Callable, Sequence
 
 from .exact import (
     HalfInteger,
     RadicalNumber,
     factorial,
-    half_integer_range,
     sqrt_rational,
+    squarefree_decompose,
 )
 
 __all__ = [
@@ -41,20 +47,15 @@ __all__ = [
 
 SpinLike = HalfInteger | int | Fraction | str | float
 
+_ZERO = RadicalNumber.zero()  # immutable, so every zero entry can share it
+
 
 def _hi(x: SpinLike) -> HalfInteger:
     return x if isinstance(x, HalfInteger) else HalfInteger(x)
 
 
-def _as_int(j: HalfInteger, what: str = "value") -> int:
-    if j.twice % 2:
-        raise ValueError(f"{what} {j} is not an integer")
-    return j.twice // 2
-
-
-def _sign_pow(x: HalfInteger | int) -> int:
-    """(-1)**x for an integer-valued (half-)integer expression."""
-    n = x if isinstance(x, int) else _as_int(x, "sign exponent")
+def _sign(n: int) -> int:
+    """(-1)**n."""
     return -1 if n % 2 else 1
 
 
@@ -94,20 +95,13 @@ def _racah_sum(
     return Fraction(num, den)
 
 
-def w3jm(
-    j1: SpinLike, j2: SpinLike, j3: SpinLike, m1: SpinLike, m2: SpinLike, m3: SpinLike
-) -> RadicalNumber:
-    """Wigner 3jm symbol (j1 j2 j3; m1 m2 m3), exact, by Racah's single sum:
-    (-1)^(j1-j2-m3) times the square root of the triangle coefficient of
-    (j1 j2 j3) and of prod (ji+mi)! (ji-mi)!, times
-    sum_k (-1)^k / (k! (j3-j2+m1+k)! (j3-j1-m2+k)! (j1+j2-j3-k)! (j1-m1-k)! (j2+m2-k)!).
-    """
-    a, b, c = _hi(j1).twice, _hi(j2).twice, _hi(j3).twice
-    x, y, z = _hi(m1).twice, _hi(m2).twice, _hi(m3).twice
+def _w3jm(a: int, b: int, c: int, x: int, y: int, z: int) -> RadicalNumber:
+    """:func:`w3jm` at twice-spins a, b, c and twice-ms x, y, z: zero
+    unless x + y + z = 0, else one square root times one Racah sum."""
     if x + y + z or not _admissible(a, b, c):
-        return RadicalNumber.zero()
+        return _ZERO
     if any((t + u) % 2 or abs(u) > t for t, u in ((a, x), (b, y), (c, z))):
-        return RadicalNumber.zero()
+        return _ZERO
     total = _racah_sum(
         (0, (b - c - x) // 2, (a - c + y) // 2),
         ((a + b - c) // 2, (a - x) // 2, (b + y) // 2),
@@ -116,7 +110,21 @@ def w3jm(
     num, den = _delta2(a, b, c)
     for t, u in ((a, x), (b, y), (c, z)):
         num *= factorial((t + u) // 2) * factorial((t - u) // 2)
-    return sqrt_rational(Fraction(num, den)) * (_sign_pow((a - b - z) // 2) * total)
+    g = gcd(num, den)
+    p, q = num // g, den // g
+    r, s = squarefree_decompose(p * q)  # sqrt(p/q) = (r/q) sqrt(s)
+    return RadicalNumber._of({s: Fraction(_sign((a - b - z) // 2) * r, q) * total})
+
+
+def w3jm(
+    j1: SpinLike, j2: SpinLike, j3: SpinLike, m1: SpinLike, m2: SpinLike, m3: SpinLike
+) -> RadicalNumber:
+    """Wigner 3jm symbol (j1 j2 j3; m1 m2 m3), exact, by Racah's single sum:
+    (-1)^(j1-j2-m3) times the square root of the triangle coefficient of
+    (j1 j2 j3) and of prod (ji+mi)! (ji-mi)!, times
+    sum_k (-1)^k / (k! (j3-j2+m1+k)! (j3-j1-m2+k)! (j1+j2-j3-k)! (j1-m1-k)! (j2+m2-k)!).
+    """
+    return _w3jm(*(_hi(v).twice for v in (j1, j2, j3, m1, m2, m3)))
 
 
 def cg(
@@ -124,27 +132,18 @@ def cg(
 ) -> RadicalNumber:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m>, exact:
     (-1)^(j1-j2+m) sqrt(2j+1) (j1 j2 j; m1 m2 -m)."""
-    m = _hi(m)
-    w = w3jm(j1, j2, j, m1, m2, -m)
+    a, x, b, y, c, z = (_hi(v).twice for v in (j1, m1, j2, m2, j, m))
+    w = _w3jm(a, b, c, x, y, -z)
     if w.is_zero():
         return w
-    return _sign_pow(_hi(j1) - _hi(j2) + m) * sqrt_rational(_hi(j).twice + 1) * w
+    return _sign((a - b + z) // 2) * sqrt_rational(c + 1) * w
 
 
-def _sum_4jm(
-    w3: Callable[..., RadicalNumber], j1, j2, j3, j4, m1, m2, m3, m4, j: HalfInteger
-) -> RadicalNumber:
-    """The 4jm sum of :func:`w4jm` with ``w3`` as its 3jm symbol."""
-    total = RadicalNumber.zero()
-    for m in half_integer_range(j):
-        a = w3(j1, j2, j, m1, m2, m)
-        if a.is_zero():
-            continue
-        b = w3(j, j3, j4, -m, m3, m4)
-        if b.is_zero():
-            continue
-        total = total + _sign_pow(j - m) * a * b
-    return total
+def _w3jm_channel(c: int, a3: int, a4: int, x3: int, x4: int) -> RadicalNumber:
+    """(-1)^(j-m) (j j3 j4; -m m3 m4) at m = m3 + m4, in twice-ints."""
+    x = x3 + x4
+    w = _w3jm(c, a3, a4, -x, x3, x4)
+    return -w if (c - x) // 2 % 2 else w
 
 
 def w4jm(
@@ -160,9 +159,13 @@ def w4jm(
 ) -> RadicalNumber:
     """Wigner 4jm symbol with intermediate spin j, exact.
 
-    Sum over m of (-1)^(j-m) (j1 j2 j; m1 m2 m)(j j3 j4; -m m3 m4).
+    The sum over m of (-1)^(j-m) (j1 j2 j; m1 m2 m)(j j3 j4; -m m3 m4).  A
+    3jm symbol vanishes unless its ms sum to 0, so only m = m3 + m4 =
+    -(m1 + m2) can contribute, and the symbol is that single term (zero
+    when m1 + m2 + m3 + m4 != 0 or |m| > j).
     """
-    return _sum_4jm(w3jm, j1, j2, j3, j4, m1, m2, m3, m4, _hi(j))
+    a1, a2, a3, a4, c, x1, x2, x3, x4 = (_hi(v).twice for v in (j1, j2, j3, j4, j, m1, m2, m3, m4))
+    return _w3jm(a1, a2, c, x1, x2, x3 + x4) * _w3jm_channel(c, a3, a4, x3, x4)
 
 
 def w6j(
@@ -188,46 +191,34 @@ def w6j(
 # -- matrix representations ----------------------------------------------
 
 
-def _m_tuples(spins: Sequence[HalfInteger]) -> list[tuple[HalfInteger, ...]]:
-    """All magnetic-index tuples, decreasing within each spin, first spin
-    most significant; the empty product gives a single empty tuple."""
-    out: list[tuple[HalfInteger, ...]] = [()]
-    for j in spins:
-        out = [t + (m,) for t in out for m in half_integer_range(j)]
-    return out
-
-
 def _leg_matrix(
     spins: Sequence[SpinLike],
     orientation: str,
     example: str,
-    entry: Callable[[list[HalfInteger], list[HalfInteger]], RadicalNumber],
+    entry: Callable[[list[int], list[int]], RadicalNumber],
 ) -> list[list[RadicalNumber]]:
     """Spin-basis matrix of an intertwiner with len(example) legs, with
-    ``entry(js, ms)`` its tensor entry at leg indices ms.
+    ``entry(twice_js, twice_ms)`` its tensor entry at leg indices ms.
 
     Outgoing ('o') legs index rows, ingoing ('i') legs columns, both in leg
     order with magnetic indices decreasing; ingoing indices are negated.
+    Only entries whose ms sum to 0 are computed: the others are zero.
     """
     n = len(example)
     if len(spins) != n or len(orientation) != n or set(orientation) - {"i", "o"}:
         raise ValueError(f"need {n} spins and an orientation like {example!r}")
-    js = [_hi(j) for j in spins]
-    rows_legs = [k for k, o in enumerate(orientation) if o == "o"]
-    cols_legs = [k for k, o in enumerate(orientation) if o == "i"]
-    row_ms = _m_tuples([js[k] for k in rows_legs])
-    col_ms = _m_tuples([js[k] for k in cols_legs])
+    tw = [_hi(j).twice for j in spins]
+    outs = [k for k, o in enumerate(orientation) if o == "o"]
+    ins = [k for k, o in enumerate(orientation) if o == "i"]
+    place = [(outs + ins).index(k) for k in range(n)]  # leg k's slot in (row ms, column ms)
+    # A column holds the negated ms, -m = -j, ..., j, and their sum.
+    cols = [(sum(cm), cm) for cm in product(*(range(-tw[k], tw[k] + 1, 2) for k in ins))]
     out = []
-    for rm in row_ms:
-        row = []
-        for cm in col_ms:
-            m = [None] * n
-            for k, v in zip(rows_legs, rm):
-                m[k] = v
-            for k, v in zip(cols_legs, cm):
-                m[k] = -v
-            row.append(entry(js, m))
-        out.append(row)
+    for rm in product(*(range(tw[k], -tw[k] - 1, -2) for k in outs)):
+        need = -sum(rm)
+        out.append([
+            entry(tw, [(rm + cm)[p] for p in place]) if s == need else _ZERO for s, cm in cols
+        ])
     return out
 
 
@@ -241,27 +232,33 @@ def yutsis_matrix_3(
     leg order with magnetic indices decreasing; the tensor entry at
     (m1, m2, m3) is the 3jm symbol with ingoing indices negated.
     """
-    return _leg_matrix(spins, orientation, "iio", lambda js, m: w3jm(*js, *m))
+    return _leg_matrix(spins, orientation, "iio", lambda tw, x: _w3jm(*tw, *x))
 
 
 def yutsis_matrix_4(
     spins: Sequence[SpinLike], j: SpinLike, orientation: str
 ) -> list[list[RadicalNumber]]:
     """Matrix of a 4-valent intertwiner (channel spin j); same conventions
-    as :func:`yutsis_matrix_3`.  Each entry is the sum of :func:`w4jm`, with
-    every 3jm factor computed once per matrix: neighbouring entries share them.
+    as :func:`yutsis_matrix_3`.  Each entry is the single term of
+    :func:`w4jm`, with each (m1, m2) and each (m3, m4) factor computed once
+    per matrix: neighbouring entries share them.
     """
-    j = _hi(j)
-    factors: dict[tuple, RadicalNumber] = {}
+    c = _hi(j).twice
+    left: dict[tuple[int, int], RadicalNumber] = {}
+    right: dict[tuple[int, int], RadicalNumber] = {}
 
-    def w3(*args: HalfInteger) -> RadicalNumber:
-        key = tuple(a.twice for a in args)  # ints hash far faster than HalfInteger
-        x = factors.get(key)
-        if x is None:
-            x = factors[key] = w3jm(*args)
-        return x
+    def entry(tw: list[int], x: list[int]) -> RadicalNumber:
+        a1, a2, a3, a4 = tw
+        x1, x2, x3, x4 = x
+        p = left.get((x1, x2))
+        if p is None:
+            p = left[x1, x2] = _w3jm(a1, a2, c, x1, x2, x3 + x4)
+        q = right.get((x3, x4))
+        if q is None:
+            q = right[x3, x4] = _w3jm_channel(c, a3, a4, x3, x4)
+        return p * q
 
-    return _leg_matrix(spins, orientation, "iioo", lambda js, ms: _sum_4jm(w3, *js, *ms, j))
+    return _leg_matrix(spins, orientation, "iioo", entry)
 
 
 # -- closed invariants (oracle self-checks) -------------------------------
@@ -269,28 +266,24 @@ def yutsis_matrix_4(
 
 def invariant_theta(j1: SpinLike, j2: SpinLike, j3: SpinLike) -> RadicalNumber:
     """The closed two-vertex (theta) network, contracted index by index."""
-    j1, j2, j3 = _hi(j1), _hi(j2), _hi(j3)
-    total = RadicalNumber.zero()
-    for m1 in half_integer_range(j1):
-        for m2 in half_integer_range(j2):
-            m3 = -(m1 + m2)
-            if abs(m3.twice) > j3.twice:
-                continue
-            a = w3jm(j1, j2, j3, m1, m2, m3)
-            if a.is_zero():
-                continue
+    a, b, c = (_hi(j).twice for j in (j1, j2, j3))
+    total = _ZERO
+    for x in range(a, -a - 1, -2):
+        for y in range(b, -b - 1, -2):
+            z = -x - y
+            w = _w3jm(a, b, c, x, y, z)
             # The metric maps m at the outgoing vertex to -m at the ingoing
             # vertex, whose tensor negates its own indices again.
-            sign = _sign_pow((j1 - m1) + (j2 - m2) + (j3 - m3))
-            total = total + sign * a * a
+            if not w.is_zero():
+                total = total + _sign((a - x + b - y + c - z) // 2) * w * w
     return total
 
 
 def invariant_loop(j: SpinLike) -> RadicalNumber:
     """The closed single-edge loop, contracted index by index (equals 2j+1)."""
-    j = _hi(j)
-    total = RadicalNumber.zero()
-    for m in half_integer_range(j):
+    t = _hi(j).twice
+    total = _ZERO
+    for x in range(t, -t - 1, -2):
         # Two strand factors (-1)^(j-m) meet on the loop.
-        total = total + _sign_pow(j - m) * _sign_pow(j - m)
+        total = total + _sign((t - x) // 2) * _sign((t - x) // 2)
     return total

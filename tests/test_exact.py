@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -563,6 +564,18 @@ class TestHalfInteger:
             x, y = HalfInteger(Fraction(a.twice, 2)), HalfInteger(Fraction(b.twice, 2))
             assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
         assert sorted(reversed(made)) == made
+
+    def test_from_twice_takes_an_integer(self):
+        for twice in (5, -3, 0, 2**70, np.int64(5), np.int8(-3)):
+            h = HalfInteger.from_twice(twice)
+            assert type(h.twice) is int and h == HalfInteger(Fraction(int(twice), 2))
+
+    @pytest.mark.parametrize("bad", [3.7, 2.0, float("nan"), "5", "1/2", True, False, None,
+                                     Fraction(3), 1 + 0j, np.float64(2.0), np.bool_(True)])
+    def test_from_twice_rejects_anything_else(self, bad):
+        # int() would read 3.7 as 3, "5" as 5 and True as 1.
+        with pytest.raises(TypeError):
+            HalfInteger.from_twice(bad)
 
     def test_range_decreasing(self):
         ms = half_integer_range(HalfInteger(Fraction(3, 2)))

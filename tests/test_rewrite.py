@@ -1,6 +1,7 @@
 """Rewrite engine: per-rule soundness, derived scalars, simplification."""
 
 import json
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
@@ -168,6 +169,24 @@ def test_simplify_default_budget_fits_the_input():
     out, trace = simplify(_chain(10_001))
     assert len(trace) == 10_001
     assert [data.kind for data in out.vertices.values()] == ["B", "B"]
+
+
+def test_simplify_is_not_cubic_in_one_spiders_self_loops():
+    # Each remove-wire step rematches the spider's remaining loops.  Testing
+    # each against the anchor's old site list took 27.7 s at 2,000 loops;
+    # one set difference per step takes 0.4 s.
+    n = 2000
+    d = Diagram()
+    z = d.add_z()
+    for _ in range(n):
+        d.add_edge(z, z)
+    d.add_edge(z, d.add_output())
+    start = time.perf_counter()
+    out, trace = simplify(d)
+    assert time.perf_counter() - start < 8.0
+    assert [r for r, _ in trace.steps] == ["remove-wire"] * n
+    assert [site for _, site in trace.steps] == [(0, z)] * n
+    assert len(out.vertices) == 2 and out.edges == [(z, out.outputs[0])]
 
 
 def test_apply_rule_rejects_bad_site():

@@ -4,6 +4,9 @@ properties, and the spin-basis vertex matrices."""
 from fractions import Fraction
 from itertools import permutations, product
 
+from hypothesis import given, settings, strategies as st
+
+from spinnet import wigner
 from spinnet.exact import HalfInteger, RadicalNumber, factorial, sqrt_rational, half_integer_range
 from spinnet.wigner import (
     cg,
@@ -16,6 +19,9 @@ from spinnet.wigner import (
     yutsis_matrix_3,
     yutsis_matrix_4,
 )
+
+# Fixed, reproducible property runs: the same examples on every run.
+PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 H = Fraction(1, 2)
 SPINS_UP_TO_3_HALVES = [Fraction(0), H, Fraction(1), Fraction(3, 2)]
@@ -143,6 +149,50 @@ def _ref_cg(j1, m1, j2, m2, j, m) -> RadicalNumber:
     return sqrt_rational(pref) * RadicalNumber.from_rational(total)
 
 
+# The oracle's earlier vertex matrices, kept as references for the single
+# 4jm term and the selection-rule walk: every entry computed from HalfInteger
+# indices, and the 4jm symbol as its full sum over the intermediate m.
+
+
+def _ref_w4jm(j1, j2, j3, j4, m1, m2, m3, m4, j) -> RadicalNumber:
+    """Sum over every m of (-1)^(j-m) (j1 j2 j; m1 m2 m)(j j3 j4; -m m3 m4)."""
+    j = HalfInteger(j)
+    total = RadicalNumber.zero()
+    for m in half_integer_range(j):
+        a = w3jm(j1, j2, j, m1, m2, m)
+        b = w3jm(j, j3, j4, -m, m3, m4)
+        total = total + _sign(j - m) * a * b
+    return total
+
+
+def _ref_leg_matrix(spins, orientation, entry):
+    """Outgoing legs index rows, ingoing legs columns, both in leg order
+    with m decreasing; ingoing indices negated; every entry computed."""
+    js = [HalfInteger(j) for j in spins]
+    rows = [k for k, o in enumerate(orientation) if o == "o"]
+    cols = [k for k, o in enumerate(orientation) if o == "i"]
+    out = []
+    for rm in product(*(half_integer_range(js[k]) for k in rows)):
+        row = []
+        for cm in product(*(half_integer_range(js[k]) for k in cols)):
+            m = [None] * len(js)
+            for k, v in zip(rows, rm):
+                m[k] = v
+            for k, v in zip(cols, cm):
+                m[k] = -v
+            row.append(entry(js, m))
+        out.append(row)
+    return out
+
+
+def _ref_yutsis_matrix_3(spins, orientation):
+    return _ref_leg_matrix(spins, orientation, lambda js, m: w3jm(*js, *m))
+
+
+def _ref_yutsis_matrix_4(spins, j, orientation):
+    return _ref_leg_matrix(spins, orientation, lambda js, m: _ref_w4jm(*js, *m, j))
+
+
 def admissible_6j(spins):
     """Every sextuple whose four triads are admissible."""
     return [
@@ -168,6 +218,33 @@ def admissible_4jm(legs, channels):
 
 LEGS_UP_TO_3_HALVES = [HalfInteger.from_twice(t) for t in (1, 2, 3)]
 CHANNELS_UP_TO_3 = [HalfInteger.from_twice(t) for t in range(7)]
+TRIADS_UP_TO_2 = list(valid_triads(SPINS_UP_TO_2))
+VERTICES_4JM = admissible_4jm(LEGS_UP_TO_3_HALVES, CHANNELS_UP_TO_3)
+ORIENTATIONS_3 = ["".join(o) for o in product("io", repeat=3)]
+ORIENTATIONS_4 = ["".join(o) for o in product("io", repeat=4)]
+
+
+def oracle_matrix_sweep():
+    """Compare the oracle with its references on every 3jm triad with spins
+    <= 2 in all 8 orientations, every 4jm vertex with legs <= 3/2 and channel
+    <= 3 in all 16, and w4jm at every m of those vertices.  Returns the
+    three counts and the cases that differ."""
+    bad, n3, n4, nw = [], 0, 0, 0
+    for js in TRIADS_UP_TO_2:
+        for orient in ORIENTATIONS_3:
+            n3 += 1
+            if yutsis_matrix_3(js, orient) != _ref_yutsis_matrix_3(js, orient):
+                bad.append(("3jm", js, orient))
+    for *js, j in VERTICES_4JM:
+        for orient in ORIENTATIONS_4:
+            n4 += 1
+            if yutsis_matrix_4(js, j, orient) != _ref_yutsis_matrix_4(js, j, orient):
+                bad.append(("4jm", js, j, orient))
+        for ms in product(*map(half_integer_range, js)):
+            nw += 1
+            if w4jm(*js, *ms, j) != _ref_w4jm(*js, *ms, j):
+                bad.append(("w4jm", js, j, ms))
+    return (n3, n4, nw), bad
 
 
 class TestClebschGordan:
@@ -272,6 +349,13 @@ class TestW4jm:
     def test_zero_when_channel_triangle_fails(self):
         assert w4jm(H, H, H, H, H, H, -H, -H, 2) == RadicalNumber.zero()
 
+    @PROPERTIES
+    @given(st.sampled_from(VERTICES_4JM), st.data())
+    def test_single_term_equals_the_full_m_sum(self, vertex, data):
+        *js, j = vertex
+        ms = [data.draw(st.sampled_from(half_integer_range(x))) for x in js]
+        assert w4jm(*js, *ms, j) == _ref_w4jm(*js, *ms, j)
+
 
 SEXTUPLES = [
     (1, 1, 1, 1, 1, 1),
@@ -366,6 +450,33 @@ class TestYutsisMatrices:
                 for m3 in half_integer_range(j3) for m4 in half_integer_range(j4)
             ]
             assert m == want, (j1, j2, j3, j4, j)
+
+    @PROPERTIES
+    @given(st.sampled_from(TRIADS_UP_TO_2), st.sampled_from(ORIENTATIONS_3))
+    def test_3jm_matrix_equals_the_reference(self, js, orient):
+        assert yutsis_matrix_3(js, orient) == _ref_yutsis_matrix_3(js, orient)
+
+    @PROPERTIES
+    @given(st.sampled_from(VERTICES_4JM), st.sampled_from(ORIENTATIONS_4))
+    def test_4jm_matrix_equals_the_reference(self, vertex, orient):
+        *js, j = vertex
+        assert yutsis_matrix_4(js, j, orient) == _ref_yutsis_matrix_4(js, j, orient)
+
+    def test_4jm_matrix_computes_each_factor_once(self, monkeypatch):
+        # 4jm(1,1,1,1; 1) in "iioo": 81 entries, 19 of whose ms sum to 0 and
+        # 12 of which are nonzero.  Each of the 9 (m1, m2) and 9 (m3, m4)
+        # factors is one 3jm symbol, computed once.
+        calls = []
+        real = wigner._w3jm
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(wigner, "_w3jm", counted)
+        m = yutsis_matrix_4((1, 1, 1, 1), 1, "iioo")
+        assert sum(1 for row in m for x in row if not x.is_zero()) == 12
+        assert len(calls) == 18
 
     def test_4jm_matrix_shape(self):
         m = yutsis_matrix_4((H, H, H, H), 1, "iioo")
