@@ -5,7 +5,7 @@ Route 1: assemble the closed tetrahedral diagram from four 3-valent
 intertwiner vertices and six summed edges, contract it exactly, and apply
 the recorded correction factor.
 
-Route 2: the closed-form oracle built from Clebsch-Gordan sums.
+Route 2: the closed-form oracle, Racah's single sum.
 """
 
 import time

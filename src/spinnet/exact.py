@@ -657,7 +657,3 @@ def parse_int(text: str) -> int:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
-
-def half_integer_range(j: HalfInteger) -> list[HalfInteger]:
-    """Magnetic indices ``m = j, j-1, ..., -j`` in decreasing order."""
-    return [HalfInteger.from_twice(t) for t in range(j.twice, -j.twice - 1, -2)]

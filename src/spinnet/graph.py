@@ -48,9 +48,6 @@ __all__ = [
     "Phase",
     "VertexData",
     "Diagram",
-    "make_spider",
-    "make_hbox",
-    "identity_diagram",
     "compose_seq",
     "compose_par",
     "serialize",
@@ -204,39 +201,6 @@ class Diagram:
             f"Diagram({len(self.vertices)} vertices, {len(self.edges)} edges, "
             f"{len(self.inputs)} in, {len(self.outputs)} out)"
         )
-
-
-# -- generators -----------------------------------------------------------
-
-
-def make_spider(kind: str, phase: Phase, n_in: int, n_out: int) -> Diagram:
-    """A single Z or X spider with boundary wires."""
-    d = Diagram()
-    s = d.add_spider(kind, phase)
-    for _ in range(n_in):
-        d.add_edge(d.add_input(), s)
-    for _ in range(n_out):
-        d.add_edge(d.add_output(), s)
-    return d
-
-
-def make_hbox(label: Optional[ExactScalar], n_in: int, n_out: int) -> Diagram:
-    """A single H-box with the given label (default -1) and boundary wires."""
-    d = Diagram()
-    h = d.add_h(label)
-    for _ in range(n_in):
-        d.add_edge(d.add_input(), h)
-    for _ in range(n_out):
-        d.add_edge(d.add_output(), h)
-    return d
-
-
-def identity_diagram(n: int) -> Diagram:
-    """n parallel wires."""
-    d = Diagram()
-    for _ in range(n):
-        d.add_edge(d.add_input(), d.add_output())
-    return d
 
 
 # -- composition ----------------------------------------------------------

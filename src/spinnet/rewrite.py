@@ -1,36 +1,29 @@
 """Diagram rewrite rules with derived (never transcribed) scalars.
 
 Each rule is local surgery on a diagram together with a global scalar
-factor, written once as four parts: a local matcher, an in-place applier
+factor, written once as three parts: a local matcher, an in-place applier
 that does the surgery and returns the key of its scalar (the rule name and
-its parameters, or None for a scalar-free rule), ``lhs(*params)``, which
-builds a standalone left-hand-side instance and its site, and
-``sample(rng)``, which draws parameters for the soundness trials.  Scalars
-are *derived*: for a key, the rule's own applier rewrites the instance
+its parameters, or None for a scalar-free rule), and ``lhs(*params)``, which
+builds a standalone left-hand-side instance and its site.  Scalars are
+*derived*: for a key, the rule's own applier rewrites the instance
 ``lhs(*key[1:])``, both sides are evaluated exactly, and the unique ratio is
-frozen in a cache (:func:`derived_scalar_table`).  The derivation raises if
-the site does not match, if the applier reports another key or if the two
-sides are not proportional, so no unsound rule can ship.
+frozen in a cache.  The derivation raises if the site does not match, if
+the applier reports another key or if the two sides are not proportional,
+so no unsound rule can ship.
 
 Shipped rules (names are stable API):
 
 * ``fuse``          -- merge two adjacent same-colour spiders (phases add).
-* ``remove-wire``   -- delete a self-loop on a spider.
+* ``remove-wire``   -- delete every self-loop on a spider.
 * ``identity``      -- drop a phase-free arity-2 spider.
 * ``hh-cancel``     -- cancel two adjacent arity-2 H(-1) boxes (x2).
 * ``hopf``          -- disconnect a doubly-connected Z/X pair (x1/2).
 * ``copy``          -- copy a basis state through an opposite-colour spider.
 * ``pi-copy``       -- push an arity-2 pi-spider through an opposite-colour
   spider whose phase is on the pi/4 grid, negating that phase.
-* ``bialgebra``     -- replace a connected phase-free Z/X pair by the
-  complete bipartite form.
-* ``color-change``  -- turn an X spider into a Z spider with an H-box on
-  every leg.
 * ``absorb``        -- absorb an X(pi) state into an H-box leg (x sqrt(2)).
 * ``explode``       -- absorb a Z(0) state into an H-box leg, halving the
   label offset (x2, label (1+a)/2).
-* ``zh-relations``  -- expand an arity-2 H(-1) box into its Euler chain
-  Z(pi/2) X(pi/2) Z(pi/2).
 
 Rules rewrite a private mutable working form (:class:`_Work`) in place: the
 vertex dict, the edges in a dict keyed by a monotone edge id, and per-vertex
@@ -46,22 +39,19 @@ form through a few primitives that record the vertices they touch.
 exports.  :func:`simplify` builds the working form once and keeps a heap of
 the valid sites of each rule; after a step it re-examines only the touched
 vertices and their neighbours, and drops stale heap entries as it pops
-them, so a step costs O(degree * log) instead of O(V+E).  Inside the engine
-a ``remove-wire`` site names its self-loop by edge id; outside it, by its
-index in the edge list.
+them, so a step costs O(degree * log) instead of O(V+E).
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .exact import ExactScalar
-from .graph import Diagram, H, VertexData, X, Z, compose_par, normalize_phase, pi_quarters
+from .graph import Diagram, H, VertexData, X, Z, normalize_phase, pi_quarters
 from .tensor import eval_diagram
 
 __all__ = [
@@ -71,13 +61,10 @@ __all__ = [
     "find_matches",
     "apply_rule",
     "simplify",
-    "check_rule_soundness",
-    "derived_scalar_table",
     "DEFAULT_SIMPLIFY_RULES",
 ]
 
 _PI = Fraction(1)
-_HALF = Fraction(1, 2)
 _ONE = ExactScalar.one()
 _MINUS_ONE = ExactScalar(-1)
 _SPIDERS = (Z, X)
@@ -85,13 +72,12 @@ _SPIDERS = (Z, X)
 
 @dataclass
 class RewriteRule:
-    """One rule's four parts, as the module docstring describes them."""
+    """One rule's three parts, as the module docstring describes them."""
 
     name: str
     match_at: Callable[["_Work", int], list[tuple]]
     apply_at: Callable[["_Work", tuple], Optional[tuple]]
     lhs: Callable[..., tuple[Diagram, tuple]]
-    sample: Callable[[random.Random], tuple]
 
 
 @dataclass
@@ -136,11 +122,6 @@ def _derive_scalar(rule: RewriteRule, key: tuple) -> ExactScalar:
     return c
 
 
-def derived_scalar_table() -> dict[str, str]:
-    """All scalars derived so far, keyed by rule/parameter signature."""
-    return {repr(k): v.serialize() for k, v in sorted(_SCALAR_CACHE.items(), key=lambda kv: repr(kv[0]))}
-
-
 # -- the working form -----------------------------------------------------
 
 
@@ -178,10 +159,6 @@ class _Work:
 
     def looped(self, v: int) -> bool:
         return self.deg[v] > len(self.inc[v])
-
-    def index(self, e: int) -> int:
-        """Edge e's position in the exported edge list."""
-        return list(self.edges).index(e)
 
     # -- primitives -------------------------------------------------------
 
@@ -313,25 +290,17 @@ def _lhs_fuse(kind: str, p1, p2, links: int, a_ends: tuple, b_ends: tuple) -> tu
     return d, (a, b)
 
 
-def _sample_fuse(rng: random.Random) -> tuple:
-    kind = rng.choice((Z, X))
-    p1, p2 = (Fraction(rng.randrange(4), 2) for _ in range(2))
-    links = rng.choice((1, 1, 2))
-    a_ends, b_ends = (tuple(rng.random() < 0.7 for _ in range(rng.randrange(1, 3))) for _ in range(2))
-    return kind, p1, p2, links, a_ends, b_ends
-
-
 # -- rule: remove-wire ----------------------------------------------------
 
 
 def _m_remove_wire(w: _Work, v: int) -> list[tuple]:
-    if w.vertices[v].kind not in _SPIDERS:
-        return []
-    return [(e, v) for e, n in w.inc[v].items() if n == v]
+    return [(v,)] if w.vertices[v].kind in _SPIDERS and w.looped(v) else []
 
 
 def _a_remove_wire(w: _Work, site: tuple) -> None:
-    w.remove_edge(site[0])
+    (v,) = site
+    for e in [e for e, n in w.inc[v].items() if n == v]:
+        w.remove_edge(e)
 
 
 def _lhs_remove_wire(kind: str, ph, legs: int) -> tuple[Diagram, tuple]:
@@ -339,12 +308,7 @@ def _lhs_remove_wire(kind: str, ph, legs: int) -> tuple[Diagram, tuple]:
     v = d.add_spider(kind, ph)
     d.add_edge(v, v)
     _add_outputs(d, v, legs)
-    return d, (0, v)
-
-
-def _sample_kind_phase_legs(rng: random.Random) -> tuple:
-    """A spider colour, a phase and one or two legs (remove-wire, pi-copy)."""
-    return rng.choice((Z, X)), Fraction(rng.randrange(4), 2), rng.randrange(1, 3)
+    return d, (v,)
 
 
 # -- rule: identity -------------------------------------------------------
@@ -371,10 +335,6 @@ def _lhs_identity(kind: str) -> tuple[Diagram, tuple]:
     d.add_edge(v, d.add_input())
     d.add_edge(v, d.add_output())
     return d, (v,)
-
-
-def _sample_identity(rng: random.Random) -> tuple:
-    return (Z if rng.random() < 0.5 else X,)
 
 
 # -- rule: hh-cancel ------------------------------------------------------
@@ -412,10 +372,6 @@ def _lhs_hh_cancel(shape: str) -> tuple[Diagram, tuple]:
     return d, (u, v)
 
 
-def _sample_hh_cancel(rng: random.Random) -> tuple:
-    return ("closed" if rng.random() < 0.2 else "open",)
-
-
 # -- rule: hopf -----------------------------------------------------------
 
 
@@ -447,10 +403,6 @@ def _lhs_hopf(pz=Fraction(0), px=Fraction(0)) -> tuple[Diagram, tuple]:
     d.add_edge(z, d.add_input())
     d.add_edge(x, d.add_output())
     return d, (z, x)
-
-
-def _sample_hopf(rng: random.Random) -> tuple:
-    return tuple(Fraction(rng.randrange(4), 2) for _ in range(2))
 
 
 # -- rule: copy -----------------------------------------------------------
@@ -488,10 +440,6 @@ def _lhs_copy(kind: str, ph, legs: int) -> tuple[Diagram, tuple]:
     d.add_edge(s, t)
     _add_outputs(d, t, legs)
     return d, (s, t)
-
-
-def _sample_copy(rng: random.Random) -> tuple:
-    return rng.choice((Z, X)), Fraction(rng.choice((0, 1))), rng.randrange(1, 4)
 
 
 # -- rule: pi-copy --------------------------------------------------------
@@ -544,92 +492,6 @@ def _lhs_pi_copy(kind: str, ph, legs: int) -> tuple[Diagram, tuple]:
     return d, (pi_sp, sp)
 
 
-# -- rule: bialgebra ------------------------------------------------------
-
-
-def _m_bialgebra(w: _Work, z: int) -> list[tuple]:
-    # Anchored at the Z spider; self-loops on the pair are left to
-    # remove-wire.
-    data = w.vertices[z]
-    if data.kind != Z or pi_quarters(data.phase) != 0 or w.looped(z):
-        return []
-    out = []
-    for x, n in Counter(w.inc[z].values()).items():
-        xd = w.vertices[x]
-        if n == 1 and xd.kind == X and pi_quarters(xd.phase) == 0 and not w.looped(x):
-            out.append((z, x))
-    return out
-
-
-def _a_bialgebra(w: _Work, site: tuple) -> tuple:
-    z, x = site
-    z_others = w.others(z, x)
-    x_others = w.others(x, z)
-    w.remove_vertex(z)
-    w.remove_vertex(x)
-    new_x = []
-    for nb in z_others:
-        xv = w.add_spider(X)
-        w.add_edge(nb, xv)
-        new_x.append(xv)
-    new_z = []
-    for nb in x_others:
-        zv = w.add_spider(Z)
-        w.add_edge(zv, nb)
-        new_z.append(zv)
-    for xv in new_x:
-        for zv in new_z:
-            w.add_edge(xv, zv)
-    return ("bialgebra", len(z_others), len(x_others))
-
-
-def _lhs_bialgebra(m: int, n: int) -> tuple[Diagram, tuple]:
-    d = Diagram()
-    z, x = d.add_z(), d.add_x()
-    d.add_edge(z, x)
-    for _ in range(m):
-        d.add_edge(d.add_input(), z)
-    _add_outputs(d, x, n)
-    return d, (z, x)
-
-
-def _sample_bialgebra(rng: random.Random) -> tuple:
-    return rng.randrange(1, 3), rng.randrange(1, 3)
-
-
-# -- rule: color-change ---------------------------------------------------
-
-
-def _m_color_change(w: _Work, v: int) -> list[tuple]:
-    return [(v,)] if w.vertices[v].kind == X and not w.looped(v) else []
-
-
-def _a_color_change(w: _Work, site: tuple) -> tuple:
-    (v,) = site
-    ends = w.others(v)
-    ph = w.vertices[v].phase
-    w.remove_vertex(v)
-    z = w.add_spider(Z, ph)
-    for nb in ends:
-        h = w.add_h()
-        w.add_edge(z, h)
-        w.add_edge(h, nb)
-    # The phase stays on the spider: one off the pi/4 grid shares the scalar of 0.
-    key_ph = Fraction(ph) % 2 if pi_quarters(ph) is not None else Fraction(0)
-    return ("color-change", key_ph, len(ends))
-
-
-def _lhs_color_change(ph, legs: int) -> tuple[Diagram, tuple]:
-    d = Diagram()
-    v = d.add_x(ph)
-    _add_outputs(d, v, legs)
-    return d, (v,)
-
-
-def _sample_color_change(rng: random.Random) -> tuple:
-    return Fraction(rng.randrange(4), 2), rng.randrange(1, 4)
-
-
 # -- rule: absorb ---------------------------------------------------------
 
 
@@ -662,10 +524,6 @@ def _lhs_absorb(ph, label: ExactScalar, legs: int) -> tuple[Diagram, tuple]:
     d.add_edge(s, h)
     _add_outputs(d, h, legs)
     return d, (s, h)
-
-
-def _sample_absorb(rng: random.Random) -> tuple:
-    return (_PI if rng.random() < 0.5 else Fraction(0)), _MINUS_ONE, rng.randrange(1, 3)
 
 
 # -- rule: explode --------------------------------------------------------
@@ -714,62 +572,20 @@ def _lhs_explode(shape, legs: int) -> tuple[Diagram, tuple]:
     return d, (s, h)
 
 
-def _sample_explode(rng: random.Random) -> tuple:
-    if rng.random() < 0.3:
-        return "split", rng.randrange(1, 4)
-    return _MINUS_ONE, rng.randrange(1, 3)
-
-
-# -- rule: zh-relations ---------------------------------------------------
-
-
-def _m_zh(w: _Work, v: int) -> list[tuple]:
-    return [(v,)] if _plain_hadamard_box(w, v) and not w.looped(v) else []
-
-
-def _a_zh(w: _Work, site: tuple) -> tuple:
-    (v,) = site
-    a, b = w.others(v)
-    w.remove_vertex(v)
-    first = w.add_spider(Z, _HALF)
-    middle = w.add_spider(X, _HALF)
-    last = w.add_spider(Z, _HALF)
-    w.add_edge(first, middle)
-    w.add_edge(middle, last)
-    w.add_edge(a, first)
-    w.add_edge(last, b)
-    return ("zh-relations",)
-
-
-def _lhs_zh() -> tuple[Diagram, tuple]:
-    d = Diagram()
-    h = d.add_h()
-    d.add_edge(d.add_input(), h)
-    d.add_edge(h, d.add_output())
-    return d, (h,)
-
-
-def _sample_zh(rng: random.Random) -> tuple:
-    return ()
-
-
 # -- registry -------------------------------------------------------------
 
 RULES: dict[str, RewriteRule] = {
     r.name: r
     for r in [
-        RewriteRule("fuse", _m_fuse, _a_fuse, _lhs_fuse, _sample_fuse),
-        RewriteRule("remove-wire", _m_remove_wire, _a_remove_wire, _lhs_remove_wire, _sample_kind_phase_legs),
-        RewriteRule("identity", _m_identity, _a_identity, _lhs_identity, _sample_identity),
-        RewriteRule("hh-cancel", _m_hh_cancel, _a_hh_cancel, _lhs_hh_cancel, _sample_hh_cancel),
-        RewriteRule("hopf", _m_hopf, _a_hopf, _lhs_hopf, _sample_hopf),
-        RewriteRule("copy", _m_copy, _a_copy, _lhs_copy, _sample_copy),
-        RewriteRule("pi-copy", _m_pi_copy, _a_pi_copy, _lhs_pi_copy, _sample_kind_phase_legs),
-        RewriteRule("bialgebra", _m_bialgebra, _a_bialgebra, _lhs_bialgebra, _sample_bialgebra),
-        RewriteRule("color-change", _m_color_change, _a_color_change, _lhs_color_change, _sample_color_change),
-        RewriteRule("absorb", _m_absorb, _a_absorb, _lhs_absorb, _sample_absorb),
-        RewriteRule("explode", _m_explode, _a_explode, _lhs_explode, _sample_explode),
-        RewriteRule("zh-relations", _m_zh, _a_zh, _lhs_zh, _sample_zh),
+        RewriteRule("fuse", _m_fuse, _a_fuse, _lhs_fuse),
+        RewriteRule("remove-wire", _m_remove_wire, _a_remove_wire, _lhs_remove_wire),
+        RewriteRule("identity", _m_identity, _a_identity, _lhs_identity),
+        RewriteRule("hh-cancel", _m_hh_cancel, _a_hh_cancel, _lhs_hh_cancel),
+        RewriteRule("hopf", _m_hopf, _a_hopf, _lhs_hopf),
+        RewriteRule("copy", _m_copy, _a_copy, _lhs_copy),
+        RewriteRule("pi-copy", _m_pi_copy, _a_pi_copy, _lhs_pi_copy),
+        RewriteRule("absorb", _m_absorb, _a_absorb, _lhs_absorb),
+        RewriteRule("explode", _m_explode, _a_explode, _lhs_explode),
     ]
 }
 
@@ -783,8 +599,7 @@ def _rule(name: str) -> RewriteRule:
 
 
 def find_matches(d: Diagram, rule: str) -> list[tuple]:
-    """All match sites of a rule, sorted.  On a freshly built working form
-    edge ids are edge-list indices, so the sites are the public ones."""
+    """All match sites of a rule, sorted."""
     return sorted(_Sites(_rule(rule), _Work(d)).valid)
 
 
@@ -836,8 +651,7 @@ class _Sites:
             if new:
                 at[v] = new
                 valid.update(new)
-                # v's old sites are in the heap already.  One set difference
-                # keeps a spider with n self-loops quadratic in n, not cubic.
+                # v's old sites are in the heap already: push only new ones.
                 for s in set(new).difference(old) if old else new:
                     heapq.heappush(heap, s)
 
@@ -875,9 +689,7 @@ def simplify(
         else:
             return w.export(), trace
         rule = t.rule
-        trace.steps.append(
-            (rule.name, (w.index(site[0]), site[1]) if rule.name == "remove-wire" else site)
-        )
+        trace.steps.append((rule.name, site))
         w.touched = set()
         _apply(w, rule, site)
         region = set(w.touched)
@@ -888,39 +700,3 @@ def simplify(
             t.examine(w, region)
     raise RuntimeError("simplify did not reach a fixpoint within max_steps")
 
-
-def _random_host(rng: random.Random) -> Diagram:
-    d = Diagram()
-    spiders = []
-    for _ in range(rng.randrange(0, 4)):
-        kind = rng.choice((Z, X))
-        spiders.append(d.add_spider(kind, Fraction(rng.randrange(4), 2)))
-    for v in spiders:
-        for _ in range(rng.randrange(0, 3)):
-            if spiders and rng.random() < 0.5:
-                d.add_edge(v, rng.choice(spiders))
-            else:
-                d.add_edge(v, d.add_output())
-    return d
-
-
-def check_rule_soundness(rule: str, trials: int = 200, seed: int = 0) -> int:
-    """Randomised exact before/after equality trials: each plants a sampled
-    instance of the rule's left-hand side beside a random host and rewrites
-    a random site.  Returns the number of failing trials (0 means the rule
-    is sound on the sampled family)."""
-    r = _rule(rule)
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(trials):
-        d = compose_par(_random_host(rng), r.lhs(*r.sample(rng))[0])
-        matches = find_matches(d, rule)
-        if not matches:
-            failures += 1
-            continue
-        site = matches[rng.randrange(len(matches))]
-        before = eval_diagram(d)
-        after = eval_diagram(apply_rule(d, rule, site))
-        if before.data.shape != after.data.shape or not (before.data == after.data).all():
-            failures += 1
-    return failures

@@ -8,8 +8,7 @@ contraction path.
 Conventions: the 3jm and 6j symbols are Racah's single sums (Racah, Phys.
 Rev. 62, 438, 1942; Edmonds, *Angular Momentum in Quantum Mechanics*, 1957),
 each one integer factorial sum over a common denominator times one square
-root of a rational; Clebsch-Gordan coefficients follow from the 3jm symbol by
-the standard relation; the 4jm symbol couples (j1 j2) and (j3 j4) through an
+root of a rational; the 4jm symbol couples (j1 j2) and (j3 j4) through an
 intermediate spin j with a (-1)^(j-m) metric.
 
 Selection rule: a 3jm symbol vanishes unless m1 + m2 + m3 = 0 (Edmonds,
@@ -34,7 +33,6 @@ from .exact import (
 )
 
 __all__ = [
-    "cg",
     "w3jm",
     "w4jm",
     "w6j",
@@ -125,18 +123,6 @@ def w3jm(
     sum_k (-1)^k / (k! (j3-j2+m1+k)! (j3-j1-m2+k)! (j1+j2-j3-k)! (j1-m1-k)! (j2+m2-k)!).
     """
     return _w3jm(*(_hi(v).twice for v in (j1, j2, j3, m1, m2, m3)))
-
-
-def cg(
-    j1: SpinLike, m1: SpinLike, j2: SpinLike, m2: SpinLike, j: SpinLike, m: SpinLike
-) -> RadicalNumber:
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m>, exact:
-    (-1)^(j1-j2+m) sqrt(2j+1) (j1 j2 j; m1 m2 -m)."""
-    a, x, b, y, c, z = (_hi(v).twice for v in (j1, m1, j2, m2, j, m))
-    w = _w3jm(a, b, c, x, y, -z)
-    if w.is_zero():
-        return w
-    return _sign((a - b + z) // 2) * sqrt_rational(c + 1) * w
 
 
 def _w3jm_channel(c: int, a3: int, a4: int, x3: int, x4: int) -> RadicalNumber:

@@ -18,10 +18,9 @@ from spinnet.exact import (
     ExactScalar,
     HalfInteger,
     RadicalNumber,
-    half_integer_range,
     sqrt_rational,
 )
-from spinnet.rewrite import RULES, check_rule_soundness, simplify
+from spinnet.rewrite import RULES, simplify
 from spinnet.su2 import (
     VertexSpec,
     corrected_spin_matrix,
@@ -48,6 +47,8 @@ from spinnet.wigner import (
     yutsis_matrix_3,
     yutsis_matrix_4,
 )
+from test_exact import _ref_half_integer_range
+from test_rewrite import check_rule_soundness
 
 H = Fraction(1, 2)
 ONE = RadicalNumber.one()
@@ -362,11 +363,11 @@ def test_3jm_orthogonality_exhaustive():
                     h3, h3p = HalfInteger(j3), HalfInteger(j3p)
                     if not (triangle_ok(h1, h2, h3) and triangle_ok(h1, h2, h3p)):
                         continue
-                    for m3 in half_integer_range(h3):
-                        for m3p in half_integer_range(h3p):
+                    for m3 in _ref_half_integer_range(h3):
+                        for m3p in _ref_half_integer_range(h3p):
                             total = ZERO
-                            for m1 in half_integer_range(h1):
-                                for m2 in half_integer_range(h2):
+                            for m1 in _ref_half_integer_range(h1):
+                                for m2 in _ref_half_integer_range(h2):
                                     total = total + (
                                         w3jm(h1, h2, h3, m1, m2, m3)
                                         * w3jm(h1, h2, h3p, m1, m2, m3p)
@@ -389,8 +390,8 @@ def test_3jm_symmetries_exhaustive():
                     continue
                 jtot2 = h[0].twice + h[1].twice + h[2].twice
                 sign = ONE if (jtot2 // 2) % 2 == 0 else -ONE
-                for m1 in half_integer_range(h[0]):
-                    for m2 in half_integer_range(h[1]):
+                for m1 in _ref_half_integer_range(h[0]):
+                    for m2 in _ref_half_integer_range(h[1]):
                         m3 = -(m1 + m2)
                         if abs(m3.twice) > h[2].twice:
                             continue

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnet.exact import HalfInteger, half_integer_range
+from spinnet.exact import HalfInteger
 from spinnet.graph import Diagram, deserialize, serialize
 from spinnet.tensor import plan_contraction
 from spinnet.su2 import cswap_gadget
@@ -24,6 +24,7 @@ from spinnet.cli import (
     _SYMBOLS,
     main,
 )
+from test_exact import _ref_half_integer_range
 
 PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_paper.txt"
@@ -782,7 +783,7 @@ def _symbol_arguments(draw):
     a = draw(st.sampled_from(_ADMISSIBLE[kind]))
     if a.orient is None:
         return a
-    all_ms = list(product(*(half_integer_range(s) for s in a.spins)))
+    all_ms = list(product(*(_ref_half_integer_range(s) for s in a.spins)))
     balanced = [ms for ms in all_ms if sum(m.twice for m in ms) == 0]
     ms = draw(st.sampled_from(balanced if draw(st.booleans()) else all_ms))
     return a._replace(orient="".join(draw(st.sampled_from("io")) for _ in a.spins), ms=ms)

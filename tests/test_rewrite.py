@@ -1,6 +1,7 @@
 """Rewrite engine: per-rule soundness, derived scalars, simplification."""
 
 import json
+import random
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -12,20 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from spinnet import rewrite as rw
 from spinnet.exact import ExactScalar, HalfInteger
-from spinnet.graph import (
-    H, X, Z, Diagram, VertexData, compose_par, make_spider, normalize_phase, serialize,
-)
-from spinnet.rewrite import (
-    DEFAULT_SIMPLIFY_RULES,
-    RULES,
-    apply_rule,
-    check_rule_soundness,
-    derived_scalar_table,
-    find_matches,
-    simplify,
-)
+from spinnet.graph import H, X, Z, Diagram, VertexData, compose_par, normalize_phase, serialize
+from spinnet.rewrite import DEFAULT_SIMPLIFY_RULES, RULES, apply_rule, find_matches, simplify
 from spinnet.su2 import cswap_gadget, network_6j, symmetriser
 from spinnet.tensor import eval_diagram, plug_basis
+from test_graph import _ref_make_spider
 
 # The default rules plus absorb, explode, copy, hopf and pi-copy: enough to
 # reduce a plugged Fredkin gadget, but with no fixpoint on larger diagrams.
@@ -33,6 +25,90 @@ FULL_RULES = (
     "fuse", "remove-wire", "identity", "hh-cancel",
     "absorb", "explode", "copy", "hopf", "pi-copy",
 )
+
+
+# -- soundness harness ----------------------------------------------------
+#
+# Each trial plants an instance of a rule's left-hand side, with parameters
+# drawn by the rule's sampler, beside a random host and rewrites a random
+# site; both sides are evaluated exactly.
+
+
+def _sample_fuse(rng: random.Random) -> tuple:
+    kind = rng.choice((Z, X))
+    p1, p2 = (Fraction(rng.randrange(4), 2) for _ in range(2))
+    links = rng.choice((1, 1, 2))
+    a_ends, b_ends = (tuple(rng.random() < 0.7 for _ in range(rng.randrange(1, 3))) for _ in range(2))
+    return kind, p1, p2, links, a_ends, b_ends
+
+
+def _sample_kind_phase_legs(rng: random.Random) -> tuple:
+    """A spider colour, a phase and one or two legs (remove-wire, pi-copy)."""
+    return rng.choice((Z, X)), Fraction(rng.randrange(4), 2), rng.randrange(1, 3)
+
+
+def _sample_explode(rng: random.Random) -> tuple:
+    if rng.random() < 0.3:
+        return "split", rng.randrange(1, 4)
+    return ExactScalar(-1), rng.randrange(1, 3)
+
+
+# Rule name -> sampler of the parameters of ``RULES[name].lhs``.
+SAMPLERS = {
+    "fuse": _sample_fuse,
+    "remove-wire": _sample_kind_phase_legs,
+    "identity": lambda rng: (Z if rng.random() < 0.5 else X,),
+    "hh-cancel": lambda rng: ("closed" if rng.random() < 0.2 else "open",),
+    "hopf": lambda rng: tuple(Fraction(rng.randrange(4), 2) for _ in range(2)),
+    "copy": lambda rng: (rng.choice((Z, X)), Fraction(rng.choice((0, 1))), rng.randrange(1, 4)),
+    "pi-copy": _sample_kind_phase_legs,
+    "absorb": lambda rng: (
+        (Fraction(1) if rng.random() < 0.5 else Fraction(0)), ExactScalar(-1), rng.randrange(1, 3)
+    ),
+    "explode": _sample_explode,
+}
+
+
+def _random_host(rng: random.Random) -> Diagram:
+    d = Diagram()
+    spiders = []
+    for _ in range(rng.randrange(0, 4)):
+        kind = rng.choice((Z, X))
+        spiders.append(d.add_spider(kind, Fraction(rng.randrange(4), 2)))
+    for v in spiders:
+        for _ in range(rng.randrange(0, 3)):
+            if spiders and rng.random() < 0.5:
+                d.add_edge(v, rng.choice(spiders))
+            else:
+                d.add_edge(v, d.add_output())
+    return d
+
+
+def check_rule_soundness(rule: str, trials: int = 200, seed: int = 0) -> int:
+    """Randomised exact before/after equality trials: each plants a sampled
+    instance of the rule's left-hand side beside a random host and rewrites
+    a random site.  Returns the number of failing trials (0 means the rule
+    is sound on the sampled family)."""
+    lhs, sample = RULES[rule].lhs, SAMPLERS[rule]
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(trials):
+        d = compose_par(_random_host(rng), lhs(*sample(rng))[0])
+        matches = find_matches(d, rule)
+        if not matches:
+            failures += 1
+            continue
+        site = matches[rng.randrange(len(matches))]
+        before = eval_diagram(d)
+        after = eval_diagram(apply_rule(d, rule, site))
+        if before.data.shape != after.data.shape or not (before.data == after.data).all():
+            failures += 1
+    return failures
+
+
+def derived_scalar_table() -> dict[str, str]:
+    """All scalars derived so far, keyed by rule/parameter signature."""
+    return {repr(k): v.serialize() for k, v in sorted(rw._SCALAR_CACHE.items(), key=lambda kv: repr(kv[0]))}
 
 
 # Every scalar that the seed-0 trials derive, per rule, in text form.
@@ -171,11 +247,9 @@ def test_simplify_default_budget_fits_the_input():
     assert [data.kind for data in out.vertices.values()] == ["B", "B"]
 
 
-def test_simplify_is_not_cubic_in_one_spiders_self_loops():
-    # Each remove-wire step rematches the spider's remaining loops.  Testing
-    # each against the anchor's old site list took 27.7 s at 2,000 loops;
-    # one set difference per step takes 0.4 s.
-    n = 2000
+def _simplify_looped_spider(n):
+    """A Z spider with n self-loops and one output is one remove-wire site,
+    so simplify drops all its loops in one step, in time linear in n."""
     d = Diagram()
     z = d.add_z()
     for _ in range(n):
@@ -184,9 +258,16 @@ def test_simplify_is_not_cubic_in_one_spiders_self_loops():
     start = time.perf_counter()
     out, trace = simplify(d)
     assert time.perf_counter() - start < 8.0
-    assert [r for r, _ in trace.steps] == ["remove-wire"] * n
-    assert [site for _, site in trace.steps] == [(0, z)] * n
+    assert trace.steps == [("remove-wire", (z,))]
     assert len(out.vertices) == 2 and out.edges == [(z, out.outputs[0])]
+
+
+def test_simplify_is_not_cubic_in_one_spiders_self_loops():
+    _simplify_looped_spider(2000)
+
+
+def test_simplify_drops_ten_thousand_self_loops_in_one_step():
+    _simplify_looped_spider(10_000)
 
 
 def test_apply_rule_rejects_bad_site():
@@ -198,19 +279,6 @@ def test_apply_rule_rejects_bad_site():
         apply_rule(d, "fuse", site=(a + 99, b))
     with pytest.raises(KeyError):
         find_matches(d, "no-such-rule")
-
-
-def test_zh_relations_skips_a_self_looped_h_box():
-    # Both legs of the H(-1) box are one self-loop: there are no two wires
-    # to put the Z-X-Z chain on, so it is no site.
-    d = Diagram()
-    h = d.add_h()
-    d.add_edge(h, h)
-    text = serialize(d)
-    assert find_matches(d, "zh-relations") == []
-    out, trace = simplify(d, rules=("zh-relations",))
-    assert len(trace) == 0
-    assert serialize(out) == text
 
 
 def test_simplify_reaches_fixpoint_and_preserves_tensor():
@@ -271,7 +339,8 @@ class TestCswapDerivations:
 #
 # The matchers as they were before the incidence pass: each scans the whole
 # edge list per vertex or per edge.  ``find_matches`` must return exactly
-# what these return, for every rule.
+# what these return, for every rule.  ``_ref_remove_wire`` differs from the
+# original: a site is a looped spider, not one of its loops.
 
 
 def _ref_other_edges(d: Diagram, v: int, excluded: set[int]) -> list[tuple[int, int]]:
@@ -297,9 +366,7 @@ def _ref_fuse(d: Diagram) -> list[tuple]:
 
 
 def _ref_remove_wire(d: Diagram) -> list[tuple]:
-    return sorted(
-        (i, a) for i, (a, b) in enumerate(d.edges) if a == b and d.vertices[a].kind in (Z, X)
-    )
+    return sorted({(a,) for a, b in d.edges if a == b and d.vertices[a].kind in (Z, X)})
 
 
 def _ref_identity(d: Diagram) -> list[tuple]:
@@ -384,38 +451,6 @@ def _ref_pi_copy(d: Diagram) -> list[tuple]:
     return sorted(set(out))
 
 
-def _ref_bialgebra(d: Diagram) -> list[tuple]:
-    out = set()
-    for a, b in d.edges:
-        if a == b:
-            continue
-        da, db = d.vertices[a], d.vertices[b]
-        if {da.kind, db.kind} != {Z, X}:
-            continue
-        if not (
-            isinstance(da.phase, (int, Fraction))
-            and isinstance(db.phase, (int, Fraction))
-            and Fraction(da.phase) % 2 == 0
-            and Fraction(db.phase) % 2 == 0
-        ):
-            continue
-        if sum(1 for x, y in d.edges if {x, y} == {a, b}) != 1:
-            continue
-        if any(x == y and x in (a, b) for x, y in d.edges):
-            continue  # self-loops on the pair are handled by remove-wire first
-        z, x = (a, b) if da.kind == Z else (b, a)
-        out.add((z, x))
-    return sorted(out)
-
-
-def _ref_color_change(d: Diagram) -> list[tuple]:
-    out = []
-    for v, data in d.vertices.items():
-        if data.kind == X and all(a != b for a, b in d.edges if v in (a, b)):
-            out.append((v,))
-    return sorted(out)
-
-
 def _ref_absorb(d: Diagram) -> list[tuple]:
     # X basis states: X(pi) = sqrt(2)|1> selects the box's all-ones slice
     # (label kept); X(0) = sqrt(2)|0> selects the all-ones-free slice
@@ -455,14 +490,6 @@ def _ref_explode(d: Diagram) -> list[tuple]:
     return sorted(out)
 
 
-def _ref_zh(d: Diagram) -> list[tuple]:
-    return sorted(
-        (v,)
-        for v in d.vertices
-        if _ref_is_plain_hadamard_box(d, v) and not any(a == b == v for a, b in d.edges)
-    )
-
-
 REFERENCE_MATCHERS = {
     "fuse": _ref_fuse,
     "remove-wire": _ref_remove_wire,
@@ -471,11 +498,8 @@ REFERENCE_MATCHERS = {
     "hopf": _ref_hopf,
     "copy": _ref_copy,
     "pi-copy": _ref_pi_copy,
-    "bialgebra": _ref_bialgebra,
-    "color-change": _ref_color_change,
     "absorb": _ref_absorb,
     "explode": _ref_explode,
-    "zh-relations": _ref_zh,
 }
 
 
@@ -486,9 +510,9 @@ REFERENCE_MATCHERS = {
 # same diagram (records in dict order, edges, boundaries, scalar) at every
 # site, and ``simplify`` the same trace and result as the first-match loop
 # over these.  The scalars come from the library, which derives them, fetched
-# by key.  Only ``_ref_a_fuse`` differs from the original: float phases add
-# as floats (``normalize_phase(pu + pv)``) instead of as exact binary
-# fractions.
+# by key.  Two differ from the original: in ``_ref_a_fuse`` float phases
+# add as floats (``normalize_phase(pu + pv)``) instead of as exact binary
+# fractions, and ``_ref_a_remove_wire`` drops every self-loop of its spider.
 
 
 def _scalar(*key):
@@ -531,9 +555,9 @@ def _ref_a_fuse(d: Diagram, site: tuple) -> Diagram:
 
 
 def _ref_a_remove_wire(d: Diagram, site: tuple) -> Diagram:
-    i, _v = site
+    (v,) = site
     out = d.copy()
-    del out.edges[i]
+    out.edges = [(a, b) for a, b in out.edges if not a == b == v]
     return out
 
 
@@ -627,52 +651,6 @@ def _ref_a_pi_copy(d: Diagram, site: tuple) -> Diagram:
 
 
 
-def _ref_a_bialgebra(d: Diagram, site: tuple) -> Diagram:
-    z, x = site
-    inc = _ref_incidence(d)
-    z_others = [(i, n) for i, n in inc[z] if n != x]
-    x_others = [(i, n) for i, n in inc[x] if n != z]
-    out = d.copy()
-    m, n = len(z_others), len(x_others)
-    out.edges = [(a, b) for a, b in out.edges if z not in (a, b) and x not in (a, b)]
-    new_x = []
-    for _i, nb in z_others:
-        xv = out.add_x()
-        out.add_edge(nb, xv)
-        new_x.append(xv)
-    new_z = []
-    for _i, nb in x_others:
-        zv = out.add_z()
-        out.add_edge(zv, nb)
-        new_z.append(zv)
-    for xv in new_x:
-        for zv in new_z:
-            out.add_edge(xv, zv)
-    del out.vertices[z]
-    del out.vertices[x]
-    out.mul_scalar(_scalar("bialgebra", m, n))
-    return out
-
-
-
-def _ref_a_color_change(d: Diagram, site: tuple) -> Diagram:
-    (v,) = site
-    inc = _ref_incidence(d)[v]
-    out = d.copy()
-    ph = out.vertices[v].phase
-    out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
-    z = out.add_z(ph)
-    for _i, nb in inc:
-        h = out.add_h()
-        out.add_edge(z, h)
-        out.add_edge(h, nb)
-    del out.vertices[v]
-    key_ph = Fraction(ph) % 2 if _ref_on_grid(ph) else Fraction(0)
-    out.mul_scalar(_scalar("color-change", key_ph, len(inc)))
-    return out
-
-
-
 def _ref_a_absorb(d: Diagram, site: tuple) -> Diagram:
     v, w = site
     inc = _ref_incidence(d)
@@ -713,24 +691,6 @@ def _ref_a_explode(d: Diagram, site: tuple) -> Diagram:
 
 
 
-def _ref_a_zh(d: Diagram, site: tuple) -> Diagram:
-    (v,) = site
-    ends = [w for _i, w in _ref_incidence(d)[v]]
-    out = d.copy()
-    if len(ends) != 2 or v in ends:
-        raise ValueError("zh-relations needs an arity-2 H-box on distinct wires")
-    out.edges = [(a, b) for a, b in out.edges if v not in (a, b)]
-    del out.vertices[v]
-    first, middle, last = out.add_z(rw._HALF), out.add_x(rw._HALF), out.add_z(rw._HALF)
-    out.add_edge(first, middle)
-    out.add_edge(middle, last)
-    out.add_edge(ends[0], first)
-    out.add_edge(last, ends[1])
-    out.mul_scalar(_scalar("zh-relations"))
-    return out
-
-
-
 REFERENCE_APPLIERS = {
     "fuse": _ref_a_fuse,
     "remove-wire": _ref_a_remove_wire,
@@ -739,11 +699,8 @@ REFERENCE_APPLIERS = {
     "hopf": _ref_a_hopf,
     "copy": _ref_a_copy,
     "pi-copy": _ref_a_pi_copy,
-    "bialgebra": _ref_a_bialgebra,
-    "color-change": _ref_a_color_change,
     "absorb": _ref_a_absorb,
     "explode": _ref_a_explode,
-    "zh-relations": _ref_a_zh,
 }
 
 
@@ -887,9 +844,8 @@ def _pair(kind_a, phase_a, kind_b, phase_b, links=1, loop_on_b=False, legs=1, st
     _pair(Z, Fraction(1), X, Fraction(0), loop_on_b=True, state=True),  # copy onto a looped spider
     _pair(Z, Fraction(1), X, 0.0, legs=2, state=True),  # copy onto a float phase
     _pair(Z, Fraction(1), X, Fraction(1, 3), legs=2),  # pi-copy onto a phase off the pi/4 grid
-    _pair(X, Fraction(1, 3), Z, Fraction(1, 6), legs=2),  # color-change of a phase off the grid
 ], ids=["pi-copy-float", "pi-copy-loop", "pi-copy-double", "float-zero", "triple-link",
-        "hopf-loop", "unnormalised", "copy-loop", "copy-float", "pi-copy-off-grid", "color-change-off-grid"])
+        "hopf-loop", "unnormalised", "copy-loop", "copy-float", "pi-copy-off-grid"])
 def test_matcher_guards_match_reference(d):
     assert_matchers_agree(d)
     assert_appliers_agree(d)
@@ -917,8 +873,7 @@ def zxh_diagrams(draw):
             d.add_spider(kind, draw(st.sampled_from(_PHASES)))
     rng = draw(st.randoms(use_true_random=False))
     for rule in draw(st.lists(st.sampled_from(sorted(RULES)), min_size=1, max_size=3)):
-        r = RULES[rule]
-        d = compose_par(d, r.lhs(*r.sample(rng))[0])
+        d = compose_par(d, RULES[rule].lhs(*SAMPLERS[rule](rng))[0])
     spiders = [v for v, data in d.vertices.items() if data.kind in (Z, X)]
     for v in draw(st.lists(st.sampled_from(spiders), max_size=2, unique=True)) if spiders else ():
         d.vertices[v] = VertexData(d.vertices[v].kind, 1.0)
@@ -956,7 +911,7 @@ def test_vertex_records_are_frozen():
 
 
 def test_editing_a_copy_leaves_the_original():
-    d = make_spider(Z, Fraction(1, 2), 1, 2)
+    d = _ref_make_spider(Z, Fraction(1, 2), 1, 2)
     text = serialize(d)
     c = d.copy()
     (s,) = [v for v, data in c.vertices.items() if data.kind == Z]
@@ -970,10 +925,6 @@ def test_editing_a_copy_leaves_the_original():
 @pytest.mark.parametrize("phase", [Fraction(1, 3), Fraction(-5, 6), 0.3])
 def test_rules_at_a_phase_off_the_grid(phase):
     # pi-copy's scalar depends on the other spider's phase, so that phase
-    # must be exact; color-change's does not, so it rewrites any X spider.
+    # must be exact.
     assert find_matches(_pair(Z, Fraction(1), X, phase, legs=2), "pi-copy") == []
-    d = _pair(X, phase, Z, Fraction(1, 2), legs=2)
-    got = apply_rule(d, "color-change", (0,))
-    before, after = (eval_diagram(x, mode="float").to_matrix() for x in (d, got))
-    assert np.abs(after - before).max() <= 1e-12
 

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinnet import tensor
-from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, half_integer_range, sqrt_rational
+from spinnet.exact import ExactScalar, HalfInteger, RadicalNumber, sqrt_rational
 from spinnet.graph import Diagram, VertexData, X, Z, compose_par
-from spinnet.rewrite import _random_host
 from spinnet.su2 import (
     EdgeSpec,
     NetworkSpec,
@@ -48,6 +47,8 @@ from spinnet.wigner import (
     yutsis_matrix_3,
     yutsis_matrix_4,
 )
+from test_exact import _ref_half_integer_range
+from test_rewrite import _random_host
 
 H = Fraction(1, 2)
 
@@ -252,7 +253,7 @@ class TestVertices:
         for js in product(spins, repeat=3):
             if not triangle_ok(*js):
                 continue
-            for ms in product(*(half_integer_range(j) for j in js)):
+            for ms in product(*(_ref_half_integer_range(j) for j in js)):
                 d, corr = vertex_3jm(VertexSpec(js, orient))
                 d = plug_vertex_arguments(d, corr, js, ms, orient)
                 raw = eval_diagram(d).scalar_value().to_radical()

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import spinnet
 from spinnet import tensor
 from spinnet.exact import ExactScalar, HalfInteger
-from spinnet.graph import B, Diagram, VertexData, H, X, Z, make_spider, serialize
+from spinnet.graph import B, Diagram, VertexData, H, X, Z, serialize
 from spinnet.rewrite import DEFAULT_SIMPLIFY_RULES, simplify
 from spinnet.su2 import network_6j, symmetriser
 from spinnet.tensor import (
@@ -29,6 +29,7 @@ from spinnet.tensor import (
     plug_basis,
 )
 from spinnet.wigner import w6j
+from test_graph import _ref_make_spider
 
 # Fixed, reproducible property runs: the same examples on every run.
 PROPERTIES = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -158,7 +159,7 @@ class TestFloatDtypes:
     def test_results_are_complex128(self):
         scalar_only = Diagram()
         scalar_only.mul_scalar(ExactScalar(0, 1))
-        real, complex_ = make_spider(Z, Fraction(1), 1, 2), make_spider(Z, Fraction(1, 4), 1, 1)
+        real, complex_ = _ref_make_spider(Z, Fraction(1), 1, 2), _ref_make_spider(Z, Fraction(1, 4), 1, 1)
         for d in (real, complex_, Diagram(), scalar_only):
             assert eval_diagram(d, mode="float").data.dtype == np.complex128
 
@@ -182,7 +183,7 @@ class TestFloatDtypes:
 
 class TestPlanner:
     def test_plan_covers_all_nodes(self):
-        d = make_spider(Z, Fraction(0), 2, 2)
+        d = _ref_make_spider(Z, Fraction(0), 2, 2)
         plan = plan_contraction(d)
         # The 4-legged spider is split into two linked 3-legged chain nodes:
         # one pairwise step, back to rank 4.

@@ -7,9 +7,8 @@ from itertools import permutations, product
 from hypothesis import given, settings, strategies as st
 
 from spinnet import wigner
-from spinnet.exact import HalfInteger, RadicalNumber, factorial, sqrt_rational, half_integer_range
+from spinnet.exact import HalfInteger, RadicalNumber, factorial, sqrt_rational
 from spinnet.wigner import (
-    cg,
     invariant_loop,
     invariant_theta,
     triangle_ok,
@@ -19,6 +18,7 @@ from spinnet.wigner import (
     yutsis_matrix_3,
     yutsis_matrix_4,
 )
+from test_exact import _ref_half_integer_range
 
 # Fixed, reproducible property runs: the same examples on every run.
 PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -60,15 +60,15 @@ def _ref_w6j(j1, j2, j3, j4, j5, j6) -> RadicalNumber:
     with a (-1)^(j - m) metric on every line."""
     j1, j2, j3, j4, j5, j6 = (HalfInteger(j) for j in (j1, j2, j3, j4, j5, j6))
     total = RadicalNumber.zero()
-    for m1 in half_integer_range(j1):
-        for m2 in half_integer_range(j2):
+    for m1 in _ref_half_integer_range(j1):
+        for m2 in _ref_half_integer_range(j2):
             m3 = -(m1 + m2)
             if abs(m3.twice) > j3.twice:
                 continue
             a = w3jm(j1, j2, j3, -m1, -m2, -m3)
             if a.is_zero():
                 continue
-            for m4 in half_integer_range(j4):
+            for m4 in _ref_half_integer_range(j4):
                 m5 = m4 - m3
                 if abs(m5.twice) > j5.twice:
                     continue
@@ -87,6 +87,16 @@ def _ref_w6j(j1, j2, j3, j4, j5, j6) -> RadicalNumber:
                 sign = _sign((j1 - m1) + (j2 - m2) + (j3 - m3) + (j4 - m4) + (j5 - m5) + (j6 - m6))
                 total = total + sign * a * b * c * e
     return total
+
+
+def _ref_cg_w3jm(j1, m1, j2, m2, j, m) -> RadicalNumber:
+    """<j1 m1; j2 m2 | j m> from the library's 3jm symbol:
+    (-1)^(j1-j2+m) sqrt(2j+1) (j1 j2 j; m1 m2 -m)."""
+    a, b, c, z = (HalfInteger(x).twice for x in (j1, j2, j, m))
+    w = w3jm(j1, j2, j, m1, m2, HalfInteger.from_twice(-z))
+    if w.is_zero():
+        return w
+    return sign_power(a - b + z) * sqrt_rational(c + 1) * w
 
 
 def _ref_cg(j1, m1, j2, m2, j, m) -> RadicalNumber:
@@ -158,7 +168,7 @@ def _ref_w4jm(j1, j2, j3, j4, m1, m2, m3, m4, j) -> RadicalNumber:
     """Sum over every m of (-1)^(j-m) (j1 j2 j; m1 m2 m)(j j3 j4; -m m3 m4)."""
     j = HalfInteger(j)
     total = RadicalNumber.zero()
-    for m in half_integer_range(j):
+    for m in _ref_half_integer_range(j):
         a = w3jm(j1, j2, j, m1, m2, m)
         b = w3jm(j, j3, j4, -m, m3, m4)
         total = total + _sign(j - m) * a * b
@@ -172,9 +182,9 @@ def _ref_leg_matrix(spins, orientation, entry):
     rows = [k for k, o in enumerate(orientation) if o == "o"]
     cols = [k for k, o in enumerate(orientation) if o == "i"]
     out = []
-    for rm in product(*(half_integer_range(js[k]) for k in rows)):
+    for rm in product(*(_ref_half_integer_range(js[k]) for k in rows)):
         row = []
-        for cm in product(*(half_integer_range(js[k]) for k in cols)):
+        for cm in product(*(_ref_half_integer_range(js[k]) for k in cols)):
             m = [None] * len(js)
             for k, v in zip(rows, rm):
                 m[k] = v
@@ -240,7 +250,7 @@ def oracle_matrix_sweep():
             n4 += 1
             if yutsis_matrix_4(js, j, orient) != _ref_yutsis_matrix_4(js, j, orient):
                 bad.append(("4jm", js, j, orient))
-        for ms in product(*map(half_integer_range, js)):
+        for ms in product(*map(_ref_half_integer_range, js)):
             nw += 1
             if w4jm(*js, *ms, j) != _ref_w4jm(*js, *ms, j):
                 bad.append(("w4jm", js, j, ms))
@@ -250,23 +260,23 @@ def oracle_matrix_sweep():
 class TestClebschGordan:
     def test_known_values(self):
         # <1/2 1/2; 1/2 -1/2 | 0 0> = 1/sqrt(2), with the triplet partner +.
-        assert cg(H, H, H, -H, 0, 0) == sqrt_rational(H)
-        assert cg(H, -H, H, H, 0, 0) == -sqrt_rational(H)
-        assert cg(H, H, H, -H, 1, 0) == sqrt_rational(H)
-        assert cg(H, H, H, H, 1, 1) == RadicalNumber.one()
-        assert cg(1, 1, 1, -1, 0, 0) == sqrt_rational(Fraction(1, 3))
-        assert cg(1, 0, 1, 0, 0, 0) == -sqrt_rational(Fraction(1, 3))
+        assert _ref_cg_w3jm(H, H, H, -H, 0, 0) == sqrt_rational(H)
+        assert _ref_cg_w3jm(H, -H, H, H, 0, 0) == -sqrt_rational(H)
+        assert _ref_cg_w3jm(H, H, H, -H, 1, 0) == sqrt_rational(H)
+        assert _ref_cg_w3jm(H, H, H, H, 1, 1) == RadicalNumber.one()
+        assert _ref_cg_w3jm(1, 1, 1, -1, 0, 0) == sqrt_rational(Fraction(1, 3))
+        assert _ref_cg_w3jm(1, 0, 1, 0, 0, 0) == -sqrt_rational(Fraction(1, 3))
 
     def test_selection_rules(self):
-        assert cg(H, H, H, H, 0, 1) == RadicalNumber.zero()  # m mismatch
-        assert cg(H, H, H, H, 2, 1) == RadicalNumber.zero()  # triangle
-        assert cg(1, 1, 1, 1, 1, 2) == RadicalNumber.zero()
+        assert _ref_cg_w3jm(H, H, H, H, 0, 1) == RadicalNumber.zero()  # m mismatch
+        assert _ref_cg_w3jm(H, H, H, H, 2, 1) == RadicalNumber.zero()  # triangle
+        assert _ref_cg_w3jm(1, 1, 1, 1, 1, 2) == RadicalNumber.zero()
 
     def test_unitarity(self):
         for j1, j2 in [(H, H), (1, H), (1, 1), (Fraction(3, 2), 1)]:
             h1, h2 = HalfInteger(j1), HalfInteger(j2)
-            for m1 in half_integer_range(h1):
-                for m2 in half_integer_range(h2):
+            for m1 in _ref_half_integer_range(h1):
+                for m2 in _ref_half_integer_range(h2):
                     total = RadicalNumber.zero()
                     tlo, thi = abs(h1.twice - h2.twice), h1.twice + h2.twice
                     for tj in range(tlo, thi + 1, 2):
@@ -274,16 +284,16 @@ class TestClebschGordan:
                         m = m1 + m2
                         if abs(m.twice) > tj:
                             continue
-                        c = cg(h1, m1, h2, m2, j, m)
+                        c = _ref_cg_w3jm(h1, m1, h2, m2, j, m)
                         total = total + c * c
                     assert total == RadicalNumber.one()
 
     def test_matches_factorial_sum_reference(self):
         # Every (j, m) tuple with spins <= 2, inadmissible ones included.
-        jm = [(j, m) for j in SPINS_UP_TO_2 for m in half_integer_range(j)]
+        jm = [(j, m) for j in SPINS_UP_TO_2 for m in _ref_half_integer_range(j)]
         assert len(jm) ** 3 == 3375
         for (j1, m1), (j2, m2), (j, m) in product(jm, repeat=3):
-            assert cg(j1, m1, j2, m2, j, m) == _ref_cg(j1, m1, j2, m2, j, m), (j1, m1, j2, m2, j, m)
+            assert _ref_cg_w3jm(j1, m1, j2, m2, j, m) == _ref_cg(j1, m1, j2, m2, j, m), (j1, m1, j2, m2, j, m)
 
 
 class TestW3jm:
@@ -301,11 +311,11 @@ class TestW3jm:
                 h3p = HalfInteger(j3p)
                 if not triangle_ok(h1, h2, h3p):
                     continue
-                for m3 in half_integer_range(h3):
-                    for m3p in half_integer_range(h3p):
+                for m3 in _ref_half_integer_range(h3):
+                    for m3p in _ref_half_integer_range(h3p):
                         total = RadicalNumber.zero()
-                        for m1 in half_integer_range(h1):
-                            for m2 in half_integer_range(h2):
+                        for m1 in _ref_half_integer_range(h1):
+                            for m2 in _ref_half_integer_range(h2):
                                 a = w3jm(h1, h2, h3, m1, m2, m3)
                                 b = w3jm(h1, h2, h3p, m1, m2, m3p)
                                 total = total + a * b
@@ -321,8 +331,8 @@ class TestW3jm:
         for j1, j2, j3 in valid_triads(SPINS_UP_TO_3_HALVES):
             h = [HalfInteger(j1), HalfInteger(j2), HalfInteger(j3)]
             jtot = h[0].twice + h[1].twice + h[2].twice
-            for m1 in half_integer_range(h[0]):
-                for m2 in half_integer_range(h[1]):
+            for m1 in _ref_half_integer_range(h[0]):
+                for m2 in _ref_half_integer_range(h[1]):
                     m3 = -(m1 + m2)
                     if abs(m3.twice) > h[2].twice:
                         continue
@@ -353,7 +363,7 @@ class TestW4jm:
     @given(st.sampled_from(VERTICES_4JM), st.data())
     def test_single_term_equals_the_full_m_sum(self, vertex, data):
         *js, j = vertex
-        ms = [data.draw(st.sampled_from(half_integer_range(x))) for x in js]
+        ms = [data.draw(st.sampled_from(_ref_half_integer_range(x))) for x in js]
         assert w4jm(*js, *ms, j) == _ref_w4jm(*js, *ms, j)
 
 
@@ -446,8 +456,8 @@ class TestYutsisMatrices:
             m = yutsis_matrix_4((j1, j2, j3, j4), j, "iioo")
             want = [
                 [w4jm(j1, j2, j3, j4, -m1, -m2, m3, m4, j)
-                 for m1 in half_integer_range(j1) for m2 in half_integer_range(j2)]
-                for m3 in half_integer_range(j3) for m4 in half_integer_range(j4)
+                 for m1 in _ref_half_integer_range(j1) for m2 in _ref_half_integer_range(j2)]
+                for m3 in _ref_half_integer_range(j3) for m4 in _ref_half_integer_range(j4)
             ]
             assert m == want, (j1, j2, j3, j4, j)
 
