@@ -331,6 +331,12 @@ class ExactScalar(_Field):
         return self._c == o._c and self._d == o._d
 
     def __hash__(self) -> int:
+        # An equal int, Fraction or RadicalNumber hashes the same.
+        c0, c1, c2, c3 = self._c
+        if not (c1 or c2 or c3):
+            return hash(c0) if self._d == 1 else hash(Fraction(c0, self._d))
+        if not c2 and c1 + c3 == 0:  # real: re_rat + re_sqrt2 * sqrt(2)
+            return hash((Fraction(c0, self._d), Fraction(c1, self._d)))
         return hash((self._c, self._d))
 
     def to_complex(self) -> complex:
@@ -479,13 +485,21 @@ class RadicalNumber(_Field):
         return not self.terms
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, ExactScalar) and not other.is_real():
+            return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.terms == o.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        # An equal int, Fraction or ExactScalar hashes the same.
+        t = self.terms
+        if t.keys() <= {1}:
+            return hash(t.get(1, 0))
+        if t.keys() <= {1, 2}:
+            return hash((t.get(1, 0), t[2]))
+        return hash(frozenset(t.items()))
 
     def to_float(self) -> float:
         return sum(float(q) * math.sqrt(s) for s, q in self.terms.items())

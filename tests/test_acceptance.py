@@ -7,16 +7,18 @@ on the diagram side.
 """
 
 import math
+import re
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinnet.exact import (
     ExactScalar,
-    HalfInteger,
     RadicalNumber,
     sqrt_rational,
 )
@@ -40,18 +42,19 @@ from spinnet.tensor import eval_diagram, plug_basis
 from spinnet.wigner import (
     invariant_loop,
     invariant_theta,
-    triangle_ok,
     w3jm,
     w4jm,
     w6j,
     yutsis_matrix_3,
     yutsis_matrix_4,
 )
+import sweeps
+from sweeps import ORIENTATIONS_3, SPINS_UP_TO_2, SPINS_UP_TO_3_HALVES, TRIADS_UP_TO_2, admissible_6j
 from test_exact import _ref_half_integer_range
 from test_rewrite import check_rule_soundness
+from test_wigner import SEXTUPLES, assert_3jm_orthogonality, assert_3jm_symmetries, assert_6j_tetrahedral_symmetry
 
 H = Fraction(1, 2)
-ONE = RadicalNumber.one()
 ZERO = RadicalNumber.zero()
 
 
@@ -351,108 +354,40 @@ def test_simplify_reproduces_control_branches():
 # -- 13. oracle property suite ------------------------------------------------
 
 
-SPINS = [Fraction(0), H, Fraction(1), Fraction(3, 2)]
-
-
 def test_3jm_orthogonality_exhaustive():
-    for j1 in SPINS:
-        for j2 in SPINS:
-            h1, h2 = HalfInteger(j1), HalfInteger(j2)
-            for j3 in SPINS:
-                for j3p in SPINS:
-                    h3, h3p = HalfInteger(j3), HalfInteger(j3p)
-                    if not (triangle_ok(h1, h2, h3) and triangle_ok(h1, h2, h3p)):
-                        continue
-                    for m3 in _ref_half_integer_range(h3):
-                        for m3p in _ref_half_integer_range(h3p):
-                            total = ZERO
-                            for m1 in _ref_half_integer_range(h1):
-                                for m2 in _ref_half_integer_range(h2):
-                                    total = total + (
-                                        w3jm(h1, h2, h3, m1, m2, m3)
-                                        * w3jm(h1, h2, h3p, m1, m2, m3p)
-                                    )
-                            same = h3.twice == h3p.twice and m3.twice == m3p.twice
-                            want = (
-                                RadicalNumber({1: Fraction(1, h3.twice + 1)})
-                                if same
-                                else ZERO
-                            )
-                            assert total == want
+    assert_3jm_orthogonality(SPINS_UP_TO_3_HALVES)
 
 
 def test_3jm_symmetries_exhaustive():
-    for j1 in SPINS:
-        for j2 in SPINS:
-            for j3 in SPINS:
-                h = [HalfInteger(j1), HalfInteger(j2), HalfInteger(j3)]
-                if not triangle_ok(*h):
-                    continue
-                jtot2 = h[0].twice + h[1].twice + h[2].twice
-                sign = ONE if (jtot2 // 2) % 2 == 0 else -ONE
-                for m1 in _ref_half_integer_range(h[0]):
-                    for m2 in _ref_half_integer_range(h[1]):
-                        m3 = -(m1 + m2)
-                        if abs(m3.twice) > h[2].twice:
-                            continue
-                        ms = [m1, m2, m3]
-                        base = w3jm(*h, *ms)
-                        for perm in permutations(range(3)):
-                            val = w3jm(*(h[p] for p in perm), *(ms[p] for p in perm))
-                            even = perm in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-                            assert val == (base if even else sign * base)
-                        assert w3jm(*h, -m1, -m2, -m3) == sign * base
-
-
-SEXTUPLES = [
-    (1, 1, 1, 1, 1, 1),
-    (2, 1, 1, 1, 1, 1),
-    (2, 2, 2, 1, 1, 1),
-    (H, H, 1, H, H, 1),
-    (1, H, H, 1, H, H),
-    (Fraction(3, 2), 1, H, H, 1, Fraction(3, 2)),
-]
+    assert_3jm_symmetries(SPINS_UP_TO_3_HALVES)
 
 
 @pytest.mark.parametrize("js", SEXTUPLES)
 def test_6j_tetrahedral_symmetry(js):
-    j1, j2, j3, j4, j5, j6 = js
-    cols = [(j1, j4), (j2, j5), (j3, j6)]
-    base = w6j(*js)
-    for perm in permutations(range(3)):
-        p = [cols[k] for k in perm]
-        assert w6j(p[0][0], p[1][0], p[2][0], p[0][1], p[1][1], p[2][1]) == base
-    for a in range(3):
-        for b in range(a + 1, 3):
-            p = [list(c) for c in cols]
-            p[a].reverse()
-            p[b].reverse()
-            assert w6j(p[0][0], p[1][0], p[2][0], p[0][1], p[1][1], p[2][1]) == base
+    assert_6j_tetrahedral_symmetry(js)
 
 
-# -- 14. oracle sweep: every admissible 6j with spins <= 3/2 -----------------
-
-
-def _admissible_6j(max_spin):
-    """Every (j1, ..., j6) with spins in {0, 1/2, ..., max_spin} whose four
-    triads (j1 j2 j3), (j1 j5 j6), (j4 j2 j6), (j3 j4 j5) are admissible."""
-    values = [Fraction(t, 2) for t in range(int(2 * max_spin) + 1)]
-    out = []
-    for js in product(values, repeat=6):
-        j1, j2, j3, j4, j5, j6 = js
-        triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j3, j4, j5))
-        if all(triangle_ok(*t) for t in triads):
-            out.append(js)
-    return out
+# -- 14. the CI sweeps, at a smaller range and sampled at their full range ---
 
 
 def test_6j_sweep_spins_up_to_three_halves_exact():
-    symbols = _admissible_6j(Fraction(3, 2))
+    symbols = admissible_6j(SPINS_UP_TO_3_HALVES)
     assert len(symbols) == 181
     assert sum(max(js) <= 1 for js in symbols) == 47
-    for js in symbols:
-        d, corr = network_6j(*js)
-        want = w6j(*js)
-        for route, diagram in (("plain", d), ("simplify", simplify(d)[0])):
-            raw = eval_diagram(diagram, mode="exact").scalar_value().to_radical()
-            assert raw * corr.value == want, (js, route)
+    assert sweeps.six_j_oracle(SPINS_UP_TO_3_HALVES) == ((181, 362), [])
+
+
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(st.sampled_from(admissible_6j(SPINS_UP_TO_2)), st.sampled_from(TRIADS_UP_TO_2),
+       st.sampled_from(ORIENTATIONS_3), st.data())
+def test_a_sample_of_the_full_range_passes_the_sweeps_checks(js6, js3, orient, data):
+    assert [bad for case in sweeps.six_j_routes([js6]) for bad in sweeps.check_6j(*case)] == []
+    (vertex,) = sweeps.vertices_3jm([js3], [orient])
+    assert sweeps.check_open(*vertex) == sweeps.check_invariance(*vertex) == []
+    ms = data.draw(st.tuples(*(st.sampled_from(_ref_half_integer_range(j)) for j in js3)))
+    assert sweeps.check_plugged(js3, ms, data.draw(st.sampled_from(("iio", "ioo")))) == []
+
+
+def test_ci_runs_every_sweep_once():
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    assert re.findall(r"python3 -m sweeps (\S+)", workflow) == list(sweeps.SWEEPS)

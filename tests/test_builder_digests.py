@@ -16,12 +16,10 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
-from itertools import product
 from pathlib import Path
 
 import pytest
 
-from spinnet.exact import HalfInteger
 from spinnet.graph import serialize
 from spinnet.su2 import (
     VertexSpec,
@@ -36,13 +34,13 @@ from spinnet.su2 import (
     vertex_4jm,
     yutsis_link,
 )
-from spinnet.wigner import triangle_ok
+from sweeps import admissible_6j, spins_up_to, valid_triads
 
 DATA = Path(__file__).parent / "data" / "builder_digests.json"
 
 
-def _spins(top_twice):
-    return [HalfInteger.from_twice(t) for t in range(top_twice + 1)]
+def _twice(js):
+    return ",".join(str(j.twice) for j in js)
 
 
 def _plugged(case):
@@ -60,24 +58,14 @@ def builder_calls():
     """(id, call) for the fixed list of builder calls; a call returns a
     diagram or a (diagram, correction) pair."""
     calls = [(f"symmetriser-{n}", lambda n=n: symmetriser(n)) for n in range(7)]
-    calls += [(f"link-2j={t}", lambda j=j: yutsis_link(j)) for t, j in enumerate(_spins(4))]
-    calls += [(f"loop-2j={t}", lambda j=j: loop_network(j)) for t, j in enumerate(_spins(4))]
+    calls += [(f"link-2j={t}", lambda j=j: yutsis_link(j)) for t, j in enumerate(spins_up_to(4))]
+    calls += [(f"loop-2j={t}", lambda j=j: loop_network(j)) for t, j in enumerate(spins_up_to(4))]
     calls += [(f"crown-{s}", lambda s=s: crown(s)) for s in range(2, 10)]
     calls.append(("cswap", cswap_gadget))
-    for js in product(_spins(3), repeat=3):
-        if triangle_ok(*js):
-            for orient in ("iio", "ioo", "iii", "ooo"):
-                calls.append((f"3jm-2j={','.join(str(j.twice) for j in js)}-{orient}",
-                              lambda js=js, o=orient: vertex_3jm(VertexSpec(js, o))))
-    for js in product(_spins(2), repeat=3):
-        if triangle_ok(*js):
-            calls.append((f"theta-2j={','.join(str(j.twice) for j in js)}",
-                          lambda js=js: theta_network(*js)))
-    for js in product(_spins(2), repeat=6):
-        if all(triangle_ok(*t) for t in ((js[0], js[1], js[2]), (js[0], js[4], js[5]),
-                                          (js[3], js[1], js[5]), (js[2], js[3], js[4]))):
-            calls.append((f"6j-2j={','.join(str(j.twice) for j in js)}",
-                          lambda js=js: network_6j(*js)))
+    calls += [(f"3jm-2j={_twice(js)}-{o}", lambda js=js, o=o: vertex_3jm(VertexSpec(js, o)))
+              for js in valid_triads(spins_up_to(3)) for o in ("iio", "ioo", "iii", "ooo")]
+    calls += [(f"theta-2j={_twice(js)}", lambda js=js: theta_network(*js)) for js in valid_triads(spins_up_to(2))]
+    calls += [(f"6j-2j={_twice(js)}", lambda js=js: network_6j(*js)) for js in admissible_6j(spins_up_to(2))]
     manifest = json.loads(resources.files("spinnet.data").joinpath("paper.json").read_text())
     for case in manifest["cases"]:
         if case["kind"] in ("3jm", "4jm"):

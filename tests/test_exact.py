@@ -463,6 +463,54 @@ class TestRadicalNumberProperties:
             assert x.terms == RadicalNumber(x.terms).terms
 
 
+# A value a + b*sqrt(2) + c*k with k = i or sqrt(3): small parts, so that two
+# draws are often equal.
+small_parts = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 2)])
+small_values = st.tuples(small_parts, small_parts, st.sampled_from([0, 0, 1, Fraction(-1, 2)]),
+                         st.sampled_from(["i", "sqrt3"]))
+
+
+def _forms(value):
+    """The value in each of int, Fraction, ExactScalar and RadicalNumber that holds it."""
+    a, b, c, k = value
+    forms = []
+    if b == c == 0:
+        forms += [Fraction(a)] + ([int(a)] if Fraction(a).denominator == 1 else [])
+    if c == 0 or k == "i":
+        forms.append(ExactScalar(a, b, c if k == "i" else 0))
+    if c == 0 or k == "sqrt3":
+        forms.append(RadicalNumber({1: a, 2: b, 3: c}))
+    return forms
+
+
+class TestEqualityAcrossTypes:
+    def test_a_radical_number_never_equals_an_imaginary_scalar(self):
+        i = ExactScalar(0, 0, 1, 0)
+        for x, y in ((RadicalNumber.one(), i), (i, RadicalNumber.one())):
+            assert (x == y) is False and (x != y) is True
+        with pytest.raises(ValueError, match="not a real number"):
+            RadicalNumber.one() + i
+
+    def test_equal_numbers_find_each_other_in_a_set(self):
+        assert 1 in {ExactScalar.one()} and ExactScalar.one() in {1}
+        assert Fraction(1, 3) in {RadicalNumber.from_rational(Fraction(1, 3))}
+        assert ExactScalar.sqrt2() in {RadicalNumber({2: 1})}
+        assert RadicalNumber({2: 1}) in {ExactScalar.sqrt2()}
+
+    @PROPERTIES
+    @given(small_values, small_values)
+    def test_equal_means_equal_value_and_equal_hash(self, v, w):
+        def value(x):
+            a, b, c, k = x
+            return a, b, c, k if c else ""
+
+        for x in _forms(v):
+            pairs = [(y, True) for y in _forms(v)] + [(y, value(v) == value(w)) for y in _forms(w)]
+            for y, same in pairs:
+                assert (x == y) is (y == x) is same and (x != y) is (not same), (x, y)
+                assert not same or hash(x) == hash(y), (x, y)
+
+
 class TestSquarefree:
     def test_decompose(self):
         assert squarefree_decompose(1) == (1, 1)

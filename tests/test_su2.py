@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -47,7 +47,8 @@ from spinnet.wigner import (
     yutsis_matrix_3,
     yutsis_matrix_4,
 )
-from test_exact import _ref_half_integer_range
+import sweeps
+from sweeps import spins_up_to, valid_triads
 from test_rewrite import _random_host
 
 H = Fraction(1, 2)
@@ -248,18 +249,7 @@ class TestVertices:
 
     @pytest.mark.parametrize("orient", ["iio", "ioo"])
     def test_plugged_3jm_every_m_spins_up_to_one(self, orient):
-        spins = [HalfInteger.from_twice(t) for t in range(3)]
-        checked = 0
-        for js in product(spins, repeat=3):
-            if not triangle_ok(*js):
-                continue
-            for ms in product(*(_ref_half_integer_range(j) for j in js)):
-                d, corr = vertex_3jm(VertexSpec(js, orient))
-                d = plug_vertex_arguments(d, corr, js, ms, orient)
-                raw = eval_diagram(d).scalar_value().to_radical()
-                assert raw * corr.value == w3jm(*js, *ms), (js, ms)
-                checked += 1
-        assert checked == 103
+        assert sweeps.plugged_3jm(spins_up_to(2), (orient,)) == (103, [])
 
     def test_plug_rejects_a_non_magnetic_index(self):
         d, corr = vertex_3jm(VertexSpec((1, 1, 1), "iio"))
@@ -529,33 +519,21 @@ def _twice(spins):
 
 
 def _invariance_cases():
-    """(builder, dual_inputs) for every diagram of the exact invariance sweep:
-    3jm vertices with spins <= 3/2 in four orientations, 4jm vertices with
-    leg spins <= 1 (orientation iioo) and symmetrisers 2-5.  Ids give twice
-    the spins (a 4jm's channel spin last)."""
-    spins = [HalfInteger.from_twice(t) for t in range(4)]
-    cases = []
-    for js in product(spins, repeat=3):
-        if triangle_ok(*js):
-            for orient in ("iio", "ioo", "iii", "ooo"):
-                cases.append(pytest.param(
-                    lambda js=js, orient=orient: vertex_3jm(VertexSpec(js, orient))[0], True,
-                    id=f"3jm-{_twice(js)}-{orient}"))
-    for js in product(spins[:3], repeat=4):
-        for j in (HalfInteger.from_twice(t) for t in range(5)):
-            if triangle_ok(js[0], js[1], j) and triangle_ok(j, js[2], js[3]):
-                cases.append(pytest.param(
-                    lambda js=js, j=j: vertex_4jm(js, j, "iioo")[0], True,
-                    id=f"4jm-{_twice(js + (j,))}-iioo"))
-    for n in range(2, 6):
-        cases.append(pytest.param(lambda n=n: symmetriser(n), False, id=f"symmetriser-{n}"))
-    return cases
+    """(diagram, dual_inputs) for the exact invariance sweeps' walks at a
+    smaller range: 3jm vertices with spins <= 3/2 in four orientations, 4jm
+    vertices with leg spins <= 1 and channel <= 2 (orientation iioo), and
+    symmetrisers 2-5.  Ids give twice the spins (a 4jm's channel spin last)."""
+    vertices = [*sweeps.vertices_3jm(valid_triads(spins_up_to(3)), sweeps.INVARIANCE_ORIENTATIONS),
+                *sweeps.vertices_4jm(spins_up_to(2), spins_up_to(4), ("iioo",))]
+    cases = [pytest.param(d, True, id=f"{kind}-{_twice((*js, *j))}-{orient}")
+             for (kind, js, *j, orient), d, _ in vertices]
+    return cases + [pytest.param(symmetriser(n), False, id=f"symmetriser-{n}") for n in range(2, 6)]
 
 
 class TestInvariance:
-    @pytest.mark.parametrize("build,dual_inputs", _invariance_cases())
-    def test_zero_defect(self, build, dual_inputs):
-        assert invariance_defect(build(), dual_inputs) == 0
+    @pytest.mark.parametrize("d,dual_inputs", _invariance_cases())
+    def test_zero_defect(self, d, dual_inputs):
+        assert invariance_defect(d, dual_inputs) == 0
 
     @pytest.mark.parametrize("spins", [(H, H, 1), (1, 1, 1)])
     def test_vertex_su2_invariance(self, spins):

@@ -18,22 +18,14 @@ from spinnet.wigner import (
     yutsis_matrix_3,
     yutsis_matrix_4,
 )
+from sweeps import (CHANNELS_UP_TO_3, LEGS_UP_TO_3_HALVES, ORIENTATIONS_3, ORIENTATIONS_4, SPINS_UP_TO_2,
+                    SPINS_UP_TO_3_HALVES, TRIADS_UP_TO_2, VERTICES_4JM, admissible_4jm, admissible_6j, valid_triads)
 from test_exact import _ref_half_integer_range
 
 # Fixed, reproducible property runs: the same examples on every run.
 PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 H = Fraction(1, 2)
-SPINS_UP_TO_3_HALVES = [Fraction(0), H, Fraction(1), Fraction(3, 2)]
-SPINS_UP_TO_2 = [HalfInteger.from_twice(t) for t in range(5)]
-
-
-def valid_triads(spins):
-    for j1 in spins:
-        for j2 in spins:
-            for j3 in spins:
-                if triangle_ok(HalfInteger(j1), HalfInteger(j2), HalfInteger(j3)):
-                    yield (j1, j2, j3)
 
 
 def sign_power(twice_exponent):
@@ -203,58 +195,76 @@ def _ref_yutsis_matrix_4(spins, j, orientation):
     return _ref_leg_matrix(spins, orientation, lambda js, m: _ref_w4jm(*js, *m, j))
 
 
-def admissible_6j(spins):
-    """Every sextuple whose four triads are admissible."""
-    return [
-        js
-        for js in product(spins, repeat=6)
-        if all(
-            triangle_ok(*t)
-            for t in ((js[0], js[1], js[2]), (js[0], js[4], js[5]),
-                      (js[3], js[1], js[5]), (js[2], js[3], js[4]))
-        )
-    ]
+# -- symmetry checks that test_acceptance shares --------------------------
 
 
-def admissible_4jm(legs, channels):
-    """Every (j1, j2, j3, j4, j) with admissible triads (j1 j2 j), (j j3 j4)."""
-    return [
-        (*js, j)
-        for js in product(legs, repeat=4)
-        for j in channels
-        if triangle_ok(js[0], js[1], j) and triangle_ok(j, js[2], js[3])
-    ]
+def assert_3jm_orthogonality(spins):
+    """Sum over m1, m2 of (2 j3 + 1) w(j3, m3) w(j3', m3') = delta delta, for
+    every admissible (j1, j2, j3) and (j1, j2, j3') of ``spins``."""
+    for j1, j2, j3 in valid_triads(spins):
+        h1, h2, h3 = HalfInteger(j1), HalfInteger(j2), HalfInteger(j3)
+        for j3p in spins:
+            h3p = HalfInteger(j3p)
+            if not triangle_ok(h1, h2, h3p):
+                continue
+            for m3 in _ref_half_integer_range(h3):
+                for m3p in _ref_half_integer_range(h3p):
+                    total = RadicalNumber.zero()
+                    for m1 in _ref_half_integer_range(h1):
+                        for m2 in _ref_half_integer_range(h2):
+                            a = w3jm(h1, h2, h3, m1, m2, m3)
+                            b = w3jm(h1, h2, h3p, m1, m2, m3p)
+                            total = total + a * b
+                    mult = RadicalNumber({1: h3.twice + 1})
+                    want = (
+                        RadicalNumber.one()
+                        if (h3.twice == h3p.twice and m3.twice == m3p.twice)
+                        else RadicalNumber.zero()
+                    )
+                    assert mult * total == want, (j1, j2, j3, j3p, m3, m3p)
 
 
-LEGS_UP_TO_3_HALVES = [HalfInteger.from_twice(t) for t in (1, 2, 3)]
-CHANNELS_UP_TO_3 = [HalfInteger.from_twice(t) for t in range(7)]
-TRIADS_UP_TO_2 = list(valid_triads(SPINS_UP_TO_2))
-VERTICES_4JM = admissible_4jm(LEGS_UP_TO_3_HALVES, CHANNELS_UP_TO_3)
-ORIENTATIONS_3 = ["".join(o) for o in product("io", repeat=3)]
-ORIENTATIONS_4 = ["".join(o) for o in product("io", repeat=4)]
+def assert_3jm_symmetries(spins):
+    """Each permutation of the columns, an odd one with the sign
+    (-1)^(j1+j2+j3), and the flip m -> -m, at every m of every admissible
+    triad of ``spins``."""
+    for j1, j2, j3 in valid_triads(spins):
+        h = [HalfInteger(j1), HalfInteger(j2), HalfInteger(j3)]
+        jtot = h[0].twice + h[1].twice + h[2].twice
+        for m1 in _ref_half_integer_range(h[0]):
+            for m2 in _ref_half_integer_range(h[1]):
+                m3 = -(m1 + m2)
+                if abs(m3.twice) > h[2].twice:
+                    continue
+                ms = [m1, m2, m3]
+                base = w3jm(*h, *ms)
+                for perm in permutations(range(3)):
+                    val = w3jm(*[h[p] for p in perm], *[ms[p] for p in perm])
+                    even = perm in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+                    expect = base if even else sign_power(jtot) * base
+                    assert val == expect, (j1, j2, j3, ms, perm)
+                # m -> -m flip.
+                flipped = w3jm(*h, -m1, -m2, -m3)
+                assert flipped == sign_power(jtot) * base
 
 
-def oracle_matrix_sweep():
-    """Compare the oracle with its references on every 3jm triad with spins
-    <= 2 in all 8 orientations, every 4jm vertex with legs <= 3/2 and channel
-    <= 3 in all 16, and w4jm at every m of those vertices.  Returns the
-    three counts and the cases that differ."""
-    bad, n3, n4, nw = [], 0, 0, 0
-    for js in TRIADS_UP_TO_2:
-        for orient in ORIENTATIONS_3:
-            n3 += 1
-            if yutsis_matrix_3(js, orient) != _ref_yutsis_matrix_3(js, orient):
-                bad.append(("3jm", js, orient))
-    for *js, j in VERTICES_4JM:
-        for orient in ORIENTATIONS_4:
-            n4 += 1
-            if yutsis_matrix_4(js, j, orient) != _ref_yutsis_matrix_4(js, j, orient):
-                bad.append(("4jm", js, j, orient))
-        for ms in product(*map(_ref_half_integer_range, js)):
-            nw += 1
-            if w4jm(*js, *ms, j) != _ref_w4jm(*js, *ms, j):
-                bad.append(("w4jm", js, j, ms))
-    return (n3, n4, nw), bad
+def assert_6j_tetrahedral_symmetry(js):
+    """Invariance under any permutation of the three columns, and under
+    swapping upper and lower entries of any two columns."""
+    j1, j2, j3, j4, j5, j6 = js
+    cols = [(j1, j4), (j2, j5), (j3, j6)]
+    base = w6j(*js)
+    assert not base.is_zero()
+    for perm in permutations(range(3)):
+        p = [cols[k] for k in perm]
+        val = w6j(p[0][0], p[1][0], p[2][0], p[0][1], p[1][1], p[2][1])
+        assert val == base, (js, perm)
+    for a, b in permutations(range(3), 2):
+        p = [list(c) for c in cols]
+        p[a].reverse()
+        p[b].reverse()
+        val = w6j(p[0][0], p[1][0], p[2][0], p[0][1], p[1][1], p[2][1])
+        assert val == base, (js, a, b)
 
 
 class TestClebschGordan:
@@ -303,50 +313,10 @@ class TestW3jm:
         assert w3jm(1, 1, 1, 2, -1, -1) == RadicalNumber.zero()  # |m| > j
 
     def test_orthogonality_exhaustive(self):
-        # Sum over m1, m2 of (2 j3 + 1) w(j3, m3) w(j3', m3') = delta delta,
-        # exhaustively for all spins <= 3/2.
-        for j1, j2, j3 in valid_triads(SPINS_UP_TO_3_HALVES):
-            h1, h2, h3 = HalfInteger(j1), HalfInteger(j2), HalfInteger(j3)
-            for j3p in SPINS_UP_TO_3_HALVES:
-                h3p = HalfInteger(j3p)
-                if not triangle_ok(h1, h2, h3p):
-                    continue
-                for m3 in _ref_half_integer_range(h3):
-                    for m3p in _ref_half_integer_range(h3p):
-                        total = RadicalNumber.zero()
-                        for m1 in _ref_half_integer_range(h1):
-                            for m2 in _ref_half_integer_range(h2):
-                                a = w3jm(h1, h2, h3, m1, m2, m3)
-                                b = w3jm(h1, h2, h3p, m1, m2, m3p)
-                                total = total + a * b
-                        mult = RadicalNumber({1: h3.twice + 1})
-                        want = (
-                            RadicalNumber.one()
-                            if (h3.twice == h3p.twice and m3.twice == m3p.twice)
-                            else RadicalNumber.zero()
-                        )
-                        assert mult * total == want, (j1, j2, j3, j3p, m3, m3p)
+        assert_3jm_orthogonality(SPINS_UP_TO_3_HALVES)
 
     def test_permutation_symmetries_exhaustive(self):
-        for j1, j2, j3 in valid_triads(SPINS_UP_TO_3_HALVES):
-            h = [HalfInteger(j1), HalfInteger(j2), HalfInteger(j3)]
-            jtot = h[0].twice + h[1].twice + h[2].twice
-            for m1 in _ref_half_integer_range(h[0]):
-                for m2 in _ref_half_integer_range(h[1]):
-                    m3 = -(m1 + m2)
-                    if abs(m3.twice) > h[2].twice:
-                        continue
-                    ms = [m1, m2, m3]
-                    base = w3jm(*h, *ms)
-                    for perm in permutations(range(3)):
-                        val = w3jm(*[h[p] for p in perm], *[ms[p] for p in perm])
-                        even = perm in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-                        expect = base if even else sign_power(jtot) * base
-                        assert val == expect, (j1, j2, j3, ms, perm)
-                    # m -> -m flip.
-                    flipped = w3jm(*h, -m1, -m2, -m3)
-                    assert flipped == sign_power(jtot) * base
-
+        assert_3jm_symmetries(SPINS_UP_TO_3_HALVES)
 
 class TestW4jm:
     def test_reduces_to_3jm_contraction(self):
@@ -406,27 +376,8 @@ class TestW6j:
             assert _ref_w6j(*js) == RadicalNumber.from_rational(want), js
 
     def test_tetrahedral_symmetry(self):
-        # Invariance under any permutation of the three columns, and under
-        # swapping upper and lower entries of any two columns.
         for js in SEXTUPLES:
-            j1, j2, j3, j4, j5, j6 = js
-            cols = [(j1, j4), (j2, j5), (j3, j6)]
-            base = w6j(*js)
-            assert not base.is_zero()
-            for perm in permutations(range(3)):
-                p = [cols[k] for k in perm]
-                val = w6j(p[0][0], p[1][0], p[2][0], p[0][1], p[1][1], p[2][1])
-                assert val == base, (js, perm)
-            for a in range(3):
-                for b in range(3):
-                    if a == b:
-                        continue
-                    p = [list(c) for c in cols]
-                    p[a].reverse()
-                    p[b].reverse()
-                    val = w6j(p[0][0], p[1][0], p[2][0], p[0][1], p[1][1], p[2][1])
-                    assert val == base, (js, a, b)
-
+            assert_6j_tetrahedral_symmetry(js)
 
 class TestInvariants:
     def test_loop_counts_dimension(self):
